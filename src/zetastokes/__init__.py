@@ -11,10 +11,10 @@ double transition.
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      IllConditionedError, InsufficientPrecisionError,
                      PoleError, TailBoundError, ZetaError)
-from .expansion import (TruncationPlan, GeometryPack, a_r_coefficient,
-                        optimal_plan, optimal_truncation, remainder_rk,
-                        script_r_k, z_equal_truncation, z_improved)
-from .hp import (HPComplex, PrecisionContext, RayComplex, bernoulli_even,
+from .expansion import (TruncationPlan, a_r_coefficient, optimal_plan,
+                        optimal_truncation, remainder_rk, script_r_k,
+                        z_equal_truncation, z_improved)
+from .hp import (PrecisionContext, RayComplex, bernoulli_even,
                  hurwitz_zeta_integer, zeta_even)
 from .oracle import (ZetaPoint, f_tilde_reference, hurwitz_zeta_direct,
                      periodic_zeta_direct, z_reference)
@@ -24,16 +24,16 @@ from .terminant import (TerminantQuery, c_of_phi, reduce_arg, terminant,
                         terminant_asymptotic, upper_gamma)
 from .validate import ValidationReport, run_validation
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DivergenceError", "DomainError",
     "IllConditionedError", "InsufficientPrecisionError", "PoleError",
     "TailBoundError", "ZetaError",
-    "TruncationPlan", "GeometryPack", "a_r_coefficient", "optimal_plan",
+    "TruncationPlan", "a_r_coefficient", "optimal_plan",
     "optimal_truncation", "remainder_rk", "script_r_k",
     "z_equal_truncation", "z_improved",
-    "HPComplex", "PrecisionContext", "RayComplex", "bernoulli_even",
+    "PrecisionContext", "RayComplex", "bernoulli_even",
     "hurwitz_zeta_integer", "zeta_even",
     "ZetaPoint", "f_tilde_reference", "hurwitz_zeta_direct",
     "periodic_zeta_direct", "z_reference",

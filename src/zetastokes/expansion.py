@@ -53,20 +53,6 @@ class TruncationPlan:
         return cls((n,) * k_max, (n,) * k_max, k_max)
 
 
-@dataclass(frozen=True)
-class GeometryPack:
-    """xi = 1 - 1/a and delta = arg xi, the offset of the second Stokes line."""
-
-    xi: mpc
-    delta: mpf
-
-    @classmethod
-    def from_ray(cls, a: RayComplex, ctx: PrecisionContext) -> "GeometryPack":
-        with ctx.working():
-            xi = 1 - 1 / a.value()
-        return cls(xi=xi, delta=mp.arg(xi))
-
-
 def a_r_coefficient(r: int, s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     """A_r(a) = (-1)^r Gamma(2r+s+1) / (2 pi a)^(2r+s+1)."""
     if r < 0:
@@ -130,20 +116,22 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
                                 - t_minus / (e2 * half_is))
 
 
-def _block_sum(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
-    """(1/pi) sum_m sum_{r=N_{m-1}}^{N_m - 1} A_r(a) zeta(2r+2, m).
+def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
+    """(1/pi) sum_{k>=1} sum_{r<N_k} A_r(a) / k^(2r+2), the index list
+    extended constantly past its last entry.
 
-    Reversed-order form of the algebraic double sum; with the plan extended
-    constantly past its last entry this covers every scale k >= 1 exactly.
-    Blocks for non-monotone plans are handled by splitting into the direct
-    part (k <= K) plus a constant-extension tail, which needs no
-    monotonicity.
+    A nondecreasing list is summed in reversed order,
+    (1/pi) sum_m sum_{r=N_{m-1}}^{N_m - 1} A_r(a) zeta(2r+2, m) with
+    N_0 = 0; any other list directly over the scales k <= K plus the
+    closed-form tail sum_{r<N_K} A_r(a) zeta(2r+2, K+1).  This is the
+    algebraic part of the improved expansion, and the piece peeled off
+    when a Stokes multiplier is extracted.
     """
     s = mpc(s)
     K = len(nlist)
     with ctx.working(10):
+        total = mpc(0)
         if all(nlist[i] <= nlist[i + 1] for i in range(K - 1)):
-            total = mpc(0)
             prev = 0
             for m in range(1, K + 1):
                 for r in range(prev, nlist[m - 1]):
@@ -151,8 +139,6 @@ def _block_sum(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
                         * hurwitz_zeta_integer(2 * r + 2, m, ctx)
                 prev = nlist[m - 1]
             return total / mp.pi
-        # non-monotone plan: direct scales k <= K, closed-form tail beyond
-        total = mpc(0)
         for k in range(1, K + 1):
             kk = mpf(k) ** 2
             kpow = mpf(1)
@@ -163,6 +149,21 @@ def _block_sum(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
             total += a_r_coefficient(r, s, a, ctx) \
                 * hurwitz_zeta_integer(2 * r + 2, K + 1, ctx)
         return total / mp.pi
+
+
+def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
+    """sum_{r=1}^{N} B_{2r}/(2r)! Gamma(2r+s-1) a^(1-2r-s), the truncated
+    Poincare series of Z(s,a)."""
+    s = mpc(s)
+    with ctx.working(10):
+        total = mpc(0)
+        for r in range(1, n + 1):
+            b = bernoulli_even(r)
+            total += (mpf(b.numerator) / b.denominator) \
+                / mp.factorial(2 * r) \
+                * gamma_complex(2 * r + s - 1, ctx) \
+                * pow_ray(a, 1 - (2 * r + s), ctx)
+        return total
 
 
 def _remainder_total(s, a: RayComplex, nlist, ctx: PrecisionContext,
@@ -225,7 +226,7 @@ def z_improved(s, a: RayComplex, plan: TruncationPlan,
         if nearest <= -1 and abs(s - nearest) < ctx.tol():
             raise DomainError("s must not be -1, -2, ...")
     with ctx.working(10):
-        algebraic = _block_sum(s, a, plan.nk, ctx)
+        algebraic = leading_blocks(s, a, plan.nk, ctx)
         rsum = _remainder_total(s, a, plan.nk, ctx,
                                 scale=abs(algebraic) + ctx.tol())
         return (2 * mp.pi) ** s * (algebraic + rsum)
@@ -239,13 +240,7 @@ def z_equal_truncation(s, a: RayComplex, n: int, k_max: int,
     if n < 1:
         raise DomainError("truncation index must be >= 1")
     with ctx.working(10):
-        poincare = mpc(0)
-        for r in range(1, n + 1):
-            b = bernoulli_even(r)
-            poincare += (mpf(b.numerator) / b.denominator) \
-                / mp.factorial(2 * r) \
-                * gamma_complex(2 * r + s - 1, ctx) \
-                * pow_ray(a, -(2 * r + s - 1), ctx)
+        poincare = bernoulli_series(s, a, n, ctx)
         rsum = _remainder_total(s, a, (n,) * k_max, ctx,
                                 scale=abs(poincare) + ctx.tol())
         return poincare + (2 * mp.pi) ** s * rsum
@@ -260,64 +255,6 @@ def script_r_k(k: int, point: ZetaPoint, nk: int, nk_prime: int,
         half_is = mp.expjpi(s / 2)
         return half_is * remainder_rk(k, s, point.a, nk, ctx) \
             + remainder_rk(k, s, point.a_prime, nk_prime, ctx) / half_is
-
-
-def rearranged_double_sum(point: ZetaPoint, plan: TruncationPlan,
-                          ctx: PrecisionContext, which: str = "a") -> mpc:
-    """Reversed-order algebraic double sum for the a- or a'-part of Ftilde.
-
-    Equals (1/pi) sum_k sum_{r < N_k} A_r / k^(2r+2) with the plan extended
-    constantly past k_max; requires a nondecreasing plan.
-    """
-    if which == "a":
-        ray, nlist = point.a, plan.nk
-    elif which == "aPrime":
-        ray, nlist = point.a_prime, plan.nk_prime
-    else:
-        raise ValueError(f"which must be 'a' or 'aPrime', got {which!r}")
-    if any(nlist[i] > nlist[i + 1] for i in range(len(nlist) - 1)):
-        raise DomainError("reversed-order blocks need a nondecreasing plan")
-    return _block_sum(point.s, ray, nlist, ctx)
-
-
-def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
-    """(1/pi) sum_{m<=len(nlist)} sum_{r=N_{m-1}}^{N_m-1} A_r(a) zeta(2r+2, m).
-
-    The first blocks of the reversed-order double sum only, without the
-    constant-extension tail; this is the piece peeled off when a Stokes
-    multiplier is extracted.  Requires a nondecreasing index list.
-    """
-    s = mpc(s)
-    if any(nlist[i] > nlist[i + 1] for i in range(len(nlist) - 1)):
-        raise DomainError("leading blocks need a nondecreasing index list")
-    with ctx.working(10):
-        total = mpc(0)
-        prev = 0
-        for m in range(1, len(nlist) + 1):
-            for r in range(prev, nlist[m - 1]):
-                total += a_r_coefficient(r, s, a, ctx) \
-                    * hurwitz_zeta_integer(2 * r + 2, m, ctx)
-            prev = nlist[m - 1]
-        return total / mp.pi
-
-
-def default_k_max(s, a: RayComplex, ctx: PrecisionContext,
-                  n_min: int = 1) -> int:
-    """Smallest scale cutoff whose remainder tail clears the tolerance,
-    and at least n_min + 2 for multiplier work."""
-    s = mpc(s)
-    with ctx.working():
-        im_a = a.modulus * mp.sin(a.argument)
-        if im_a <= 0:
-            raise DomainError("default_k_max needs Im(a) > 0")
-        k = max(1, n_min + 2)
-        while k < 10000:
-            bound = 2 * mpf(k + 1) ** max(float(s.real) - 1, 0.0) \
-                * mp.exp(-2 * mp.pi * (k + 1) * im_a)
-            if bound < ctx.tol() * mpf(10) ** (-8):
-                return k
-            k += 1
-    raise DomainError("no admissible k_max below 10000")
 
 
 def optimal_plan(s, point: ZetaPoint, k_max: int,

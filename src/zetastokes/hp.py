@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
-import mpmath
 
 from .errors import DomainError, PoleError
-
-HPComplex = mpc  # alias: high-precision complex values are mpmath mpc
 
 
 @dataclass(frozen=True)
@@ -63,16 +60,6 @@ class RayComplex:
         with mp.extraprec(10):
             return mpc(self.modulus) * mp.expj(self.argument)
 
-    def rotate(self, phi) -> "RayComplex":
-        return RayComplex(self.modulus, mpf(self.argument) + phi)
-
-    def scale(self, factor) -> "RayComplex":
-        """Multiply the modulus by a positive real factor."""
-        f = mpf(factor)
-        if f <= 0:
-            raise DomainError("scale factor must be positive")
-        return RayComplex(self.modulus * f, self.argument)
-
     @classmethod
     def from_value(cls, z, argument=None) -> "RayComplex":
         """Build a ray from a complex value, principal argument by default."""
@@ -80,10 +67,6 @@ class RayComplex:
         if argument is None:
             argument = mp.arg(z)
         return cls(abs(z), mpf(argument))
-
-    @classmethod
-    def from_polar(cls, modulus, argument) -> "RayComplex":
-        return cls(mpf(modulus), mpf(argument))
 
 
 # ---------------------------------------------------------------------------

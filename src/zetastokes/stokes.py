@@ -19,9 +19,9 @@ from mpmath import mp, mpf, mpc
 
 from .errors import (DomainError, IllConditionedError,
                      InsufficientPrecisionError, ZetaError)
-from .expansion import (TruncationPlan, leading_blocks, optimal_plan,
-                        script_r_k)
-from .hp import PrecisionContext, RayComplex, bernoulli_even, gamma_complex, pow_ray
+from .expansion import (TruncationPlan, bernoulli_series, leading_blocks,
+                        optimal_plan, script_r_k)
+from .hp import PrecisionContext, RayComplex
 from .oracle import ZetaPoint, f_tilde_reference
 
 GRID_POINTS = 400
@@ -70,18 +70,16 @@ class MinimumResult:
             raise ValueError(f"s_min must lie in (0, 1), got {self.s_min}")
 
 
-def erf_approx(n: int, abs_a: float, theta: float,
-               mode: str = "double") -> float:
-    """Leading error-function form of Re S_n(theta).
+def erf_approx(n: int, abs_a: float, theta: float) -> float:
+    """Leading error-function form of Re S_n(theta):
 
-    double: 1 + (1/2) erf[(theta - pi/2) sqrt(pi n |a|)]
-              - (1/2) erf[(theta + delta - pi/2) sqrt(pi n |a'|)]
-    single: 1/2 + 1/2 erf[(theta - pi/2) sqrt(pi n |a|)]
+        1 + (1/2) erf[(theta - pi/2) sqrt(pi n |a|)]
+          - (1/2) erf[(theta + delta - pi/2) sqrt(pi n |a'|)]
+
     with a' = 1 - a and delta = arg(1 - 1/a) evaluated at a = |a| e^(i theta).
-    The double form is the superposition of the two terminant smoothing
-    transitions 1/2 + 1/2 erf[...], one per Stokes line, as
-    T(first) - T(second) + 1; the half weights are what the tabulated dip
-    minima pin down.
+    This is the superposition of the two terminant smoothing transitions
+    1/2 + 1/2 erf[...], one per Stokes line, as T(first) - T(second) + 1;
+    the half weights are what the tabulated dip minima pin down.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -91,10 +89,6 @@ def erf_approx(n: int, abs_a: float, theta: float,
         raise DomainError("erf_approx needs |a| >= 1 for the geometry")
     half = theta - math.pi / 2
     first = math.erf(half * math.sqrt(math.pi * n * abs_a))
-    if mode == "single":
-        return 0.5 + 0.5 * first
-    if mode != "double":
-        raise DomainError(f"mode must be 'double' or 'single', got {mode!r}")
     a = abs_a * cmath.exp(1j * theta)
     a_prime = 1 - a
     delta = cmath.phase(1 - 1 / a)
@@ -102,32 +96,22 @@ def erf_approx(n: int, abs_a: float, theta: float,
     return 1 + 0.5 * first - 0.5 * second
 
 
-def _bernoulli_form_s1(point: ZetaPoint, n1: int, n1p: int,
+def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, n1: int, n1p: int,
                        ctx: PrecisionContext) -> mpc:
-    """S_1 via the single-scale Bernoulli series instead of zeta blocks.
+    """S_1 from ft = Ftilde(a, s) via the single-scale Bernoulli series
+    instead of zeta blocks.
 
     The peeled blocks for k = 1 equal (2 pi)^(-s) times the truncated
-    Bernoulli series sum_{r=1}^{N} B_{2r}/(2r)! Gamma(2r+s-1) a^(1-2r-s),
-    term by term (the same pairing that links the two expansion forms).
+    Bernoulli series, term by term (the same pairing that links the two
+    expansion forms).
     """
     s = point.s
     with ctx.working(10):
-        ft = f_tilde_reference(point, ctx)
         half_is = mp.expjpi(s / 2)
         pref = (2 * mp.pi) ** (-s)
-
-        def series(a: RayComplex, nmax: int) -> mpc:
-            total = mpc(0)
-            for r in range(1, nmax + 1):
-                b = bernoulli_even(r)
-                total += (mpf(b.numerator) / b.denominator) \
-                    / mp.factorial(2 * r) \
-                    * gamma_complex(2 * r + s - 1, ctx) \
-                    * pow_ray(a, 1 - (2 * r + s), ctx)
-            return pref * total
-
-        brace = ft - half_is * series(point.a, n1) \
-            - series(point.a_prime, n1p) / half_is
+        series_a = pref * bernoulli_series(s, point.a, n1, ctx)
+        series_ap = pref * bernoulli_series(s, point.a_prime, n1p, ctx)
+        brace = ft - half_is * series_a - series_ap / half_is
         return mp.exp(-2 * mp.pi * mpc(0, 1) * point.a.value()) * brace
 
 
@@ -179,7 +163,8 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
         exact = mp.exp(-2 * mp.pi * mpc(0, 1) * n * point.a.value()) * brace \
             / mp.exp((s - 1) * mp.log(n))
         if n == 1:
-            alt = _bernoulli_form_s1(point, plan.nk[0], plan.nk_prime[0], ctx)
+            alt = _bernoulli_form_s1(point, ft, plan.nk[0],
+                                     plan.nk_prime[0], ctx)
             bound = mpf(10) ** (-ctx.digits + EQUIV_EXTRA) \
                 * (abs(ft) + ctx.tol()) * mp.exp(2 * mp.pi * im_a)
             if abs(exact - alt) > bound:
@@ -188,7 +173,7 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
                     f"|diff| = {mp.nstr(abs(exact - alt), 3)} > "
                     f"{mp.nstr(bound, 3)}")
         theta = float(point.theta)
-        approx = erf_approx(n, float(point.a.modulus), theta, "double")
+        approx = erf_approx(n, float(point.a.modulus), theta)
         diagnostics = {
             "ft_abs": float(abs(ft)),
             "peeled_abs": float(abs(peeled)),
@@ -211,7 +196,7 @@ def find_minimum(n: int, abs_a: float) -> MinimumResult:
         raise DomainError("find_minimum needs |a| >= 1")
 
     def f(theta: float) -> float:
-        return erf_approx(n, abs_a, theta, "double")
+        return erf_approx(n, abs_a, theta)
 
     step = (SCAN_HI - SCAN_LO) / (GRID_POINTS - 1)
     grid = [SCAN_LO + i * step for i in range(GRID_POINTS)]
@@ -271,7 +256,7 @@ def sweep(n: int, abs_a, s, theta_range, ctx: PrecisionContext,
             point = ZetaPoint.create(s, a, ctx)
             samples.append(stokes_multiplier(n, point, ctx, plan=plan))
         except ZetaError as exc:
-            approx = erf_approx(n, float(abs_a), float(theta), "double")
+            approx = erf_approx(n, float(abs_a), float(theta))
             samples.append(MultiplierSample(
                 theta=float(theta), exact=None, approx=approx, plan=plan,
                 diagnostics={}, error=f"{type(exc).__name__}: {exc}"))

@@ -7,6 +7,9 @@ functions, the terminant connection formula and its smoothing asymptotics,
 the two printed variants of the combined remainder (whose sign
 discrepancies are recorded), the prefactor normalization, and the
 precision budget of the scale-2 multiplier extraction.
+
+The identity checks are plain functions shared with the acceptance tests;
+each suite applies them to its own points and tolerances.
 """
 from __future__ import annotations
 
@@ -17,10 +20,9 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpf, mpc
 
 from .errors import InsufficientPrecisionError, ZetaError
-from .expansion import (TruncationPlan, _block_sum, _remainder_total,
-                        optimal_plan, remainder_rk, script_r_k,
-                        z_equal_truncation, z_improved)
-from .hp import PrecisionContext, RayComplex, gamma_complex, pow_ray
+from .expansion import (TruncationPlan, _remainder_total, leading_blocks,
+                        script_r_k, z_equal_truncation, z_improved)
+from .hp import PrecisionContext, RayComplex
 from .oracle import (ZetaPoint, f_tilde_reference, hurwitz_zeta_direct,
                      periodic_zeta_direct, z_reference)
 from .stokes import stokes_multiplier
@@ -94,8 +96,69 @@ def _random_points(rng: random.Random, count: int):
     return pts
 
 
+def exactness_residual(s, a: RayComplex, plans, ctx: PrecisionContext) -> mpf:
+    """Worst relative residual of the improved expansion at one point
+    against direct summation, over a list of plans.
+
+    A ``TruncationPlan`` is evaluated by the per-scale form ``z_improved``,
+    a pair (N, k_max) by the common-truncation form ``z_equal_truncation``;
+    the reference is computed once for all of them.
+    """
+    with ctx.working(10):
+        ref = z_reference(s, a, ctx)
+        worst = mpf(0)
+        for plan in plans:
+            if isinstance(plan, TruncationPlan):
+                got = z_improved(s, a, plan, ctx)
+            else:
+                got = z_equal_truncation(s, a, *plan, ctx)
+            worst = max(worst, abs(got - ref) / abs(ref))
+        return worst
+
+
+def reflection_residuals(point: ZetaPoint, ctx: PrecisionContext):
+    """Residuals, relative to 1 + |value|, of the periodic-zeta reflection
+    F = Gamma(s)/(2 pi)^s [e^(i pi s/2) zeta(s,a) + e^(-i pi s/2) zeta(s,a')]
+    and of its subtracted form
+    Ftilde = (2 pi)^(-s) [e^(i pi s/2) Z(s,a) + e^(-i pi s/2) Z(s,a')]."""
+    s = point.s
+    with ctx.working(10):
+        half_is = mp.expjpi(s / 2)
+        f = periodic_zeta_direct(point, ctx)
+        rhs = mp.gamma(s) / (2 * mp.pi) ** s * (
+            half_is * hurwitz_zeta_direct(s, point.a, ctx)
+            + hurwitz_zeta_direct(s, point.a_prime, ctx) / half_is)
+        ft = f_tilde_reference(point, ctx)
+        combo = (2 * mp.pi) ** (-s) * (
+            half_is * z_reference(s, point.a, ctx)
+            + z_reference(s, point.a_prime, ctx) / half_is)
+        return abs(f - rhs) / (1 + abs(f)), abs(ft - combo) / (1 + abs(ft))
+
+
+def connection_residual(nu, mod, base, ctx: PrecisionContext) -> mpf:
+    """|T_nu(z e^(-i pi)) - e^(2 pi i nu) (T_nu(z e^(i pi)) - 1)| for
+    z = mod e^(i base), the half-turn continuation of the terminant."""
+    with ctx.working(20):
+        lhs = terminant(
+            TerminantQuery(nu, RayComplex(mod, base - mp.pi)), ctx)
+        t_plus = terminant(
+            TerminantQuery(nu, RayComplex(mod, base + mp.pi)), ctx)
+        return abs(lhs - mp.exp(2 * mp.pi * mpc(0, 1) * nu) * (t_plus - 1))
+
+
+def smoothing_check(mod, ctx: PrecisionContext):
+    """T_nu(z) on the Stokes line, nu = |z| = mod, arg z = pi: returns
+    |T - 1/2| in units of the bound 2|z|^(-1/2), and the distance of T from
+    its error-function asymptotic form."""
+    with ctx.working(10):
+        q = TerminantQuery(mpc(mod), RayComplex(mpf(mod), mp.pi))
+        exact = terminant(q, ctx)
+        approx, _ = terminant_asymptotic(q, ctx)
+        ratio = float(abs(exact - mpf(1) / 2)) / (2 / math.sqrt(mod))
+        return ratio, float(abs(exact - approx))
+
+
 def _suite_exactness(report: ValidationReport, ctx: PrecisionContext) -> None:
-    tol = ctx.tol()
     cases = [
         (mpc(3), 6, 0.45, TruncationPlan.constant(1, 3)),
         (mpc(2, 0.5), 8, 0.52, TruncationPlan((3, 9, 14), (3, 9, 14), 3)),
@@ -104,76 +167,45 @@ def _suite_exactness(report: ValidationReport, ctx: PrecisionContext) -> None:
     with ctx.working(10):
         for s, mod, argpi, plan in cases:
             a = RayComplex(mpf(mod), mpf(str(argpi)) * mp.pi)
-            ref = z_reference(s, a, ctx)
-            worst = max(worst, abs(z_improved(s, a, plan, ctx) - ref)
-                        / abs(ref))
-            worst = max(worst, abs(z_equal_truncation(s, a, 4, 3, ctx) - ref)
-                        / abs(ref))
-    report.add("improved-expansion exactness", worst, tol,
+            worst = max(worst, exactness_residual(s, a, [plan, (4, 3)], ctx))
+    report.add("improved-expansion exactness", worst, ctx.tol(),
                "per-scale and common truncations vs direct summation")
 
 
 def _suite_reflection(report: ValidationReport, ctx: PrecisionContext,
                       rng: random.Random) -> None:
-    tol = ctx.tol()
     worst_f = mpf(0)
     worst_ft = mpf(0)
     with ctx.working(10):
         for s, mod, arg in _random_points(rng, 4):
-            a = RayComplex(mpf(mod), mpf(arg))
-            point = ZetaPoint.create(s, a, ctx)
-            half_is = mp.expjpi(s / 2)
-            f = periodic_zeta_direct(point, ctx)
-            rhs = gamma_complex(s, ctx) / (2 * mp.pi) ** s * (
-                half_is * hurwitz_zeta_direct(s, point.a, ctx)
-                + hurwitz_zeta_direct(s, point.a_prime, ctx) / half_is)
-            worst_f = max(worst_f, abs(f - rhs) / (1 + abs(f)))
-            ft = f_tilde_reference(point, ctx)
-            combo = (2 * mp.pi) ** (-s) * (
-                half_is * z_reference(s, point.a, ctx)
-                + z_reference(s, point.a_prime, ctx) / half_is)
-            worst_ft = max(worst_ft, abs(ft - combo) / (1 + abs(ft)))
-    report.add("periodic-zeta reflection", worst_f, tol,
+            point = ZetaPoint.create(s, RayComplex(mpf(mod), mpf(arg)), ctx)
+            res_f, res_ft = reflection_residuals(point, ctx)
+            worst_f = max(worst_f, res_f)
+            worst_ft = max(worst_ft, res_ft)
+    report.add("periodic-zeta reflection", worst_f, ctx.tol(),
                "geometric sum vs the two-zeta combination")
-    report.add("subtracted reflection", worst_ft, tol,
+    report.add("subtracted reflection", worst_ft, ctx.tol(),
                "Ftilde vs the two-Z combination")
 
 
 def _suite_connection(report: ValidationReport, ctx: PrecisionContext,
                       rng: random.Random) -> None:
-    tol = ctx.tol()
     worst = mpf(0)
-    with ctx.working(10):
-        for _ in range(4):
-            nu = mpc(rng.uniform(2.0, 20.0), rng.uniform(-1.0, 1.0))
-            mod = mpf(rng.uniform(5.0, 40.0))
-            base = mpf(rng.uniform(-0.3, 0.3))
-            lhs = terminant(
-                TerminantQuery(nu, RayComplex(mod, base - mp.pi)), ctx)
-            t_plus = terminant(
-                TerminantQuery(nu, RayComplex(mod, base + mp.pi)), ctx)
-            rhs = mp.exp(2 * mp.pi * mpc(0, 1) * nu) * (t_plus - 1)
-            worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
-    report.add("terminant connection formula", worst, tol,
+    for _ in range(4):
+        nu = mpc(rng.uniform(2.0, 20.0), rng.uniform(-1.0, 1.0))
+        mod = mpf(rng.uniform(5.0, 40.0))
+        base = mpf(rng.uniform(-0.3, 0.3))
+        worst = max(worst, connection_residual(nu, mod, base, ctx))
+    report.add("terminant connection formula", worst, ctx.tol(),
                "half-turn continuation vs direct evaluation")
 
 
 def _suite_smoothing(report: ValidationReport, ctx: PrecisionContext) -> None:
-    worst_half = 0.0
-    worst_agree = 0.0
-    with ctx.working(10):
-        for mod in (30, 60, 100):
-            nu = mpc(mod)
-            q = TerminantQuery(nu, RayComplex(mpf(mod), mp.pi))
-            exact = terminant(q, ctx)
-            bound = 2 / math.sqrt(mod)
-            worst_half = max(worst_half,
-                             float(abs(exact - mpf(1) / 2)) / bound)
-            approx, regime = terminant_asymptotic(q, ctx)
-            worst_agree = max(worst_agree, float(abs(exact - approx)))
-    report.add("terminant smoothing midpoint", worst_half, 1.0,
+    checks = [smoothing_check(mod, ctx) for mod in (30, 60, 100)]
+    report.add("terminant smoothing midpoint", max(c[0] for c in checks), 1.0,
                "|T - 1/2| on the Stokes line, in units of 2|z|^(-1/2)")
-    report.add("terminant smoothing agreement", worst_agree, 0.1,
+    report.add("terminant smoothing agreement", max(c[1] for c in checks),
+               0.1,
                "exact vs error-function asymptotic on the Stokes line; the "
                "asymptotic error is O(|z|^(-1/2)) at the smallest |z| = 30")
 
@@ -242,7 +274,7 @@ def _suite_prefactor(report: ValidationReport, ctx: PrecisionContext) -> None:
         a = RayComplex(mpf(6), mpf("0.45") * mp.pi)
         ref = z_reference(s, a, ctx)
         plan = TruncationPlan.constant(4, 3)
-        alg = _block_sum(s, a, plan.nk, ctx)
+        alg = leading_blocks(s, a, plan.nk, ctx)
         rem = _remainder_total(s, a, plan.nk, ctx, abs(alg) + ctx.tol())
         core = alg + rem
         res_single = abs((2 * mp.pi) ** s * core - ref) / abs(ref)

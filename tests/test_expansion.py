@@ -2,8 +2,7 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError
-from zetastokes.expansion import (GeometryPack, TruncationPlan,
-                                  a_r_coefficient, default_k_max,
+from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
                                   leading_blocks, optimal_plan,
                                   optimal_truncation, remainder_rk,
                                   script_r_k, z_equal_truncation, z_improved)
@@ -28,15 +27,6 @@ class TestTruncationPlan:
     def test_rejects_zero_index(self):
         with pytest.raises(ValueError):
             TruncationPlan((0,), (1,), 1)
-
-
-class TestGeometryPack:
-    def test_xi_and_delta(self, ctx):
-        a = _ray(6, 0.5, ctx)
-        g = GeometryPack.from_ray(a, ctx)
-        with ctx.working():
-            assert abs(g.xi - (1 - 1 / a.value())) < ctx.tol() * 10
-            assert 0 < g.delta < mp.pi / 2
 
 
 class TestCoefficients:
@@ -109,6 +99,7 @@ class TestExactness:
         TruncationPlan.constant(1, 3),
         TruncationPlan.constant(9, 3),
         TruncationPlan((2, 7, 11), (2, 7, 11), 3),
+        TruncationPlan((9, 3), (9, 3), 2),
     ])
     def test_plan_independence(self, plan, ctx):
         a = _ray(6, 0.45, ctx)
@@ -136,10 +127,16 @@ class TestExactness:
 
 
 class TestBlocks:
-    def test_leading_blocks_requires_monotone(self, ctx):
+    def test_non_monotone_blocks_match_direct_double_sum(self, ctx):
+        # (1/pi) sum_k sum_{r<N_k} A_r / k^(2r+2), N_k = 3 for k >= 2
         a = _ray(6, 0.45, ctx)
-        with pytest.raises(DomainError):
-            leading_blocks(mpc(3), a, (5, 3), ctx)
+        s = mpc(3)
+        with ctx.working(10):
+            got = leading_blocks(s, a, (5, 3), ctx)
+            coeffs = [a_r_coefficient(r, s, a, ctx) for r in range(5)]
+            want = (sum(coeffs) + sum(coeffs[r] * mp.zeta(2 * r + 2, 2)
+                                      for r in range(3))) / mp.pi
+            assert abs(got - want) <= ctx.tol() * (1 + abs(want))
 
     def test_blocks_match_direct_double_sum(self, ctx):
         # for one scale: (1/pi) sum_{r<N} A_r zeta(2r+2, 1)
@@ -160,10 +157,6 @@ class TestPlans:
         plan = optimal_plan(mpc(3), pt, 3, ctx)
         assert plan.nk[0] < plan.nk[1] < plan.nk[2]
         assert plan.nk_prime[0] < plan.nk_prime[1] < plan.nk_prime[2]
-
-    def test_default_k_max_floor(self, ctx):
-        a = _ray(6, 0.45, ctx)
-        assert default_k_max(mpc(3), a, ctx, n_min=4) >= 6
 
 
 class TestScriptR:

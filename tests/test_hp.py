@@ -43,14 +43,6 @@ class TestRayComplex:
         r = RayComplex(mpf(1), mpf(10))
         assert r.argument == 10  # no mod-2pi reduction
 
-    def test_rotate_and_scale(self):
-        r = RayComplex(mpf(3), mpf(1)).rotate(2).scale(4)
-        assert r.modulus == 12 and r.argument == 3
-
-    def test_scale_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            RayComplex(mpf(1), mpf(0)).scale(-1)
-
     def test_from_value_principal(self):
         with mp.workdps(40):
             r = RayComplex.from_value(mpc(-1, -1))

@@ -22,9 +22,6 @@ class TestErfApprox:
         assert abs(erf_approx(1, 6, 0.473089 * math.pi) - 0.608463) < 5e-7
         assert abs(erf_approx(1, 20, 0.492010 * math.pi) - 0.779264) < 5e-7
 
-    def test_single_mode_half_on_the_line(self):
-        assert erf_approx(3, 11, math.pi / 2, "single") == 0.5
-
     def test_plateaus(self):
         assert abs(erf_approx(1, 6, 0.1 * math.pi) - 1) < 1e-3
         assert abs(erf_approx(1, 6, 0.9 * math.pi) - 1) < 1e-3
@@ -34,8 +31,6 @@ class TestErfApprox:
             erf_approx(0, 6, 1.0)
         with pytest.raises(DomainError):
             erf_approx(1, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            erf_approx(1, 6, 1.0, "triple")
 
 
 class TestSampleInvariants:
