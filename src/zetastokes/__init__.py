@@ -20,7 +20,7 @@ from .oracle import (ZetaPoint, f_tilde_reference, hurwitz_zeta_direct,
                      periodic_zeta_direct, z_reference)
 from .stokes import (MinimumResult, MultiplierSample, erf_approx,
                      find_minimum, stokes_multiplier, sweep)
-from .terminant import (TerminantQuery, c_of_phi, reduce_arg, terminant,
+from .terminant import (TerminantQuery, c_of_phi, terminant,
                         terminant_asymptotic, upper_gamma)
 from .validate import ValidationReport, run_validation
 
@@ -39,7 +39,7 @@ __all__ = [
     "periodic_zeta_direct", "z_reference",
     "MinimumResult", "MultiplierSample", "erf_approx", "find_minimum",
     "stokes_multiplier", "sweep",
-    "TerminantQuery", "c_of_phi", "reduce_arg", "terminant",
+    "TerminantQuery", "c_of_phi", "terminant",
     "terminant_asymptotic", "upper_gamma",
     "ValidationReport", "run_validation",
 ]

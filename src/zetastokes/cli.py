@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -59,7 +58,12 @@ REPRODUCTIONS = {
 
 
 class ConfigError(Exception):
-    """Unusable command-line or config-file input."""
+    """Unusable command-line input."""
+
+
+def _check_finite(text: str, *values) -> None:
+    if not all(mp.isfinite(v) for v in values):
+        raise ConfigError(f"non-finite number in {text!r}")
 
 
 def _parse_complex(text: str) -> mpc:
@@ -71,7 +75,17 @@ def _parse_complex(text: str) -> mpc:
         im = mpf(parts[1]) if len(parts) == 2 else mpf(0)
     except ValueError as exc:
         raise ConfigError(f"unparseable complex number {text!r}") from exc
+    _check_finite(text, re, im)
     return mpc(re, im)
+
+
+def _parse_abs_a(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"unparseable --abs-a {text!r}") from exc
+    _check_finite(text, value)
+    return value
 
 
 def _parse_theta(text: str):
@@ -99,20 +113,10 @@ def _parse_polar(text: str) -> RayComplex:
         argument = mpf(parts[1])
     except ValueError as exc:
         raise ConfigError(f"unparseable polar value {text!r}") from exc
+    _check_finite(text, modulus, argument)
     if modulus <= 0:
         raise ConfigError("modulus must be positive")
     return RayComplex(modulus, argument)
-
-
-def _default_digits() -> int:
-    env = os.environ.get("ZETA_DIGITS")
-    if env is None:
-        return 60
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"ZETA_DIGITS must be an integer, got {env!r}") \
-            from exc
 
 
 def _context(digits: int) -> PrecisionContext:
@@ -141,7 +145,6 @@ def _csv(header, rows) -> str:
 
 
 def run_table1(args) -> int:
-    ctx = _context(args.digits)
     rows = []
     results = []
     for abs_a in TABLE1_ABS_A:
@@ -180,17 +183,21 @@ def _plan_to_str(plan) -> str:
 
 def run_sweep(args) -> int:
     ctx = _context(args.digits)
+    flags = [("--n", args.n), ("--abs-a", args.abs_a),
+             ("--s", args.s), ("--theta", args.theta)]
     if args.reproduce:
+        given = [flag for flag, val in flags if val is not None]
+        if given:
+            raise ConfigError(
+                "--reproduce pins the configuration; drop "
+                + ", ".join(given))
         pinned = REPRODUCTIONS[args.reproduce]
         n, abs_a, s = pinned["n"], pinned["abs_a"], pinned["s"]
         lo, hi, count = pinned["theta"]
         plan = pinned["plan"]
         plan_source = f"pinned:{args.reproduce}"
     else:
-        missing = [flag for flag, val in
-                   [("--n", args.n), ("--abs-a", args.abs_a),
-                    ("--s", args.s), ("--theta", args.theta)]
-                   if val is None]
+        missing = [flag for flag, val in flags if val is None]
         if missing:
             raise ConfigError(
                 "sweep needs " + ", ".join(missing) + " (or --reproduce)")
@@ -264,15 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--digits", type=int, default=None,
+        p.add_argument("--digits", type=int, default=60,
                        help="working precision in decimal digits "
-                            "(default 60, or ZETA_DIGITS)")
-        p.add_argument("--config", default=None,
-                       help="JSON file with flag defaults; explicit flags "
-                            "override")
+                            "(default 60)")
 
     p_table = sub.add_parser("table1", help="dip-minimum table")
-    common(p_table)
     p_table.add_argument("--check", action="store_true",
                          help="compare against the reference table")
     p_table.add_argument("--out", default=None, help="output CSV path")
@@ -281,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="theta-sweep of S_n")
     common(p_sweep)
     p_sweep.add_argument("--n", type=int, default=None)
-    p_sweep.add_argument("--abs-a", dest="abs_a", type=float, default=None)
+    p_sweep.add_argument("--abs-a", dest="abs_a", type=_parse_abs_a,
+                         default=None)
     p_sweep.add_argument("--s", default=None, help="complex s as RE[,IM]")
     p_sweep.add_argument("--theta", default=None,
                          help="LO:HI:COUNT in units of pi")
@@ -305,31 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> None:
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") \
-                from exc
-        if not isinstance(values, dict):
-            raise ConfigError("config file must hold a JSON object")
-        for key, value in values.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise ConfigError(f"unknown config key {key!r}")
-            if getattr(args, attr) in (None, False):
-                setattr(args, attr, value)
-    if args.digits is None:
-        args.digits = _default_digits()
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -33,14 +33,7 @@ class IllConditionedError(ZetaError):
 
 
 class TailBoundError(ZetaError):
-    """A truncated sum's tail bound exceeds the precision budget.
-
-    Carries the smallest scale cutoff that would satisfy the bound.
-    """
-
-    def __init__(self, message, required_k_max=None):
-        super().__init__(message)
-        self.required_k_max = required_k_max
+    """A truncated sum's tail bound exceeds the precision budget."""
 
 
 class InsufficientPrecisionError(ZetaError):

@@ -184,9 +184,7 @@ def _remainder_total(s, a: RayComplex, nlist, ctx: PrecisionContext,
     with ctx.working(10):
         im_abs = a.modulus * abs(mp.sin(a.argument))
         if im_abs <= ctx.tol():
-            raise TailBoundError(
-                "remainder tail needs Im(a) != 0 to decay",
-                required_k_max=None)
+            raise TailBoundError("remainder tail needs Im(a) != 0 to decay")
         budget = ctx.tol() * scale / 100
         total = mpc(0)
         for k in range(1, K + 1):
@@ -206,7 +204,7 @@ def _remainder_total(s, a: RayComplex, nlist, ctx: PrecisionContext,
             if k > K + 300:
                 raise TailBoundError(
                     "remainder tail did not clear the budget within 300 "
-                    "extension scales", required_k_max=None)
+                    "extension scales")
             n = max(prev, optimal_truncation(k, s, a, ctx))
             total += mp.exp((s - 1) * mp.log(k)) \
                 * remainder_rk(k, s, a, n, ctx)

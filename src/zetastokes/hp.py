@@ -61,12 +61,10 @@ class RayComplex:
             return mpc(self.modulus) * mp.expj(self.argument)
 
     @classmethod
-    def from_value(cls, z, argument=None) -> "RayComplex":
-        """Build a ray from a complex value, principal argument by default."""
+    def from_value(cls, z) -> "RayComplex":
+        """Build a ray from a complex value with its principal argument."""
         z = mpc(z)
-        if argument is None:
-            argument = mp.arg(z)
-        return cls(abs(z), mpf(argument))
+        return cls(abs(z), mp.arg(z))
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +140,6 @@ def gamma_complex(z, ctx: PrecisionContext) -> mpc:
                 )
     with ctx.working():
         return mp.gamma(z)
-
-
-def erf_hp(z, ctx: PrecisionContext) -> mpc:
-    """erf(z) for real or complex z at context precision."""
-    with ctx.working():
-        return mp.erf(mpc(z))
 
 
 def pow_ray(base: RayComplex, exponent, ctx: PrecisionContext,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, mpc
 
 from .errors import DivergenceError, DomainError, PoleError
-from .hp import PrecisionContext, RayComplex, gamma_complex, pow_ray
+from .hp import (PrecisionContext, RayComplex, bernoulli_even, gamma_complex,
+                 pow_ray)
 
 RE_S_MARGIN = mpf("1.1")
 
@@ -72,8 +73,6 @@ def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     aval = a.value()
     if abs(aval.imag) < ctx.tol() and aval.real <= ctx.tol():
         raise DomainError("a must not be a nonpositive real/integer")
-    from .hp import bernoulli_even  # local import avoids cycle at module load
-
     M = max(30, ctx.digits)
     with ctx.working(10):
         eps = mpf(10) ** (-(ctx.digits + ctx.guard))

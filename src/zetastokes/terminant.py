@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, mpc
 
 from .errors import (ConvergenceError, DomainError, IllConditionedError)
-from .hp import PrecisionContext, RayComplex, gamma_complex, erf_hp, pow_ray
+from .hp import PrecisionContext, RayComplex, gamma_complex, pow_ray
 
 ARG_LIMIT_SLACK = 0.1
 REGIME_EPSILON = 0.05
@@ -29,22 +29,13 @@ class TerminantQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", mpc(self.nu))
+        if not (mp.isfinite(self.nu) and mp.isfinite(self.z.modulus)):
+            raise DomainError("terminant requires finite nu and |z|")
         if self.z.modulus <= 0:
             raise DomainError("terminant requires |z| > 0")
-        if abs(float(self.z.argument)) > 2 * math.pi + ARG_LIMIT_SLACK:
+        if not abs(float(self.z.argument)) <= 2 * math.pi + ARG_LIMIT_SLACK:
             raise DomainError(
-                "|arg z| > 2 pi: pre-reduce the query with reduce_arg")
-
-
-@dataclass(frozen=True)
-class SmoothingCoefficient:
-    """Solution c(phi) of c^2/2 = 1 + i(phi - pi) - e^(i(phi - pi)).
-
-    The branch is the one continuous in phi with c ~ phi - pi near phi = pi.
-    """
-
-    phi: float
-    c: mpc
+                f"terminant requires |arg z| <= 2 pi, got {self.z.argument}")
 
 
 def _integer_order(alpha: mpc, ctx: PrecisionContext):
@@ -90,8 +81,7 @@ def _exp_integral_e1(z: RayComplex, ctx: PrecisionContext, extra: int) -> mpc:
         raise ConvergenceError("E_1 series did not converge")
 
 
-def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext,
-                extra_inflation: int = 0) -> mpc:
+def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     """Incomplete gamma Gamma(alpha, z) on the branch set by z.argument."""
     alpha = mpc(alpha)
     if z.modulus <= 0:
@@ -106,7 +96,7 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext,
     if n is not None:
         # nonpositive integer order: start from Gamma(0, z) = E_1(z) and
         # recur downward Gamma(a-1, z) = (Gamma(a, z) - z^(a-1) e^(-z))/(a-1)
-        extra = _series_inflation(z, recurrence=True) + extra_inflation
+        extra = _series_inflation(z, recurrence=True)
         g = _exp_integral_e1(z, ctx, extra)
         with ctx.working(extra):
             zval = z.value()
@@ -119,7 +109,7 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext,
                 a -= 1
             return g
     # generic order: Gamma(alpha) - z^alpha sum (-z)^m / (m! (alpha + m))
-    extra = _series_inflation(z, recurrence=False) + extra_inflation
+    extra = _series_inflation(z, recurrence=False)
     with ctx.working(extra):
         eps = mpf(10) ** (-mp.dps + 5)
         zval = z.value()
@@ -139,46 +129,18 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext,
         return mp.gamma(alpha) - zpow * total
 
 
-def terminant(q: TerminantQuery, ctx: PrecisionContext,
-              extra_inflation: int = 0) -> mpc:
+def terminant(q: TerminantQuery, ctx: PrecisionContext) -> mpc:
     """T_nu(z) = e^(pi i nu) Gamma(nu)/(2 pi i) Gamma(1 - nu, z)."""
-    inc = upper_gamma(1 - q.nu, q.z, ctx, extra_inflation=extra_inflation)
+    inc = upper_gamma(1 - q.nu, q.z, ctx)
     with ctx.working(10):
         return mp.expjpi(q.nu) * gamma_complex(q.nu, ctx) \
             / (2 * mp.pi * mpc(0, 1)) * inc
 
 
-def reduce_arg(q: TerminantQuery, ctx: PrecisionContext | None = None):
-    """Map the query argument into (-pi, pi] via the connection formula.
-
-    Returns (reduced query, multiplier, offset) such that
-    T(original) = multiplier * T(reduced) + offset.  The connection formula
-    T_nu(w e^(-pi i)) = e^(2 pi i nu) (T_nu(w e^(pi i)) - 1) is applied once
-    per full turn; identity coefficients when already in range.
-    """
-    if ctx is None:
-        ctx = PrecisionContext()
-    with ctx.working():
-        phase = mp.exp(2 * mp.pi * mpc(0, 1) * q.nu)
-        mult = mpc(1)
-        off = mpc(0)
-        arg = mpf(q.z.argument)
-        while arg > mp.pi:
-            # T(x) = e^(-2 pi i nu) T(x - 2 pi) + 1
-            off += mult
-            mult /= phase
-            arg -= 2 * mp.pi
-        while arg <= -mp.pi:
-            # T(x) = e^(2 pi i nu) (T(x + 2 pi) - 1)
-            mult *= phase
-            off -= mult
-            arg += 2 * mp.pi
-        reduced = TerminantQuery(q.nu, RayComplex(q.z.modulus, arg))
-        return reduced, mult, off
-
-
-def c_of_phi(phi) -> SmoothingCoefficient:
-    """Smoothing coefficient c(phi) on the branch with c ~ phi - pi at pi.
+def c_of_phi(phi) -> mpc:
+    """Smoothing coefficient c(phi), the solution of
+    c^2/2 = 1 + i(phi - pi) - e^(i(phi - pi)) on the branch continuous in phi
+    with c ~ phi - pi at pi.
 
     Accepts a float or an mpf; an mpf is used at full precision, so a value
     lying exactly on the Stokes line yields c = 0 exactly.
@@ -188,8 +150,7 @@ def c_of_phi(phi) -> SmoothingCoefficient:
     with mp.workdps(30):
         target_u = mpf(phi) - mp.pi
         if abs(target_u) < mpf("1e-8"):
-            c = mpc(target_u) + mpc(0, 1) * target_u ** 2 / 6
-            return SmoothingCoefficient(phi=float(phi), c=c)
+            return mpc(target_u) + mpc(0, 1) * target_u ** 2 / 6
         # continue the branch from phi = pi in small steps, Newton at each
         nsteps = max(1, int(math.ceil(abs(float(target_u)) / 0.05)))
         c = None
@@ -206,7 +167,7 @@ def c_of_phi(phi) -> SmoothingCoefficient:
             if abs(c * c / 2 - w) > mpf("1e-13"):
                 raise ConvergenceError(
                     f"Newton iteration for c(phi) stalled at phi = {phi}")
-        return SmoothingCoefficient(phi=float(phi), c=c)
+        return c
 
 
 def terminant_asymptotic(q: TerminantQuery, ctx: PrecisionContext):
@@ -223,10 +184,9 @@ def terminant_asymptotic(q: TerminantQuery, ctx: PrecisionContext):
     phi = float(q.z.argument)
     eps = REGIME_EPSILON
     if eps <= phi <= 2 * math.pi - eps:
-        coeff = c_of_phi(q.z.argument)
+        c = c_of_phi(q.z.argument)
         with ctx.working():
-            val = mpf(1) / 2 + erf_hp(
-                coeff.c * mp.sqrt(mpf(q.z.modulus) / 2), ctx) / 2
+            val = mpf(1) / 2 + mp.erf(c * mp.sqrt(mpf(q.z.modulus) / 2)) / 2
         return val, "smoothing"
     if -math.pi + eps <= phi <= math.pi - eps:
         with ctx.working():

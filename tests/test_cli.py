@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zetastokes.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -31,6 +33,12 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--n", "1")
         assert code == EXIT_CONFIG
         assert "config error" in err
+
+    def test_reproduce_rejects_explicit_flags(self, capsys):
+        code, _, err = run(capsys, "sweep", "--reproduce", "fig1a",
+                           "--n", "2", "--abs-a", "9")
+        assert code == EXIT_CONFIG
+        assert "--n, --abs-a" in err
 
     def test_bad_theta_rejected(self, capsys):
         code, _, _ = run(capsys, "sweep", "--n", "1", "--abs-a", "6",
@@ -108,29 +116,18 @@ class TestTerminant:
         assert code == EXIT_CONFIG
 
 
-class TestConfigFile:
-    def test_flags_override_file(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"digits": 31, "nu": "2", "z": "5:0"}))
-        code, out, _ = run(capsys, "terminant", "--config", str(cfg),
-                           "--nu", "1", "--z", "1:0")
-        assert code == EXIT_OK
-        # Gamma(0, 1)-based value for nu=1, z=1, not the config's nu=2
-        assert out.strip() != ""
-
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code, _, err = run(capsys, "terminant", "--config", str(cfg),
-                           "--nu", "3", "--z", "5:0")
-        assert code == EXIT_CONFIG
-
-    def test_env_digits(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZETA_DIGITS", "31")
-        code, out, _ = run(capsys, "terminant", "--nu", "3", "--z", "5:0")
-        assert code == EXIT_OK
-
-    def test_env_digits_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZETA_DIGITS", "lots")
-        code, _, err = run(capsys, "terminant", "--nu", "3", "--z", "5:0")
-        assert code == EXIT_CONFIG
+@pytest.mark.parametrize("argv", [
+    ("terminant", "--nu", "3", "--z", "nan:0"),
+    ("terminant", "--nu", "3", "--z", "inf:0"),
+    ("terminant", "--nu", "3", "--z", "5:nan"),
+    ("terminant", "--nu", "nan", "--z", "5:0"),
+    ("terminant", "--nu", "3,inf", "--z", "5:0"),
+    ("sweep", "--n", "1", "--abs-a", "nan", "--s", "3",
+     "--theta", "0.49:0.51:2"),
+    ("sweep", "--n", "1", "--abs-a", "6", "--s", "inf",
+     "--theta", "0.49:0.51:2"),
+])
+def test_non_finite_input_is_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert "non-finite" in err and out == ""

@@ -7,8 +7,8 @@ from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError, PoleError
 from zetastokes.hp import (PrecisionContext, RayComplex, bernoulli_even,
-                           erf_hp, gamma_complex, hurwitz_zeta_integer,
-                           pow_ray, zeta_even)
+                           gamma_complex, hurwitz_zeta_integer, pow_ray,
+                           zeta_even)
 
 
 class TestPrecisionContext:
@@ -47,10 +47,6 @@ class TestRayComplex:
         with mp.workdps(40):
             r = RayComplex.from_value(mpc(-1, -1))
             assert abs(r.argument + 3 * mp.pi / 4) < mpf(10) ** -38
-
-    def test_from_value_explicit_argument(self):
-        r = RayComplex.from_value(mpc(1, 0), argument=2 * mp.pi)
-        assert abs(r.argument - 2 * mp.pi) < mpf(10) ** -12
 
 
 class TestBernoulli:
@@ -139,15 +135,6 @@ class TestGammaComplex:
             lhs = gamma_complex(z + 1, c)
             rhs = z * gamma_complex(z, c)
             assert abs(lhs - rhs) <= c.tol() * (1 + abs(lhs))
-
-
-class TestErf:
-    @given(st.floats(min_value=0.01, max_value=5))
-    @settings(max_examples=25, deadline=None)
-    def test_oddness(self, x):
-        c = PrecisionContext(digits=30)
-        with c.working():
-            assert abs(erf_hp(x, c) + erf_hp(-x, c)) < c.tol()
 
 
 class TestPowRay:
