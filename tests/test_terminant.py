@@ -123,6 +123,33 @@ class TestTerminant:
                 assert abs(lhs - rhs) <= ctx.tol() * (1 + abs(lhs))
 
 
+class TestReduceArg:
+    """Reduction of arg z into (-pi, pi] by one turn of the connection
+    formula reproduces the terminant evaluated directly at arg z."""
+
+    @given(st.floats(min_value=-2 * math.pi, max_value=2 * math.pi),
+           st.floats(min_value=2.0, max_value=9.0))
+    @settings(max_examples=15, deadline=None)
+    def test_round_trip(self, arg, nu_re):
+        ctx = PrecisionContext(digits=30)
+        with ctx.working(20):
+            nu = mpc(nu_re, 0.3)
+            q = TerminantQuery(nu, RayComplex(mpf(5), mpf(arg)))
+            phase = mp.exp(2 * mp.pi * mpc(0, 1) * nu)
+            reduced, mult, off = mpf(arg), mpc(1), mpc(0)
+            if reduced > mp.pi:
+                # T(x) = e^(-2 pi i nu) T(x - 2 pi) + 1
+                reduced, mult, off = reduced - 2 * mp.pi, 1 / phase, mpc(1)
+            elif reduced <= -mp.pi:
+                # T(x) = e^(2 pi i nu) (T(x + 2 pi) - 1)
+                reduced, mult, off = reduced + 2 * mp.pi, phase, -phase
+            assert -mp.pi < reduced <= mp.pi + mpf("1e-25")
+            direct = terminant(q, ctx)
+            via = mult * terminant(
+                TerminantQuery(nu, RayComplex(mpf(5), reduced)), ctx) + off
+            assert abs(direct - via) <= ctx.tol() * (1 + abs(direct))
+
+
 class TestSmoothing:
     def test_c_at_pi_is_zero(self):
         assert abs(c_of_phi(math.pi)) < 1e-7
