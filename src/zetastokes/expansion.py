@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from mpmath import mp, mpf, mpc
 
@@ -120,34 +121,26 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
     """(1/pi) sum_{k>=1} sum_{r<N_k} A_r(a) / k^(2r+2), the index list
     extended constantly past its last entry.
 
-    A nondecreasing list is summed in reversed order,
-    (1/pi) sum_m sum_{r=N_{m-1}}^{N_m - 1} A_r(a) zeta(2r+2, m) with
-    N_0 = 0; any other list directly over the scales k <= K plus the
-    closed-form tail sum_{r<N_K} A_r(a) zeta(2r+2, K+1).  This is the
-    algebraic part of the improved expansion, and the piece peeled off
-    when a Stokes multiplier is extracted.
+    The suffix minima F_k = min(N_k, ..., N_K) form a nondecreasing list,
+    summed in reversed order, (1/pi) sum_m sum_{r=F_{m-1}}^{F_m - 1}
+    A_r(a) zeta(2r+2, m) with F_0 = 0; the terms F_k <= r < N_k are added
+    directly.  For a nondecreasing list F = N and the direct part is empty.
+    This is the algebraic part of the improved expansion, and the piece
+    peeled off when a Stokes multiplier is extracted.
     """
     s = mpc(s)
-    K = len(nlist)
+    floor = list(accumulate(reversed(nlist), min))[::-1]
     with ctx.working(10):
         total = mpc(0)
-        if all(nlist[i] <= nlist[i + 1] for i in range(K - 1)):
-            prev = 0
-            for m in range(1, K + 1):
-                for r in range(prev, nlist[m - 1]):
-                    total += a_r_coefficient(r, s, a, ctx) \
-                        * hurwitz_zeta_integer(2 * r + 2, m, ctx)
-                prev = nlist[m - 1]
-            return total / mp.pi
-        for k in range(1, K + 1):
-            kk = mpf(k) ** 2
-            kpow = mpf(1)
-            for r in range(nlist[k - 1]):
-                kpow *= kk
-                total += a_r_coefficient(r, s, a, ctx) / kpow
-        for r in range(nlist[-1]):
-            total += a_r_coefficient(r, s, a, ctx) \
-                * hurwitz_zeta_integer(2 * r + 2, K + 1, ctx)
+        prev = 0
+        for m, f in enumerate(floor, start=1):
+            for r in range(prev, f):
+                total += a_r_coefficient(r, s, a, ctx) \
+                    * hurwitz_zeta_integer(2 * r + 2, m, ctx)
+            prev = f
+        for k, (f, n) in enumerate(zip(floor, nlist), start=1):
+            for r in range(f, n):
+                total += a_r_coefficient(r, s, a, ctx) / mpf(k) ** (2 * r + 2)
         return total / mp.pi
 
 

@@ -8,9 +8,8 @@ any operation-specific inflation) and returned as mpmath numbers.
 """
 from __future__ import annotations
 
-import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
@@ -20,20 +19,18 @@ from .errors import DomainError, PoleError
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision in decimal digits plus guard digits.
+    """Working precision in decimal digits plus a fixed 20 guard digits.
 
     ``tol()`` is the derived comparison tolerance 10^(-digits+10) used by
     all identity checks in the package.
     """
 
     digits: int = 60
-    guard: int = 20
+    guard: int = field(default=20, init=False)
 
     def __post_init__(self):
         if self.digits < 30:
             raise ValueError(f"digits must be >= 30, got {self.digits}")
-        if self.guard < 10:
-            raise ValueError(f"guard must be >= 10, got {self.guard}")
 
     def tol(self) -> mpf:
         with mp.workdps(self.digits + self.guard):
@@ -70,31 +67,12 @@ class RayComplex:
 # ---------------------------------------------------------------------------
 # Bernoulli numbers (exact rationals, cached)
 
-_bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
-_bernoulli_lock = threading.Lock()
-
-
-def _extend_bernoulli(n: int) -> None:
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0  =>  B_m in terms of B_0..B_{m-1}
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            if m % 2 == 1:
-                _bernoulli_cache.append(Fraction(0))
-                continue
-            acc = sum(
-                Fraction(math.comb(m + 1, j)) * _bernoulli_cache[j]
-                for j in range(m)
-            )
-            _bernoulli_cache.append(-acc / (m + 1))
-
-
+@cache
 def bernoulli_even(k: int) -> Fraction:
     """Exact even-order Bernoulli number B_{2k}, k >= 1."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    _extend_bernoulli(2 * k)
-    return _bernoulli_cache[2 * k]
+    return Fraction(*mp.bernfrac(2 * k))
 
 
 def zeta_even(m: int, ctx: PrecisionContext) -> mpf:

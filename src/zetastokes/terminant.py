@@ -2,11 +2,11 @@
 
 T_nu(z) = e^(pi i nu) Gamma(nu)/(2 pi i) * Gamma(1-nu, z), evaluated on the
 branch carried by the ray argument of z.  The incomplete gamma function is
-computed from everywhere-convergent series at inflated working precision
-(the series suffer cancellation of order e^|z|), with a downward recurrence
-for nonpositive integer order.  The two asymptotic regimes of T_nu(z) near
-optimal truncation (|nu| ~ |z|) are provided separately, including the
-error-function smoothing form on the Stokes line.
+computed from one everywhere-convergent series at inflated working
+precision (the series suffers cancellation of order e^|z|), taken to its
+finite limit at nonpositive integer order.  The two asymptotic regimes of
+T_nu(z) near optimal truncation (|nu| ~ |z|) are provided separately,
+including the error-function smoothing form on the Stokes line.
 """
 from __future__ import annotations
 
@@ -51,74 +51,39 @@ def _integer_order(alpha: mpc, ctx: PrecisionContext):
     return None
 
 
-def _series_inflation(z: RayComplex, recurrence: bool) -> int:
-    # the convergent series lose ~ (|z| + max(Re z, 0))/ln 10 digits to
-    # cancellation; the downward recurrence loses a further ~ |z|/ln 10
+def _series_inflation(z: RayComplex) -> int:
+    # the convergent series loses ~ (|z| + max(Re z, 0))/ln 10 digits to
+    # cancellation
     m = float(z.modulus)
     re_z = m * math.cos(float(z.argument))
-    extra = (m + max(re_z, 0.0)) / math.log(10)
-    if recurrence:
-        extra += m / math.log(10)
-    return int(math.ceil(extra)) + 10
-
-
-def _exp_integral_e1(z: RayComplex, ctx: PrecisionContext, extra: int) -> mpc:
-    """E_1(z) = -euler - log z + sum (-1)^(n+1) z^n/(n n!), continued branch."""
-    with ctx.working(extra):
-        eps = mpf(10) ** (-mp.dps + 5)
-        zval = z.value()
-        logz = mp.log(mpf(z.modulus)) + mpc(0, 1) * z.argument
-        total = -mp.euler - logz
-        term = mpc(1)
-        peak = mpf(1)
-        for n in range(1, 100000):
-            term *= -zval / n
-            contrib = -term / n
-            total += contrib
-            peak = max(peak, abs(contrib))
-            if n > z.modulus and abs(contrib) < eps * peak:
-                return total
-        raise ConvergenceError("E_1 series did not converge")
+    return int(math.ceil((m + max(re_z, 0.0)) / math.log(10))) + 10
 
 
 def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
-    """Incomplete gamma Gamma(alpha, z) on the branch set by z.argument."""
+    """Incomplete gamma Gamma(alpha, z) on the branch set by z.argument.
+
+    Gamma(alpha) - z^alpha sum_m (-z)^m / (m! (alpha + m)) for every order.
+    At alpha = -n, n = 0, 1, ..., the m = n term is dropped and Gamma(alpha)
+    becomes its finite limit (-1)^n/n! (psi(n+1) - log z), with log z taken
+    on the ray (DLMF 8.4.15).
+    """
     alpha = mpc(alpha)
     if z.modulus <= 0:
         raise DomainError("upper_gamma requires |z| > 0")
-    n = _integer_order(alpha, ctx)
-    if n is not None and n >= 1:
-        # Gamma(n, z) = (n-1)! e^(-z) sum_{j<n} z^j/j!   (entire in z)
-        with ctx.working(10):
-            zval = z.value()
-            return mp.factorial(n - 1) * mp.exp(-zval) \
-                * mp.fsum(zval ** j / mp.factorial(j) for j in range(n))
-    if n is not None:
-        # nonpositive integer order: start from Gamma(0, z) = E_1(z) and
-        # recur downward Gamma(a-1, z) = (Gamma(a, z) - z^(a-1) e^(-z))/(a-1)
-        extra = _series_inflation(z, recurrence=True)
-        g = _exp_integral_e1(z, ctx, extra)
-        with ctx.working(extra):
-            zval = z.value()
-            emz = mp.exp(-zval)
-            zp = 1 / zval  # z^(a-1) at a = 0
-            a = 0
-            while a > n:
-                g = (g - zp * emz) / (a - 1)
-                zp /= zval
-                a -= 1
-            return g
-    # generic order: Gamma(alpha) - z^alpha sum (-z)^m / (m! (alpha + m))
-    extra = _series_inflation(z, recurrence=False)
+    order = _integer_order(alpha, ctx)
+    n = -order if order is not None and order <= 0 else None
+    extra = _series_inflation(z)
     with ctx.working(extra):
         eps = mpf(10) ** (-mp.dps + 5)
         zval = z.value()
         zpow = pow_ray(z, alpha, ctx, extra=extra)
         term = mpc(1)
-        total = 1 / alpha
+        total = mpc(0) if n == 0 else 1 / alpha
         peak = abs(total)
         for m in range(1, 100000):
             term *= -zval / m
+            if m == n:
+                continue
             contrib = term / (alpha + m)
             total += contrib
             peak = max(peak, abs(contrib))
@@ -126,7 +91,11 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
                 break
         else:
             raise ConvergenceError("incomplete gamma series did not converge")
-        return mp.gamma(alpha) - zpow * total
+        if n is None:
+            return mp.gamma(alpha) - zpow * total
+        logz = mp.log(mpf(z.modulus)) + mpc(0, 1) * z.argument
+        return (-1) ** n / mp.factorial(n) * (mp.digamma(n + 1) - logz) \
+            - zpow * total
 
 
 def terminant(q: TerminantQuery, ctx: PrecisionContext) -> mpc:

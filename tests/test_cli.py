@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from zetastokes.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -87,6 +90,16 @@ class TestSweep:
         lines = path.read_text().strip().splitlines()
         assert all("InsufficientPrecisionError" in line
                    for line in lines[1:])
+
+    @pytest.mark.parametrize("fig", ["fig1a", "fig1b", "fig1c"])
+    def test_reproduction_matches_committed_csv(self, capsys, tmp_path, fig):
+        # every printed digit of the pinned sweeps is fixed by the CSVs in
+        # tests/data, so a change to any number fails here
+        path = tmp_path / f"{fig}.csv"
+        code, _, _ = run(capsys, "sweep", "--reproduce", fig,
+                         "--out", str(path))
+        assert code == EXIT_OK
+        assert path.read_bytes() == (DATA / f"{fig}.csv").read_bytes()
 
 
 class TestValidate:

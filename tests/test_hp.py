@@ -21,15 +21,15 @@ class TestPrecisionContext:
         with mp.workdps(60):
             assert abs(c.tol() - mpf(10) ** -30) < mpf(10) ** -40
 
-    @pytest.mark.parametrize("kwargs", [{"digits": 29}, {"guard": 9}])
+    @pytest.mark.parametrize("kwargs", [{"digits": 29}])
     def test_rejects_too_low(self, kwargs):
         with pytest.raises(ValueError):
             PrecisionContext(**kwargs)
 
     def test_working_sets_dps(self):
-        c = PrecisionContext(digits=35, guard=12)
+        c = PrecisionContext(digits=35)
         with c.working(3):
-            assert mp.dps == 50
+            assert mp.dps == 58
 
 
 class TestRayComplex:

@@ -59,10 +59,29 @@ class TestUpperGamma:
 
     def test_negative_integer_order_matches_mpmath(self, ctx):
         with ctx.working(30):
-            z = RayComplex(mpf(4), mpf("0.7"))
-            ours = upper_gamma(-3, z, ctx)
-            ref = mp.gammainc(-3, z.value())
-            assert abs(ours - ref) <= ctx.tol() * (1 + abs(ref))
+            # the second input is pipeline-sized: order 1 - nu at nu = 38,
+            # |z| = 2 pi k |a| for k|a| = 6, near the Stokes line
+            for alpha, mod, arg in ((-3, mpf(4), mpf("0.7")),
+                                    (-37, 12 * mp.pi, mpf("0.97") * mp.pi)):
+                z = RayComplex(mod, arg)
+                ours = upper_gamma(alpha, z, ctx)
+                ref = mp.gammainc(alpha, z.value())
+                assert abs(ours - ref) <= ctx.tol() * abs(ref)
+
+    @pytest.mark.parametrize("n", [0, 3, 37])
+    @pytest.mark.parametrize("turns", [-1, 1])
+    def test_integer_order_monodromy(self, n, turns, ctx):
+        # only the log z of the finite limit at alpha = -n is multivalued:
+        # Gamma(-n, z e^(2 pi i m)) - Gamma(-n, z) = -2 pi i m (-1)^n / n!
+        with ctx.working(30):
+            mod, arg = mpf(6), mpf("1.1")
+            moved = upper_gamma(-n, RayComplex(mod, arg + 2 * turns * mp.pi),
+                                ctx)
+            principal = upper_gamma(-n, RayComplex(mod, arg), ctx)
+            expected = -2 * mp.pi * mpc(0, 1) * turns * (-1) ** n \
+                / mp.factorial(n)
+            assert abs(moved - principal - expected) \
+                <= ctx.tol() * abs(expected)
 
     def test_off_principal_branch_continuation(self, ctx):
         # Gamma(alpha, z) off the principal sheet differs from the mpmath
