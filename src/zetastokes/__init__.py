@@ -13,7 +13,7 @@ from .errors import (ConvergenceError, DivergenceError, DomainError,
                      PoleError, TailBoundError, ZetaError)
 from .expansion import (TruncationPlan, a_r_coefficient, optimal_plan,
                         optimal_truncation, remainder_rk, script_r_k,
-                        z_equal_truncation, z_improved)
+                        z_improved)
 from .hp import (PrecisionContext, RayComplex, bernoulli_even,
                  hurwitz_zeta_integer, zeta_even)
 from .oracle import (ZetaPoint, f_tilde_reference, hurwitz_zeta_direct,
@@ -31,8 +31,7 @@ __all__ = [
     "IllConditionedError", "InsufficientPrecisionError", "PoleError",
     "TailBoundError", "ZetaError",
     "TruncationPlan", "a_r_coefficient", "optimal_plan",
-    "optimal_truncation", "remainder_rk", "script_r_k",
-    "z_equal_truncation", "z_improved",
+    "optimal_truncation", "remainder_rk", "script_r_k", "z_improved",
     "PrecisionContext", "RayComplex", "bernoulli_even",
     "hurwitz_zeta_integer", "zeta_even",
     "ZetaPoint", "f_tilde_reference", "hurwitz_zeta_direct",

@@ -1,9 +1,10 @@
 """Exponentially improved expansion machinery.
 
 Truncation plans, the coefficients A_r(a), the per-scale remainders R_k
-carried by terminant functions, and the exact reconstructions of Z(s,a)
-both with per-scale truncations and with a single common truncation.  The
-reconstructions are exact contracts: for any admissible plan they must
+carried by terminant functions, and the one exact reconstruction of Z(s,a),
+``z_improved``; a constant plan gives the common-truncation form, whose
+blocks are the truncated Bernoulli/Poincare series over (2 pi)^s.  The
+reconstruction is an exact contract: for any admissible plan it must
 reproduce the direct-summation reference to working precision.
 
 The k-sum over the algebraic series converges only algebraically, so its
@@ -69,30 +70,21 @@ def a_r_coefficient(r: int, s, a: RayComplex, ctx: PrecisionContext) -> mpc:
 def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
     """Least-term truncation index for the scale-k inner series.
 
-    Inspects |Gamma(2r+s+1)| / (2 pi k |a|)^(2r+Re s+1) and returns the
-    index of the smallest term (ties broken toward the smaller index);
-    close to pi*k*|a| by Stirling.
+    The terms A_r(a)/k^(2r+2) shrink while their ratio
+    |(2r+s-1)(2r+s)| / (2 pi k |a|)^2 stays below 1; the index of the
+    smallest term is returned (ties broken toward the smaller index, and
+    never below 1).  Close to pi*k*|a|.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     if a.modulus < 1:
         raise DomainError("optimal truncation needs |a| >= 1")
-    s = mpc(s)
-    with mp.workdps(30):
-        logscale = mp.log(2 * mp.pi * k * a.modulus)
-
-        def logterm(r):
-            return mp.re(mp.loggamma(2 * r + s + 1)) \
-                - (2 * r + s.real + 1) * logscale
-
-        cap = int(10 * math.pi * k * float(a.modulus)) + 50
-        prev = logterm(0)
-        for r in range(1, cap):
-            cur = logterm(r)
-            if cur >= prev:
-                return r - 1 if r > 1 else 1
-            prev = cur
-    raise DomainError("no least term found (series unexpectedly decreasing)")
+    s = complex(s)
+    bound = (2 * math.pi * k * float(a.modulus)) ** 2
+    r = 1
+    while abs((2 * r + s - 1) * (2 * r + s)) < bound:
+        r += 1
+    return max(r - 1, 1)
 
 
 def remainder_rk(k: int, s, a: RayComplex, nk: int,
@@ -146,7 +138,11 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
 
 def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
     """sum_{r=1}^{N} B_{2r}/(2r)! Gamma(2r+s-1) a^(1-2r-s), the truncated
-    Poincare series of Z(s,a)."""
+    Poincare series of Z(s,a).
+
+    Term by term it equals (2 pi)^s leading_blocks(s, a, (N,)), but it is
+    built from Bernoulli numbers instead of A_r and zeta(2r+2): it is the
+    independent side of the S_1 cross-check in ``stokes``."""
     s = mpc(s)
     with ctx.working(10):
         total = mpc(0)
@@ -210,7 +206,12 @@ def _remainder_total(s, a: RayComplex, nlist, ctx: PrecisionContext,
 
 def z_improved(s, a: RayComplex, plan: TruncationPlan,
                ctx: PrecisionContext) -> mpc:
-    """Z(s,a) from the exponentially improved expansion; exact for any plan."""
+    """Z(s,a) from the exponentially improved expansion; exact for any plan.
+
+    A constant plan, ``TruncationPlan.constant(N, k_max)``, is the paper's
+    common-truncation form: its blocks are the Poincare series through
+    B_{2N} divided by (2 pi)^s.
+    """
     s = mpc(s)
     if abs(s.imag) < ctx.tol():
         nearest = round(float(s.real))
@@ -221,20 +222,6 @@ def z_improved(s, a: RayComplex, plan: TruncationPlan,
         rsum = _remainder_total(s, a, plan.nk, ctx,
                                 scale=abs(algebraic) + ctx.tol())
         return (2 * mp.pi) ** s * (algebraic + rsum)
-
-
-def z_equal_truncation(s, a: RayComplex, n: int, k_max: int,
-                       ctx: PrecisionContext) -> mpc:
-    """Z(s,a) via the common-truncation form: truncated Poincare series
-    through B_{2N} plus (2 pi)^s sum_k k^(s-1) R_k(a; N)."""
-    s = mpc(s)
-    if n < 1:
-        raise DomainError("truncation index must be >= 1")
-    with ctx.working(10):
-        poincare = bernoulli_series(s, a, n, ctx)
-        rsum = _remainder_total(s, a, (n,) * k_max, ctx,
-                                scale=abs(poincare) + ctx.tol())
-        return poincare + (2 * mp.pi) ** s * rsum
 
 
 def script_r_k(k: int, point: ZetaPoint, nk: int, nk_prime: int,

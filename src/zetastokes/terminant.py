@@ -117,26 +117,13 @@ def c_of_phi(phi) -> mpc:
     if not (0 < float(phi) < 2 * math.pi):
         raise DomainError(f"phi must lie in (0, 2 pi), got {phi}")
     with mp.workdps(30):
-        target_u = mpf(phi) - mp.pi
-        if abs(target_u) < mpf("1e-8"):
-            return mpc(target_u) + mpc(0, 1) * target_u ** 2 / 6
-        # continue the branch from phi = pi in small steps, Newton at each
-        nsteps = max(1, int(math.ceil(abs(float(target_u)) / 0.05)))
-        c = None
-        for i in range(1, nsteps + 1):
-            u = target_u * i / nsteps
-            w = 1 + mpc(0, 1) * u - mp.expj(u)
-            if c is None or abs(c) < mpf("1e-6"):
-                c = mpc(u) + mpc(0, 1) * u ** 2 / 6  # Taylor seed
-            for _ in range(60):
-                step = (c * c / 2 - w) / c
-                c = c - step
-                if abs(step) < mpf("1e-20"):
-                    break
-            if abs(c * c / 2 - w) > mpf("1e-13"):
-                raise ConvergenceError(
-                    f"Newton iteration for c(phi) stalled at phi = {phi}")
-        return c
+        u = mpf(phi) - mp.pi
+        if abs(u) < mpf("1e-8"):
+            return mpc(u) + mpc(0, 1) * u ** 2 / 6
+        # Re(2w/u^2) = 2(1 - cos u)/u^2 > 0, so the principal root never
+        # meets its cut and c = u sqrt(2w/u^2) is continuous with c ~ u
+        w = 1 + mpc(0, 1) * u - mp.expj(u)
+        return u * mp.sqrt(2 * w / u ** 2)
 
 
 def terminant_asymptotic(q: TerminantQuery, ctx: PrecisionContext):

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpf, mpc
 
 from .errors import InsufficientPrecisionError, ZetaError
-from .expansion import (TruncationPlan, _remainder_total, leading_blocks,
-                        script_r_k, z_equal_truncation, z_improved)
+from .expansion import TruncationPlan, script_r_k, z_improved
 from .hp import PrecisionContext, RayComplex
 from .oracle import (ZetaPoint, f_tilde_reference, hurwitz_zeta_direct,
                      periodic_zeta_direct, z_reference)
@@ -97,21 +96,15 @@ def _random_points(rng: random.Random, count: int):
 
 
 def exactness_residual(s, a: RayComplex, plans, ctx: PrecisionContext) -> mpf:
-    """Worst relative residual of the improved expansion at one point
-    against direct summation, over a list of plans.
-
-    A ``TruncationPlan`` is evaluated by the per-scale form ``z_improved``,
-    a pair (N, k_max) by the common-truncation form ``z_equal_truncation``;
-    the reference is computed once for all of them.
+    """Worst relative residual of ``z_improved`` at one point against direct
+    summation, over a list of ``TruncationPlan``s; the reference is computed
+    once for all of them.
     """
     with ctx.working(10):
         ref = z_reference(s, a, ctx)
         worst = mpf(0)
         for plan in plans:
-            if isinstance(plan, TruncationPlan):
-                got = z_improved(s, a, plan, ctx)
-            else:
-                got = z_equal_truncation(s, a, *plan, ctx)
+            got = z_improved(s, a, plan, ctx)
             worst = max(worst, abs(got - ref) / abs(ref))
         return worst
 
@@ -167,7 +160,8 @@ def _suite_exactness(report: ValidationReport, ctx: PrecisionContext) -> None:
     with ctx.working(10):
         for s, mod, argpi, plan in cases:
             a = RayComplex(mpf(mod), mpf(str(argpi)) * mp.pi)
-            worst = max(worst, exactness_residual(s, a, [plan, (4, 3)], ctx))
+            worst = max(worst, exactness_residual(
+                s, a, [plan, TruncationPlan.constant(4, 3)], ctx))
     report.add("improved-expansion exactness", worst, ctx.tol(),
                "per-scale and common truncations vs direct summation")
 
@@ -273,12 +267,9 @@ def _suite_prefactor(report: ValidationReport, ctx: PrecisionContext) -> None:
     with ctx.working(10):
         a = RayComplex(mpf(6), mpf("0.45") * mp.pi)
         ref = z_reference(s, a, ctx)
-        plan = TruncationPlan.constant(4, 3)
-        alg = leading_blocks(s, a, plan.nk, ctx)
-        rem = _remainder_total(s, a, plan.nk, ctx, abs(alg) + ctx.tol())
-        core = alg + rem
-        res_single = abs((2 * mp.pi) ** s * core - ref) / abs(ref)
-        res_double = abs((2 * mp.pi) ** (2 * s) * core - ref) / abs(ref)
+        z = z_improved(s, a, TruncationPlan.constant(4, 3), ctx)
+        res_single = abs(z - ref) / abs(ref)
+        res_double = abs((2 * mp.pi) ** s * z - ref) / abs(ref)
     report.add("prefactor normalization (2 pi)^s", res_single, ctx.tol(),
                "the expansion reproduces the reference with (2 pi)^s")
     report.add("prefactor normalization (2 pi)^(2s)", res_double,

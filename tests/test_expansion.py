@@ -3,9 +3,9 @@ from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError
 from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
-                                  leading_blocks, optimal_plan,
-                                  optimal_truncation, remainder_rk,
-                                  script_r_k, z_equal_truncation, z_improved)
+                                  bernoulli_series, leading_blocks,
+                                  optimal_plan, optimal_truncation,
+                                  remainder_rk, script_r_k, z_improved)
 from zetastokes.hp import RayComplex, hurwitz_zeta_integer
 from zetastokes.oracle import ZetaPoint, z_reference
 
@@ -65,6 +65,21 @@ class TestOptimalTruncation:
         with pytest.raises(DomainError):
             optimal_truncation(1, mpc(3), _ray(0.5, 0.5, ctx), ctx)
 
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    @pytest.mark.parametrize("mod", [1, 3, 8.5, 20])
+    @pytest.mark.parametrize("s", [mpc(3), mpc(2, 0.5), mpc(1.6),
+                                   mpc(6, -2)])
+    def test_index_of_least_term(self, s, mod, k, ctx):
+        # argmin over r >= 1 of log|A_r / k^(2r+2)| up to r-independent
+        # terms, ties toward the smaller index
+        a = _ray(mod, 0.5, ctx)
+        with mp.workdps(30):
+            logscale = mp.log(2 * mp.pi * k * a.modulus)
+            want = min(range(1, int(2 * mp.pi * k * mod) + 20),
+                       key=lambda r: mp.re(mp.loggamma(2 * r + s + 1))
+                       - (2 * r + s.real + 1) * logscale)
+        assert optimal_truncation(k, s, a, ctx) == want
+
 
 class TestRemainders:
     def test_magnitude_at_optimal_index(self, ctx):
@@ -118,15 +133,28 @@ class TestExactness:
             assert abs(got - ref) <= ctx.tol() * abs(ref)
 
     def test_common_truncation_form(self, ctx):
-        a = _ray(6, 0.45, ctx)
-        s = mpc(3)
+        # a constant plan is the common-truncation form; at N = 1 the tail
+        # extension must clear a budget sized in the same units as the
+        # remainders, (2 pi)^(-s) Z
+        a = _ray(3, 0.5, ctx)
+        s = mpc(4)
         with ctx.working(10):
             ref = z_reference(s, a, ctx)
-            got = z_equal_truncation(s, a, 5, 3, ctx)
+            got = z_improved(s, a, TruncationPlan.constant(1, 1), ctx)
             assert abs(got - ref) <= ctx.tol() * abs(ref)
 
 
 class TestBlocks:
+    @pytest.mark.parametrize("n", [1, 17])
+    @pytest.mark.parametrize("s", [mpc(3), mpc(2, 0.5)])
+    def test_bernoulli_series_is_single_scale_blocks(self, s, n, ctx):
+        # B_{2r}/(2r)! Gamma(2r+s-1) a^(1-2r-s) = (2 pi)^s A_{r-1} zeta(2r)/pi
+        a = _ray(6, 0.45, ctx)
+        with ctx.working(10):
+            got = bernoulli_series(s, a, n, ctx)
+            want = (2 * mp.pi) ** s * leading_blocks(s, a, (n,), ctx)
+            assert abs(got - want) <= ctx.tol() * (1 + abs(want))
+
     def test_non_monotone_blocks_match_direct_double_sum(self, ctx):
         # (1/pi) sum_k sum_{r<N_k} A_r / k^(2r+2), N_k = 3 for k >= 2
         a = _ray(6, 0.45, ctx)

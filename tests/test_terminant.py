@@ -173,13 +173,15 @@ class TestSmoothing:
     def test_c_at_pi_is_zero(self):
         assert abs(c_of_phi(math.pi)) < 1e-7
 
-    @pytest.mark.parametrize("phi", [0.3, 1.0, 2.5, 4.0, 5.9])
+    @pytest.mark.parametrize("phi", [0.01, 0.3, 1.0, 2.5, 4.0, 5.9, 6.27])
     def test_c_solves_equation(self, phi):
         c = c_of_phi(phi)
         with mp.workdps(30):
             u = mpf(phi) - mp.pi
             resid = c * c / 2 - (1 + mpc(0, 1) * u - mp.expj(u))
             assert abs(resid) < mpf("1e-12")
+        # the branch continuous through phi = pi, where c ~ phi - pi
+        assert math.copysign(1, c.real) == math.copysign(1, phi - math.pi)
 
     def test_on_line_value_is_half(self, ctx):
         # build the query at high precision so arg z carries a full-accuracy
