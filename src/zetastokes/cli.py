@@ -85,6 +85,8 @@ def _parse_abs_a(text: str) -> float:
     except ValueError as exc:
         raise ConfigError(f"unparseable --abs-a {text!r}") from exc
     _check_finite(text, value)
+    if value < 1:
+        raise ConfigError(f"--abs-a must be >= 1, got {text!r}")
     return value
 
 
@@ -201,6 +203,8 @@ def run_sweep(args) -> int:
         if missing:
             raise ConfigError(
                 "sweep needs " + ", ".join(missing) + " (or --reproduce)")
+        if args.n < 1:
+            raise ConfigError(f"--n must be >= 1, got {args.n}")
         n, abs_a, s = args.n, args.abs_a, _parse_complex(args.s)
         lo, hi, count = _parse_theta(args.theta)
         plan = None

@@ -5,6 +5,13 @@ Precision contexts, complex numbers carried in polar form with a
 special functions every other module consumes.  All heavy lifting is done
 with mpmath; values are computed at ``digits + guard`` decimal digits (plus
 any operation-specific inflation) and returned as mpmath numbers.
+
+``gamma_complex`` and ``hurwitz_zeta_integer`` are memoized with
+``functools.cache`` on their exact arguments plus the ``PrecisionContext``,
+as ``bernoulli_even`` is on its index: the Gamma(2r+s+1) and zeta(2r+2, m)
+values of the expansion do not depend on theta, so a sweep computes each
+once.  The caches live for the life of the process and have no size limit
+or switch.
 """
 from __future__ import annotations
 
@@ -87,12 +94,14 @@ def zeta_even(m: int, ctx: PrecisionContext) -> mpf:
         return val * (2 * mp.pi) ** m / (2 * mp.factorial(m))
 
 
+@cache
 def hurwitz_zeta_integer(m: int, base: int, ctx: PrecisionContext) -> mpf:
     """zeta(m, base) = sum_{j >= base} j^(-m) for even m >= 2, base >= 1.
 
     Evaluated with full *relative* accuracy even when the value is far
     below 1 (large m): never computed as zeta(m) minus a partial sum,
-    which loses every significant digit once base^(-m) << 1.
+    which loses every significant digit once base^(-m) << 1.  Memoized on
+    (m, base, ctx).
     """
     if base < 1:
         raise DomainError(f"base must be >= 1, got {base}")
@@ -104,19 +113,26 @@ def hurwitz_zeta_integer(m: int, base: int, ctx: PrecisionContext) -> mpf:
         return mp.zeta(m, mpf(base))
 
 
+@cache
 def gamma_complex(z, ctx: PrecisionContext) -> mpc:
-    """Gamma(z) for complex z away from the nonpositive-integer poles."""
-    z = mpc(z)
-    if z.real < 0.5:
-        nearest = round(z.real)
-        if nearest <= 0:
-            dist = abs(z - nearest)
-            if dist < ctx.tol():
-                raise PoleError(
-                    f"Gamma evaluated within tolerance of pole at {nearest}",
-                    distance=dist,
-                )
+    """Gamma(z) for complex z away from the nonpositive-integer poles.
+
+    Memoized on (z, ctx).  The whole evaluation, the conversion of z
+    included, runs at the context's precision, so the result does not
+    depend on the caller's.
+    """
     with ctx.working():
+        z = mpc(z)
+        if z.real < 0.5:
+            nearest = round(z.real)
+            if nearest <= 0:
+                dist = abs(z - nearest)
+                if dist < ctx.tol():
+                    raise PoleError(
+                        f"Gamma evaluated within tolerance of pole at "
+                        f"{nearest}",
+                        distance=dist,
+                    )
         return mp.gamma(z)
 
 

@@ -144,3 +144,16 @@ def test_non_finite_input_is_config_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert "non-finite" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--n", "0", "--abs-a", "6"), "--n"),
+    (("--n", "-2", "--abs-a", "6"), "--n"),
+    (("--n", "1", "--abs-a", "0.5"), "--abs-a"),
+    (("--n", "1", "--abs-a", "-3"), "--abs-a"),
+])
+def test_out_of_range_sweep_input_is_config_error(capsys, argv, flag):
+    code, out, err = run(capsys, "sweep", *argv, "--s", "3",
+                         "--theta", "0.49:0.51:2")
+    assert code == EXIT_CONFIG
+    assert f"config error: {flag} must be >= 1" in err and out == ""

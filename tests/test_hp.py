@@ -6,9 +6,25 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError, PoleError
+from zetastokes.expansion import TruncationPlan, z_improved
 from zetastokes.hp import (PrecisionContext, RayComplex, bernoulli_even,
                            gamma_complex, hurwitz_zeta_integer, pow_ray,
                            zeta_even)
+from zetastokes.oracle import ZetaPoint
+from zetastokes.stokes import stokes_multiplier
+
+with mp.workdps(100):
+    # a real argument with more bits than a 15-digit caller would keep
+    FINE = +mp.pi
+
+
+def bits(value):
+    return getattr(value, "_mpc_", None) or value._mpf_
+
+
+def clear_caches():
+    gamma_complex.cache_clear()
+    hurwitz_zeta_integer.cache_clear()
 
 
 class TestPrecisionContext:
@@ -135,6 +151,54 @@ class TestGammaComplex:
             lhs = gamma_complex(z + 1, c)
             rhs = z * gamma_complex(z, c)
             assert abs(lhs - rhs) <= c.tol() * (1 + abs(lhs))
+
+
+class TestMemo:
+    """A cached value has the bits of a fresh evaluation, whatever the
+    cache state and the caller's precision."""
+
+    @pytest.mark.parametrize("fn, args", [
+        (gamma_complex, (mpc(27, 0.5),)),
+        (gamma_complex, (FINE,)),
+        (hurwitz_zeta_integer, (40, 3)),
+        (hurwitz_zeta_integer, (6, 1)),
+    ])
+    def test_hit_equals_fresh_evaluation(self, ctx_fast, fn, args):
+        values = []
+        for dps, other in ((15, 200), (200, 15)):
+            fn.cache_clear()
+            with mp.workdps(dps):
+                values.append(fn(*args, ctx_fast))  # cold
+                values.append(fn(*args, ctx_fast))  # warm
+            with mp.workdps(other):
+                values.append(fn(*args, ctx_fast))  # warm, other precision
+                values.append(fn.__wrapped__(*args, ctx_fast))
+        assert len({bits(v) for v in values}) == 1
+
+    def test_errors_are_not_cached(self, ctx_fast):
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                gamma_complex(mpc(-3) + 1e-40, ctx_fast)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                hurwitz_zeta_integer(4, 0, ctx_fast)
+
+    def test_fig1b_point_cold_equals_warm(self, ctx):
+        a = RayComplex(mpf(8), mpf("0.45") * mp.pi)
+        point = ZetaPoint.create(mpc(2, 0.5), a, ctx)
+        plan = TruncationPlan((25,), (24,), 1)
+        clear_caches()
+        cold = stokes_multiplier(1, point, ctx, plan=plan).exact
+        warm = stokes_multiplier(1, point, ctx, plan=plan).exact
+        assert bits(cold) == bits(warm)
+
+    def test_z_improved_cold_equals_warm(self, ctx):
+        a = RayComplex(mpf(6), mpf("0.40") * mp.pi)
+        plan = TruncationPlan((3, 9), (3, 9), 2)
+        clear_caches()
+        cold = z_improved(mpc("1.6"), a, plan, ctx)
+        warm = z_improved(mpc("1.6"), a, plan, ctx)
+        assert bits(cold) == bits(warm)
 
 
 class TestPowRay:
