@@ -240,8 +240,13 @@ def sweep(n: int, abs_a, s, theta_range, ctx: PrecisionContext,
     plan pins the truncation indices at every point (reproduction mode),
     otherwise least-term plans are re-derived per point because |a'| varies
     with theta.  A failed point is reported through its ``error`` field,
-    never dropped.
+    never dropped; arguments that no point could take (n < 1, |a| < 1, a
+    bad theta range) raise DomainError before any point is computed.
     """
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if abs_a < 1:
+        raise DomainError("sweep needs |a| >= 1 for the geometry")
     lo, hi, count = theta_range
     if count < 2:
         raise DomainError("sweep needs at least two points")

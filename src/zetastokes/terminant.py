@@ -4,7 +4,11 @@ T_nu(z) = e^(pi i nu) Gamma(nu)/(2 pi i) * Gamma(1-nu, z), evaluated on the
 branch carried by the ray argument of z.  The incomplete gamma function is
 computed from one everywhere-convergent series at inflated working
 precision (the series suffers cancellation of order e^|z|), taken to its
-finite limit at nonpositive integer order.  The two asymptotic regimes of
+finite limit at nonpositive integer order.  The series is summed in fixed
+point: real and imaginary parts are Python ints scaled by 2^wp, with wp the
+bits of the inflated digits plus guard bits sized by an a-priori error
+bound, so its hundreds of terms cost integer products rather than mpmath
+number objects.  The two asymptotic regimes of
 T_nu(z) near optimal truncation (|nu| ~ |z|) are provided separately,
 including the error-function smoothing form on the Stokes line.
 """
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 from .errors import (ConvergenceError, DomainError, IllConditionedError)
 from .hp import PrecisionContext, RayComplex, gamma_complex, pow_ray
@@ -59,13 +64,51 @@ def _series_inflation(z: RayComplex) -> int:
     return int(math.ceil((m + max(re_z, 0.0)) / math.log(10))) + 10
 
 
+def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
+                  m_floor: int):
+    """sum_m (-z)^m / (m! (alpha + m)) over m >= 0, m != n, in fixed point.
+
+    Real and imaginary parts are Python ints scaled by 2^wp.  The sum stops
+    at the first m > |z| (m > m_floor) whose addend c has
+    |c| < 10^(5-dps) peak, peak the largest |c| so far, compared through
+    squared magnitudes.  Returns the sum as an mpc (exact, unrounded).
+    """
+    zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
+    ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
+    ai2 = ai * ai
+    tol2 = 10 ** (2 * (dps - 5))
+    tr, ti = 1 << wp, 0
+    sr = si = peak2 = 0
+    for m in range(100000):
+        if m:
+            # term *= -z / m
+            tr, ti = (ti * zi - tr * zr >> wp) // m, \
+                (-tr * zi - ti * zr >> wp) // m
+        if m == n:
+            continue
+        # c = term / (alpha + m) = term conj(alpha + m) / |alpha + m|^2
+        dr = ar + (m << wp)
+        den = dr * dr + ai2
+        cr = ((tr * dr + ti * ai) << wp) // den
+        ci = ((ti * dr - tr * ai) << wp) // den
+        sr += cr
+        si += ci
+        c2 = cr * cr + ci * ci
+        if c2 > peak2:
+            peak2 = c2
+        elif m > m_floor and c2 * tol2 < peak2:
+            return mp.make_mpc((from_man_exp(sr, -wp), from_man_exp(si, -wp)))
+    raise ConvergenceError("incomplete gamma series did not converge")
+
+
 def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     """Incomplete gamma Gamma(alpha, z) on the branch set by z.argument.
 
     Gamma(alpha) - z^alpha sum_m (-z)^m / (m! (alpha + m)) for every order.
     At alpha = -n, n = 0, 1, ..., the m = n term is dropped and Gamma(alpha)
     becomes its finite limit (-1)^n/n! (psi(n+1) - log z), with log z taken
-    on the ray (DLMF 8.4.15).
+    on the ray (DLMF 8.4.15).  The series is summed in fixed point by
+    ``_fixed_series``.
     """
     alpha = mpc(alpha)
     if z.modulus <= 0:
@@ -73,24 +116,30 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     order = _integer_order(alpha, ctx)
     n = -order if order is not None and order <= 0 else None
     extra = _series_inflation(z)
+    dps = ctx.digits + ctx.guard + extra
+    # Error bound of _fixed_series, in units u = 2^-wp.  z and alpha are
+    # stored to within sqrt(2) u, and every shift or floor division
+    # truncates by less than u per component.  |t_j|, t_j = (-z)^j/j!, is
+    # unimodal in j with t_0 = 1, so |t_m/t_j| <= max(|t_m|, 1) for j <= m:
+    # term m is off by at most 3 (m+1) max(|t_m|, 1) max(1, 1/|z|) u, and
+    # addend c_m = t_m/(alpha + m) by at most 6 (m+1) max(P, 1) B u, where
+    # P is the peak |c_m|, d the least |alpha + m| and
+    # B = max(1, 1/|z|) max(1, 1/d).  With fewer than 10^5 addends the sum
+    # is off by at most 2^36 max(P, 1) B u, and max(P, 1) <= P A with
+    # A = max(1, |alpha|, 1/|z|), because P >= |c_0| = 1/|alpha|, or
+    # P >= |c_1| = |z| at alpha = 0.  So 40 guard bits plus the bits of A B
+    # keep the error below P 2^-(prec+4), less than one rounding of the
+    # peak at the prec bits of dps digits.  d >= 1 at integer alpha (the
+    # m = n term is skipped), and _integer_order keeps d above
+    # 10^(-digits/2) otherwise.
+    zbits = max(0, 2 - mp.mag(z.modulus))
+    dbits = 0 if order is not None else \
+        max(0, 2 - mp.mag(alpha - round(float(alpha.real))))
+    wp = dps_to_prec(dps) + 40 + 2 * zbits + max(0, mp.mag(alpha)) + dbits
     with ctx.working(extra):
-        eps = mpf(10) ** (-mp.dps + 5)
-        zval = z.value()
         zpow = pow_ray(z, alpha, ctx, extra=extra)
-        term = mpc(1)
-        total = mpc(0) if n == 0 else 1 / alpha
-        peak = abs(total)
-        for m in range(1, 100000):
-            term *= -zval / m
-            if m == n:
-                continue
-            contrib = term / (alpha + m)
-            total += contrib
-            peak = max(peak, abs(contrib))
-            if m > z.modulus and abs(contrib) < eps * peak:
-                break
-        else:
-            raise ConvergenceError("incomplete gamma series did not converge")
+        total = _fixed_series(alpha, z.value(), n, dps, wp,
+                              int(mp.floor(z.modulus)))
         if n is None:
             return mp.gamma(alpha) - zpow * total
         logz = mp.log(mpf(z.modulus)) + mpc(0, 1) * z.argument

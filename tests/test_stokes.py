@@ -6,6 +6,7 @@ from mpmath import mp, mpf, mpc
 from zetastokes.errors import DomainError, InsufficientPrecisionError
 from zetastokes.expansion import TruncationPlan
 from zetastokes.hp import PrecisionContext, RayComplex
+from zetastokes import stokes
 from zetastokes.oracle import ZetaPoint
 from zetastokes.stokes import (MinimumResult, MultiplierSample, erf_approx,
                                find_minimum, stokes_multiplier, sweep)
@@ -132,6 +133,19 @@ class TestSweep:
         assert len(samples) == 3
         assert all(s.error is not None for s in samples)
         assert all("InsufficientPrecisionError" in s.error for s in samples)
+
+    @pytest.mark.parametrize("n,abs_a", [(1, 0.5), (0, 6)])
+    def test_rejects_bad_arguments_up_front(self, n, abs_a, monkeypatch):
+        # raised before any point is computed: the failed-point branch
+        # could not report these, since erf_approx rejects them as well
+        def no_point(*args, **kwargs):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(stokes, "stokes_multiplier", no_point)
+        monkeypatch.setattr(stokes.ZetaPoint, "create", no_point)
+        with pytest.raises(DomainError):
+            sweep(n, abs_a, mpc(3), (0.49 * math.pi, 0.51 * math.pi, 2),
+                  PrecisionContext(30))
 
     def test_rejects_bad_range(self, ctx):
         with pytest.raises(DomainError):

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError, IllConditionedError
-from zetastokes.hp import PrecisionContext, RayComplex
+from zetastokes.expansion import optimal_truncation
+from zetastokes.hp import PrecisionContext, RayComplex, pow_ray
 from zetastokes.terminant import (TerminantQuery, c_of_phi, terminant,
                                   terminant_asymptotic, upper_gamma)
 
@@ -68,6 +69,39 @@ class TestUpperGamma:
                 ref = mp.gammainc(alpha, z.value())
                 assert abs(ours - ref) <= ctx.tol() * abs(ref)
 
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("arg_over_pi", ["0.95", "-0.05"])
+    def test_generic_order_at_pipeline_size(self, k, arg_over_pi, ctx):
+        # the remainder order 1 - (2N + s) at least-term N, on the terminant
+        # modulus 2 pi k |a| = 57, 170, 339; -0.05 pi is the Re z > 0 ray
+        # where the series cancels the most.  Both args are principal, so
+        # mp.gammainc is the oracle.
+        s, abs_a = mpc(2, 0.5), 9
+        n_opt = optimal_truncation(k, s, RayComplex(mpf(abs_a), mp.pi / 2),
+                                   ctx)
+        alpha = 1 - (2 * n_opt + s)
+        with mp.workdps(2 * (ctx.digits + ctx.guard)):
+            z = RayComplex(2 * mp.pi * k * abs_a, mpf(arg_over_pi) * mp.pi)
+            ours = upper_gamma(alpha, z, ctx)
+            ref = mp.gammainc(alpha, z.value())
+            assert abs(ours - ref) <= \
+                mpf(10) ** -(ctx.digits + ctx.guard - 10) * abs(ref)
+
+    @pytest.mark.parametrize("n", [37, 73])
+    @pytest.mark.parametrize("k", [6, 12])
+    @pytest.mark.parametrize("arg_over_pi", ["-0.03", "0.97"])
+    def test_integer_order_recurrence(self, n, k, arg_over_pi, ctx):
+        # Gamma(1-n, z) = -n Gamma(-n, z) + z^(-n) e^(-z) at pipeline size,
+        # |z| = 2 pi k = 12 pi, 24 pi; mp.gammainc is far too slow at
+        # integer order to serve as the oracle here
+        with mp.workdps(2 * (ctx.digits + ctx.guard)):
+            z = RayComplex(2 * mp.pi * k, mpf(arg_over_pi) * mp.pi)
+            lhs = upper_gamma(1 - n, z, ctx)
+            rhs = -n * upper_gamma(-n, z, ctx) \
+                + pow_ray(z, -n, ctx, extra=ctx.digits) * mp.exp(-z.value())
+            assert abs(lhs - rhs) <= \
+                mpf(10) ** -(ctx.digits + ctx.guard - 10) * abs(lhs)
+
     @pytest.mark.parametrize("n", [0, 3, 37])
     @pytest.mark.parametrize("turns", [-1, 1])
     def test_integer_order_monodromy(self, n, turns, ctx):
@@ -101,6 +135,21 @@ class TestUpperGamma:
             alpha = mpc(2) + mpf(10) ** -40
             with pytest.raises(IllConditionedError):
                 upper_gamma(alpha, RayComplex(mpf(3), mpf(0)), ctx)
+
+    @pytest.mark.parametrize("arg_over_pi", ["0.02", "-0.3"])
+    def test_near_integer_order_keeps_accuracy(self, arg_over_pi, ctx):
+        # just outside the 10^(-digits/2) band the series meets
+        # alpha + m = 10^-29 at m = 60 > e|z|, where the term is below 1;
+        # the fixed-point sum needs the bits of 1/|alpha + m| there (with
+        # the 40 guard bits alone the -0.3 pi value is off by 6e-58).
+        # Gamma(alpha) cancels the near-pole addend, so the bound is
+        # 10^-digits, not the inflated one.
+        with mp.workdps(2 * (ctx.digits + ctx.guard)):
+            alpha = mpc(-60) + mpf(10) ** -29
+            z = RayComplex(mpf("18.8"), mpf(arg_over_pi) * mp.pi)
+            ours = upper_gamma(alpha, z, ctx)
+            ref = mp.gammainc(alpha, z.value())
+            assert abs(ours - ref) <= mpf(10) ** -ctx.digits * abs(ref)
 
 
 class TestTerminant:
