@@ -11,18 +11,26 @@ The k-sum over the algebraic series converges only algebraically, so its
 tail is always folded in closed form through integer-base Hurwitz zeta
 values (the reversed-order double sum); only the terminant remainders are
 truncated, with a geometric tail bound.
+
+Only the power of a depends on theta.  The block sums take the
+coefficients of one ray as one list, ``a_r_coefficients``, whose powers
+come from one ``hp.ray_powers`` call; ``bernoulli_series`` takes its powers
+of a the same way and memoizes the theta-independent factor
+B_{2r}/(2r)! Gamma(2r+s-1) on (r, s, ctx).  Each value keeps the bits of a
+term-by-term evaluation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 from mpmath import mp, mpf, mpc
 
 from .errors import DomainError, TailBoundError
 from .hp import (PrecisionContext, RayComplex, bernoulli_even, gamma_complex,
-                 hurwitz_zeta_integer, pow_ray)
+                 hurwitz_zeta_integer, ray_powers)
 from .oracle import ZetaPoint
 from .terminant import TerminantQuery, terminant
 
@@ -55,16 +63,25 @@ class TruncationPlan:
         return cls((n,) * k_max, (n,) * k_max, k_max)
 
 
-def a_r_coefficient(r: int, s, a: RayComplex, ctx: PrecisionContext) -> mpc:
-    """A_r(a) = (-1)^r Gamma(2r+s+1) / (2 pi a)^(2r+s+1)."""
-    if r < 0:
+def a_r_coefficients(s, a: RayComplex, lo: int, hi: int,
+                     ctx: PrecisionContext) -> list:
+    """[A_r(a) for lo <= r < hi], A_r(a) = (-1)^r Gamma(2r+s+1) /
+    (2 pi a)^(2r+s+1), with the powers of the ray 2 pi a taken in one
+    ``ray_powers`` call."""
+    if lo < 0:
         raise DomainError("r must be >= 0")
     s = mpc(s)
     with ctx.working():
-        g = gamma_complex(2 * r + s + 1, ctx)
         ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
-        denom = pow_ray(ray, 2 * r + s + 1, ctx)
-        return (-1) ** r * g / denom
+        exponents = [2 * r + s + 1 for r in range(lo, hi)]
+        powers = ray_powers(ray, exponents, ctx)
+        return [(-1) ** r * gamma_complex(e, ctx) / p
+                for r, e, p in zip(range(lo, hi), exponents, powers)]
+
+
+def a_r_coefficient(r: int, s, a: RayComplex, ctx: PrecisionContext) -> mpc:
+    """A_r(a) = (-1)^r Gamma(2r+s+1) / (2 pi a)^(2r+s+1)."""
+    return a_r_coefficients(s, a, r, r + 1, ctx)[0]
 
 
 def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
@@ -123,17 +140,27 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
     s = mpc(s)
     floor = list(accumulate(reversed(nlist), min))[::-1]
     with ctx.working(10):
+        coeffs = a_r_coefficients(s, a, 0, max(nlist, default=0), ctx)
         total = mpc(0)
         prev = 0
         for m, f in enumerate(floor, start=1):
             for r in range(prev, f):
-                total += a_r_coefficient(r, s, a, ctx) \
-                    * hurwitz_zeta_integer(2 * r + 2, m, ctx)
+                total += coeffs[r] * hurwitz_zeta_integer(2 * r + 2, m, ctx)
             prev = f
         for k, (f, n) in enumerate(zip(floor, nlist), start=1):
             for r in range(f, n):
-                total += a_r_coefficient(r, s, a, ctx) / mpf(k) ** (2 * r + 2)
+                total += coeffs[r] / mpf(k) ** (2 * r + 2)
         return total / mp.pi
+
+
+@cache
+def _bernoulli_factor(r: int, s, ctx: PrecisionContext) -> mpc:
+    """B_{2r}/(2r)! Gamma(2r+s-1), which does not depend on theta;
+    memoized on (r, s, ctx)."""
+    b = bernoulli_even(r)
+    with ctx.working(10):
+        return (mpf(b.numerator) / b.denominator) / mp.factorial(2 * r) \
+            * gamma_complex(2 * r + s - 1, ctx)
 
 
 def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
@@ -145,13 +172,11 @@ def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
     independent side of the S_1 cross-check in ``stokes``."""
     s = mpc(s)
     with ctx.working(10):
+        powers = ray_powers(a, [1 - (2 * r + s) for r in range(1, n + 1)],
+                            ctx)
         total = mpc(0)
-        for r in range(1, n + 1):
-            b = bernoulli_even(r)
-            total += (mpf(b.numerator) / b.denominator) \
-                / mp.factorial(2 * r) \
-                * gamma_complex(2 * r + s - 1, ctx) \
-                * pow_ray(a, 1 - (2 * r + s), ctx)
+        for r, p in enumerate(powers, start=1):
+            total += _bernoulli_factor(r, s, ctx) * p
         return total
 
 
@@ -197,9 +222,9 @@ def _remainder_total(s, a: RayComplex, nlist, ctx: PrecisionContext,
             n = max(prev, optimal_truncation(k, s, a, ctx))
             total += mp.exp((s - 1) * mp.log(k)) \
                 * remainder_rk(k, s, a, n, ctx)
-            for r in range(prev, n):
-                comp += a_r_coefficient(r, s, a, ctx) \
-                    * hurwitz_zeta_integer(2 * r + 2, k, ctx)
+            coeffs = a_r_coefficients(s, a, prev, n, ctx)
+            for r, c in enumerate(coeffs, start=prev):
+                comp += c * hurwitz_zeta_integer(2 * r + 2, k, ctx)
             prev = n
         return total + comp / mp.pi
 

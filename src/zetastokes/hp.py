@@ -12,6 +12,10 @@ as ``bernoulli_even`` is on its index: the Gamma(2r+s+1) and zeta(2r+2, m)
 values of the expansion do not depend on theta, so a sweep computes each
 once.  The caches live for the life of the process and have no size limit
 or switch.
+
+What does depend on theta is the power of the ray a; ``ray_powers`` takes
+all the powers of one ray in one call, with one logarithm of the ray and
+one exponential per exponent, and ``pow_ray`` is its one-exponent case.
 """
 from __future__ import annotations
 
@@ -136,15 +140,26 @@ def gamma_complex(z, ctx: PrecisionContext) -> mpc:
         return mp.gamma(z)
 
 
-def pow_ray(base: RayComplex, exponent, ctx: PrecisionContext,
-            extra: int = 0) -> mpc:
-    """base**exponent using the ray's carried argument.
+def ray_powers(base: RayComplex, exponents, ctx: PrecisionContext,
+               extra: int = 0) -> list:
+    """[base**e for e in exponents] using the ray's carried argument.
 
-    Never applies a principal-value reduction: exp(exponent * (log modulus
-    + i * argument)).
+    Never applies a principal-value reduction: exp(e * (log modulus
+    + i * argument)), with the logarithm taken once for the whole list.
+    Like the modulus, each exponent is converted (and so rounded) at the
+    working precision.
     """
+    if not (mp.isfinite(base.modulus) and mp.isfinite(base.argument)):
+        raise DomainError("ray powers need a finite modulus and argument")
     if base.modulus <= 0:
-        raise DomainError("pow_ray requires a strictly positive modulus")
+        raise DomainError("ray powers need a strictly positive modulus")
     with ctx.working(extra):
         logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
-        return mp.exp(mpc(exponent) * logz)
+        return [mp.exp(mpc(e) * logz) for e in exponents]
+
+
+def pow_ray(base: RayComplex, exponent, ctx: PrecisionContext,
+            extra: int = 0) -> mpc:
+    """base**exponent using the ray's carried argument: the one-exponent
+    case of ``ray_powers``."""
+    return ray_powers(base, (exponent,), ctx, extra)[0]

@@ -3,16 +3,37 @@ from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError
 from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
-                                  bernoulli_series, leading_blocks,
-                                  optimal_plan, optimal_truncation,
-                                  remainder_rk, script_r_k, z_improved)
-from zetastokes.hp import RayComplex, hurwitz_zeta_integer
+                                  a_r_coefficients, bernoulli_series,
+                                  leading_blocks, optimal_plan,
+                                  optimal_truncation, remainder_rk,
+                                  script_r_k, z_improved)
+from zetastokes.hp import (RayComplex, bernoulli_even, gamma_complex,
+                           hurwitz_zeta_integer, ray_powers)
 from zetastokes.oracle import ZetaPoint, z_reference
 
 
 def _ray(mod, arg_over_pi, ctx):
     with ctx.working(10):
         return RayComplex(mpf(mod), mpf(str(arg_over_pi)) * mp.pi)
+
+
+S_VALUES = [mpc(3), mpc(2, 0.5), mpc(1.6), mpc(6, -2)]
+# an s and a caller precision with more bits than the 80-digit arithmetic
+# keeps, so that the precision at which each exponent is formed shows
+FINE_DPS = 100
+with mp.workdps(FINE_DPS):
+    FINE_S = mpc(2, 0.5) + mp.pi / 1000
+
+
+def bits(value):
+    return value._mpc_
+
+
+def _power(base, exponent, ctx, extra=0):
+    # one power of a ray on its own, exp(e (log|b| + i arg b))
+    with ctx.working(extra):
+        logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
+        return mp.exp(mpc(exponent) * logz)
 
 
 class TestTruncationPlan:
@@ -42,6 +63,62 @@ class TestCoefficients:
     def test_rejects_negative_r(self, ctx):
         with pytest.raises(DomainError):
             a_r_coefficient(-1, mpc(3), _ray(6, 0.5, ctx), ctx)
+        with pytest.raises(DomainError):
+            a_r_coefficients(mpc(3), _ray(6, 0.5, ctx), -1, 3, ctx)
+
+    def test_rejects_non_finite_ray(self, ctx):
+        # used to come back as nan + nanj
+        with pytest.raises(DomainError):
+            a_r_coefficient(2, 3, RayComplex(mpf("inf"), mpf(1)), ctx)
+
+
+class TestBatchBits:
+    """The per-ray batches keep the bits of a term-by-term evaluation."""
+
+    @pytest.mark.parametrize("extra", [0, 10])
+    def test_ray_powers(self, ctx, extra):
+        base = _ray(2 * 8, 0.55, ctx)
+        exponents = [mpc(0, 1), mpf(2), mpc(-3.5, 2), 27, mpc(6, -2) + 11]
+        got = ray_powers(base, exponents, ctx, extra)
+        want = [_power(base, e, ctx, extra) for e in exponents]
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    @pytest.mark.parametrize("lo, hi", [(0, 25), (7, 19), (5, 5)])
+    @pytest.mark.parametrize("arg", [0.3, 0.55])
+    @pytest.mark.parametrize("mod", [1, 8])
+    @pytest.mark.parametrize("s, dps", [(s, 15) for s in S_VALUES]
+                             + [(FINE_S, FINE_DPS)])
+    def test_a_r_coefficients(self, s, dps, mod, arg, lo, hi, ctx):
+        a = _ray(mod, arg, ctx)
+        with mp.workdps(dps):
+            got = a_r_coefficients(s, a, lo, hi, ctx)
+            s = mpc(s)
+        want = []
+        with ctx.working():
+            ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
+            for r in range(lo, hi):
+                g = gamma_complex(2 * r + s + 1, ctx)
+                want.append((-1) ** r * g / _power(ray, 2 * r + s + 1, ctx))
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    @pytest.mark.parametrize("n", [1, 25])
+    @pytest.mark.parametrize("arg", [0.3, 0.55])
+    @pytest.mark.parametrize("s, dps", [(s, 15) for s in S_VALUES]
+                             + [(FINE_S, FINE_DPS)])
+    def test_bernoulli_series(self, s, dps, arg, n, ctx):
+        a = _ray(8, arg, ctx)
+        with mp.workdps(dps):
+            got = bernoulli_series(s, a, n, ctx)
+            s = mpc(s)
+        with ctx.working(10):
+            want = mpc(0)
+            for r in range(1, n + 1):
+                b = bernoulli_even(r)
+                want += (mpf(b.numerator) / b.denominator) \
+                    / mp.factorial(2 * r) \
+                    * gamma_complex(2 * r + s - 1, ctx) \
+                    * _power(a, 1 - (2 * r + s), ctx)
+        assert bits(got) == bits(want)
 
 
 class TestOptimalTruncation:
@@ -165,6 +242,9 @@ class TestBlocks:
             want = (sum(coeffs) + sum(coeffs[r] * mp.zeta(2 * r + 2, 2)
                                       for r in range(3))) / mp.pi
             assert abs(got - want) <= ctx.tol() * (1 + abs(want))
+
+    def test_empty_index_list_is_zero(self, ctx):
+        assert leading_blocks(mpc(3), _ray(6, 0.45, ctx), (), ctx) == 0
 
     def test_blocks_match_direct_double_sum(self, ctx):
         # for one scale: (1/pi) sum_{r<N} A_r zeta(2r+2, 1)

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError, PoleError
-from zetastokes.expansion import TruncationPlan, z_improved
+from zetastokes.expansion import (TruncationPlan, _bernoulli_factor,
+                                  z_improved)
 from zetastokes.hp import (PrecisionContext, RayComplex, bernoulli_even,
                            gamma_complex, hurwitz_zeta_integer, pow_ray,
-                           zeta_even)
+                           ray_powers, zeta_even)
 from zetastokes.oracle import ZetaPoint
 from zetastokes.stokes import stokes_multiplier
 
@@ -25,6 +26,7 @@ def bits(value):
 def clear_caches():
     gamma_complex.cache_clear()
     hurwitz_zeta_integer.cache_clear()
+    _bernoulli_factor.cache_clear()
 
 
 class TestPrecisionContext:
@@ -162,6 +164,8 @@ class TestMemo:
         (gamma_complex, (FINE,)),
         (hurwitz_zeta_integer, (40, 3)),
         (hurwitz_zeta_integer, (6, 1)),
+        (_bernoulli_factor, (1, mpc(2, 0.5))),
+        (_bernoulli_factor, (25, FINE)),
     ])
     def test_hit_equals_fresh_evaluation(self, ctx_fast, fn, args):
         values = []
@@ -224,3 +228,14 @@ class TestPowRay:
     def test_rejects_zero_modulus(self, ctx_fast):
         with pytest.raises(DomainError):
             pow_ray(RayComplex(mpf(0), mpf(0)), 2, ctx_fast)
+
+    @pytest.mark.parametrize("mod, arg", [
+        ("nan", 1), ("inf", 1), ("-inf", 1), (1, "nan"), (1, "inf"),
+    ])
+    def test_rejects_non_finite_base(self, ctx_fast, mod, arg):
+        # a non-finite ray used to come back as nan + nanj
+        base = RayComplex(mpf(mod), mpf(arg))
+        with pytest.raises(DomainError):
+            pow_ray(base, 2, ctx_fast)
+        with pytest.raises(DomainError):
+            ray_powers(base, [2, 3], ctx_fast)
