@@ -9,8 +9,10 @@ reproduce the direct-summation reference to working precision.
 
 The k-sum over the algebraic series converges only algebraically, so its
 tail is always folded in closed form through integer-base Hurwitz zeta
-values (the reversed-order double sum); only the terminant remainders are
-truncated, with a geometric tail bound.
+values (the reversed-order double sum).  Only the terminant remainders are
+truncated: ``extend_plan`` first extends the plan past k_max with
+least-term indices until the dropped tail clears the budget, and
+``leading_blocks`` over that extended list is then the one algebraic sum.
 
 Only the power of a depends on theta.  The block sums take the
 coefficients of one ray as one list, ``a_r_coefficients``, whose powers
@@ -180,73 +182,65 @@ def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
         return total
 
 
-def _remainder_total(s, a: RayComplex, nlist, ctx: PrecisionContext,
-                     scale) -> mpc:
-    """sum_{k>=1} k^(s-1) R_k(a; N_k) with constant extension past the plan.
+def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
+    """nlist followed by max(prev, optimal_truncation(k)) for each added
+    scale k, whose remainder then decays like e^(-2 pi k |Im a|).
 
-    For a fixed index N the terms decay only like k^(-1-2N), so the tail is
-    never summed term by term: beyond the plan each remainder is converted
-    to a near-optimal index (where it decays like e^(-2 pi k |Im a|)) and
-    the difference is compensated exactly by closed-form zeta(2r+2, k)
-    blocks (the per-scale truncation invariance of the expansion).  The
-    conversion stops once the dropped tail -- estimated by its first
-    omitted series term summed in closed form plus the exponential bound --
-    clears one percent of the tolerance budget.
+    Scales are added until the dropped tail -- its first omitted term
+    |A_prev| zeta(2 prev+2, k+1)/pi plus the exponential bound
+    2 (k+1)^max(Re s-1, 0) e^(-2 pi (k+1) |Im a|) -- falls below tol/100
+    times the leading block |A_0| zeta(2)/pi, the rule taken in logs at 20
+    digits.  ``leading_blocks`` over the result carries the raised indices
+    exactly (the per-scale truncation invariance of the expansion).
     """
     s = mpc(s)
-    K = len(nlist)
     with ctx.working(10):
         im_abs = a.modulus * abs(mp.sin(a.argument))
         if im_abs <= ctx.tol():
             raise TailBoundError("remainder tail needs Im(a) != 0 to decay")
-        budget = ctx.tol() * scale / 100
-        total = mpc(0)
-        for k in range(1, K + 1):
-            total += mp.exp((s - 1) * mp.log(k)) \
-                * remainder_rk(k, s, a, nlist[k - 1], ctx)
-        comp = mpc(0)
-        prev = nlist[-1]
-        k = K
-        while True:
-            alg_est = abs(a_r_coefficient(prev, s, a, ctx)) \
-                * hurwitz_zeta_integer(2 * prev + 2, k + 1, ctx) / mp.pi
-            exp_est = 2 * mpf(k + 1) ** max(float(s.real) - 1, 0.0) \
-                * mp.exp(-2 * mp.pi * (k + 1) * im_abs)
-            if alg_est + exp_est < budget:
-                break
-            k += 1
-            if k > K + 300:
-                raise TailBoundError(
-                    "remainder tail did not clear the budget within 300 "
-                    "extension scales")
-            n = max(prev, optimal_truncation(k, s, a, ctx))
-            total += mp.exp((s - 1) * mp.log(k)) \
-                * remainder_rk(k, s, a, n, ctx)
-            coeffs = a_r_coefficients(s, a, prev, n, ctx)
-            for r, c in enumerate(coeffs, start=prev):
-                comp += c * hurwitz_zeta_integer(2 * r + 2, k, ctx)
-            prev = n
-        return total + comp / mp.pi
+    im_abs, power = float(im_abs), max(float(s.real) - 1, 0.0)
+
+    def log_alg(r, b):  # log(|A_r| zeta(2r+2, b) / pi)
+        with mp.workdps(20):
+            e = 2 * r + s + 1
+            return float(mp.re(mp.loggamma(e)) + e.imag * a.argument
+                         - e.real * mp.log(2 * mp.pi * a.modulus)
+                         + mp.log(mp.zeta(2 * r + 2, b) / mp.pi))
+
+    log_budget = float(mp.log(ctx.tol() / 100)) + log_alg(0, 1)
+    out = list(nlist)
+    for b in range(len(out) + 1, len(out) + 302):
+        x = log_alg(out[-1], b)
+        y = math.log(2) + power * math.log(b) - 2 * math.pi * b * im_abs
+        if max(x, y) + math.log1p(math.exp(-abs(x - y))) < log_budget:
+            return tuple(out)
+        out.append(max(out[-1], optimal_truncation(b, s, a, ctx)))
+    raise TailBoundError("remainder tail did not clear the budget within "
+                         "300 extension scales")
 
 
 def z_improved(s, a: RayComplex, plan: TruncationPlan,
                ctx: PrecisionContext) -> mpc:
     """Z(s,a) from the exponentially improved expansion; exact for any plan.
 
-    A constant plan, ``TruncationPlan.constant(N, k_max)``, is the paper's
-    common-truncation form: its blocks are the Poincare series through
-    B_{2N} divided by (2 pi)^s.
+    (2 pi)^s [leading_blocks(extended) + sum_k k^(s-1) R_k(a; extended_k)]
+    over the plan's a-indices extended by ``extend_plan``.  A constant plan,
+    ``TruncationPlan.constant(N, k_max)``, is the paper's common-truncation
+    form: its blocks are the Poincare series through B_{2N} divided by
+    (2 pi)^s.
     """
     s = mpc(s)
     if abs(s.imag) < ctx.tol():
         nearest = round(float(s.real))
         if nearest <= -1 and abs(s - nearest) < ctx.tol():
             raise DomainError("s must not be -1, -2, ...")
+    nlist = extend_plan(s, a, plan.nk, ctx)
     with ctx.working(10):
-        algebraic = leading_blocks(s, a, plan.nk, ctx)
-        rsum = _remainder_total(s, a, plan.nk, ctx,
-                                scale=abs(algebraic) + ctx.tol())
-        return (2 * mp.pi) ** s * (algebraic + rsum)
+        total = leading_blocks(s, a, nlist, ctx)
+        for k, n in enumerate(nlist, start=1):
+            total += mp.exp((s - 1) * mp.log(k)) \
+                * remainder_rk(k, s, a, n, ctx)
+        return (2 * mp.pi) ** s * total
 
 
 def script_r_k(k: int, point: ZetaPoint, nk: int, nk_prime: int,

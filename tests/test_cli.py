@@ -6,6 +6,22 @@ import pytest
 from zetastokes.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 
 DATA = Path(__file__).resolve().parent / "data"
+# the entries of `zeta validate`, in report order
+VALIDATE_NAMES = [
+    "improved-expansion exactness",
+    "periodic-zeta reflection",
+    "subtracted reflection",
+    "terminant connection formula",
+    "terminant smoothing midpoint",
+    "terminant smoothing agreement",
+    "combined remainder, corrected four-term form",
+    "combined remainder, corrected reduced form",
+    "combined remainder, printed four-term form",
+    "combined remainder, printed reduced form",
+    "prefactor normalization (2 pi)^s",
+    "prefactor normalization (2 pi)^(2s)",
+    "hidden-exponential extraction",
+]
 
 
 def run(capsys, *argv):
@@ -110,6 +126,7 @@ class TestValidate:
         assert "overall: PASS" in out
         doc = json.loads(path.read_text())
         assert doc["passed"] is True
+        assert [e["name"] for e in doc["entries"]] == VALIDATE_NAMES
 
     def test_fails_at_30_digits(self, capsys):
         code, out, _ = run(capsys, "validate", "--digits", "30")

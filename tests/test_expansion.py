@@ -1,10 +1,11 @@
 import pytest
 from mpmath import mp, mpf, mpc
 
-from zetastokes.errors import DomainError
+from zetastokes import expansion
+from zetastokes.errors import DomainError, TailBoundError
 from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
                                   a_r_coefficients, bernoulli_series,
-                                  leading_blocks, optimal_plan,
+                                  extend_plan, leading_blocks, optimal_plan,
                                   optimal_truncation, remainder_rk,
                                   script_r_k, z_improved)
 from zetastokes.hp import (RayComplex, bernoulli_even, gamma_complex,
@@ -219,6 +220,37 @@ class TestExactness:
             ref = z_reference(s, a, ctx)
             got = z_improved(s, a, TruncationPlan.constant(1, 1), ctx)
             assert abs(got - ref) <= ctx.tol() * abs(ref)
+
+
+class TestExtendPlan:
+    @pytest.mark.parametrize("s, mod, arg, plan, want", [
+        (mpc(2, 0.5), "3.120626", "0.400927", (7, 7),
+         (7, 7, 28, 38, 48, 58, 67)),
+        (mpc(3), "3.231148", "0.4", (2, 2), (2, 2, 29, 39, 49, 59, 69)),
+    ])
+    def test_decisions_nearest_the_budget(self, s, mod, arg, plan, want,
+                                          ctx):
+        # the two benchmark-grid decisions nearest the budget: the last
+        # scale is added with the tail estimate 1.7% and 6.2% above it, so
+        # a looser bound on the dropped tail, such as
+        # zeta(m, b) <= b^(-m) (1 + b/(m-1)), stops one scale early at both
+        assert extend_plan(s, _ray(mod, arg, ctx), plan, ctx) == want
+
+    @pytest.mark.parametrize("arg, match", [
+        ("0", r"Im\(a\)"),
+        ("0.001", "300 extension scales"),
+    ])
+    def test_tail_bound_raises_before_any_remainder(self, arg, match, ctx,
+                                                    monkeypatch):
+        # Im a = 0 never decays; Im a = 3 sin(0.001) decays too slowly for
+        # 300 added scales to clear the budget
+        def no_remainder(*args):
+            raise AssertionError("remainder computed before the tail bound")
+        monkeypatch.setattr(expansion, "remainder_rk", no_remainder)
+        with ctx.working(10):
+            a = RayComplex(mpf(3), mpf(arg))
+            with pytest.raises(TailBoundError, match=match):
+                z_improved(mpc(3), a, TruncationPlan.constant(2, 1), ctx)
 
 
 class TestBlocks:
