@@ -114,8 +114,8 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
     arg a + pi/2 and arg a - pi/2 respectively, never principal-reduced.
     """
     s = mpc(s)
-    nu = 2 * nk + s
     with ctx.working(10):
+        nu = 2 * nk + s
         halfpi = mp.pi / 2
         mod = 2 * mp.pi * k * a.modulus
         t_plus = terminant(
@@ -249,9 +249,9 @@ def script_r_k(k: int, point: ZetaPoint, nk: int, nk_prime: int,
     e^(i pi s/2) R_k(a; N_k) + e^(-i pi s/2) R_k(a'; N'_k)."""
     s = point.s
     with ctx.working(10):
-        half_is = mp.expjpi(s / 2)
-        return half_is * remainder_rk(k, s, point.a, nk, ctx) \
-            + remainder_rk(k, s, point.a_prime, nk_prime, ctx) / half_is
+        return point.combine(remainder_rk(k, s, point.a, nk, ctx),
+                             remainder_rk(k, s, point.a_prime, nk_prime, ctx),
+                             ctx)
 
 
 def optimal_plan(s, point: ZetaPoint, k_max: int,

@@ -1,10 +1,16 @@
-"""Brute-force reference values.
+"""Reference values, independent of the expansion machinery.
 
-Direct convergent summation for the Hurwitz zeta function, its decomposed
-companion Z(s,a), the periodic zeta function F(a,1-s) and the subtracted
-form Ftilde(a,s).  Everything here is deliberately restricted to
+The Hurwitz zeta function (mpmath's ``zeta(s, a)``, which checks its own
+Euler-Maclaurin cancellation), its decomposed companion Z(s,a), the
+periodic zeta function F(a,1-s) by direct geometric summation, and the
+subtracted form Ftilde(a,s).  Everything here is deliberately restricted to
 Re(s) > 1.1 where the defining sums converge, so these routines can serve
 as unconditional ground truth for the expansion machinery.
+
+``ZetaPoint.combine`` is the one place the two rays are weighted,
+e^(i pi s/2) x(a) + e^(-i pi s/2) x(a'): the form of the reflection
+F = Gamma(s)/(2 pi)^s [e^(i pi s/2) zeta(s,a) + e^(-i pi s/2) zeta(s,a')]
+that every Ftilde identity inherits.
 """
 from __future__ import annotations
 
@@ -13,8 +19,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, mpc
 
 from .errors import DivergenceError, DomainError, PoleError
-from .hp import (PrecisionContext, RayComplex, bernoulli_even, gamma_complex,
-                 pow_ray)
+from .hp import PrecisionContext, RayComplex, gamma_complex, pow_ray
 
 RE_S_MARGIN = mpf("1.1")
 
@@ -52,6 +57,13 @@ class ZetaPoint:
                 f"arg a' expected in (-pi, 0), got {a_prime.argument}")
         return cls(s=s, a=a, a_prime=a_prime, theta=theta)
 
+    def combine(self, x, x_prime, ctx: PrecisionContext) -> mpc:
+        """e^(i pi s/2) x + e^(-i pi s/2) x_prime: a value on the ray a
+        weighted with one on the ray a' as in the reflection formula."""
+        with ctx.working(10):
+            half_is = mp.expjpi(self.s / 2)
+            return half_is * x + x_prime / half_is
+
 
 def _check_re_s(s) -> mpc:
     s = mpc(s)
@@ -63,51 +75,21 @@ def _check_re_s(s) -> mpc:
 
 
 def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
-    """zeta(s, a) by direct summation plus an Euler-Maclaurin tail.
-
-    The head sums (k+a)^(-s) for k < M; the tail adds the integral term,
-    the half term and B_{2r} corrections until the first omitted one drops
-    below the working tolerance.
-    """
+    """zeta(s, a) = sum_{k>=0} (k+a)^(-s), by mpmath's ``zeta(s, a)``."""
     s = _check_re_s(s)
-    aval = a.value()
-    if abs(aval.imag) < ctx.tol() and aval.real <= ctx.tol():
-        raise DomainError("a must not be a nonpositive real/integer")
-    M = max(30, ctx.digits)
     with ctx.working(10):
-        eps = mpf(10) ** (-(ctx.digits + ctx.guard))
-        head = mp.fsum(
-            (pow_ray(RayComplex.from_value(k + aval), -s, ctx, extra=10)
-             for k in range(M)),
-            absolute=False,
-        )
-        w = M + aval  # summation edge; Re(w) > 0 for all supported a
-        wray = RayComplex.from_value(w)
-        tail = pow_ray(wray, 1 - s, ctx, extra=10) / (s - 1)
-        tail += pow_ray(wray, -s, ctx, extra=10) / 2
-        # Euler-Maclaurin corrections B_{2r}/(2r)! * s(s+1)...(s+2r-2) * w^(-s-2r+1)
-        poch = s  # running product s(s+1)...(s+2r-2)
-        wpow = pow_ray(wray, -s - 1, ctx, extra=10)
-        w2 = w * w
-        prev_mag = mp.inf
-        for r in range(1, 200):
-            b = bernoulli_even(r)
-            corr = (mpf(b.numerator) / b.denominator) / mp.factorial(2 * r) \
-                * poch * wpow
-            mag = abs(corr)
-            if mag >= prev_mag:
-                # corrections started to diverge before reaching eps; the
-                # head length M guarantees this cannot happen for the
-                # supported |s|, so treat it as a hard failure
-                raise DivergenceError(
-                    "Euler-Maclaurin corrections stopped decreasing")
-            tail += corr
-            if mag < eps * (abs(head) + abs(tail)):
-                break
-            prev_mag = mag
-            poch *= (s + 2 * r - 1) * (s + 2 * r)
-            wpow /= w2
-        return head + tail
+        aval = a.value()
+        if abs(aval.imag) < ctx.tol() and aval.real <= ctx.tol():
+            raise DomainError("a must not be a nonpositive real/integer")
+        return mp.zeta(s, aval)
+
+
+def _subtracted_terms(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
+    """a^(-s)/2 + a^(1-s)/(s-1) on the ray a: the two leading algebraic
+    terms of zeta(s, a) that Z(s, a) strips."""
+    with ctx.working(10):
+        return pow_ray(a, -s, ctx, extra=10) / 2 \
+            + pow_ray(a, 1 - s, ctx, extra=10) / (s - 1)
 
 
 def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
@@ -117,9 +99,7 @@ def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
         raise PoleError("Z(s,a) has a pole at s = 1", distance=abs(s - 1))
     with ctx.working(10):
         zeta = hurwitz_zeta_direct(s, a, ctx)
-        alg = pow_ray(a, -s, ctx, extra=10) / 2 \
-            + pow_ray(a, 1 - s, ctx, extra=10) / (s - 1)
-        return gamma_complex(s, ctx) * (zeta - alg)
+        return gamma_complex(s, ctx) * (zeta - _subtracted_terms(s, a, ctx))
 
 
 def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
@@ -161,9 +141,6 @@ def f_tilde_reference(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
     with ctx.working(10):
         f = periodic_zeta_direct(point, ctx)
         pref = gamma_complex(s, ctx) / (2 * mp.pi) ** s
-        half_is = mp.expjpi(s / 2)
-        ga = pow_ray(point.a, -s, ctx, extra=10) / 2 \
-            + pow_ray(point.a, 1 - s, ctx, extra=10) / (s - 1)
-        gap = pow_ray(point.a_prime, -s, ctx, extra=10) / 2 \
-            + pow_ray(point.a_prime, 1 - s, ctx, extra=10) / (s - 1)
-        return f - pref * (half_is * ga + gap / half_is)
+        ga = _subtracted_terms(s, point.a, ctx)
+        gap = _subtracted_terms(s, point.a_prime, ctx)
+        return f - pref * point.combine(ga, gap, ctx)

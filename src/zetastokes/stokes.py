@@ -107,11 +107,10 @@ def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, n1: int, n1p: int,
     """
     s = point.s
     with ctx.working(10):
-        half_is = mp.expjpi(s / 2)
         pref = (2 * mp.pi) ** (-s)
         series_a = pref * bernoulli_series(s, point.a, n1, ctx)
         series_ap = pref * bernoulli_series(s, point.a_prime, n1p, ctx)
-        brace = ft - half_is * series_a - series_ap / half_is
+        brace = ft - point.combine(series_a, series_ap, ctx)
         return mp.exp(-2 * mp.pi * mpc(0, 1) * point.a.value()) * brace
 
 
@@ -148,10 +147,9 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
                 f"the resolvable floor tol*|Ftilde| = "
                 f"{mp.nstr(ctx.tol() * abs(ft), 3)}",
                 required_digits=required)
-        half_is = mp.expjpi(s / 2)
         blocks_a = leading_blocks(s, point.a, plan.nk[:n], ctx)
         blocks_ap = leading_blocks(s, point.a_prime, plan.nk_prime[:n], ctx)
-        peeled = half_is * blocks_a + blocks_ap / half_is
+        peeled = point.combine(blocks_a, blocks_ap, ctx)
         rk_abs = []
         rsum = mpc(0)
         for k in range(1, n):

@@ -116,15 +116,14 @@ def reflection_residuals(point: ZetaPoint, ctx: PrecisionContext):
     Ftilde = (2 pi)^(-s) [e^(i pi s/2) Z(s,a) + e^(-i pi s/2) Z(s,a')]."""
     s = point.s
     with ctx.working(10):
-        half_is = mp.expjpi(s / 2)
         f = periodic_zeta_direct(point, ctx)
-        rhs = mp.gamma(s) / (2 * mp.pi) ** s * (
-            half_is * hurwitz_zeta_direct(s, point.a, ctx)
-            + hurwitz_zeta_direct(s, point.a_prime, ctx) / half_is)
+        rhs = mp.gamma(s) / (2 * mp.pi) ** s * point.combine(
+            hurwitz_zeta_direct(s, point.a, ctx),
+            hurwitz_zeta_direct(s, point.a_prime, ctx), ctx)
         ft = f_tilde_reference(point, ctx)
-        combo = (2 * mp.pi) ** (-s) * (
-            half_is * z_reference(s, point.a, ctx)
-            + z_reference(s, point.a_prime, ctx) / half_is)
+        combo = (2 * mp.pi) ** (-s) * point.combine(
+            z_reference(s, point.a, ctx), z_reference(s, point.a_prime, ctx),
+            ctx)
         return abs(f - rhs) / (1 + abs(f)), abs(ft - combo) / (1 + abs(ft))
 
 

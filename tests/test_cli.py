@@ -174,3 +174,31 @@ def test_out_of_range_sweep_input_is_config_error(capsys, argv, flag):
                          "--theta", "0.49:0.51:2")
     assert code == EXIT_CONFIG
     assert f"config error: {flag} must be >= 1" in err and out == ""
+
+
+
+SWEEP_ARGS = {"--n": "1", "--abs-a": "6", "--s": "3",
+              "--theta": "0.49:0.51:2"}
+
+
+def _sweep_with(flag, value):
+    args = dict(SWEEP_ARGS, **{flag: value})
+    return ("sweep",) + tuple(x for item in args.items() for x in item)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_sweep_with("--s", "1,2,3"), "expected RE or RE,IM"),
+    (_sweep_with("--s", "x"), "unparseable complex number"),
+    (_sweep_with("--abs-a", "x"), "unparseable --abs-a"),
+    (_sweep_with("--theta", "0.3:0.7"), "expected LO:HI:COUNT"),
+    (_sweep_with("--theta", "a:b:c"), "unparseable theta range"),
+    (_sweep_with("--theta", "0.3:0.7:1"), "at least 2 points"),
+    (("terminant", "--nu", "3", "--z", "x:1"), "unparseable polar value"),
+    (("terminant", "--nu", "3", "--z=-1:0"), "modulus must be positive"),
+    (_sweep_with("--digits", "20"), "digits must be >= 30"),
+])
+def test_bad_input_is_config_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and message in err
+    assert out == ""

