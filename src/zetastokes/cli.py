@@ -131,9 +131,12 @@ def _context(digits: int) -> PrecisionContext:
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _nstr(value, digits: int) -> str:
@@ -252,9 +255,8 @@ def run_validate(args) -> int:
     report = run_validation(ctx)
     print(report.format_text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_output(json.dumps(report.to_dict(), indent=2) + "\n",
+                      args.json)
     return EXIT_OK if report.passed else EXIT_CHECK
 
 

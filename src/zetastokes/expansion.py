@@ -254,11 +254,12 @@ def script_r_k(k: int, point: ZetaPoint, nk: int, nk_prime: int,
                              ctx)
 
 
-def optimal_plan(s, point: ZetaPoint, k_max: int,
+def optimal_plan(point: ZetaPoint, k_max: int,
                  ctx: PrecisionContext) -> TruncationPlan:
-    """Plan with least-term indices for every scale up to k_max, both rays."""
-    nk = tuple(optimal_truncation(k, s, point.a, ctx)
+    """Plan with least-term indices for every scale up to k_max, both rays,
+    at the point's s."""
+    nk = tuple(optimal_truncation(k, point.s, point.a, ctx)
                for k in range(1, k_max + 1))
-    nkp = tuple(optimal_truncation(k, s, point.a_prime, ctx)
+    nkp = tuple(optimal_truncation(k, point.s, point.a_prime, ctx)
                 for k in range(1, k_max + 1))
     return TruncationPlan(nk, nkp, k_max)

@@ -114,6 +114,12 @@ def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, n1: int, n1p: int,
         return mp.exp(-2 * mp.pi * mpc(0, 1) * point.a.value()) * brace
 
 
+def _require_scales(plan: TruncationPlan, n: int) -> None:
+    if plan.k_max < n:
+        raise DomainError(
+            f"plan carries {plan.k_max} scales but the extraction needs {n}")
+
+
 def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
                       plan: TruncationPlan | None = None) -> MultiplierSample:
     """Extract S_n(theta) by peeling blocks k <= n and exponentials k < n.
@@ -130,10 +136,8 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
         raise DomainError("n must be >= 1")
     s = point.s
     if plan is None:
-        plan = optimal_plan(s, point, n, ctx)
-    if plan.k_max < n:
-        raise DomainError(
-            f"plan carries {plan.k_max} scales but the extraction needs {n}")
+        plan = optimal_plan(point, n, ctx)
+    _require_scales(plan, n)
     with ctx.working(10):
         ft = f_tilde_reference(point, ctx)
         im_a = point.a.modulus * mp.sin(point.a.argument)
@@ -239,7 +243,8 @@ def sweep(n: int, abs_a, s, theta_range, ctx: PrecisionContext,
     otherwise least-term plans are re-derived per point because |a'| varies
     with theta.  A failed point is reported through its ``error`` field,
     never dropped; arguments that no point could take (n < 1, |a| < 1, a
-    bad theta range) raise DomainError before any point is computed.
+    bad theta range, a plan with fewer than n scales) raise DomainError
+    before any point is computed.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -250,6 +255,8 @@ def sweep(n: int, abs_a, s, theta_range, ctx: PrecisionContext,
         raise DomainError("sweep needs at least two points")
     if not (0 < lo < hi < math.pi):
         raise DomainError("theta range must satisfy 0 < lo < hi < pi")
+    if plan is not None:
+        _require_scales(plan, n)
     samples = []
     for j in range(count):
         with ctx.working(10):

@@ -176,7 +176,7 @@ def _suite_reflection(report: ValidationReport, ctx: PrecisionContext,
             worst_f = max(worst_f, res_f)
             worst_ft = max(worst_ft, res_ft)
     report.add("periodic-zeta reflection", worst_f, ctx.tol(),
-               "geometric sum vs the two-zeta combination")
+               "polylog vs the two-zeta combination")
     report.add("subtracted reflection", worst_ft, ctx.tol(),
                "Ftilde vs the two-Z combination")
 

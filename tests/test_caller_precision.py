@@ -8,7 +8,8 @@ from zetastokes.expansion import (TruncationPlan, bernoulli_series,
                                   z_improved)
 from zetastokes.hp import PrecisionContext, RayComplex
 from zetastokes.oracle import (ZetaPoint, f_tilde_reference,
-                               hurwitz_zeta_direct, z_reference)
+                               hurwitz_zeta_direct, periodic_zeta_direct,
+                               z_reference)
 from zetastokes.stokes import stokes_multiplier
 
 CTX = PrecisionContext(digits=60)
@@ -27,6 +28,7 @@ CASES = {
     "bernoulli_series": lambda: bernoulli_series(S, A, N, CTX),
     "z_improved": lambda: z_improved(
         S, A, TruncationPlan((N,), (N,), 1), CTX),
+    "periodic_zeta_direct": lambda: periodic_zeta_direct(POINT, CTX),
     "f_tilde_reference": lambda: f_tilde_reference(POINT, CTX),
     "stokes_multiplier": lambda: stokes_multiplier(1, POINT, CTX).exact,
 }

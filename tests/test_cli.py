@@ -202,3 +202,16 @@ def test_bad_input_is_config_error(capsys, argv, message):
     assert code == EXIT_CONFIG
     assert err.startswith("config error: ") and message in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("table1", "--out"),
+    _sweep_with("--digits", "30") + ("--out",),
+    ("validate", "--json"),
+], ids=["table1", "sweep", "validate"])
+def test_unwritable_output_is_config_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: cannot write ")
+    assert not path.exists()

@@ -294,7 +294,7 @@ class TestPlans:
     def test_optimal_plan_monotone(self, ctx):
         a = _ray(6, 0.45, ctx)
         pt = ZetaPoint.create(mpc(3), a, ctx)
-        plan = optimal_plan(mpc(3), pt, 3, ctx)
+        plan = optimal_plan(pt, 3, ctx)
         assert plan.nk[0] < plan.nk[1] < plan.nk[2]
         assert plan.nk_prime[0] < plan.nk_prime[1] < plan.nk_prime[2]
 

@@ -6,6 +6,7 @@ from zetastokes.hp import PrecisionContext, RayComplex
 from zetastokes.oracle import (ZetaPoint, f_tilde_reference,
                                hurwitz_zeta_direct, periodic_zeta_direct,
                                z_reference)
+from zetastokes.validate import reflection_residuals
 
 
 def _point(s, modulus, arg_over_pi, ctx):
@@ -87,14 +88,41 @@ class TestZReference:
 
 
 class TestPeriodicZeta:
-    def test_closed_form_s3(self, ctx):
+    # |a| = 1 at the ends of the theta scan has |q| = 0.674; near the real
+    # axis |q| = 0.996, where the defining sum converges slowly
+    @pytest.mark.parametrize("mod,argpi", [
+        (6, 0.45), (1, 0.02), (1, 0.98), (1, 0.0002)])
+    def test_closed_form_s3(self, mod, argpi, ctx):
         # sum k^2 q^k = q(1+q)/(1-q)^3
-        pt = _point(3, 6, 0.45, ctx)
+        pt = _point(3, mod, argpi, ctx)
         with ctx.working(10):
             q = mp.exp(2 * mp.pi * mpc(0, 1) * pt.a.value())
             closed = q * (1 + q) / (1 - q) ** 3
             ours = periodic_zeta_direct(pt, ctx)
             assert abs(ours - closed) <= ctx.tol() * (1 + abs(closed))
+
+    @pytest.mark.parametrize("argpi", [0.02, 0.98, 0.0002])
+    @pytest.mark.parametrize("s", [mpc(2, 0.5), mpc("1.6"), mpc(2, 30)],
+                             ids=["2+0.5i", "1.6", "2+30i"])
+    def test_reflection_at_scan_edge(self, s, argpi, ctx):
+        # F against the two Hurwitz values: the one check of the periodic
+        # oracle that does not go through polylog (at s = 2, polylog itself
+        # takes the closed form q/(1-q)^2)
+        pt = _point(s, 1, argpi, ctx)
+        res_f, res_ft = reflection_residuals(pt, ctx)
+        assert res_f <= ctx.tol()
+        assert res_ft <= ctx.tol()
+
+    def test_rejects_lower_halfplane_a(self, ctx):
+        # create() admits only arg a in (0, pi); a point built around it
+        # still meets the oracle's own Im(a) > 0 check
+        with ctx.working(10):
+            a = RayComplex(mpf(6), mpf("-0.5") * mp.pi)
+            pt = ZetaPoint(s=mpc(3), a=a,
+                           a_prime=RayComplex.from_value(1 - a.value()),
+                           theta=a.argument)
+        with pytest.raises(DivergenceError):
+            periodic_zeta_direct(pt, ctx)
 
     def test_closed_form_s2(self, ctx):
         # sum k q^k = q/(1-q)^2

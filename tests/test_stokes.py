@@ -152,10 +152,12 @@ class TestSweep:
         assert all(s.error is not None for s in samples)
         assert all("InsufficientPrecisionError" in s.error for s in samples)
 
-    @pytest.mark.parametrize("n,abs_a", [(1, 0.5), (0, 6)])
+    @pytest.mark.parametrize("n,abs_a", [(1, 0.5), (0, 6), (2, 6)])
     def test_rejects_bad_arguments_up_front(self, n, abs_a, monkeypatch):
         # raised before any point is computed: the failed-point branch
-        # could not report these, since erf_approx rejects them as well
+        # could not report the first two, since erf_approx rejects them as
+        # well, and would record the same error at every point for the
+        # third, whose one-scale plan cannot give S_2
         def no_point(*args, **kwargs):
             raise AssertionError("a point was computed")
 
@@ -163,7 +165,7 @@ class TestSweep:
         monkeypatch.setattr(stokes.ZetaPoint, "create", no_point)
         with pytest.raises(DomainError):
             sweep(n, abs_a, mpc(3), (0.49 * math.pi, 0.51 * math.pi, 2),
-                  PrecisionContext(30))
+                  PrecisionContext(30), plan=TruncationPlan((17,), (17,), 1))
 
     def test_rejects_bad_range(self, ctx):
         with pytest.raises(DomainError):
