@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -128,6 +129,20 @@ def _context(digits: int) -> PrecisionContext:
         raise ConfigError(str(exc)) from exc
 
 
+def _require_writable(path: str | None) -> None:
+    """Reject an output path whose directory is missing or not writable,
+    before any work.  It creates and truncates nothing; ``_write_output``
+    still reports a write that fails later."""
+    if path is None:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path!r}: no directory {directory!r}")
+    if not os.access(directory, os.W_OK):
+        raise ConfigError(f"cannot write {path!r}: directory {directory!r} "
+                          "is not writable")
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -150,6 +165,7 @@ def _csv(header, rows) -> str:
 
 
 def run_table1(args) -> int:
+    _require_writable(args.out)
     rows = []
     results = []
     for abs_a in TABLE1_ABS_A:
@@ -212,6 +228,7 @@ def run_sweep(args) -> int:
         lo, hi, count = _parse_theta(args.theta)
         plan = None
         plan_source = "least-term (per point)"
+    _require_writable(args.out)
     samples = sweep(n, abs_a, s,
                     (lo * math.pi, hi * math.pi, count), ctx, plan=plan)
     rows = []
@@ -252,6 +269,7 @@ def run_sweep(args) -> int:
 
 def run_validate(args) -> int:
     ctx = _context(args.digits)
+    _require_writable(args.json)
     report = run_validation(ctx)
     print(report.format_text())
     if args.json:

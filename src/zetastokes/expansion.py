@@ -31,8 +31,8 @@ from itertools import accumulate
 from mpmath import mp, mpf, mpc
 
 from .errors import DomainError, TailBoundError
-from .hp import (PrecisionContext, RayComplex, bernoulli_even, gamma_complex,
-                 hurwitz_zeta_integer, ray_powers)
+from .hp import (MIN_DIGITS, PrecisionContext, RayComplex, bernoulli_even,
+                 gamma_complex, hurwitz_zeta_integer, ray_powers)
 from .oracle import ZetaPoint
 from .terminant import TerminantQuery, terminant
 
@@ -183,15 +183,19 @@ def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
 
 
 def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
-    """nlist followed by max(prev, optimal_truncation(k)) for each added
-    scale k, whose remainder then decays like e^(-2 pi k |Im a|).
+    """(nlist extended into the tail, its excess over the budget).
 
-    Scales are added until the dropped tail -- its first omitted term
-    |A_prev| zeta(2 prev+2, k+1)/pi plus the exponential bound
-    2 (k+1)^max(Re s-1, 0) e^(-2 pi (k+1) |Im a|) -- falls below tol/100
-    times the leading block |A_0| zeta(2)/pi, the rule taken in logs at 20
-    digits.  ``leading_blocks`` over the result carries the raised indices
-    exactly (the per-scale truncation invariance of the expansion).
+    Each added scale k takes max(prev, optimal_truncation(k)), so its
+    remainder then decays like e^(-2 pi k |Im a|).  Scales are added until
+    the dropped tail -- its first omitted term |A_prev| zeta(2 prev+2, k+1)/pi
+    plus the exponential bound 2 (k+1)^max(Re s-1, 0) e^(-2 pi (k+1) |Im a|)
+    -- falls below the budget, tol/100 times the leading block
+    |A_0| zeta(2)/pi, the rule taken in logs at 20 digits.  The second item
+    holds, for each added scale, log10(estimate/budget) of the tail
+    estimate that added it, always >= 0: ``z_improved`` sizes that scale's
+    remainder by it.  ``leading_blocks`` over the extended list carries the
+    raised indices exactly (the per-scale truncation invariance of the
+    expansion).
     """
     s = mpc(s)
     with ctx.working(10):
@@ -208,15 +212,32 @@ def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
                          + mp.log(mp.zeta(2 * r + 2, b) / mp.pi))
 
     log_budget = float(mp.log(ctx.tol() / 100)) + log_alg(0, 1)
-    out = list(nlist)
+    out, excess = list(nlist), []
     for b in range(len(out) + 1, len(out) + 302):
         x = log_alg(out[-1], b)
         y = math.log(2) + power * math.log(b) - 2 * math.pi * b * im_abs
-        if max(x, y) + math.log1p(math.exp(-abs(x - y))) < log_budget:
-            return tuple(out)
+        log_tail = max(x, y) + math.log1p(math.exp(-abs(x - y)))
+        if log_tail < log_budget:
+            return tuple(out), tuple(excess)
         out.append(max(out[-1], optimal_truncation(b, s, a, ctx)))
+        excess.append((log_tail - log_budget) / math.log(10))
     raise TailBoundError("remainder tail did not clear the budget within "
                          "300 extension scales")
+
+
+# Digits an added scale's remainder must carry beyond its excess over the
+# budget.  Added scale b contributes b^(s-1) R_b, and |b^(s-1) R_b| <= rho E
+# with E the tail estimate that added it; remainder_rk's two terminant
+# terms cancel by at most a factor C.  At ctx.reduced(d) upper_gamma's
+# check holds each terminant to 10^-(d + 20) relative, so with
+# d >= log10(E/budget) + margin the scale is off by at most
+# rho C 10^-(margin + 20) budget, and the at most 300 added scales by
+# 300 rho C 10^-(margin + 20) budget.  Over 774 added scales (s = 3,
+# 2+0.5i, 1.6, 4, 6-2i; arg a/pi = 0.2 to 0.8; |a| = 3, 6, 9; plans
+# (2,2), (7,7), (3,9)) rho < 1.1 and C < 1.4, so 3 digits make
+# 300 rho C < 10^3: the extension's rounding stays the 20 guard digits
+# below the budget that its truncation already spends.
+TAIL_MARGIN = 3
 
 
 def z_improved(s, a: RayComplex, plan: TruncationPlan,
@@ -224,22 +245,29 @@ def z_improved(s, a: RayComplex, plan: TruncationPlan,
     """Z(s,a) from the exponentially improved expansion; exact for any plan.
 
     (2 pi)^s [leading_blocks(extended) + sum_k k^(s-1) R_k(a; extended_k)]
-    over the plan's a-indices extended by ``extend_plan``.  A constant plan,
-    ``TruncationPlan.constant(N, k_max)``, is the paper's common-truncation
-    form: its blocks are the Poincare series through B_{2N} divided by
-    (2 pi)^s.
+    over the plan's a-indices extended by ``extend_plan``.  The plan's own
+    remainders run at ctx.  Each added scale's remainder only has to be
+    right to the budget, so it runs at ``ctx.reduced(d)`` with
+    d = log10(estimate/budget) + TAIL_MARGIN digits, never below
+    ``hp.MIN_DIGITS``: fewer working digits, the caller's tolerance and
+    near-integer band.  A constant plan, ``TruncationPlan.constant(N,
+    k_max)``, is the paper's common-truncation form: its blocks are the
+    Poincare series through B_{2N} divided by (2 pi)^s.
     """
     s = mpc(s)
     if abs(s.imag) < ctx.tol():
         nearest = round(float(s.real))
         if nearest <= -1 and abs(s - nearest) < ctx.tol():
             raise DomainError("s must not be -1, -2, ...")
-    nlist = extend_plan(s, a, plan.nk, ctx)
+    nlist, excess = extend_plan(s, a, plan.nk, ctx)
+    contexts = [ctx] * len(plan.nk) + [
+        ctx.reduced(max(MIN_DIGITS, math.ceil(e) + TAIL_MARGIN))
+        for e in excess]
     with ctx.working(10):
         total = leading_blocks(s, a, nlist, ctx)
-        for k, n in enumerate(nlist, start=1):
+        for k, (n, kctx) in enumerate(zip(nlist, contexts), start=1):
             total += mp.exp((s - 1) * mp.log(k)) \
-                * remainder_rk(k, s, a, n, ctx)
+                * remainder_rk(k, s, a, n, kctx)
         return (2 * mp.pi) ** s * total
 
 

@@ -28,6 +28,9 @@ from mpmath import mp, mpf, mpc
 from .errors import DomainError, PoleError
 
 
+MIN_DIGITS = 30
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working precision in decimal digits plus a fixed 20 guard digits.
@@ -40,8 +43,24 @@ class PrecisionContext:
     guard: int = field(default=20, init=False)
 
     def __post_init__(self):
-        if self.digits < 30:
-            raise ValueError(f"digits must be >= 30, got {self.digits}")
+        if self.digits < MIN_DIGITS:
+            raise ValueError(
+                f"digits must be >= {MIN_DIGITS}, got {self.digits}")
+
+    def reduced(self, digits: int) -> "PrecisionContext":
+        """This context working at the precision of
+        ``PrecisionContext(digits)``, if that is lower.
+
+        Only the working precision drops: ``self.digits``, and with it the
+        tolerance 10^(-digits+10) and the near-integer band of a terminant
+        order, stay the caller's, so a value needed to fewer digits is
+        classified like every other.  The guard takes up the difference
+        and may go negative.
+        """
+        out = PrecisionContext(self.digits)
+        object.__setattr__(out, "guard",
+                           min(self.guard, digits + out.guard - self.digits))
+        return out
 
     def tol(self) -> mpf:
         with mp.workdps(self.digits + self.guard):

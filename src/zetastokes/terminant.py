@@ -2,9 +2,16 @@
 
 T_nu(z) = e^(pi i nu) Gamma(nu)/(2 pi i) * Gamma(1-nu, z), evaluated on the
 branch carried by the ray argument of z.  The incomplete gamma function is
-computed from one everywhere-convergent series at inflated working
-precision (the series suffers cancellation of order e^|z|), taken to its
-finite limit at nonpositive integer order.  The series is summed in fixed
+computed from one everywhere-convergent series, taken to its finite limit
+at nonpositive integer order.  The series cancels: its largest addends
+exceed the value by about e^(|z| + Re z), so it runs at a working precision
+inflated by max(|z| + Re z, 0)/ln 10 + 10 digits, plus log10(1/d) within d
+of a pole of Gamma(alpha).  The inflation is checked after the fact:
+``upper_gamma`` takes the digits actually lost,
+log10(max(|head|, |z^alpha| peak) / |value|) with head Gamma(alpha) or its
+finite limit and peak the largest addend, from binary exponents, and raises
+IllConditionedError when they exceed the inflation, so every value it
+returns carries digits + guard digits.  The series is summed in fixed
 point: real and imaginary parts are Python ints scaled by 2^wp, with wp the
 bits of the inflated digits plus guard bits sized by an a-priori error
 bound, so its hundreds of terms cost integer products rather than mpmath
@@ -57,11 +64,15 @@ def _integer_order(alpha: mpc, ctx: PrecisionContext):
 
 
 def _series_inflation(z: RayComplex) -> int:
-    # the convergent series loses ~ (|z| + max(Re z, 0))/ln 10 digits to
-    # cancellation
+    # the convergent series loses ~ max(|z| + Re z, 0)/ln 10 digits to
+    # cancellation: its largest addends reach |z^alpha| e^|z| against a
+    # value of size |z^alpha| e^(-Re z)/|z| (DLMF 8.11.2), so on the
+    # Re z < 0 side almost nothing is lost.  upper_gamma checks the loss
+    # after the fact, so a rule that is too small raises instead of
+    # returning noise.
     m = float(z.modulus)
     re_z = m * math.cos(float(z.argument))
-    return int(math.ceil((m + max(re_z, 0.0)) / math.log(10))) + 10
+    return int(math.ceil(max(m + re_z, 0.0) / math.log(10))) + 10
 
 
 def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
@@ -71,7 +82,8 @@ def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
     Real and imaginary parts are Python ints scaled by 2^wp.  The sum stops
     at the first m > |z| (m > m_floor) whose addend c has
     |c| < 10^(5-dps) peak, peak the largest |c| so far, compared through
-    squared magnitudes.  Returns the sum as an mpc (exact, unrounded).
+    squared magnitudes.  Returns the sum as an mpc (exact, unrounded) and
+    peak^2 in units of 2^(-2 wp).
     """
     zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
     ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
@@ -97,8 +109,19 @@ def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
         if c2 > peak2:
             peak2 = c2
         elif m > m_floor and c2 * tol2 < peak2:
-            return mp.make_mpc((from_man_exp(sr, -wp), from_man_exp(si, -wp)))
+            return mp.make_mpc((from_man_exp(sr, -wp),
+                                from_man_exp(si, -wp))), peak2
     raise ConvergenceError("incomplete gamma series did not converge")
+
+
+def _digits_lost(head, zpow, peak2: int, wp: int, value) -> float:
+    """log10(max(|head|, |zpow| peak) / |value|), the digits that
+    head - zpow sum lost to cancellation, from binary exponents alone (to
+    within about two bits); peak2 is the squared peak addend of the sum in
+    units of 2^(-2 wp).  A zero value has lost them all (inf)."""
+    peak_mag = (peak2.bit_length() + 1) // 2 - wp
+    bits = max(mp.mag(head), mp.mag(zpow) + peak_mag) - mp.mag(value)
+    return float(bits) * math.log10(2)
 
 
 def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
@@ -108,14 +131,23 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     At alpha = -n, n = 0, 1, ..., the m = n term is dropped and Gamma(alpha)
     becomes its finite limit (-1)^n/n! (psi(n+1) - log z), with log z taken
     on the ray (DLMF 8.4.15).  The series is summed in fixed point by
-    ``_fixed_series``.
+    ``_fixed_series``; IllConditionedError if it lost more digits to
+    cancellation than the inflation it carried.
     """
     alpha = mpc(alpha)
     if z.modulus <= 0:
         raise DomainError("upper_gamma requires |z| > 0")
     order = _integer_order(alpha, ctx)
     n = -order if order is not None and order <= 0 else None
-    extra = _series_inflation(z)
+    nearest = round(float(alpha.real))
+    # d = |alpha - nearest| < 2^dmag; d counts as 1 at integer alpha
+    dmag = 0 if order is not None else mp.mag(alpha - nearest)
+    # Within d < 1 of a pole -n <= 0 of Gamma, Gamma(alpha) and the addend
+    # m = n are both 1/d times their size elsewhere and cancel, so the value
+    # loses log10(1/d) digits more than _series_inflation counts; the floor
+    # leaves the fraction to its 10-digit cushion
+    pole = int(-dmag * math.log10(2)) if nearest <= 0 and dmag < 0 else 0
+    extra = _series_inflation(z) + pole
     dps = ctx.digits + ctx.guard + extra
     # Error bound of _fixed_series, in units u = 2^-wp.  z and alpha are
     # stored to within sqrt(2) u, and every shift or floor division
@@ -133,18 +165,25 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     # m = n term is skipped), and _integer_order keeps d above
     # 10^(-digits/2) otherwise.
     zbits = max(0, 2 - mp.mag(z.modulus))
-    dbits = 0 if order is not None else \
-        max(0, 2 - mp.mag(alpha - round(float(alpha.real))))
+    dbits = 0 if order is not None else max(0, 2 - dmag)
     wp = dps_to_prec(dps) + 40 + 2 * zbits + max(0, mp.mag(alpha)) + dbits
     with ctx.working(extra):
         zpow = pow_ray(z, alpha, ctx, extra=extra)
-        total = _fixed_series(alpha, z.value(), n, dps, wp,
-                              int(mp.floor(z.modulus)))
+        total, peak2 = _fixed_series(alpha, z.value(), n, dps, wp,
+                                     int(mp.floor(z.modulus)))
         if n is None:
-            return mp.gamma(alpha) - zpow * total
-        logz = mp.log(mpf(z.modulus)) + mpc(0, 1) * z.argument
-        return (-1) ** n / mp.factorial(n) * (mp.digamma(n + 1) - logz) \
-            - zpow * total
+            head = mp.gamma(alpha)
+        else:
+            logz = mp.log(mpf(z.modulus)) + mpc(0, 1) * z.argument
+            head = (-1) ** n / mp.factorial(n) * (mp.digamma(n + 1) - logz)
+        value = head - zpow * total
+    lost = _digits_lost(head, zpow, peak2, wp, value)
+    if lost > extra:
+        raise IllConditionedError(
+            f"incomplete gamma series lost {lost:.1f} digits, more than the "
+            f"{extra} it carried, at alpha = {mp.nstr(alpha, 8)}, "
+            f"|z| = {mp.nstr(z.modulus, 8)}, arg z = {mp.nstr(z.argument, 8)}")
+    return value
 
 
 def terminant(q: TerminantQuery, ctx: PrecisionContext) -> mpc:

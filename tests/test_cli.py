@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from zetastokes import cli
 from zetastokes.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -141,6 +142,17 @@ class TestTerminant:
         assert code == EXIT_OK
         assert out.strip().startswith("(0.4")
 
+    def test_gate_output_is_pinned(self, capsys):
+        # every printed digit of the 60-digit value at nu = 30,
+        # z = 30 e^(i pi), the ray where the series inflation is smallest
+        code, out, _ = run(capsys, "terminant", "--nu", "30",
+                           "--z", "30:3.141592653589793")
+        assert code == EXIT_OK
+        assert out == (
+            "(0.499999999999999731658481036287080853472202066453741965662843"
+            " - 0.0487651343492038462228210313701486968498282026226137211600770"
+            "j)\n")
+
     def test_bad_polar(self, capsys):
         code, _, err = run(capsys, "terminant", "--nu", "3", "--z", "5")
         assert code == EXIT_CONFIG
@@ -215,3 +227,20 @@ def test_unwritable_output_is_config_error(capsys, tmp_path, argv):
     assert code == EXIT_CONFIG
     assert err.startswith("config error: cannot write ")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, work", [
+    (("table1", "--out"), "find_minimum"),
+    (("sweep", "--reproduce", "fig1c", "--out"), "sweep"),
+    (("validate", "--json"), "run_validation"),
+], ids=["table1", "sweep", "validate"])
+def test_unwritable_output_rejected_before_computing(capsys, tmp_path,
+                                                     monkeypatch, argv, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before checking the output path")
+    monkeypatch.setattr(cli, work, no_work)
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: cannot write ") and out == ""
+    assert not path.parent.exists()

@@ -222,11 +222,25 @@ class TestExactness:
             assert abs(got - ref) <= ctx.tol() * abs(ref)
 
 
+    def test_nearly_integer_s(self, ctx):
+        # s = 3 + 1e-20 is outside the near-integer band 10^(-digits/2) of
+        # the caller but inside that of PrecisionContext(30): the tail
+        # scale k = 3 runs at fewer working digits, and must still classify
+        # its order 1 - (2 N_3 + s) with the caller's band
+        a = _ray(6, 0.45, ctx)
+        with ctx.working(10):
+            s = mpc(3) + mpf(10) ** -20
+            ref = z_reference(s, a, ctx)
+            got = z_improved(s, a, TruncationPlan((3, 9), (3, 9), 2), ctx)
+            assert abs(got - ref) <= ctx.tol() * abs(ref)
+
+
 class TestExtendPlan:
     @pytest.mark.parametrize("s, mod, arg, plan, want", [
         (mpc(2, 0.5), "3.120626", "0.400927", (7, 7),
-         (7, 7, 28, 38, 48, 58, 67)),
-        (mpc(3), "3.231148", "0.4", (2, 2), (2, 2, 29, 39, 49, 59, 69)),
+         ((7, 7, 28, 38, 48, 58, 67), 1.017)),
+        (mpc(3), "3.231148", "0.4", (2, 2),
+         ((2, 2, 29, 39, 49, 59, 69), 1.062)),
     ])
     def test_decisions_nearest_the_budget(self, s, mod, arg, plan, want,
                                           ctx):
@@ -234,7 +248,12 @@ class TestExtendPlan:
         # scale is added with the tail estimate 1.7% and 6.2% above it, so
         # a looser bound on the dropped tail, such as
         # zeta(m, b) <= b^(-m) (1 + b/(m-1)), stops one scale early at both
-        assert extend_plan(s, _ray(mod, arg, ctx), plan, ctx) == want
+        want_list, last_excess = want
+        nlist, excess = extend_plan(s, _ray(mod, arg, ctx), plan, ctx)
+        assert nlist == want_list
+        assert len(excess) == len(want_list) - len(plan)
+        assert all(e >= 0 for e in excess)
+        assert 10 ** excess[-1] == pytest.approx(last_excess, abs=1e-3)
 
     @pytest.mark.parametrize("arg, match", [
         ("0", r"Im\(a\)"),

@@ -49,6 +49,16 @@ class TestPrecisionContext:
         with c.working(3):
             assert mp.dps == 58
 
+    def test_reduced_lowers_only_the_working_precision(self):
+        c = PrecisionContext(digits=60)
+        low = c.reduced(35)
+        with low.working(3):
+            assert mp.dps == 58
+        assert low.digits == 60 and float(low.tol()) == float(c.tol())
+        assert low != c
+        # never above the caller's working precision
+        assert c.reduced(60) == c and c.reduced(90) == c
+
 
 class TestRayComplex:
     def test_value_matches_polar(self):

@@ -100,6 +100,17 @@ class TestStokesMultiplier:
         assert err.value.required_digits is not None
         assert err.value.required_digits > 30
 
+    @pytest.mark.parametrize("n, modulus", [(2, 6), (2, 8), (3, 6)])
+    def test_required_digits_suffice(self, n, modulus):
+        # the precision contract upward: 30 digits raise, and a re-run at
+        # the digits the error names returns the multiplier
+        ctx30 = PrecisionContext(digits=30)
+        with pytest.raises(InsufficientPrecisionError) as err:
+            stokes_multiplier(n, _point(2, modulus, 0.5, ctx30), ctx30)
+        ctx = PrecisionContext(digits=err.value.required_digits)
+        sample = stokes_multiplier(n, _point(2, modulus, 0.5, ctx), ctx)
+        assert abs(float(sample.exact.real) - sample.approx) < 0.05
+
     def test_short_plan_rejected(self, ctx):
         pt = _point(2, 6, 0.5, ctx)
         with pytest.raises(DomainError):

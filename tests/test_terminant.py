@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -5,10 +6,29 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError, IllConditionedError
-from zetastokes.expansion import optimal_truncation
+from zetastokes.expansion import TruncationPlan, optimal_truncation, z_improved
 from zetastokes.hp import PrecisionContext, RayComplex, pow_ray
 from zetastokes.terminant import (TerminantQuery, c_of_phi, terminant,
                                   terminant_asymptotic, upper_gamma)
+
+# the module, which the package's ``terminant`` function shadows
+terminant_module = importlib.import_module("zetastokes.terminant")
+
+
+def _gammainc_on_ray(alpha, mod, arg):
+    """Gamma(alpha, z) on the ray of argument arg, from mp.gammainc at the
+    principal argument and m turns: e^(2 pi i m alpha) G + (1 - e^(2 pi i m
+    alpha)) Gamma(alpha) (DLMF 8.2.10), at integer order its limit."""
+    turns = round(float(arg) / (2 * math.pi))
+    principal = mp.gammainc(alpha, mod * mp.expj(arg - 2 * mp.pi * turns))
+    if alpha.imag == 0 and alpha.real == int(alpha.real):
+        n = -int(alpha.real)
+        if n < 0:
+            return principal
+        return principal \
+            - 2 * mp.pi * mpc(0, 1) * turns * (-1) ** n / mp.factorial(n)
+    phase = mp.expj(2 * mp.pi * turns * alpha)
+    return phase * principal + (1 - phase) * mp.gamma(alpha)
 
 
 class TestQueryValidation:
@@ -150,6 +170,65 @@ class TestUpperGamma:
             ours = upper_gamma(alpha, z, ctx)
             ref = mp.gammainc(alpha, z.value())
             assert abs(ours - ref) <= mpf(10) ** -ctx.digits * abs(ref)
+
+
+class TestPrecisionCheck:
+    """upper_gamma measures the digits its series lost and raises
+    IllConditionedError when they exceed the inflation it carried."""
+
+    def test_too_little_inflation_raises(self, ctx, monkeypatch):
+        # a pipeline-sized order at |z| = 2 pi 18 on the Re z > 0 ray,
+        # where the series loses about 98 digits: 20 fewer than the rule
+        # gives are too few
+        rule = terminant_module._series_inflation
+        monkeypatch.setattr(terminant_module, "_series_inflation",
+                            lambda z: rule(z) - 20)
+        with ctx.working(10):
+            z = RayComplex(mpf("113.1"), mpf("-0.05") * mp.pi)
+            with pytest.raises(IllConditionedError, match="lost"):
+                upper_gamma(mpc(-111, -0.5), z, ctx)
+
+    @given(mod=st.floats(min_value=1, max_value=250),
+           arg=st.floats(min_value=-2 * math.pi, max_value=2 * math.pi),
+           kind=st.sampled_from(["generic", "integer", "near-integer"]),
+           ratio=st.floats(min_value=0.5, max_value=1.5),
+           sign=st.sampled_from([-1, 1]),
+           im=st.floats(min_value=-3, max_value=3),
+           gap=st.integers(min_value=1, max_value=14))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_values_match_gammainc(self, ctx_fast, mod, arg, kind, ratio,
+                                   sign, im, gap):
+        # orders with |alpha| ~ |z| on |arg z| <= 2 pi; a near-integer
+        # order sits 10^-gap from the integer, outside the 10^-15 band of
+        # 30 digits.  The check must not fire, and the value must agree
+        # with mp.gammainc at twice the working precision.
+        ctx = ctx_fast
+        with mp.workdps(2 * (ctx.digits + ctx.guard)):
+            n = round(sign * ratio * mod)
+            alpha = {"generic": mpc(sign * ratio * mod, im),
+                     "integer": mpc(n),
+                     "near-integer": mpc(n) + sign * mpf(10) ** -gap}[kind]
+            ours = upper_gamma(alpha, RayComplex(mpf(mod), mpf(arg)), ctx)
+            ref = _gammainc_on_ray(alpha, mpf(mod), mpf(arg))
+            assert abs(ours - ref) <= \
+                mpf(10) ** -(ctx.digits + ctx.guard - 10) * abs(ref)
+
+    def test_never_fires_on_the_exactness_grid(self, ctx, monkeypatch):
+        # every terminant of the 27 points under the three plans of
+        # acceptance criterion 2, extension scales included, would pass the
+        # check with 5 more digits lost
+        lost = terminant_module._digits_lost
+        monkeypatch.setattr(terminant_module, "_digits_lost",
+                            lambda *args: lost(*args) + 5)
+        plans = [TruncationPlan.constant(2, 2), TruncationPlan.constant(7, 2),
+                 TruncationPlan((3, 9), (3, 9), 2)]
+        with ctx.working(10):
+            for s in (mpc(3), mpc(2, 0.5), mpc("1.6")):
+                for argpi in ("0.40", "0.50", "0.60"):
+                    for mod in (3, 6, 9):
+                        a = RayComplex(mpf(mod), mpf(argpi) * mp.pi)
+                        for plan in plans:
+                            z_improved(s, a, plan, ctx)
 
 
 class TestTerminant:
