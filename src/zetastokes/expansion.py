@@ -16,10 +16,12 @@ least-term indices until the dropped tail clears the budget, and
 
 Only the power of a depends on theta.  The block sums take the
 coefficients of one ray as one list, ``a_r_coefficients``, whose powers
-come from one ``hp.ray_powers`` call; ``bernoulli_series`` takes its powers
-of a the same way and memoizes the theta-independent factor
-B_{2r}/(2r)! Gamma(2r+s-1) on (r, s, ctx).  Each value keeps the bits of a
-term-by-term evaluation.
+come from one ``hp.ray_powers`` call, and each keeps the bits of a
+term-by-term evaluation.  ``bernoulli_series`` takes only a^(-1-s) and
+a^(-2) from ``ray_powers`` and sums by Horner's rule in a^(-2), with the
+theta-independent factor B_{2r}/(2r)! Gamma(2r+s-1) memoized on
+(r, s, ctx); its powers of a thus never come from the per-term
+exponentials behind A_r.
 """
 from __future__ import annotations
 
@@ -97,7 +99,8 @@ def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
     if k < 1:
         raise DomainError("k must be >= 1")
     if a.modulus < 1:
-        raise DomainError("optimal truncation needs |a| >= 1")
+        raise DomainError("optimal truncation needs a ray of modulus >= 1, "
+                          f"got {mp.nstr(a.modulus, 6)}")
     s = complex(s)
     bound = (2 * math.pi * k * float(a.modulus)) ** 2
     r = 1
@@ -171,15 +174,17 @@ def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
 
     Term by term it equals (2 pi)^s leading_blocks(s, a, (N,)), but it is
     built from Bernoulli numbers instead of A_r and zeta(2r+2): it is the
-    independent side of the S_1 cross-check in ``stokes``."""
+    independent side of the S_1 cross-check in ``stokes``.  It is summed as
+    a^(-1-s) sum_r c_r (a^-2)^(r-1) by Horner's rule from r = N down to 1,
+    with c_r the memoized ``_bernoulli_factor`` and the two powers of a
+    from one ``ray_powers`` call: one multiply-add per term."""
     s = mpc(s)
     with ctx.working(10):
-        powers = ray_powers(a, [1 - (2 * r + s) for r in range(1, n + 1)],
-                            ctx)
+        lead, step = ray_powers(a, [-1 - s, -2], ctx)
         total = mpc(0)
-        for r, p in enumerate(powers, start=1):
-            total += _bernoulli_factor(r, s, ctx) * p
-        return total
+        for r in range(n, 0, -1):
+            total = total * step + _bernoulli_factor(r, s, ctx)
+        return total * lead
 
 
 def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
@@ -285,9 +290,15 @@ def script_r_k(k: int, point: ZetaPoint, nk: int, nk_prime: int,
 def optimal_plan(point: ZetaPoint, k_max: int,
                  ctx: PrecisionContext) -> TruncationPlan:
     """Plan with least-term indices for every scale up to k_max, both rays,
-    at the point's s."""
-    nk = tuple(optimal_truncation(k, point.s, point.a, ctx)
-               for k in range(1, k_max + 1))
-    nkp = tuple(optimal_truncation(k, point.s, point.a_prime, ctx)
-                for k in range(1, k_max + 1))
-    return TruncationPlan(nk, nkp, k_max)
+    at the point's s.  A ray that admits no such index is named in the
+    ``DomainError``: near the real axis |a'| = |1 - a| drops below 1 while
+    |a| does not."""
+    def indices(ray, name):
+        try:
+            return tuple(optimal_truncation(k, point.s, ray, ctx)
+                         for k in range(1, k_max + 1))
+        except DomainError as exc:
+            raise DomainError(f"on the ray {name}: {exc}") from exc
+
+    return TruncationPlan(indices(point.a, "a"),
+                          indices(point.a_prime, "a' = 1 - a"), k_max)

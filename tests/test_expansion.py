@@ -37,6 +37,13 @@ def _power(base, exponent, ctx, extra=0):
         return mp.exp(mpc(exponent) * logz)
 
 
+def _bernoulli_term_factor(r, s, ctx):
+    # B_{2r}/(2r)! Gamma(2r+s-1), under the caller's ctx.working(10)
+    b = bernoulli_even(r)
+    return (mpf(b.numerator) / b.denominator) / mp.factorial(2 * r) \
+        * gamma_complex(2 * r + s - 1, ctx)
+
+
 class TestTruncationPlan:
     def test_constant(self):
         p = TruncationPlan.constant(5, 3)
@@ -107,19 +114,41 @@ class TestBatchBits:
     @pytest.mark.parametrize("s, dps", [(s, 15) for s in S_VALUES]
                              + [(FINE_S, FINE_DPS)])
     def test_bernoulli_series(self, s, dps, arg, n, ctx):
+        # Horner's rule in a^-2 from r = N down to 1, times a^(-1-s)
         a = _ray(8, arg, ctx)
         with mp.workdps(dps):
             got = bernoulli_series(s, a, n, ctx)
             s = mpc(s)
         with ctx.working(10):
+            lead = _power(a, -1 - s, ctx)
+            step = _power(a, -2, ctx)
             want = mpc(0)
-            for r in range(1, n + 1):
-                b = bernoulli_even(r)
-                want += (mpf(b.numerator) / b.denominator) \
-                    / mp.factorial(2 * r) \
-                    * gamma_complex(2 * r + s - 1, ctx) \
-                    * _power(a, 1 - (2 * r + s), ctx)
+            for r in range(n, 0, -1):
+                want = want * step + _bernoulli_term_factor(r, s, ctx)
+            want = want * lead
         assert bits(got) == bits(want)
+
+
+class TestBernoulliSeriesAccuracy:
+    """Horner's sum against the per-term form, one power a^(1-2r-s) per
+    term, including |a| = 1, where |a^-2| = 1 and no term decays."""
+
+    @pytest.mark.parametrize("mod", [1, 1.5, 8, 20])
+    @pytest.mark.parametrize("s", S_VALUES + [mpc(2, 30)])
+    def test_matches_per_term_form(self, s, mod, ctx):
+        for arg in (0.02, 0.3, 0.55, 0.98):
+            a = _ray(mod, arg, ctx)
+            for n in (1, 5, 25, 60):
+                got = bernoulli_series(s, a, n, ctx)
+                with ctx.working(10):
+                    powers = ray_powers(
+                        a, [1 - (2 * r + s) for r in range(1, n + 1)], ctx)
+                    terms = [_bernoulli_term_factor(r, s, ctx) * p
+                             for r, p in enumerate(powers, start=1)]
+                    want = mp.fsum(terms)
+                    scale = mp.fsum(abs(t) for t in terms)
+                    assert abs(got - want) <= mpf("1e-75") * scale, \
+                        (mod, arg, n)
 
 
 class TestOptimalTruncation:
@@ -140,7 +169,7 @@ class TestOptimalTruncation:
         assert abs(n3 - 3 * math.pi * 10) < 6
 
     def test_rejects_small_modulus(self, ctx):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"modulus >= 1, got 0\.5\b"):
             optimal_truncation(1, mpc(3), _ray(0.5, 0.5, ctx), ctx)
 
     @pytest.mark.parametrize("k", [1, 4, 9])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from mpmath import mp, mpf, mpc
@@ -7,7 +8,7 @@ from zetastokes.errors import (DomainError, IllConditionedError,
                                InsufficientPrecisionError)
 from zetastokes.expansion import TruncationPlan
 from zetastokes.hp import PrecisionContext, RayComplex
-from zetastokes import stokes
+from zetastokes import expansion, stokes
 from zetastokes.oracle import ZetaPoint
 from zetastokes.stokes import (MinimumResult, MultiplierSample, erf_approx,
                                find_minimum, stokes_multiplier, sweep)
@@ -133,6 +134,44 @@ class TestStokesMultiplier:
         assert len(samples) == 2
         assert all(s.exact is None and "IllConditionedError" in s.error
                    for s in samples)
+
+    def test_cross_check_takes_two_powers_per_ray(self, ctx, monkeypatch):
+        # the Bernoulli side sums by Horner's rule from a^(-1-s) and a^-2,
+        # so a fig1b point asks ray_powers for 2 exponents per ray, not one
+        # per term (the plan's 25 + 24)
+        asked = []
+        real = expansion.ray_powers
+
+        def counting(base, exponents, *args, **kwargs):
+            exponents = list(exponents)
+            asked.append((sys._getframe(1).f_code.co_name, len(exponents)))
+            return real(base, exponents, *args, **kwargs)
+
+        monkeypatch.setattr(expansion, "ray_powers", counting)
+        pt = _point(mpc(2, 0.5), 8, 0.5, ctx)
+        stokes_multiplier(1, pt, ctx, plan=TruncationPlan((25,), (24,), 1))
+        bernoulli = [n for caller, n in asked if caller == "bernoulli_series"]
+        assert bernoulli == [2, 2]
+        assert ("a_r_coefficients", 25) in asked
+
+    @pytest.mark.parametrize("s", [mpc(2, 0.5), mpc(3), mpc(1.6)])
+    @pytest.mark.parametrize("arg", [0.02, 0.1, 0.9, 0.98])
+    @pytest.mark.parametrize("modulus", [1, 1.5, 2, 3])
+    def test_scan_bound_edges(self, modulus, arg, s, ctx):
+        # near the real axis |a'| = |1 - a| falls below 1 while |a| >= 1:
+        # the point either returns S_1, its cross-check passed, or names
+        # the ray and the modulus that admit no least-term index
+        pt = _point(s, modulus, arg, ctx)
+        try:
+            sample = stokes_multiplier(1, pt, ctx)
+        except DomainError as exc:
+            assert pt.a_prime.modulus < 1 <= pt.a.modulus
+            assert str(exc).startswith("on the ray a' = 1 - a: ")
+            got = float(str(exc).rsplit("got ", 1)[1])
+            assert got == pytest.approx(float(pt.a_prime.modulus), rel=1e-5)
+        else:
+            assert pt.a_prime.modulus >= 1
+            assert sample.error is None and mp.isfinite(sample.exact)
 
     def test_diagnostics_present(self, ctx):
         pt = _point(3, 6, 0.45, ctx)
