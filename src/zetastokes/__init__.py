@@ -20,8 +20,8 @@ from .oracle import (ZetaPoint, f_tilde_reference, hurwitz_zeta_direct,
                      periodic_zeta_direct, z_reference)
 from .stokes import (MinimumResult, MultiplierSample, erf_approx,
                      find_minimum, stokes_multiplier, sweep)
-from .terminant import (TerminantQuery, c_of_phi, terminant,
-                        terminant_asymptotic, upper_gamma)
+from .terminant import (c_of_phi, terminant, terminant_asymptotic,
+                        upper_gamma)
 from .validate import ValidationReport, run_validation
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "periodic_zeta_direct", "z_reference",
     "MinimumResult", "MultiplierSample", "erf_approx", "find_minimum",
     "stokes_multiplier", "sweep",
-    "TerminantQuery", "c_of_phi", "terminant",
-    "terminant_asymptotic", "upper_gamma",
+    "c_of_phi", "terminant", "terminant_asymptotic", "upper_gamma",
     "ValidationReport", "run_validation",
 ]

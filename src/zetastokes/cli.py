@@ -22,7 +22,7 @@ from .errors import ZetaError
 from .expansion import TruncationPlan
 from .hp import PrecisionContext, RayComplex
 from .stokes import find_minimum, sweep
-from .terminant import TerminantQuery, terminant
+from .terminant import terminant
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -282,7 +282,7 @@ def run_terminant(args) -> int:
     ctx = _context(args.digits)
     nu = _parse_complex(args.nu)
     z = _parse_polar(args.z)
-    value = terminant(TerminantQuery(nu, z), ctx)
+    value = terminant(nu, z, ctx)
     print(_nstr(value, args.digits))
     return EXIT_OK
 

@@ -36,7 +36,7 @@ from .errors import DomainError, TailBoundError
 from .hp import (MIN_DIGITS, PrecisionContext, RayComplex, bernoulli_even,
                  gamma_complex, hurwitz_zeta_integer, ray_powers)
 from .oracle import ZetaPoint
-from .terminant import TerminantQuery, terminant
+from .terminant import terminant
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,8 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
         nu = 2 * nk + s
         halfpi = mp.pi / 2
         mod = 2 * mp.pi * k * a.modulus
-        t_plus = terminant(
-            TerminantQuery(nu, RayComplex(mod, a.argument + halfpi)), ctx)
-        t_minus = terminant(
-            TerminantQuery(nu, RayComplex(mod, a.argument - halfpi)), ctx)
+        t_plus = terminant(nu, RayComplex(mod, a.argument + halfpi), ctx)
+        t_minus = terminant(nu, RayComplex(mod, a.argument - halfpi), ctx)
         e2 = mp.exp(2 * mp.pi * mpc(0, 1) * k * a.value())
         half_is = mp.expjpi(s / 2)
         return mp.expjpi(-s) * (e2 * half_is * t_plus

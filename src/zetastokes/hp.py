@@ -78,10 +78,20 @@ class RayComplex:
     The argument is *not* reduced mod 2pi: two rays whose arguments differ
     by 2pi have equal ``value()`` but are distinct data.  This makes branch
     choices (a*exp(-i*pi), arguments beyond pi, ...) explicit.
+
+    Invariant: the modulus is finite and > 0 and the argument is finite;
+    construction raises DomainError otherwise, so no consumer of a ray
+    checks it again.  Both are stored as given, unconverted.
     """
 
     modulus: mpf
     argument: mpf
+
+    def __post_init__(self):
+        if not (mp.isfinite(self.modulus) and mp.isfinite(self.argument)):
+            raise DomainError("a ray needs a finite modulus and argument")
+        if self.modulus <= 0:
+            raise DomainError("a ray needs a strictly positive modulus")
 
     def value(self) -> mpc:
         with mp.extraprec(10):
@@ -168,10 +178,6 @@ def ray_powers(base: RayComplex, exponents, ctx: PrecisionContext,
     Like the modulus, each exponent is converted (and so rounded) at the
     working precision.
     """
-    if not (mp.isfinite(base.modulus) and mp.isfinite(base.argument)):
-        raise DomainError("ray powers need a finite modulus and argument")
-    if base.modulus <= 0:
-        raise DomainError("ray powers need a strictly positive modulus")
     with ctx.working(extra):
         logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
         return [mp.exp(mpc(e) * logz) for e in exponents]

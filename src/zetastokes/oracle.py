@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, mpc
 
 from .errors import DivergenceError, DomainError, PoleError
-from .hp import PrecisionContext, RayComplex, gamma_complex, pow_ray
+from .hp import PrecisionContext, RayComplex, gamma_complex, ray_powers
 
 RE_S_MARGIN = mpf("1.1")
 
@@ -36,14 +36,12 @@ class ZetaPoint:
     s: mpc
     a: RayComplex
     a_prime: RayComplex
-    theta: mpf
 
     @classmethod
     def create(cls, s, a: RayComplex, ctx: PrecisionContext) -> "ZetaPoint":
         s = mpc(s)
-        theta = mpf(a.argument)
-        if not (0 < theta < mp.pi):
-            raise DomainError(f"arg a must lie in (0, pi), got {theta}")
+        if not (0 < a.argument < mp.pi):
+            raise DomainError(f"arg a must lie in (0, pi), got {a.argument}")
         if abs(s.imag) < ctx.tol():
             nearest = round(s.real)
             if nearest <= 0 and abs(s - nearest) < ctx.tol():
@@ -56,7 +54,7 @@ class ZetaPoint:
         if not (-mp.pi < a_prime.argument < 0):
             raise DomainError(
                 f"arg a' expected in (-pi, 0), got {a_prime.argument}")
-        return cls(s=s, a=a, a_prime=a_prime, theta=theta)
+        return cls(s=s, a=a, a_prime=a_prime)
 
     def combine(self, x, x_prime, ctx: PrecisionContext) -> mpc:
         """e^(i pi s/2) x + e^(-i pi s/2) x_prime: a value on the ray a
@@ -89,8 +87,8 @@ def _subtracted_terms(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     """a^(-s)/2 + a^(1-s)/(s-1) on the ray a: the two leading algebraic
     terms of zeta(s, a) that Z(s, a) strips."""
     with ctx.working(10):
-        return pow_ray(a, -s, ctx, extra=10) / 2 \
-            + pow_ray(a, 1 - s, ctx, extra=10) / (s - 1)
+        a_s, a_1s = ray_powers(a, [-s, 1 - s], ctx, extra=10)
+        return a_s / 2 + a_1s / (s - 1)
 
 
 def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:

@@ -174,7 +174,7 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
                     "the two S_1 extraction paths disagree: "
                     f"|diff| = {mp.nstr(abs(exact - alt), 3)} > "
                     f"{mp.nstr(bound, 3)}")
-        theta = float(point.theta)
+        theta = float(point.a.argument)
         approx = erf_approx(n, float(point.a.modulus), theta)
         diagnostics = {
             "ft_abs": float(abs(ft)),

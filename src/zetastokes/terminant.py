@@ -1,12 +1,19 @@
 """Terminant function T_nu(z) for large complex order.
 
 T_nu(z) = e^(pi i nu) Gamma(nu)/(2 pi i) * Gamma(1-nu, z), evaluated on the
-branch carried by the ray argument of z.  The incomplete gamma function is
-computed from one everywhere-convergent series, taken to its finite limit
-at nonpositive integer order.  The series cancels: its largest addends
-exceed the value by about e^(|z| + Re z), so it runs at a working precision
-inflated by max(|z| + Re z, 0)/ln 10 + 10 digits, plus log10(1/d) within d
-of a pole of Gamma(alpha).  The inflation is checked after the fact:
+branch carried by the ray argument of z.  ``terminant(nu, z, ctx)`` takes
+the order and the ray directly and converts the order at
+``ctx.working(10)``, so no value depends on the caller's mpmath precision.
+Each input is checked once: the ray on construction (``RayComplex``), the
+order by ``upper_gamma`` (finite, not within 10^(-digits/2) of an integer
+unless on it), and |arg z| <= 2 pi by ``terminant``.
+
+The incomplete gamma function is computed from one everywhere-convergent
+series, taken to its finite limit at nonpositive integer order.  The
+series cancels: its largest addends exceed the value by about
+e^(|z| + Re z), so it runs at a working precision inflated by
+max(|z| + Re z, 0)/ln 10 + 10 digits, plus log10(1/d) within d of a pole
+of Gamma(alpha).  The inflation is checked after the fact:
 ``upper_gamma`` takes the digits actually lost,
 log10(max(|head|, |z^alpha| peak) / |value|) with head Gamma(alpha) or its
 finite limit and peak the largest addend, from binary exponents, and raises
@@ -22,7 +29,6 @@ including the error-function smoothing form on the Stokes line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
@@ -32,35 +38,6 @@ from .hp import PrecisionContext, RayComplex, gamma_complex, pow_ray
 
 ARG_LIMIT_SLACK = 0.1
 REGIME_EPSILON = 0.05
-
-
-@dataclass(frozen=True)
-class TerminantQuery:
-    nu: mpc
-    z: RayComplex
-
-    def __post_init__(self):
-        object.__setattr__(self, "nu", mpc(self.nu))
-        if not (mp.isfinite(self.nu) and mp.isfinite(self.z.modulus)):
-            raise DomainError("terminant requires finite nu and |z|")
-        if self.z.modulus <= 0:
-            raise DomainError("terminant requires |z| > 0")
-        if not abs(float(self.z.argument)) <= 2 * math.pi + ARG_LIMIT_SLACK:
-            raise DomainError(
-                f"terminant requires |arg z| <= 2 pi, got {self.z.argument}")
-
-
-def _integer_order(alpha: mpc, ctx: PrecisionContext):
-    """Classify alpha: exact integer, dangerously near-integer, or generic."""
-    nearest = round(float(alpha.real))
-    delta = abs(alpha - nearest)
-    if delta == 0:
-        return nearest
-    if delta < mpf(10) ** (-ctx.digits // 2):
-        raise IllConditionedError(
-            f"order {alpha} is within 10^(-digits/2) of the integer "
-            f"{nearest} but not on it; perturb s instead")
-    return None
 
 
 def _series_inflation(z: RayComplex) -> int:
@@ -133,15 +110,27 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     on the ray (DLMF 8.4.15).  The series is summed in fixed point by
     ``_fixed_series``; IllConditionedError if it lost more digits to
     cancellation than the inflation it carried.
+
+    The order is converted at ``ctx.working(10)``, so the value does not
+    depend on the caller's mpmath precision; a non-finite order raises
+    DomainError, and one within 10^(-digits/2) of an integer but not on it
+    raises IllConditionedError.
     """
-    alpha = mpc(alpha)
-    if z.modulus <= 0:
-        raise DomainError("upper_gamma requires |z| > 0")
-    order = _integer_order(alpha, ctx)
-    n = -order if order is not None and order <= 0 else None
-    nearest = round(float(alpha.real))
-    # d = |alpha - nearest| < 2^dmag; d counts as 1 at integer alpha
-    dmag = 0 if order is not None else mp.mag(alpha - nearest)
+    with ctx.working(10):
+        alpha = mpc(alpha)
+        if not mp.isfinite(alpha):
+            raise DomainError(
+                f"upper_gamma needs a finite order, got {alpha}")
+        # d = |alpha - nearest| < 2^dmag; d counts as 1 at integer alpha
+        nearest = round(float(alpha.real))
+        offset = alpha - nearest
+        integer = offset == 0
+        if not integer and abs(offset) < mpf(10) ** (-ctx.digits // 2):
+            raise IllConditionedError(
+                f"order {alpha} is within 10^(-digits/2) of the integer "
+                f"{nearest} but not on it; perturb s instead")
+        dmag = 0 if integer else mp.mag(offset)
+    n = -nearest if integer and nearest <= 0 else None
     # Within d < 1 of a pole -n <= 0 of Gamma, Gamma(alpha) and the addend
     # m = n are both 1/d times their size elsewhere and cancel, so the value
     # loses log10(1/d) digits more than _series_inflation counts; the floor
@@ -162,10 +151,10 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     # P >= |c_1| = |z| at alpha = 0.  So 40 guard bits plus the bits of A B
     # keep the error below P 2^-(prec+4), less than one rounding of the
     # peak at the prec bits of dps digits.  d >= 1 at integer alpha (the
-    # m = n term is skipped), and _integer_order keeps d above
+    # m = n term is skipped), and the classification keeps d above
     # 10^(-digits/2) otherwise.
     zbits = max(0, 2 - mp.mag(z.modulus))
-    dbits = 0 if order is not None else max(0, 2 - dmag)
+    dbits = 0 if integer else max(0, 2 - dmag)
     wp = dps_to_prec(dps) + 40 + 2 * zbits + max(0, mp.mag(alpha)) + dbits
     with ctx.working(extra):
         zpow = pow_ray(z, alpha, ctx, extra=extra)
@@ -186,11 +175,20 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     return value
 
 
-def terminant(q: TerminantQuery, ctx: PrecisionContext) -> mpc:
-    """T_nu(z) = e^(pi i nu) Gamma(nu)/(2 pi i) Gamma(1 - nu, z)."""
-    inc = upper_gamma(1 - q.nu, q.z, ctx)
+def terminant(nu, z: RayComplex, ctx: PrecisionContext) -> mpc:
+    """T_nu(z) = e^(pi i nu) Gamma(nu)/(2 pi i) Gamma(1 - nu, z) on the ray
+    z, for |arg z| <= 2 pi (DomainError beyond).
+
+    The order is converted at ``ctx.working(10)``, so the value does not
+    depend on the caller's mpmath precision.
+    """
+    if not abs(float(z.argument)) <= 2 * math.pi + ARG_LIMIT_SLACK:
+        raise DomainError(
+            f"terminant requires |arg z| <= 2 pi, got {z.argument}")
     with ctx.working(10):
-        return mp.expjpi(q.nu) * gamma_complex(q.nu, ctx) \
+        nu = mpc(nu)
+        inc = upper_gamma(1 - nu, z, ctx)
+        return mp.expjpi(nu) * gamma_complex(nu, ctx) \
             / (2 * mp.pi * mpc(0, 1)) * inc
 
 
@@ -214,29 +212,32 @@ def c_of_phi(phi) -> mpc:
         return u * mp.sqrt(2 * w / u ** 2)
 
 
-def terminant_asymptotic(q: TerminantQuery, ctx: PrecisionContext):
+def terminant_asymptotic(nu, z: RayComplex, ctx: PrecisionContext):
     """Asymptotic T_nu(z) for |nu| ~ |z| >> 1; returns (value, regime).
 
     The smoothing (error-function) form is used on [eps, 2 pi - eps] and the
     algebraically decaying form on [-pi + eps, pi - eps]; in the overlap the
-    smoothing form wins.
+    smoothing form wins.  The order is converted at ``ctx.working(10)``, as
+    in ``terminant``.
     """
-    ratio = abs(q.nu) / q.z.modulus
-    if not (0.5 <= ratio <= 2 and q.z.modulus >= 10):
+    with ctx.working(10):
+        nu = mpc(nu)
+    ratio = abs(nu) / z.modulus
+    if not (0.5 <= ratio <= 2 and z.modulus >= 10):
         raise DomainError(
             "asymptotic form needs |nu|/|z| in [0.5, 2] and |z| >= 10")
-    phi = float(q.z.argument)
+    phi = float(z.argument)
     eps = REGIME_EPSILON
     if eps <= phi <= 2 * math.pi - eps:
-        c = c_of_phi(q.z.argument)
+        c = c_of_phi(z.argument)
         with ctx.working():
-            val = mpf(1) / 2 + mp.erf(c * mp.sqrt(mpf(q.z.modulus) / 2)) / 2
+            val = mpf(1) / 2 + mp.erf(c * mp.sqrt(mpf(z.modulus) / 2)) / 2
         return val, "smoothing"
     if -math.pi + eps <= phi <= math.pi - eps:
         with ctx.working():
-            zval = q.z.value()
-            num = -mpc(0, 1) * mp.exp(mpc(0, 1) * (mp.pi - q.z.argument) * q.nu)
-            val = num / (1 + mp.exp(-mpc(0, 1) * q.z.argument)) \
-                * mp.exp(-zval - q.z.modulus) / mp.sqrt(2 * mp.pi * q.z.modulus)
+            zval = z.value()
+            num = -mpc(0, 1) * mp.exp(mpc(0, 1) * (mp.pi - z.argument) * nu)
+            val = num / (1 + mp.exp(-mpc(0, 1) * z.argument)) \
+                * mp.exp(-zval - z.modulus) / mp.sqrt(2 * mp.pi * z.modulus)
         return val, "away"
     raise DomainError(f"arg z = {phi} is outside both asymptotic regimes")

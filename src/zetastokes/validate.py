@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from mpmath import mp, mpf, mpc
 
@@ -25,7 +25,7 @@ from .hp import PrecisionContext, RayComplex
 from .oracle import (ZetaPoint, f_tilde_reference, hurwitz_zeta_direct,
                      periodic_zeta_direct, z_reference)
 from .stokes import stokes_multiplier
-from .terminant import TerminantQuery, terminant, terminant_asymptotic
+from .terminant import terminant, terminant_asymptotic
 
 SEED = 20260823
 
@@ -75,12 +75,7 @@ class ValidationReport:
         return {
             "digits": self.digits,
             "passed": self.passed,
-            "entries": [
-                {"name": e.name, "residual": e.residual,
-                 "tolerance": e.tolerance, "passed": e.passed,
-                 "note": e.note}
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 
@@ -131,10 +126,8 @@ def connection_residual(nu, mod, base, ctx: PrecisionContext) -> mpf:
     """|T_nu(z e^(-i pi)) - e^(2 pi i nu) (T_nu(z e^(i pi)) - 1)| for
     z = mod e^(i base), the half-turn continuation of the terminant."""
     with ctx.working(20):
-        lhs = terminant(
-            TerminantQuery(nu, RayComplex(mod, base - mp.pi)), ctx)
-        t_plus = terminant(
-            TerminantQuery(nu, RayComplex(mod, base + mp.pi)), ctx)
+        lhs = terminant(nu, RayComplex(mod, base - mp.pi), ctx)
+        t_plus = terminant(nu, RayComplex(mod, base + mp.pi), ctx)
         return abs(lhs - mp.exp(2 * mp.pi * mpc(0, 1) * nu) * (t_plus - 1))
 
 
@@ -143,9 +136,9 @@ def smoothing_check(mod, ctx: PrecisionContext):
     |T - 1/2| in units of the bound 2|z|^(-1/2), and the distance of T from
     its error-function asymptotic form."""
     with ctx.working(10):
-        q = TerminantQuery(mpc(mod), RayComplex(mpf(mod), mp.pi))
-        exact = terminant(q, ctx)
-        approx, _ = terminant_asymptotic(q, ctx)
+        z = RayComplex(mpf(mod), mp.pi)
+        exact = terminant(mod, z, ctx)
+        approx, _ = terminant_asymptotic(mod, z, ctx)
         ratio = float(abs(exact - mpf(1) / 2)) / (2 / math.sqrt(mod))
         return ratio, float(abs(exact - approx))
 
@@ -227,22 +220,19 @@ def _suite_remainder_forms(report: ValidationReport,
         eis = mp.expjpi(s)
         mod_a = 2 * mp.pi * k * point.a.modulus
         mod_ap = 2 * mp.pi * k * point.a_prime.modulus
-        t1 = terminant(TerminantQuery(
-            nu, RayComplex(mod_a, point.a.argument + halfpi)), ctx)
-        t2 = terminant(TerminantQuery(
-            nu, RayComplex(mod_a, point.a.argument - halfpi)), ctx)
-        t3 = terminant(TerminantQuery(
-            nup, RayComplex(mod_ap, point.a_prime.argument + halfpi)), ctx)
-        t4 = terminant(TerminantQuery(
-            nup, RayComplex(mod_ap, point.a_prime.argument - halfpi)), ctx)
+        t1 = terminant(nu, RayComplex(mod_a, point.a.argument + halfpi), ctx)
+        t2 = terminant(nu, RayComplex(mod_a, point.a.argument - halfpi), ctx)
+        t3 = terminant(
+            nup, RayComplex(mod_ap, point.a_prime.argument + halfpi), ctx)
+        t4 = terminant(
+            nup, RayComplex(mod_ap, point.a_prime.argument - halfpi), ctx)
         corrected4 = e2 * t1 - t2 / (e2 * eis) + t3 / (e2 * eis) \
             - e2 * t4 / eis ** 2
         printed4 = e2 * t1 - e2 * t2 / eis + t3 / (e2 * eis) \
             - e2 * t4 / eis ** 2
         # connection-reduced form: rotate the last terminant argument by +2pi
-        t4r = terminant(TerminantQuery(
-            nup, RayComplex(mod_ap, point.a_prime.argument + 3 * halfpi)),
-            ctx)
+        t4r = terminant(
+            nup, RayComplex(mod_ap, point.a_prime.argument + 3 * halfpi), ctx)
         corrected2 = e2 * (t1 - t4r + 1) - (t2 - t3) / (e2 * eis)
         printed2 = e2 * (t1 - t4r + 1) + (t2 - t3) / (e2 * eis)
         scale = 1 + abs(ground)

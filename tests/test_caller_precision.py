@@ -11,11 +11,17 @@ from zetastokes.oracle import (ZetaPoint, f_tilde_reference,
                                hurwitz_zeta_direct, periodic_zeta_direct,
                                z_reference)
 from zetastokes.stokes import stokes_multiplier
+from zetastokes.terminant import terminant, upper_gamma
 
 CTX = PrecisionContext(digits=60)
 S = mpc(1.6)
 with CTX.working(10):
     A = RayComplex(mpf(6), mpf("0.4") * mp.pi)
+    # a non-dyadic order, which a 15-digit conversion would round, and the
+    # t_plus ray 2 pi |a| e^(i (arg a + pi/2)) of remainder_rk
+    NU = 2 * 17 + mpf("1.6")
+    ALPHA = 1 - NU
+    Z = RayComplex(2 * mp.pi * A.modulus, A.argument + mp.pi / 2)
 POINT = ZetaPoint.create(S, A, CTX)
 N = 17
 
@@ -31,6 +37,8 @@ CASES = {
     "periodic_zeta_direct": lambda: periodic_zeta_direct(POINT, CTX),
     "f_tilde_reference": lambda: f_tilde_reference(POINT, CTX),
     "stokes_multiplier": lambda: stokes_multiplier(1, POINT, CTX).exact,
+    "terminant": lambda: terminant(NU, Z, CTX),
+    "upper_gamma": lambda: upper_gamma(ALPHA, Z, CTX),
 }
 
 

@@ -119,8 +119,7 @@ class TestPeriodicZeta:
         with ctx.working(10):
             a = RayComplex(mpf(6), mpf("-0.5") * mp.pi)
             pt = ZetaPoint(s=mpc(3), a=a,
-                           a_prime=RayComplex.from_value(1 - a.value()),
-                           theta=a.argument)
+                           a_prime=RayComplex.from_value(1 - a.value()))
         with pytest.raises(DivergenceError):
             periodic_zeta_direct(pt, ctx)
 

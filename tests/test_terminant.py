@@ -8,7 +8,7 @@ from mpmath import mp, mpf, mpc
 from zetastokes.errors import DomainError, IllConditionedError
 from zetastokes.expansion import TruncationPlan, optimal_truncation, z_improved
 from zetastokes.hp import PrecisionContext, RayComplex, pow_ray
-from zetastokes.terminant import (TerminantQuery, c_of_phi, terminant,
+from zetastokes.terminant import (c_of_phi, terminant,
                                   terminant_asymptotic, upper_gamma)
 
 # the module, which the package's ``terminant`` function shadows
@@ -32,22 +32,25 @@ def _gammainc_on_ray(alpha, mod, arg):
 
 
 class TestQueryValidation:
+    """Each terminant input is checked once: the ray when it is built, the
+    order by upper_gamma, |arg z| by terminant."""
+
     def test_rejects_zero_modulus(self):
         with pytest.raises(DomainError):
-            TerminantQuery(mpc(3), RayComplex(mpf(0), mpf(0)))
+            RayComplex(mpf(0), mpf(0))
 
-    def test_rejects_excessive_argument(self):
-        with pytest.raises(DomainError):
-            TerminantQuery(mpc(3), RayComplex(mpf(1), mpf(7)))
+    def test_rejects_excessive_argument(self, ctx_fast):
+        with pytest.raises(DomainError, match="arg z"):
+            terminant(mpc(3), RayComplex(mpf(1), mpf(7)), ctx_fast)
 
     @pytest.mark.parametrize("nu,mod,arg", [
         ("nan", 1, 0), (3, "inf", 0), (3, 1, "nan")])
-    def test_rejects_non_finite(self, nu, mod, arg):
+    def test_rejects_non_finite(self, nu, mod, arg, ctx_fast):
         with pytest.raises(DomainError):
-            TerminantQuery(mpc(nu), RayComplex(mpf(mod), mpf(arg)))
+            terminant(mpc(nu), RayComplex(mpf(mod), mpf(arg)), ctx_fast)
 
-    def test_accepts_two_turns(self):
-        TerminantQuery(mpc(3), RayComplex(mpf(1), 2 * mp.pi))
+    def test_accepts_two_turns(self, ctx_fast):
+        terminant(mpc(3), RayComplex(mpf(1), 2 * mp.pi), ctx_fast)
 
 
 class TestUpperGamma:
@@ -72,6 +75,14 @@ class TestUpperGamma:
             zv = z.value()
             ref = mp.exp(-zv) * (zv ** 2 + 2 * zv + 2)
             assert abs(upper_gamma(3, z, ctx) - ref) <= ctx.tol() * abs(ref)
+
+    @pytest.mark.parametrize("alpha", [
+        mpc("nan"), mpc("inf"), mpc(2, "nan")], ids=["nan", "inf", "2+nanj"])
+    def test_rejects_non_finite_order(self, alpha, ctx_fast):
+        # used to raise a bare ValueError (nan), OverflowError (inf) or to
+        # return nan + nanj (2 + nan i)
+        with pytest.raises(DomainError, match="finite order"):
+            upper_gamma(alpha, RayComplex(mpf(3), mpf("0.4")), ctx_fast)
 
     def test_zero_order_is_e1(self, ctx):
         with ctx.working(10):
@@ -238,8 +249,8 @@ class TestTerminant:
         with ctx.working(20):
             nu = mpc("3.3", "0.2")
             z = RayComplex(mpf(6), mpf("1.1"))
-            t_nu = terminant(TerminantQuery(nu, z), ctx)
-            t_up = terminant(TerminantQuery(nu + 1, z), ctx)
+            t_nu = terminant(nu, z, ctx)
+            t_up = terminant(nu + 1, z, ctx)
             # T_{nu+1} = e^{pi i(nu+1)} Gamma(nu+1)/(2 pi i) Gamma(-nu, z)
             # and Gamma(1-nu, z) = -nu Gamma(-nu, z) + z^(-nu) e^(-z)
             zv = z.value()
@@ -262,10 +273,8 @@ class TestTerminant:
             nu = mpc(nu_re, 0.3)
             for mod in (8, 20):
                 w = mpf(mod)
-                lhs = terminant(
-                    TerminantQuery(nu, RayComplex(w, mpf(base) - mp.pi)), ctx)
-                t_plus = terminant(
-                    TerminantQuery(nu, RayComplex(w, mpf(base) + mp.pi)), ctx)
+                lhs = terminant(nu, RayComplex(w, mpf(base) - mp.pi), ctx)
+                t_plus = terminant(nu, RayComplex(w, mpf(base) + mp.pi), ctx)
                 rhs = mp.exp(2 * mp.pi * mpc(0, 1) * nu) * (t_plus - 1)
                 assert abs(lhs - rhs) <= ctx.tol() * (1 + abs(lhs))
 
@@ -281,7 +290,7 @@ class TestReduceArg:
         ctx = PrecisionContext(digits=30)
         with ctx.working(20):
             nu = mpc(nu_re, 0.3)
-            q = TerminantQuery(nu, RayComplex(mpf(5), mpf(arg)))
+            z = RayComplex(mpf(5), mpf(arg))
             phase = mp.exp(2 * mp.pi * mpc(0, 1) * nu)
             reduced, mult, off = mpf(arg), mpc(1), mpc(0)
             if reduced > mp.pi:
@@ -291,9 +300,9 @@ class TestReduceArg:
                 # T(x) = e^(2 pi i nu) (T(x + 2 pi) - 1)
                 reduced, mult, off = reduced + 2 * mp.pi, phase, -phase
             assert -mp.pi < reduced <= mp.pi + mpf("1e-25")
-            direct = terminant(q, ctx)
-            via = mult * terminant(
-                TerminantQuery(nu, RayComplex(mpf(5), reduced)), ctx) + off
+            direct = terminant(nu, z, ctx)
+            via = mult * terminant(nu, RayComplex(mpf(5), reduced), ctx) \
+                + off
             assert abs(direct - via) <= ctx.tol() * (1 + abs(direct))
 
 
@@ -312,11 +321,11 @@ class TestSmoothing:
         assert math.copysign(1, c.real) == math.copysign(1, phi - math.pi)
 
     def test_on_line_value_is_half(self, ctx):
-        # build the query at high precision so arg z carries a full-accuracy
+        # build the ray at high precision so arg z carries a full-accuracy
         # pi; the smoothing coefficient then vanishes on the line
         with mp.workdps(40):
-            q = TerminantQuery(mpc(30), RayComplex(mpf(30), mp.pi))
-        val, regime = terminant_asymptotic(q, ctx)
+            z = RayComplex(mpf(30), mp.pi)
+        val, regime = terminant_asymptotic(30, z, ctx)
         assert regime == "smoothing"
         assert abs(val - mpf(1) / 2) < mpf("1e-20")
 
@@ -325,20 +334,19 @@ class TestSmoothing:
         # algebraically decaying form is selected
         with ctx.working(20):
             nu = mpc(40)
-            q = TerminantQuery(nu, RayComplex(mpf(40), mpf("-0.3")))
-            approx, regime = terminant_asymptotic(q, ctx)
+            z = RayComplex(mpf(40), mpf("-0.3"))
+            approx, regime = terminant_asymptotic(nu, z, ctx)
             assert regime == "away"
-            exact = terminant(q, ctx)
+            exact = terminant(nu, z, ctx)
             assert abs(exact - approx) <= abs(exact) * mpf("0.2")
 
     def test_smoothing_regime_agrees_with_exact(self, ctx):
         with ctx.working(20):
-            q = TerminantQuery(mpc(60), RayComplex(mpf(60), mp.pi))
-            approx, _ = terminant_asymptotic(q, ctx)
-            exact = terminant(q, ctx)
+            z = RayComplex(mpf(60), mp.pi)
+            approx, _ = terminant_asymptotic(60, z, ctx)
+            exact = terminant(60, z, ctx)
             assert abs(exact - approx) < mpf("0.05")
 
     def test_rejects_out_of_regime(self, ctx):
         with pytest.raises(DomainError):
-            terminant_asymptotic(
-                TerminantQuery(mpc(5), RayComplex(mpf(40), mp.pi)), ctx)
+            terminant_asymptotic(5, RayComplex(mpf(40), mp.pi), ctx)
