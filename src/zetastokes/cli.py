@@ -67,17 +67,21 @@ def _check_finite(text: str, *values) -> None:
         raise ConfigError(f"non-finite number in {text!r}")
 
 
-def _parse_complex(text: str) -> mpc:
+def _parse_complex(text: str, ctx: PrecisionContext) -> mpc:
+    """RE or RE,IM, parsed at the command's ``ctx.working(10)``, as
+    ``PrecisionContext.read`` parses a decimal string."""
     parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ConfigError(f"expected RE or RE,IM, got {text!r}")
     try:
-        re = mpf(parts[0])
-        im = mpf(parts[1]) if len(parts) == 2 else mpf(0)
+        with ctx.working(10):
+            re = mpf(parts[0])
+            im = mpf(parts[1]) if len(parts) == 2 else mpf(0)
+            value = mpc(re, im)
     except ValueError as exc:
         raise ConfigError(f"unparseable complex number {text!r}") from exc
     _check_finite(text, re, im)
-    return mpc(re, im)
+    return value
 
 
 def _parse_abs_a(text: str) -> float:
@@ -224,7 +228,7 @@ def run_sweep(args) -> int:
                 "sweep needs " + ", ".join(missing) + " (or --reproduce)")
         if args.n < 1:
             raise ConfigError(f"--n must be >= 1, got {args.n}")
-        n, abs_a, s = args.n, args.abs_a, _parse_complex(args.s)
+        n, abs_a, s = args.n, args.abs_a, _parse_complex(args.s, ctx)
         lo, hi, count = _parse_theta(args.theta)
         plan = None
         plan_source = "least-term (per point)"
@@ -280,7 +284,7 @@ def run_validate(args) -> int:
 
 def run_terminant(args) -> int:
     ctx = _context(args.digits)
-    nu = _parse_complex(args.nu)
+    nu = _parse_complex(args.nu, ctx)
     z = _parse_polar(args.z)
     value = terminant(nu, z, ctx)
     print(_nstr(value, args.digits))

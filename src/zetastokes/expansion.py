@@ -35,7 +35,7 @@ from mpmath import mp, mpf, mpc
 from .errors import DomainError, TailBoundError
 from .hp import (MIN_DIGITS, PrecisionContext, RayComplex, bernoulli_even,
                  gamma_complex, hurwitz_zeta_integer, ray_powers)
-from .oracle import ZetaPoint
+from .oracle import ZetaPoint, check_s_off_poles
 from .terminant import terminant
 
 
@@ -74,7 +74,7 @@ def a_r_coefficients(s, a: RayComplex, lo: int, hi: int,
     ``ray_powers`` call."""
     if lo < 0:
         raise DomainError("r must be >= 0")
-    s = mpc(s)
+    s = ctx.read(s)
     with ctx.working():
         ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
         exponents = [2 * r + s + 1 for r in range(lo, hi)]
@@ -94,7 +94,8 @@ def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
     The terms A_r(a)/k^(2r+2) shrink while their ratio
     |(2r+s-1)(2r+s)| / (2 pi k |a|)^2 stays below 1; the index of the
     smallest term is returned (ties broken toward the smaller index, and
-    never below 1).  Close to pi*k*|a|.
+    never below 1).  Close to pi*k*|a|.  DomainError unless |a| >= 1 and
+    (2 pi k |a|)^2 is a finite double.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -102,7 +103,12 @@ def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
         raise DomainError("optimal truncation needs a ray of modulus >= 1, "
                           f"got {mp.nstr(a.modulus, 6)}")
     s = complex(s)
-    bound = (2 * math.pi * k * float(a.modulus)) ** 2
+    x = 2 * math.pi * k * float(a.modulus)
+    if x * x == math.inf:
+        raise DomainError("optimal truncation needs (2 pi k |a|)^2 within "
+                          f"the double range, got |a| = "
+                          f"{mp.nstr(a.modulus, 6)}, k = {k}")
+    bound = x ** 2
     r = 1
     while abs((2 * r + s - 1) * (2 * r + s)) < bound:
         r += 1
@@ -116,7 +122,7 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
     The terminant arguments 2 pi i k a and -2 pi i k a ride on the rays
     arg a + pi/2 and arg a - pi/2 respectively, never principal-reduced.
     """
-    s = mpc(s)
+    s = ctx.read(s)
     with ctx.working(10):
         nu = 2 * nk + s
         halfpi = mp.pi / 2
@@ -140,7 +146,7 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
     This is the algebraic part of the improved expansion, and the piece
     peeled off when a Stokes multiplier is extracted.
     """
-    s = mpc(s)
+    s = ctx.read(s)
     floor = list(accumulate(reversed(nlist), min))[::-1]
     with ctx.working(10):
         coeffs = a_r_coefficients(s, a, 0, max(nlist, default=0), ctx)
@@ -176,7 +182,7 @@ def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
     a^(-1-s) sum_r c_r (a^-2)^(r-1) by Horner's rule from r = N down to 1,
     with c_r the memoized ``_bernoulli_factor`` and the two powers of a
     from one ``ray_powers`` call: one multiply-add per term."""
-    s = mpc(s)
+    s = ctx.read(s)
     with ctx.working(10):
         lead, step = ray_powers(a, [-1 - s, -2], ctx)
         total = mpc(0)
@@ -200,7 +206,7 @@ def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
     raised indices exactly (the per-scale truncation invariance of the
     expansion).
     """
-    s = mpc(s)
+    s = ctx.read(s)
     with ctx.working(10):
         im_abs = a.modulus * abs(mp.sin(a.argument))
         if im_abs <= ctx.tol():
@@ -257,11 +263,8 @@ def z_improved(s, a: RayComplex, plan: TruncationPlan,
     k_max)``, is the paper's common-truncation form: its blocks are the
     Poincare series through B_{2N} divided by (2 pi)^s.
     """
-    s = mpc(s)
-    if abs(s.imag) < ctx.tol():
-        nearest = round(float(s.real))
-        if nearest <= -1 and abs(s - nearest) < ctx.tol():
-            raise DomainError("s must not be -1, -2, ...")
+    s = ctx.read(s)
+    check_s_off_poles(s, -1, ctx)
     nlist, excess = extend_plan(s, a, plan.nk, ctx)
     contexts = [ctx] * len(plan.nk) + [
         ctx.reduced(max(MIN_DIGITS, math.ceil(e) + TAIL_MARGIN))

@@ -19,11 +19,13 @@ one exponential per exponent, and ``pow_ray`` is its one-exponent case.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_float, from_int
 
 from .errors import DomainError, PoleError
 
@@ -69,6 +71,30 @@ class PrecisionContext:
     def working(self, extra: int = 0):
         """Context manager setting the working decimal precision."""
         return mp.workdps(self.digits + self.guard + extra)
+
+    def read(self, x) -> mpc:
+        """The input number x as an mpc, whatever the caller's precision.
+
+        An mpmath number is taken exactly as given, never re-rounded; an
+        int, float or Python complex is exact already; only a decimal
+        string is parsed, at ``working(10)``.  Every entry point reads its
+        s or order through here, once.
+        """
+        if isinstance(x, mpc):
+            return x
+        if isinstance(x, str):
+            with self.working(10):
+                return mpc(x)
+        return mp.make_mpc((_exact(x.real), _exact(x.imag)))
+
+
+def _exact(part) -> tuple:
+    """An mpf, float or int as a raw mpf tuple, unrounded."""
+    if isinstance(part, mpf):
+        return part._mpf_
+    if isinstance(part, float):
+        return from_float(part)
+    return from_int(operator.index(part))
 
 
 @dataclass(frozen=True)

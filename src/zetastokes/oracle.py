@@ -39,13 +39,10 @@ class ZetaPoint:
 
     @classmethod
     def create(cls, s, a: RayComplex, ctx: PrecisionContext) -> "ZetaPoint":
-        s = mpc(s)
+        s = ctx.read(s)
         if not (0 < a.argument < mp.pi):
             raise DomainError(f"arg a must lie in (0, pi), got {a.argument}")
-        if abs(s.imag) < ctx.tol():
-            nearest = round(s.real)
-            if nearest <= 0 and abs(s - nearest) < ctx.tol():
-                raise DomainError("s must not be 0, -1, -2, ...")
+        check_s_off_poles(s, 0, ctx)
         with ctx.working(10):
             # from_value reads the ambient precision, so the conversion must
             # stay inside the working block: a' = 1 - a has to hold to full
@@ -64,8 +61,20 @@ class ZetaPoint:
             return half_is * x + x_prime / half_is
 
 
-def _check_re_s(s) -> mpc:
-    s = mpc(s)
+def check_s_off_poles(s: mpc, highest: int, ctx: PrecisionContext) -> None:
+    """DomainError if s lies within tol of an integer <= highest: a pole
+    of Gamma(s) (highest = 0, ``ZetaPoint``) or of Gamma(s + 1), the A_0
+    of the expansion (highest = -1, ``z_improved``)."""
+    with ctx.working():
+        nearest = int(mp.nint(s.real))
+        if nearest <= highest and abs(s - nearest) < ctx.tol():
+            raise DomainError(
+                f"s must not be {highest}, {highest - 1}, {highest - 2}, ..."
+                f", got {mp.nstr(s, 8)}")
+
+
+def _check_re_s(s, ctx: PrecisionContext) -> mpc:
+    s = ctx.read(s)
     if s.real <= RE_S_MARGIN:
         raise DomainError(
             f"oracle requires Re(s) > {RE_S_MARGIN}, got Re(s) = {s.real}; "
@@ -75,7 +84,7 @@ def _check_re_s(s) -> mpc:
 
 def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     """zeta(s, a) = sum_{k>=0} (k+a)^(-s), by mpmath's ``zeta(s, a)``."""
-    s = _check_re_s(s)
+    s = _check_re_s(s, ctx)
     with ctx.working(10):
         aval = a.value()
         if abs(aval.imag) < ctx.tol() and aval.real <= ctx.tol():
@@ -93,9 +102,7 @@ def _subtracted_terms(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
 
 def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     """Z(s,a) = Gamma(s) (zeta(s,a) - a^(-s)/2 - a^(1-s)/(s-1))."""
-    s = _check_re_s(s)
-    if abs(s - 1) < ctx.tol():
-        raise PoleError("Z(s,a) has a pole at s = 1", distance=abs(s - 1))
+    s = _check_re_s(s, ctx)
     with ctx.working(10):
         zeta = hurwitz_zeta_direct(s, a, ctx)
         return gamma_complex(s, ctx) * (zeta - _subtracted_terms(s, a, ctx))

@@ -2,11 +2,12 @@
 
 T_nu(z) = e^(pi i nu) Gamma(nu)/(2 pi i) * Gamma(1-nu, z), evaluated on the
 branch carried by the ray argument of z.  ``terminant(nu, z, ctx)`` takes
-the order and the ray directly and converts the order at
-``ctx.working(10)``, so no value depends on the caller's mpmath precision.
-Each input is checked once: the ray on construction (``RayComplex``), the
-order by ``upper_gamma`` (finite, not within 10^(-digits/2) of an integer
-unless on it), and |arg z| <= 2 pi by ``terminant``.
+the order and the ray directly and reads the order exactly, through
+``PrecisionContext.read``, so no value depends on the caller's mpmath
+precision.  Each input is checked once: the ray on construction
+(``RayComplex``), the order and |z| by ``upper_gamma`` (both within the
+double range; the order not within 10^(-digits/2) of an integer unless on
+it), and |arg z| <= 2 pi by ``terminant``.
 
 The incomplete gamma function is computed from one everywhere-convergent
 series, taken to its finite limit at nonpositive integer order.  The
@@ -111,16 +112,19 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     ``_fixed_series``; IllConditionedError if it lost more digits to
     cancellation than the inflation it carried.
 
-    The order is converted at ``ctx.working(10)``, so the value does not
-    depend on the caller's mpmath precision; a non-finite order raises
-    DomainError, and one within 10^(-digits/2) of an integer but not on it
-    raises IllConditionedError.
+    The order is read by ``ctx.read``, so the value does not depend on the
+    caller's mpmath precision.  An order or |z| beyond the double range
+    (non-finite included) raises DomainError, and an order within
+    10^(-digits/2) of an integer but not on it raises IllConditionedError.
     """
+    alpha = ctx.read(alpha)
     with ctx.working(10):
-        alpha = mpc(alpha)
-        if not mp.isfinite(alpha):
+        if not (math.isfinite(float(abs(alpha)))
+                and math.isfinite(float(z.modulus))):
             raise DomainError(
-                f"upper_gamma needs a finite order, got {alpha}")
+                "upper_gamma needs a finite order and |z| within the double "
+                f"range, got alpha = {mp.nstr(alpha, 8)}, "
+                f"|z| = {mp.nstr(z.modulus, 8)}")
         # d = |alpha - nearest| < 2^dmag; d counts as 1 at integer alpha
         nearest = round(float(alpha.real))
         offset = alpha - nearest
@@ -179,14 +183,14 @@ def terminant(nu, z: RayComplex, ctx: PrecisionContext) -> mpc:
     """T_nu(z) = e^(pi i nu) Gamma(nu)/(2 pi i) Gamma(1 - nu, z) on the ray
     z, for |arg z| <= 2 pi (DomainError beyond).
 
-    The order is converted at ``ctx.working(10)``, so the value does not
-    depend on the caller's mpmath precision.
+    The order is read by ``ctx.read``, so the value does not depend on the
+    caller's mpmath precision.
     """
     if not abs(float(z.argument)) <= 2 * math.pi + ARG_LIMIT_SLACK:
         raise DomainError(
             f"terminant requires |arg z| <= 2 pi, got {z.argument}")
+    nu = ctx.read(nu)
     with ctx.working(10):
-        nu = mpc(nu)
         inc = upper_gamma(1 - nu, z, ctx)
         return mp.expjpi(nu) * gamma_complex(nu, ctx) \
             / (2 * mp.pi * mpc(0, 1)) * inc
@@ -217,11 +221,10 @@ def terminant_asymptotic(nu, z: RayComplex, ctx: PrecisionContext):
 
     The smoothing (error-function) form is used on [eps, 2 pi - eps] and the
     algebraically decaying form on [-pi + eps, pi - eps]; in the overlap the
-    smoothing form wins.  The order is converted at ``ctx.working(10)``, as
-    in ``terminant``.
+    smoothing form wins.  The order is read by ``ctx.read``, as in
+    ``terminant``.
     """
-    with ctx.working(10):
-        nu = mpc(nu)
+    nu = ctx.read(nu)
     ratio = abs(nu) / z.modulus
     if not (0.5 <= ratio <= 2 and z.modulus >= 10):
         raise DomainError(

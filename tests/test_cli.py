@@ -1,10 +1,13 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from zetastokes import cli
 from zetastokes.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
+from zetastokes.hp import PrecisionContext
+from zetastokes.stokes import sweep
 
 DATA = Path(__file__).resolve().parent / "data"
 # the entries of `zeta validate`, in report order
@@ -107,6 +110,32 @@ class TestSweep:
         lines = path.read_text().strip().splitlines()
         assert all("InsufficientPrecisionError" in line
                    for line in lines[1:])
+
+    def test_s_is_parsed_at_working_precision(self, capsys):
+        # every printed digit belongs to s = 2.1, not to the double nearest
+        # it: the 15-digit parse used to leave 18 of the 60 right
+        code, out, _ = run(capsys, "sweep", "--n", "1", "--abs-a", "6",
+                           "--s", "2.1", "--theta", "0.45:0.46:2")
+        assert code == EXIT_OK
+        ctx = PrecisionContext(digits=60)
+        samples = sweep(1, 6.0, ctx.read("2.1"),
+                        (0.45 * math.pi, 0.46 * math.pi, 2), ctx)
+        printed = [line.split(",")[1:3]
+                   for line in out.strip().splitlines()[1:]]
+        assert printed == [[cli._nstr(smp.exact.real, 60),
+                            cli._nstr(smp.exact.imag, 60)]
+                           for smp in samples]
+
+    def test_abs_a_beyond_double_squares_fails_per_point(self, capsys):
+        # used to end in an OverflowError traceback, exit 1
+        code, out, err = run(capsys, "sweep", "--n", "1", "--abs-a", "1e300",
+                             "--s", "3", "--theta", "0.4:0.6:2")
+        assert code == EXIT_OK
+        assert "2/2 points failed" in err
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert all("DomainError" in row and "double range" in row
+                   for row in rows)
 
     @pytest.mark.parametrize("fig", ["fig1a", "fig1b", "fig1c"])
     def test_reproduction_matches_committed_csv(self, capsys, tmp_path, fig):

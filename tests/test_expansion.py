@@ -172,6 +172,15 @@ class TestOptimalTruncation:
         with pytest.raises(DomainError, match=r"modulus >= 1, got 0\.5\b"):
             optimal_truncation(1, mpc(3), _ray(0.5, 0.5, ctx), ctx)
 
+    @pytest.mark.parametrize("mod", ["1e300", "1e400"])
+    def test_rejects_bound_beyond_double_range(self, mod, ctx):
+        # (2 pi |a|)^2 used to overflow (1e300: OverflowError) or to be an
+        # infinite float, which the least-term loop never reached (1e400)
+        with ctx.working(10):
+            a = RayComplex(mpf(mod), mpf("0.4") * mp.pi)
+        with pytest.raises(DomainError, match="double range"):
+            optimal_truncation(1, mpc(3), a, ctx)
+
     @pytest.mark.parametrize("k", [1, 4, 9])
     @pytest.mark.parametrize("mod", [1, 3, 8.5, 20])
     @pytest.mark.parametrize("s", [mpc(3), mpc(2, 0.5), mpc(1.6),
@@ -250,6 +259,14 @@ class TestExactness:
             got = z_improved(s, a, TruncationPlan.constant(1, 1), ctx)
             assert abs(got - ref) <= ctx.tol() * abs(ref)
 
+
+    @pytest.mark.parametrize("s", [-1, -2, mpc(-3, 1e-70)])
+    def test_rejects_nonpositive_integer_s(self, s, ctx):
+        # without the check, extend_plan's loggamma(2r + s + 1) at r = 0
+        # would raise an untyped ValueError at s = -1
+        with pytest.raises(DomainError, match=r"s must not be -1, -2"):
+            z_improved(s, _ray(6, 0.45, ctx), TruncationPlan.constant(3, 1),
+                       ctx)
 
     def test_nearly_integer_s(self, ctx):
         # s = 3 + 1e-20 is outside the near-integer band 10^(-digits/2) of

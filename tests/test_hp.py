@@ -60,6 +60,33 @@ class TestPrecisionContext:
         assert c.reduced(60) == c and c.reduced(90) == c
 
 
+class TestRead:
+    @pytest.mark.parametrize("x", [
+        FINE, mpc(FINE, -FINE), 2 ** 100 + 1, 1.6, 2 + 0.5j, True],
+        ids=["mpf", "mpc", "int", "float", "complex", "bool"])
+    def test_numbers_are_read_exactly(self, x, ctx_fast):
+        # no rounding to the caller's 15 digits or to the context's own
+        with mp.workdps(15):
+            got = ctx_fast.read(x)
+        with mp.workdps(200):
+            assert isinstance(got, mpc) and got == mpc(x)
+
+    def test_mpc_is_passed_through(self, ctx_fast):
+        x = mpc(FINE, 1)
+        assert ctx_fast.read(x) is x
+
+    def test_string_is_parsed_at_working_precision(self, ctx_fast):
+        with mp.workdps(15):
+            got = ctx_fast.read("1.6")
+        with ctx_fast.working(10):
+            want = mpc("1.6")
+        assert got._mpc_ == want._mpc_
+
+    def test_rejects_other_types(self, ctx_fast):
+        with pytest.raises(TypeError):
+            ctx_fast.read(Fraction(1, 3))
+
+
 class TestRayComplex:
     def test_value_matches_polar(self):
         with mp.workdps(40):

@@ -33,7 +33,7 @@ class TestZetaPoint:
     def test_rejects_nonpositive_integer_s(self, ctx):
         with ctx.working():
             a = RayComplex(mpf(6), mpf("0.5") * mp.pi)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"s must not be 0, -1"):
             ZetaPoint.create(mpc(-2), a, ctx)
 
 

@@ -84,6 +84,20 @@ class TestUpperGamma:
         with pytest.raises(DomainError, match="finite order"):
             upper_gamma(alpha, RayComplex(mpf(3), mpf("0.4")), ctx_fast)
 
+    @pytest.mark.parametrize("alpha,mod", [
+        (mpc("1e400"), 3), (mpc(2, "1e400"), 3), (mpc(3), "1e400")],
+        ids=["order", "imaginary-order", "modulus"])
+    def test_rejects_beyond_double_range(self, alpha, mod, ctx_fast):
+        # used to raise OverflowError (order 1e400, |z| = 1e400) or to
+        # return an unchecked 1.5e-1737177927... (order 2 + 1e400 i)
+        z = RayComplex(mpf(mod), mpf("0.4"))
+        with pytest.raises(DomainError, match="double range"):
+            upper_gamma(alpha, z, ctx_fast)
+
+    def test_terminant_rejects_modulus_beyond_double_range(self, ctx_fast):
+        with pytest.raises(DomainError, match="double range"):
+            terminant(3, RayComplex(mpf("1e400"), mpf("0.4")), ctx_fast)
+
     def test_zero_order_is_e1(self, ctx):
         with ctx.working(10):
             z = RayComplex(mpf(1), mpf(0))
