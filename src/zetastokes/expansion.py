@@ -94,8 +94,9 @@ def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
     The terms A_r(a)/k^(2r+2) shrink while their ratio
     |(2r+s-1)(2r+s)| / (2 pi k |a|)^2 stays below 1; the index of the
     smallest term is returned (ties broken toward the smaller index, and
-    never below 1).  Close to pi*k*|a|.  DomainError unless |a| >= 1 and
-    (2 pi k |a|)^2 is a finite double.
+    never below 1).  Close to pi*k*|a|, and found in O(log |a|) ratio
+    evaluations when Re s > -1 (one at a time from r = 1 otherwise).
+    DomainError unless |a| >= 1 and (2 pi k |a|)^2 is a finite double.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -109,10 +110,31 @@ def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
                           f"the double range, got |a| = "
                           f"{mp.nstr(a.modulus, 6)}, k = {k}")
     bound = x ** 2
-    r = 1
-    while abs((2 * r + s - 1) * (2 * r + s)) < bound:
-        r += 1
-    return max(r - 1, 1)
+
+    def shrinks(r):
+        return abs((2 * r + s - 1) * (2 * r + s)) < bound
+
+    if s.real <= -1:
+        r = 1
+        while shrinks(r):
+            r += 1
+        return max(r - 1, 1)
+    # For Re s > -1 the ratio grows with r >= 1, so the first r where the
+    # terms stop shrinking is found by bisection from the real root of
+    # |(2r+s-1)(2r+s)| = x^2: with u = 2r + Re s - 1/2 it solves
+    # (u^2 + 1/4 + Im s^2)^2 - u^2 = x^4.  lo = 0 stands for "before r = 1".
+    t = s.imag
+    w = 0.25 - t * t + bound * math.sqrt(max(1 - (t / bound) ** 2, 0.0))
+    r = int((math.sqrt(max(w, 0.0)) - s.real + 0.5) / 2)
+    lo, hi = max(r - 1, 0), r + 2
+    if lo and not shrinks(lo):
+        lo = 0
+    while shrinks(hi):  # the float root is off by r 2^-52 at large |a|
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if shrinks(mid) else (lo, mid)
+    return max(hi - 1, 1)
 
 
 def remainder_rk(k: int, s, a: RayComplex, nk: int,

@@ -9,23 +9,32 @@ precision.  Each input is checked once: the ray on construction
 double range; the order not within 10^(-digits/2) of an integer unless on
 it), and |arg z| <= 2 pi by ``terminant``.
 
-The incomplete gamma function is computed from one everywhere-convergent
-series, taken to its finite limit at nonpositive integer order.  The
-series cancels: its largest addends exceed the value by about
-e^(|z| + Re z), so it runs at a working precision inflated by
-max(|z| + Re z, 0)/ln 10 + 10 digits, plus log10(1/d) within d of a pole
-of Gamma(alpha).  The inflation is checked after the fact:
-``upper_gamma`` takes the digits actually lost,
-log10(max(|head|, |z^alpha| peak) / |value|) with head Gamma(alpha) or its
-finite limit and peak the largest addend, from binary exponents, and raises
-IllConditionedError when they exceed the inflation, so every value it
-returns carries digits + guard digits.  The series is summed in fixed
-point: real and imaginary parts are Python ints scaled by 2^wp, with wp the
-bits of the inflated digits plus guard bits sized by an a-priori error
-bound, so its hundreds of terms cost integer products rather than mpmath
-number objects.  The two asymptotic regimes of
-T_nu(z) near optimal truncation (|nu| ~ |z|) are provided separately,
-including the error-function smoothing form on the Stokes line.
+The incomplete gamma function has exactly one method per input, chosen by
+geometry.  Legendre's continued fraction (DLMF 8.9.2) serves the principal
+sheet |arg z| < pi/2 with Re alpha < 0, |Im alpha| <= Re z and
+|z| >= CF_MIN_MODULUS: the Re z > 0 ray of every remainder at pipeline
+size.  It needs no inflation, and it is evaluated by the Wallis recurrence
+on Python ints scaled by 2^wp (``_fixed_cf``) at digits + guard; its final
+convergent difference is checked against that budget after the fact
+(IllConditionedError).  One everywhere-convergent series serves every
+other input: Re z <= 0, the other sheets, small |z| and Re alpha >= 0.
+It is taken to its finite limit at nonpositive integer order, and it
+cancels: its largest addends exceed the value by about e^(|z| + Re z), so
+it runs at a working precision inflated by max(|z| + Re z, 0)/ln 10 + 10
+digits, plus log10(1/d) within d of a pole of Gamma(alpha), and raises
+DomainError when that inflation would exceed SERIES_INFLATION_LIMIT.  The
+inflation is checked after the fact: ``upper_gamma`` takes the digits
+actually lost, log10(max(|head|, |z^alpha| peak) / |value|) with head
+Gamma(alpha) or its finite limit and peak the largest addend, from binary
+exponents, and raises IllConditionedError when they exceed the inflation,
+so every value it returns carries digits + guard digits.  The series is
+summed in fixed point (``_fixed_series``): real and imaginary parts are
+Python ints scaled by 2^wp, with wp the bits of the inflated digits plus
+guard bits sized by an a-priori error bound, so its hundreds of terms cost
+integer products rather than mpmath number objects.  The two asymptotic
+regimes of T_nu(z) near optimal truncation (|nu| ~ |z|) are provided
+separately, including the error-function smoothing form on the Stokes
+line.
 """
 from __future__ import annotations
 
@@ -39,6 +48,20 @@ from .hp import PrecisionContext, RayComplex, gamma_complex, pow_ray
 
 ARG_LIMIT_SLACK = 0.1
 REGIME_EPSILON = 0.05
+# The continued fraction serves |z| >= CF_MIN_MODULUS on its side of the
+# plane: below it the series, whose cost falls with |z|, is the faster
+# (measured in the README's precision section).
+CF_MIN_MODULUS = 24
+CF_TERM_CAP = 10000
+# The continued fraction stops 10 digits below its budget (see
+# _upper_gamma_cf).
+CF_STOP_DIGITS = 10
+# Largest a-priori inflation the series may carry, in digits.  Its calls
+# from the benchmark workloads need at most 28, from validate 11, and the
+# tests' fuzzed domain (|z| <= 250 on any ray) at most 228; 300 leaves a
+# margin and stops the series near |z| = 334 on the positive real axis.
+SERIES_INFLATION_LIMIT = 300
+SERIES_TERM_CAP = 100000
 
 
 def _series_inflation(z: RayComplex) -> int:
@@ -60,16 +83,21 @@ def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
     Real and imaginary parts are Python ints scaled by 2^wp.  The sum stops
     at the first m > |z| (m > m_floor) whose addend c has
     |c| < 10^(5-dps) peak, peak the largest |c| so far, compared through
-    squared magnitudes.  Returns the sum as an mpc (exact, unrounded) and
-    peak^2 in units of 2^(-2 wp).
+    squared magnitudes; ConvergenceError, at once when m_floor leaves no
+    room, if that takes SERIES_TERM_CAP addends.  Returns the sum as an mpc
+    (exact, unrounded) and peak^2 in units of 2^(-2 wp).
     """
+    if m_floor + 1 >= SERIES_TERM_CAP:
+        raise ConvergenceError(
+            f"incomplete gamma series needs more than |z| = {m_floor} "
+            f"terms, beyond its cap of {SERIES_TERM_CAP}")
     zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
     ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
     ai2 = ai * ai
     tol2 = 10 ** (2 * (dps - 5))
     tr, ti = 1 << wp, 0
     sr = si = peak2 = 0
-    for m in range(100000):
+    for m in range(SERIES_TERM_CAP):
         if m:
             # term *= -z / m
             tr, ti = (ti * zi - tr * zr >> wp) // m, \
@@ -92,6 +120,76 @@ def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
     raise ConvergenceError("incomplete gamma series did not converge")
 
 
+def _bits(re: int, im: int) -> int:
+    """Bit length of max(|re|, |im|): log2 of the modulus to within a bit."""
+    return max(abs(re), abs(im)).bit_length()
+
+
+def _fixed_cf(alpha: mpc, zval: mpc, wp: int, stop_bits: int):
+    """Legendre's continued fraction for Gamma(alpha, z) z^(-alpha) e^z
+    (DLMF 8.9.2) in its even form,
+    1/(z+1-alpha - 1(1-alpha)/(z+3-alpha - 2(2-alpha)/(z+5-alpha - ...))),
+    in fixed point.
+
+    The Wallis recurrence X_n = b_n X_(n-1) + a_n X_(n-2), with
+    b_n = z + 2n - 1 - alpha and a_(n+1) = -n(n - alpha), runs on Python
+    ints for the numerators A_n and the denominators B_n, with b_n and a_n
+    scaled by 2^wp.  Each pair (X_n, X_(n-1)) is shifted right by a common
+    amount, separately for A and B, whenever both exceed wp + 64 bits, so
+    both stay at least wp bits wide.  The relative convergent difference
+    |F_n - F_(n-1)|/|F_n| = |A_n B_(n-1) - A_(n-1) B_n| / |A_n B_(n-1)| is
+    read from the closed form |A_n B_(n-1) - A_(n-1) B_n| = |a_2 ... a_n|
+    and the bit lengths; the loop stops once it is below 2^-stop_bits, and
+    ConvergenceError past CF_TERM_CAP steps.  Returns F_n = A_n/B_n as an
+    mpc at the current precision, and log2 of the exact final relative
+    difference, from the cross product of the stored ints.
+    """
+    zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
+    ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
+    fr, fi = float(alpha.real), float(alpha.imag)
+    # (A_0, A_1) = (0, 1), (B_0, B_1) = (1, b_1); log2 |A_1 B_0 - A_0 B_1|
+    # in units of the stored ints, less their shifts
+    one, two = 1 << wp, 2 << wp
+    par = pai = cai = pbi = 0
+    car = pbr = one
+    br, bi = zr + one - ar, zi - ai
+    cbr, cbi = br, bi
+    logdet, sa, sb = 2.0 * wp, 0, 0
+    low, high = wp, wp + 64
+    for n in range(1, CF_TERM_CAP):
+        anr, ani = -n * ((n << wp) - ar), n * ai
+        br += two
+        par, pai, car, cai = car, cai, \
+            (br * car - bi * cai + anr * par - ani * pai) >> wp, \
+            (br * cai + bi * car + anr * pai + ani * par) >> wp
+        pbr, pbi, cbr, cbi = cbr, cbi, \
+            (br * cbr - bi * cbi + anr * pbr - ani * pbi) >> wp, \
+            (br * cbi + bi * cbr + anr * pbi + ani * pbr) >> wp
+        logdet += math.log2(n) + math.log2(math.hypot(n - fr, fi))
+        la, lb = _bits(car, cai), _bits(pbr, pbi)
+        if logdet - la - lb < -stop_bits:
+            break
+        e = min(la, _bits(par, pai)) - low
+        if e > high - low:
+            par, pai, car, cai = par >> e, pai >> e, car >> e, cai >> e
+            logdet, sa = logdet - e, sa + e
+        e = min(lb, _bits(cbr, cbi)) - low
+        if e > high - low:
+            pbr, pbi, cbr, cbi = pbr >> e, pbi >> e, cbr >> e, cbi >> e
+            logdet, sb = logdet - e, sb + e
+    else:
+        raise ConvergenceError(
+            f"incomplete gamma continued fraction did not converge in "
+            f"{CF_TERM_CAP} steps")
+    cross = (car * pbr - cai * pbi, car * pbi + cai * pbr)
+    diff = (cross[0] - par * cbr + pai * cbi, cross[1] - par * cbi - pai * cbr)
+    value = mp.make_mpc((from_man_exp(car, sa - sb),
+                         from_man_exp(cai, sa - sb))) \
+        / mp.make_mpc((from_man_exp(cbr, 0), from_man_exp(cbi, 0)))
+    # log2 |diff| < bits + 1/2 and log2 |cross| >= bits - 1
+    return value, _bits(*diff) - _bits(*cross) + 2
+
+
 def _digits_lost(head, zpow, peak2: int, wp: int, value) -> float:
     """log10(max(|head|, |zpow| peak) / |value|), the digits that
     head - zpow sum lost to cancellation, from binary exponents alone (to
@@ -105,12 +203,16 @@ def _digits_lost(head, zpow, peak2: int, wp: int, value) -> float:
 def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     """Incomplete gamma Gamma(alpha, z) on the branch set by z.argument.
 
-    Gamma(alpha) - z^alpha sum_m (-z)^m / (m! (alpha + m)) for every order.
-    At alpha = -n, n = 0, 1, ..., the m = n term is dropped and Gamma(alpha)
-    becomes its finite limit (-1)^n/n! (psi(n+1) - log z), with log z taken
-    on the ray (DLMF 8.4.15).  The series is summed in fixed point by
-    ``_fixed_series``; IllConditionedError if it lost more digits to
-    cancellation than the inflation it carried.
+    On the principal sheet with Re z >= |Im alpha|, Re alpha < 0 and
+    |z| >= CF_MIN_MODULUS, z^alpha e^(-z) times Legendre's continued
+    fraction (``_upper_gamma_cf``).  Everywhere else
+    Gamma(alpha) - z^alpha sum_m (-z)^m / (m! (alpha + m)): at alpha = -n,
+    n = 0, 1, ..., the m = n term is dropped and Gamma(alpha) becomes its
+    finite limit (-1)^n/n! (psi(n+1) - log z), with log z taken on the ray
+    (DLMF 8.4.15).  The series is summed in fixed point by
+    ``_fixed_series``; DomainError if its a-priori inflation exceeds
+    SERIES_INFLATION_LIMIT digits, IllConditionedError if it lost more
+    digits to cancellation than the inflation it carried.
 
     The order is read by ``ctx.read``, so the value does not depend on the
     caller's mpmath precision.  An order or |z| beyond the double range
@@ -134,13 +236,25 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
                 f"order {alpha} is within 10^(-digits/2) of the integer "
                 f"{nearest} but not on it; perturb s instead")
         dmag = 0 if integer else mp.mag(offset)
+    arg = float(z.argument)
+    if alpha.real < 0 and abs(arg) < math.pi / 2 \
+            and z.modulus >= CF_MIN_MODULUS \
+            and abs(float(alpha.imag)) <= float(z.modulus) * math.cos(arg):
+        return _upper_gamma_cf(alpha, z, ctx)
     n = -nearest if integer and nearest <= 0 else None
     # Within d < 1 of a pole -n <= 0 of Gamma, Gamma(alpha) and the addend
     # m = n are both 1/d times their size elsewhere and cancel, so the value
     # loses log10(1/d) digits more than _series_inflation counts; the floor
     # leaves the fraction to its 10-digit cushion
     pole = int(-dmag * math.log10(2)) if nearest <= 0 and dmag < 0 else 0
-    extra = _series_inflation(z) + pole
+    inflation = _series_inflation(z)
+    if inflation > SERIES_INFLATION_LIMIT:
+        raise DomainError(
+            f"the incomplete gamma series would carry {inflation} digits of "
+            f"inflation, more than its limit of {SERIES_INFLATION_LIMIT}, at "
+            f"|z| = {mp.nstr(z.modulus, 8)}, arg z = "
+            f"{mp.nstr(z.argument, 8)}")
+    extra = inflation + pole
     dps = ctx.digits + ctx.guard + extra
     # Error bound of _fixed_series, in units u = 2^-wp.  z and alpha are
     # stored to within sqrt(2) u, and every shift or floor division
@@ -175,6 +289,62 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
         raise IllConditionedError(
             f"incomplete gamma series lost {lost:.1f} digits, more than the "
             f"{extra} it carried, at alpha = {mp.nstr(alpha, 8)}, "
+            f"|z| = {mp.nstr(z.modulus, 8)}, arg z = {mp.nstr(z.argument, 8)}")
+    return value
+
+
+def _upper_gamma_cf(alpha: mpc, z: RayComplex, ctx: PrecisionContext):
+    """Gamma(alpha, z) = z^alpha e^(-z) F on the principal sheet, with F
+    from ``_fixed_cf``; IllConditionedError if its final convergent
+    difference exceeds the budget."""
+    # Error model, relative to the value, against the budget
+    # 10^-(digits + guard) that the series also meets:
+    # - Truncation.  For real alpha < 0 the fraction is a Stieltjes
+    #   fraction in 1/z, and for |arg z| < pi/2 bounds of the
+    #   Henrici-Pfluger kind (Numer. Math. 9, 1966) put F within the last
+    #   difference of approximants.  For complex alpha, |Im alpha| <= Re z
+    #   keeps every element |a_(m+1)/(b_m b_(m+1))| below 1/4, the
+    #   Worpitzky bound (from |m - alpha| <= m - Re alpha + |Im alpha| and
+    #   |b| >= Re b once Re z - Re alpha >= 1; no violation in 20000
+    #   random inputs either way), so the
+    #   differences cannot stall and then grow again; without it the
+    #   fraction stopped early at alpha = -0.48 + 100i, |z| = 24,
+    #   arg z = 0.49 pi, off by 4e-37.  The model allows a factor 10^3 on
+    #   the last difference |F_n - F_(n-1)|, which holds whenever the
+    #   differences shrink by q <= 0.999 per step (q/(1-q) <= 10^3).  The
+    #   loop stops once the difference, read from bit lengths to within 2
+    #   bits, is below 10^-(digits + guard + CF_STOP_DIGITS), and the check
+    #   below raises unless the exact final difference, to within 3 bits,
+    #   is below 10^-(digits + guard + 3): about 6 digits spare.
+    # - Rounding.  z and alpha are stored to within 2^-wp, and each shift
+    #   truncates A_n or B_n, kept at least wp bits wide, by less than 2^-wp
+    #   relative.  A_n and B_n are dominant solutions of their recurrence,
+    #   so an error is carried forward without growth (the minimal solution
+    #   it excites decays); over fewer than CF_TERM_CAP < 2^14 steps of at
+    #   most 4 such units each, F is off by less than 2^(16 - wp), and
+    #   wp = prec + 40 puts that 2^-24 below the budget.
+    # - The prefactor.  exp(alpha log z) e^(-z) rounds an exponent of size
+    #   S <= |alpha| (|log|z|| + |arg z|) + |z|, so `extra` digits with
+    #   10^extra > 100 S keep it 10^-2 below the budget.
+    # Nothing cancels, and Gamma(alpha, z) is entire in alpha: neither
+    # _series_inflation nor the pole term applies.
+    dps = ctx.digits + ctx.guard
+    with ctx.working(10):
+        size = abs(alpha) * (abs(mp.log(z.modulus)) + abs(z.argument)) \
+            + z.modulus
+        extra = int(mp.log10(size)) + 3
+    prec = dps_to_prec(dps)
+    stop_bits = int((dps + CF_STOP_DIGITS) / math.log10(2))
+    with ctx.working(extra):
+        zval = z.value()
+        frac, diff_bits = _fixed_cf(alpha, zval, prec + 40, stop_bits)
+        value = pow_ray(z, alpha, ctx, extra=extra) * mp.exp(-zval) * frac
+    diff = diff_bits * math.log10(2)
+    if diff > -(dps + 3):
+        raise IllConditionedError(
+            f"incomplete gamma continued fraction stopped at a convergent "
+            f"difference of 10^{diff:.1f}, above its budget of "
+            f"10^-{dps + 3}, at alpha = {mp.nstr(alpha, 8)}, "
             f"|z| = {mp.nstr(z.modulus, 8)}, arg z = {mp.nstr(z.argument, 8)}")
     return value
 

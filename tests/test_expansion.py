@@ -1,4 +1,10 @@
+import importlib.util
+import math
+import time
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetastokes import expansion
@@ -28,6 +34,25 @@ with mp.workdps(FINE_DPS):
 
 def bits(value):
     return value._mpc_
+
+
+def _least_term_loop(k, s, a):
+    """The least-term index counted one r at a time: the reference for
+    optimal_truncation's bisection."""
+    s = complex(s)
+    bound = (2 * math.pi * k * float(a.modulus)) ** 2
+    r = 1
+    while abs((2 * r + s - 1) * (2 * r + s)) < bound:
+        r += 1
+    return max(r - 1, 1)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _power(base, exponent, ctx, extra=0):
@@ -167,6 +192,47 @@ class TestOptimalTruncation:
         import math
         assert abs(n1 - math.pi * 10) < 4
         assert abs(n3 - 3 * math.pi * 10) < 6
+
+    def test_matches_the_loop_on_the_workloads(self, ctx):
+        # every ray of the benchmark's points at seeds 0 and 3, for the
+        # plan scales and the tail scales extend_plan adds
+        import zetastokes
+        wl = _bench_workloads()
+        for name in wl.WORKLOADS:
+            ev = wl.Evaluator(zetastokes, name)
+            for seed in (0, 3):
+                for point in wl.points(name, seed):
+                    if name in wl.SWEEPS:
+                        zp = ev._sweep_point(point)
+                        s, rays = zp.s, (zp.a, zp.a_prime)
+                    else:
+                        with ctx.working(10):
+                            s, a = ev._grid_point(point)
+                        rays = (a,)
+                    for a in rays:
+                        for k in range(1, 25):
+                            assert optimal_truncation(k, s, a, ctx) == \
+                                _least_term_loop(k, s, a), (name, point, k)
+
+    @given(mod=st.floats(min_value=0, max_value=4),
+           k=st.integers(min_value=1, max_value=5),
+           re=st.floats(min_value=-4, max_value=12),
+           im=st.floats(min_value=-30, max_value=30))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_the_loop(self, ctx_fast, mod, k, re, im):
+        # |a| = 10^mod up to 10^4; Re s <= -1 keeps the walk from r = 1
+        a = RayComplex(mpf(10) ** mod, mpf("0.4"))
+        s = mpc(re, im)
+        assert optimal_truncation(k, s, a, ctx_fast) == \
+            _least_term_loop(k, s, a)
+
+    def test_large_modulus_returns_at_once(self, ctx):
+        # the loop takes about pi |a| steps: some 13 s at |a| = 1e7
+        a = RayComplex(mpf("1e7"), mpf("0.4"))
+        start = time.perf_counter()
+        n = optimal_truncation(1, mpc(2, 0.5), a, ctx)
+        assert time.perf_counter() - start < 0.1
+        assert abs(n - math.pi * 1e7) < 2
 
     def test_rejects_small_modulus(self, ctx):
         with pytest.raises(DomainError, match=r"modulus >= 1, got 0\.5\b"):

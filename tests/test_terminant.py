@@ -1,11 +1,13 @@
 import importlib
 import math
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from zetastokes.errors import DomainError, IllConditionedError
+from zetastokes.errors import (ConvergenceError, DomainError,
+                               IllConditionedError)
 from zetastokes.expansion import TruncationPlan, optimal_truncation, z_improved
 from zetastokes.hp import PrecisionContext, RayComplex, pow_ray
 from zetastokes.terminant import (c_of_phi, terminant,
@@ -13,6 +15,7 @@ from zetastokes.terminant import (c_of_phi, terminant,
 
 # the module, which the package's ``terminant`` function shadows
 terminant_module = importlib.import_module("zetastokes.terminant")
+CROSSOVER = terminant_module.CF_MIN_MODULUS
 
 
 def _gammainc_on_ray(alpha, mod, arg):
@@ -202,15 +205,27 @@ class TestPrecisionCheck:
     IllConditionedError when they exceed the inflation it carried."""
 
     def test_too_little_inflation_raises(self, ctx, monkeypatch):
-        # a pipeline-sized order at |z| = 2 pi 18 on the Re z > 0 ray,
-        # where the series loses about 98 digits: 20 fewer than the rule
-        # gives are too few
+        # a pipeline-sized order at |z| = 2 pi 18 just past arg z = pi/2,
+        # where the series still serves and loses about 46 digits: 20
+        # fewer than the rule gives are too few
         rule = terminant_module._series_inflation
         monkeypatch.setattr(terminant_module, "_series_inflation",
                             lambda z: rule(z) - 20)
         with ctx.working(10):
-            z = RayComplex(mpf("113.1"), mpf("-0.05") * mp.pi)
+            z = RayComplex(mpf("113.1"), mpf("0.52") * mp.pi)
             with pytest.raises(IllConditionedError, match="lost"):
+                upper_gamma(mpc(-111, -0.5), z, ctx)
+
+    def test_too_loose_stop_rule_raises(self, ctx, monkeypatch):
+        # the continued fraction's own negative control: stopping 15
+        # digits early leaves a convergent difference above the budget
+        cf = terminant_module._fixed_cf
+        monkeypatch.setattr(terminant_module, "_fixed_cf",
+                            lambda alpha, z, wp, stop: cf(alpha, z, wp,
+                                                          stop - 50))
+        with ctx.working(10):
+            z = RayComplex(mpf("113.1"), mpf("-0.05") * mp.pi)
+            with pytest.raises(IllConditionedError, match="difference"):
                 upper_gamma(mpc(-111, -0.5), z, ctx)
 
     @given(mod=st.floats(min_value=1, max_value=250),
@@ -240,11 +255,19 @@ class TestPrecisionCheck:
 
     def test_never_fires_on_the_exactness_grid(self, ctx, monkeypatch):
         # every terminant of the 27 points under the three plans of
-        # acceptance criterion 2, extension scales included, would pass the
-        # check with 5 more digits lost
+        # acceptance criterion 2, extension scales included, would pass its
+        # check with 5 more digits lost by the series, or with a final
+        # convergent difference 5 digits larger in the continued fraction
         lost = terminant_module._digits_lost
         monkeypatch.setattr(terminant_module, "_digits_lost",
                             lambda *args: lost(*args) + 5)
+        cf = terminant_module._fixed_cf
+
+        def cf_worse(*args):
+            value, diff_bits = cf(*args)
+            return value, diff_bits + 5 / math.log10(2)
+
+        monkeypatch.setattr(terminant_module, "_fixed_cf", cf_worse)
         plans = [TruncationPlan.constant(2, 2), TruncationPlan.constant(7, 2),
                  TruncationPlan((3, 9), (3, 9), 2)]
         with ctx.working(10):
@@ -254,6 +277,109 @@ class TestPrecisionCheck:
                         a = RayComplex(mpf(mod), mpf(argpi) * mp.pi)
                         for plan in plans:
                             z_improved(s, a, plan, ctx)
+
+
+class TestContinuedFraction:
+    """On the principal sheet with Re z >= |Im alpha|, Re alpha < 0 and
+    |z| at or above the crossover, upper_gamma evaluates Legendre's
+    continued fraction; the series serves every other input."""
+
+    @pytest.mark.parametrize("alpha,mod,arg_over_pi,method", [
+        (mpc(-40), 40, "0.3", "cf"),
+        (mpc(-40, 1), 40, "-0.49", "cf"),          # Re z = 1.26
+        (mpc(-40, 2), 40, "-0.49", "series"),      # |Im alpha| > Re z
+        (mpc(-40), 40, "0.51", "series"),          # Re z < 0
+        (mpc(-40), 40, "1.7", "series"),           # Re z > 0, next sheet
+        (mpc(-40), CROSSOVER - 1, "0.3", "series"),  # below the crossover
+        (mpc("0.5"), 40, "0.3", "series"),         # Re alpha >= 0
+        (mpc(0), 40, "0.3", "series"),
+    ])
+    def test_dispatch(self, alpha, mod, arg_over_pi, method, ctx_fast,
+                      monkeypatch):
+        class Taken(Exception):
+            pass
+
+        def taken(name):
+            def raiser(*args):
+                raise Taken(name)
+            return raiser
+
+        monkeypatch.setattr(terminant_module, "_fixed_cf", taken("cf"))
+        monkeypatch.setattr(terminant_module, "_fixed_series",
+                            taken("series"))
+        with ctx_fast.working(10):
+            z = RayComplex(mpf(mod), mpf(arg_over_pi) * mp.pi)
+        with pytest.raises(Taken, match=method):
+            upper_gamma(alpha, z, ctx_fast)
+
+    @given(mod=st.floats(min_value=CROSSOVER, max_value=350),
+           arg=st.floats(min_value=0.3, max_value=0.4999),
+           side=st.sampled_from([-1, 1]),
+           kind=st.sampled_from(["generic", "integer", "near-integer"]),
+           ratio=st.floats(min_value=0.01, max_value=2),
+           im=st.floats(min_value=-1, max_value=1),
+           gap=st.integers(min_value=1, max_value=14),
+           digits=st.just(30))
+    @example(mod=40.0, arg=0.49, side=1, kind="near-integer", ratio=1.5,
+             im=0.0, gap=29, digits=60)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_values_match_gammainc(self, mod, arg, side, kind, ratio, im,
+                                   gap, digits):
+        # Re alpha < 0 orders up to 2|z|, Im alpha up to Re z, on rays with
+        # arg z/pi in +-[0.3, 0.5), up to arg z = +-pi/2 where the fraction
+        # converges slowest.  A near-integer order sits 10^-gap from the
+        # integer, outside the near-integer band of the digits; the example
+        # is the order -60 + 10^-29 of the series' near-pole test, which
+        # only 60 digits admit.
+        ctx = PrecisionContext(digits)
+        with mp.workdps(2 * (ctx.digits + ctx.guard)):
+            z = RayComplex(mpf(mod), side * mpf(arg) * mp.pi)
+            n = -max(1, round(ratio * mod))
+            alpha = {"generic": mpc(-ratio * mod,
+                                    im * mod * mp.cos(z.argument)),
+                     "integer": mpc(n),
+                     "near-integer": mpc(n) + mpf(10) ** -gap}[kind]
+            ours = upper_gamma(alpha, z, ctx)
+            ref = mp.gammainc(alpha, z.value())
+            assert abs(ours - ref) <= \
+                mpf(10) ** -(ctx.digits + ctx.guard - 10) * abs(ref)
+
+    @pytest.mark.parametrize("mod", [CROSSOVER - 2, CROSSOVER, CROSSOVER + 6])
+    @pytest.mark.parametrize("alpha,arg_over_pi", [
+        (mpc(-30, -0.5), "0"), (mpc(-29), "0.45"), (mpc("-0.3"), "-0.45")])
+    def test_series_and_fraction_agree_at_the_crossover(
+            self, mod, alpha, arg_over_pi, ctx, monkeypatch):
+        with ctx.working(10):
+            z = RayComplex(mpf(mod), mpf(arg_over_pi) * mp.pi)
+        cf = terminant_module._upper_gamma_cf(alpha, z, ctx)
+        monkeypatch.setattr(terminant_module, "CF_MIN_MODULUS", math.inf)
+        series = upper_gamma(alpha, z, ctx)
+        with ctx.working(10):
+            assert abs(cf - series) <= \
+                mpf(10) ** -(ctx.digits + ctx.guard - 10) * abs(series)
+
+
+class TestSeriesLimits:
+    """Inputs whose series would be too long or too wide raise at once."""
+
+    @pytest.mark.parametrize("alpha,arg,error,match", [
+        (mpc("2.5"), mpf("0.4"), DomainError, "inflation"),  # Re alpha >= 0
+        (mpc(-3), mpf("-5.9"), DomainError, "inflation"),    # next sheet
+        (mpc(-3), mp.pi, ConvergenceError, "terms"),         # Re z < 0
+    ])
+    def test_huge_modulus_returns_at_once(self, alpha, arg, error, match,
+                                          ctx_fast):
+        z = RayComplex(mpf("1e6"), arg)
+        start = time.perf_counter()
+        with pytest.raises(error, match=match):
+            upper_gamma(alpha, z, ctx_fast)
+        assert time.perf_counter() - start < 1
+
+    def test_inflation_limit_covers_the_fuzzed_domain(self):
+        # the widest series the tests ask for: |z| = 250 on the real axis
+        widest = terminant_module._series_inflation(
+            RayComplex(mpf(250), mpf(0)))
+        assert widest <= terminant_module.SERIES_INFLATION_LIMIT
 
 
 class TestTerminant:
