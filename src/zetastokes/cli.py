@@ -20,7 +20,7 @@ from mpmath import mp, mpf, mpc
 
 from .errors import ZetaError
 from .expansion import TruncationPlan
-from .hp import PrecisionContext, RayComplex
+from .hp import HEADROOM, PrecisionContext, RayComplex
 from .stokes import find_minimum, sweep
 from .terminant import terminant
 from .validate import run_validation
@@ -68,13 +68,13 @@ def _check_finite(text: str, *values) -> None:
 
 
 def _parse_complex(text: str, ctx: PrecisionContext) -> mpc:
-    """RE or RE,IM, parsed at the command's ``ctx.working(10)``, as
+    """RE or RE,IM, parsed at the command's ``ctx.working(HEADROOM)``, as
     ``PrecisionContext.read`` parses a decimal string."""
     parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ConfigError(f"expected RE or RE,IM, got {text!r}")
     try:
-        with ctx.working(10):
+        with ctx.working(HEADROOM):
             re = mpf(parts[0])
             im = mpf(parts[1]) if len(parts) == 2 else mpf(0)
             value = mpc(re, im)
@@ -259,9 +259,11 @@ def run_sweep(args) -> int:
             "timestamp_noncomparable": time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
+        resolved = [smp.diagnostics.get("resolved_digits") for smp in samples]
         text = json.dumps(
             {"meta": meta,
-             "rows": [dict(zip(header, row)) for row in rows]},
+             "rows": [dict(zip(header, row), resolved_digits=r)
+                      for row, r in zip(rows, resolved)]},
             indent=2) + "\n"
     _write_output(text, args.out)
     failed = sum(1 for smp in samples if smp.error is not None)

@@ -33,8 +33,9 @@ from itertools import accumulate
 from mpmath import mp, mpf, mpc
 
 from .errors import DomainError, TailBoundError
-from .hp import (MIN_DIGITS, PrecisionContext, RayComplex, bernoulli_even,
-                 gamma_complex, hurwitz_zeta_integer, ray_powers)
+from .hp import (FACTOR_EXTRA, HEADROOM, LOG_ESTIMATE_DIGITS, MIN_DIGITS,
+                 PrecisionContext, RayComplex, bernoulli_even, gamma_complex,
+                 hurwitz_zeta_integer, ray_powers)
 from .oracle import ZetaPoint, check_s_off_poles
 from .terminant import terminant
 
@@ -75,10 +76,10 @@ def a_r_coefficients(s, a: RayComplex, lo: int, hi: int,
     if lo < 0:
         raise DomainError("r must be >= 0")
     s = ctx.read(s)
-    with ctx.working():
+    with ctx.working(FACTOR_EXTRA):
         ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
         exponents = [2 * r + s + 1 for r in range(lo, hi)]
-        powers = ray_powers(ray, exponents, ctx)
+        powers = ray_powers(ray, exponents, ctx, extra=FACTOR_EXTRA)
         return [(-1) ** r * gamma_complex(e, ctx) / p
                 for r, e, p in zip(range(lo, hi), exponents, powers)]
 
@@ -145,7 +146,7 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
     arg a + pi/2 and arg a - pi/2 respectively, never principal-reduced.
     """
     s = ctx.read(s)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         nu = 2 * nk + s
         halfpi = mp.pi / 2
         mod = 2 * mp.pi * k * a.modulus
@@ -170,7 +171,7 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
     """
     s = ctx.read(s)
     floor = list(accumulate(reversed(nlist), min))[::-1]
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         coeffs = a_r_coefficients(s, a, 0, max(nlist, default=0), ctx)
         total = mpc(0)
         prev = 0
@@ -189,7 +190,7 @@ def _bernoulli_factor(r: int, s, ctx: PrecisionContext) -> mpc:
     """B_{2r}/(2r)! Gamma(2r+s-1), which does not depend on theta;
     memoized on (r, s, ctx)."""
     b = bernoulli_even(r)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         return (mpf(b.numerator) / b.denominator) / mp.factorial(2 * r) \
             * gamma_complex(2 * r + s - 1, ctx)
 
@@ -205,7 +206,7 @@ def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
     with c_r the memoized ``_bernoulli_factor`` and the two powers of a
     from one ``ray_powers`` call: one multiply-add per term."""
     s = ctx.read(s)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         lead, step = ray_powers(a, [-1 - s, -2], ctx)
         total = mpc(0)
         for r in range(n, 0, -1):
@@ -221,22 +222,22 @@ def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
     the dropped tail -- its first omitted term |A_prev| zeta(2 prev+2, k+1)/pi
     plus the exponential bound 2 (k+1)^max(Re s-1, 0) e^(-2 pi (k+1) |Im a|)
     -- falls below the budget, tol/100 times the leading block
-    |A_0| zeta(2)/pi, the rule taken in logs at 20 digits.  The second item
-    holds, for each added scale, log10(estimate/budget) of the tail
-    estimate that added it, always >= 0: ``z_improved`` sizes that scale's
-    remainder by it.  ``leading_blocks`` over the extended list carries the
-    raised indices exactly (the per-scale truncation invariance of the
-    expansion).
+    |A_0| zeta(2)/pi, the rule taken in logs at ``hp.LOG_ESTIMATE_DIGITS``.
+    The second item holds, for each added scale, log10(estimate/budget) of
+    the tail estimate that added it, always >= 0: ``z_improved`` sizes that
+    scale's remainder by it.  ``leading_blocks`` over the extended list
+    carries the raised indices exactly (the per-scale truncation invariance
+    of the expansion).
     """
     s = ctx.read(s)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         im_abs = a.modulus * abs(mp.sin(a.argument))
         if im_abs <= ctx.tol():
             raise TailBoundError("remainder tail needs Im(a) != 0 to decay")
     im_abs, power = float(im_abs), max(float(s.real) - 1, 0.0)
 
     def log_alg(r, b):  # log(|A_r| zeta(2r+2, b) / pi)
-        with mp.workdps(20):
+        with mp.workdps(LOG_ESTIMATE_DIGITS):
             e = 2 * r + s + 1
             return float(mp.re(mp.loggamma(e)) + e.imag * a.argument
                          - e.real * mp.log(2 * mp.pi * a.modulus)
@@ -291,7 +292,7 @@ def z_improved(s, a: RayComplex, plan: TruncationPlan,
     contexts = [ctx] * len(plan.nk) + [
         ctx.reduced(max(MIN_DIGITS, math.ceil(e) + TAIL_MARGIN))
         for e in excess]
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         total = leading_blocks(s, a, nlist, ctx)
         for k, (n, kctx) in enumerate(zip(nlist, contexts), start=1):
             total += mp.exp((s - 1) * mp.log(k)) \
@@ -304,10 +305,8 @@ def script_r_k(k: int, point: ZetaPoint, nk: int, nk_prime: int,
     """Combined remainder for Ftilde, composed from the two R_k values:
     e^(i pi s/2) R_k(a; N_k) + e^(-i pi s/2) R_k(a'; N'_k)."""
     s = point.s
-    with ctx.working(10):
-        return point.combine(remainder_rk(k, s, point.a, nk, ctx),
-                             remainder_rk(k, s, point.a_prime, nk_prime, ctx),
-                             ctx)
+    return point.combine(remainder_rk(k, s, point.a, nk, ctx),
+                         remainder_rk(k, s, point.a_prime, nk_prime, ctx), ctx)
 
 
 def optimal_plan(point: ZetaPoint, k_max: int,

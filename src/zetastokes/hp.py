@@ -16,6 +16,10 @@ or switch.
 What does depend on theta is the power of the ray a; ``ray_powers`` takes
 all the powers of one ray in one call, with one logarithm of the ray and
 one exponential per exponent, and ``pow_ray`` is its one-exponent case.
+
+The precision budget is decided here: every offset of ``ctx.working`` and
+every fixed precision is a named constant below, with its reason; only the
+error-model constants of ``terminant`` and ``expansion`` live elsewhere.
 """
 from __future__ import annotations
 
@@ -32,17 +36,31 @@ from .errors import DomainError, PoleError
 
 MIN_DIGITS = 30
 
+# The precision budget: working precisions are digits + GUARD + an offset.
+GUARD = 20  # digits beyond ctx.digits that absorb the peel's rounding
+HEADROOM = 10  # a step's offset: its own few roundings stay below GUARD
+# Offset of the three A_r factor steps: a_r_coefficients' ray powers and
+# division, gamma_complex and zeta_even.  At 0 they round at digits + GUARD,
+# which caps the 60-digit fig1c sweep near 52 true digits (ROADMAP item 3).
+FACTOR_EXTRA = 0
+# validate.connection_residual's offset: the phase e^(2 pi i nu) and the
+# difference of two terminants round below the terminants' own digits.
+CONNECTION_EXTRA = 20
+LOG_ESTIMATE_DIGITS = 20  # extend_plan compares its logs to within a digit
+SMOOTHING_DIGITS = 30  # c_of_phi: its form is only good to O(|z|^(-1/2))
+RAY_VALUE_BITS = 10  # RayComplex.value: bits above the caller's precision
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision in decimal digits plus a fixed 20 guard digits.
+    """Working precision in decimal digits plus the fixed GUARD digits.
 
     ``tol()`` is the derived comparison tolerance 10^(-digits+10) used by
     all identity checks in the package.
     """
 
     digits: int = 60
-    guard: int = field(default=20, init=False)
+    guard: int = field(default=GUARD, init=False)
 
     def __post_init__(self):
         if self.digits < MIN_DIGITS:
@@ -65,7 +83,7 @@ class PrecisionContext:
         return out
 
     def tol(self) -> mpf:
-        with mp.workdps(self.digits + self.guard):
+        with self.working():
             return mpf(10) ** (-self.digits + 10)
 
     def working(self, extra: int = 0):
@@ -77,13 +95,13 @@ class PrecisionContext:
 
         An mpmath number is taken exactly as given, never re-rounded; an
         int, float or Python complex is exact already; only a decimal
-        string is parsed, at ``working(10)``.  Every entry point reads its
-        s or order through here, once.
+        string is parsed, at ``working(HEADROOM)``.  Every entry point reads
+        its s or order through here, once.
         """
         if isinstance(x, mpc):
             return x
         if isinstance(x, str):
-            with self.working(10):
+            with self.working(HEADROOM):
                 return mpc(x)
         return mp.make_mpc((_exact(x.real), _exact(x.imag)))
 
@@ -120,7 +138,7 @@ class RayComplex:
             raise DomainError("a ray needs a strictly positive modulus")
 
     def value(self) -> mpc:
-        with mp.extraprec(10):
+        with mp.extraprec(RAY_VALUE_BITS):
             return mpc(self.modulus) * mp.expj(self.argument)
 
     @classmethod
@@ -147,7 +165,7 @@ def zeta_even(m: int, ctx: PrecisionContext) -> mpf:
         raise DomainError(f"m must be even and >= 2, got {m}")
     r = m // 2
     b = bernoulli_even(r)
-    with ctx.working():
+    with ctx.working(FACTOR_EXTRA):
         sign = 1 if (r - 1) % 2 == 0 else -1
         val = sign * mpf(b.numerator) / b.denominator
         return val * (2 * mp.pi) ** m / (2 * mp.factorial(m))
@@ -168,7 +186,7 @@ def hurwitz_zeta_integer(m: int, base: int, ctx: PrecisionContext) -> mpf:
         raise DomainError(f"m must be even and >= 2, got {m}")
     if base == 1:
         return zeta_even(m, ctx)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         return mp.zeta(m, mpf(base))
 
 
@@ -180,7 +198,7 @@ def gamma_complex(z, ctx: PrecisionContext) -> mpc:
     included, runs at the context's precision, so the result does not
     depend on the caller's.
     """
-    with ctx.working():
+    with ctx.working(FACTOR_EXTRA):
         z = mpc(z)
         if z.real < 0.5:
             nearest = round(z.real)

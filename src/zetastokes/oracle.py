@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, mpc
 
 from .errors import DivergenceError, DomainError, PoleError
-from .hp import PrecisionContext, RayComplex, gamma_complex, ray_powers
+from .hp import (HEADROOM, PrecisionContext, RayComplex, gamma_complex,
+                 ray_powers)
 
 RE_S_MARGIN = mpf("1.1")
 
@@ -43,7 +44,7 @@ class ZetaPoint:
         if not (0 < a.argument < mp.pi):
             raise DomainError(f"arg a must lie in (0, pi), got {a.argument}")
         check_s_off_poles(s, 0, ctx)
-        with ctx.working(10):
+        with ctx.working(HEADROOM):
             # from_value reads the ambient precision, so the conversion must
             # stay inside the working block: a' = 1 - a has to hold to full
             # precision for the two-ray reflection identities to close
@@ -56,7 +57,7 @@ class ZetaPoint:
     def combine(self, x, x_prime, ctx: PrecisionContext) -> mpc:
         """e^(i pi s/2) x + e^(-i pi s/2) x_prime: a value on the ray a
         weighted with one on the ray a' as in the reflection formula."""
-        with ctx.working(10):
+        with ctx.working(HEADROOM):
             half_is = mp.expjpi(self.s / 2)
             return half_is * x + x_prime / half_is
 
@@ -85,7 +86,7 @@ def _check_re_s(s, ctx: PrecisionContext) -> mpc:
 def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     """zeta(s, a) = sum_{k>=0} (k+a)^(-s), by mpmath's ``zeta(s, a)``."""
     s = _check_re_s(s, ctx)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         aval = a.value()
         if abs(aval.imag) < ctx.tol() and aval.real <= ctx.tol():
             raise DomainError("a must not be a nonpositive real/integer")
@@ -95,15 +96,15 @@ def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
 def _subtracted_terms(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     """a^(-s)/2 + a^(1-s)/(s-1) on the ray a: the two leading algebraic
     terms of zeta(s, a) that Z(s, a) strips."""
-    with ctx.working(10):
-        a_s, a_1s = ray_powers(a, [-s, 1 - s], ctx, extra=10)
+    with ctx.working(HEADROOM):
+        a_s, a_1s = ray_powers(a, [-s, 1 - s], ctx, extra=HEADROOM)
         return a_s / 2 + a_1s / (s - 1)
 
 
 def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     """Z(s,a) = Gamma(s) (zeta(s,a) - a^(-s)/2 - a^(1-s)/(s-1))."""
     s = _check_re_s(s, ctx)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         zeta = hurwitz_zeta_direct(s, a, ctx)
         return gamma_complex(s, ctx) * (zeta - _subtracted_terms(s, a, ctx))
 
@@ -111,7 +112,7 @@ def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
 def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
     """F(a, 1-s) = sum_{k>=1} k^(s-1) e^(2 pi i k a) = Li_{1-s}(q) with
     q = e^(2 pi i a), by mpmath's ``polylog``."""
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         aval = point.a.value()
         if aval.imag <= 0:
             raise DivergenceError("periodic zeta sum needs Im(a) > 0")
@@ -124,7 +125,7 @@ def f_tilde_reference(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
     s = point.s
     if abs(s - 1) < ctx.tol():
         raise PoleError("Ftilde has a pole at s = 1", distance=abs(s - 1))
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         f = periodic_zeta_direct(point, ctx)
         pref = gamma_complex(s, ctx) / (2 * mp.pi) ** s
         ga = _subtracted_terms(s, point.a, ctx)

@@ -21,7 +21,7 @@ from .errors import (DomainError, IllConditionedError,
                      InsufficientPrecisionError, ZetaError)
 from .expansion import (TruncationPlan, bernoulli_series, leading_blocks,
                         optimal_plan, script_r_k)
-from .hp import PrecisionContext, RayComplex
+from .hp import HEADROOM, PrecisionContext, RayComplex
 from .oracle import ZetaPoint, f_tilde_reference
 
 GRID_POINTS = 400
@@ -106,7 +106,7 @@ def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, n1: int, n1p: int,
     expansion forms).
     """
     s = point.s
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         pref = (2 * mp.pi) ** (-s)
         series_a = pref * bernoulli_series(s, point.a, n1, ctx)
         series_ap = pref * bernoulli_series(s, point.a_prime, n1p, ctx)
@@ -130,7 +130,8 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
             - sum_{k<n} k^(s-1) (combined remainder at scale k) }.
 
     For n = 1 the extraction is repeated through the single-scale Bernoulli
-    series and the two values are required to agree.
+    series and the two values are required to agree.  ``resolved_digits``
+    in the diagnostics is digits + guard - log10(|Ftilde| / e^(-2 pi n Im a)).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -138,14 +139,14 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
     if plan is None:
         plan = optimal_plan(point, n, ctx)
     _require_scales(plan, n)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         ft = f_tilde_reference(point, ctx)
         im_a = point.a.modulus * mp.sin(point.a.argument)
         target = mp.exp(-2 * mp.pi * n * im_a)
-        if target < ctx.tol() * abs(ft):
-            required = int(mp.ceil(
-                10 + mp.log10(abs(ft)) + 2 * mp.pi * n * im_a / mp.log(10)
-            )) + 3
+        # log10(|Ftilde| / target); the floor is target < tol |Ftilde|
+        lost = mp.log10(abs(ft)) + 2 * mp.pi * n * im_a / mp.log(10)
+        if lost > ctx.digits - 10:
+            required = int(mp.ceil(10 + lost)) + 3
             raise InsufficientPrecisionError(
                 f"the scale-{n} exponential {mp.nstr(target, 3)} is below "
                 f"the resolvable floor tol*|Ftilde| = "
@@ -181,6 +182,7 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
             "peeled_abs": float(abs(peeled)),
             "remainder_abs": rk_abs,
             "target_exponential": float(target),
+            "resolved_digits": float(ctx.digits + ctx.guard - lost),
         }
         return MultiplierSample(theta=theta, exact=exact, approx=approx,
                                 plan=plan, diagnostics=diagnostics)
@@ -259,7 +261,7 @@ def sweep(n: int, abs_a, s, theta_range, ctx: PrecisionContext,
         _require_scales(plan, n)
     samples = []
     for j in range(count):
-        with ctx.working(10):
+        with ctx.working(HEADROOM):
             theta = mpf(lo) + (mpf(hi) - mpf(lo)) * j / (count - 1)
             a = RayComplex(mpf(abs_a), theta)
         try:

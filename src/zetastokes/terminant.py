@@ -31,10 +31,9 @@ so every value it returns carries digits + guard digits.  The series is
 summed in fixed point (``_fixed_series``): real and imaginary parts are
 Python ints scaled by 2^wp, with wp the bits of the inflated digits plus
 guard bits sized by an a-priori error bound, so its hundreds of terms cost
-integer products rather than mpmath number objects.  The two asymptotic
-regimes of T_nu(z) near optimal truncation (|nu| ~ |z|) are provided
-separately, including the error-function smoothing form on the Stokes
-line.
+integer products rather than mpmath number objects.  The error-function
+smoothing form of T_nu(z) near optimal truncation (|nu| ~ |z|), about the
+Stokes line, is provided separately.
 """
 from __future__ import annotations
 
@@ -44,7 +43,8 @@ from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 from .errors import (ConvergenceError, DomainError, IllConditionedError)
-from .hp import PrecisionContext, RayComplex, gamma_complex, pow_ray
+from .hp import (HEADROOM, SMOOTHING_DIGITS, PrecisionContext, RayComplex,
+                 gamma_complex, pow_ray)
 
 ARG_LIMIT_SLACK = 0.1
 REGIME_EPSILON = 0.05
@@ -62,6 +62,9 @@ CF_STOP_DIGITS = 10
 # margin and stops the series near |z| = 334 on the positive real axis.
 SERIES_INFLATION_LIMIT = 300
 SERIES_TERM_CAP = 100000
+# Bits both fixed-point kernels carry beyond the working precision, derived
+# in upper_gamma (the series) and _upper_gamma_cf (the fraction).
+FIXED_GUARD_BITS = 40
 
 
 def _series_inflation(z: RayComplex) -> int:
@@ -220,7 +223,7 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     10^(-digits/2) of an integer but not on it raises IllConditionedError.
     """
     alpha = ctx.read(alpha)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         if not (math.isfinite(float(abs(alpha)))
                 and math.isfinite(float(z.modulus))):
             raise DomainError(
@@ -266,14 +269,15 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     # B = max(1, 1/|z|) max(1, 1/d).  With fewer than 10^5 addends the sum
     # is off by at most 2^36 max(P, 1) B u, and max(P, 1) <= P A with
     # A = max(1, |alpha|, 1/|z|), because P >= |c_0| = 1/|alpha|, or
-    # P >= |c_1| = |z| at alpha = 0.  So 40 guard bits plus the bits of A B
-    # keep the error below P 2^-(prec+4), less than one rounding of the
-    # peak at the prec bits of dps digits.  d >= 1 at integer alpha (the
+    # P >= |c_1| = |z| at alpha = 0.  So FIXED_GUARD_BITS = 40 plus the bits
+    # of A B keep the error below P 2^-(prec+4), less than one rounding of
+    # the peak at the prec bits of dps digits.  d >= 1 at integer alpha (the
     # m = n term is skipped), and the classification keeps d above
     # 10^(-digits/2) otherwise.
     zbits = max(0, 2 - mp.mag(z.modulus))
     dbits = 0 if integer else max(0, 2 - dmag)
-    wp = dps_to_prec(dps) + 40 + 2 * zbits + max(0, mp.mag(alpha)) + dbits
+    wp = dps_to_prec(dps) + FIXED_GUARD_BITS + 2 * zbits \
+        + max(0, mp.mag(alpha)) + dbits
     with ctx.working(extra):
         zpow = pow_ray(z, alpha, ctx, extra=extra)
         total, peak2 = _fixed_series(alpha, z.value(), n, dps, wp,
@@ -322,22 +326,23 @@ def _upper_gamma_cf(alpha: mpc, z: RayComplex, ctx: PrecisionContext):
     #   so an error is carried forward without growth (the minimal solution
     #   it excites decays); over fewer than CF_TERM_CAP < 2^14 steps of at
     #   most 4 such units each, F is off by less than 2^(16 - wp), and
-    #   wp = prec + 40 puts that 2^-24 below the budget.
+    #   wp = prec + FIXED_GUARD_BITS = prec + 40 puts that 2^-24 below the
+    #   budget.
     # - The prefactor.  exp(alpha log z) e^(-z) rounds an exponent of size
     #   S <= |alpha| (|log|z|| + |arg z|) + |z|, so `extra` digits with
     #   10^extra > 100 S keep it 10^-2 below the budget.
     # Nothing cancels, and Gamma(alpha, z) is entire in alpha: neither
     # _series_inflation nor the pole term applies.
     dps = ctx.digits + ctx.guard
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         size = abs(alpha) * (abs(mp.log(z.modulus)) + abs(z.argument)) \
             + z.modulus
         extra = int(mp.log10(size)) + 3
-    prec = dps_to_prec(dps)
+    wp = dps_to_prec(dps) + FIXED_GUARD_BITS
     stop_bits = int((dps + CF_STOP_DIGITS) / math.log10(2))
     with ctx.working(extra):
         zval = z.value()
-        frac, diff_bits = _fixed_cf(alpha, zval, prec + 40, stop_bits)
+        frac, diff_bits = _fixed_cf(alpha, zval, wp, stop_bits)
         value = pow_ray(z, alpha, ctx, extra=extra) * mp.exp(-zval) * frac
     diff = diff_bits * math.log10(2)
     if diff > -(dps + 3):
@@ -360,7 +365,7 @@ def terminant(nu, z: RayComplex, ctx: PrecisionContext) -> mpc:
         raise DomainError(
             f"terminant requires |arg z| <= 2 pi, got {z.argument}")
     nu = ctx.read(nu)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         inc = upper_gamma(1 - nu, z, ctx)
         return mp.expjpi(nu) * gamma_complex(nu, ctx) \
             / (2 * mp.pi * mpc(0, 1)) * inc
@@ -376,7 +381,7 @@ def c_of_phi(phi) -> mpc:
     """
     if not (0 < float(phi) < 2 * math.pi):
         raise DomainError(f"phi must lie in (0, 2 pi), got {phi}")
-    with mp.workdps(30):
+    with mp.workdps(SMOOTHING_DIGITS):
         u = mpf(phi) - mp.pi
         if abs(u) < mpf("1e-8"):
             return mpc(u) + mpc(0, 1) * u ** 2 / 6
@@ -386,12 +391,10 @@ def c_of_phi(phi) -> mpc:
         return u * mp.sqrt(2 * w / u ** 2)
 
 
-def terminant_asymptotic(nu, z: RayComplex, ctx: PrecisionContext):
-    """Asymptotic T_nu(z) for |nu| ~ |z| >> 1; returns (value, regime).
-
-    The smoothing (error-function) form is used on [eps, 2 pi - eps] and the
-    algebraically decaying form on [-pi + eps, pi - eps]; in the overlap the
-    smoothing form wins.  The order is read by ``ctx.read``, as in
+def terminant_asymptotic(nu, z: RayComplex, ctx: PrecisionContext) -> mpc:
+    """The error-function smoothing form of T_nu(z) for |nu| ~ |z| >> 1,
+    1/2 + erf(c(arg z) sqrt(|z|/2))/2, on arg z in [eps, 2 pi - eps]
+    (DomainError elsewhere).  The order is read by ``ctx.read``, as in
     ``terminant``.
     """
     nu = ctx.read(nu)
@@ -400,17 +403,10 @@ def terminant_asymptotic(nu, z: RayComplex, ctx: PrecisionContext):
         raise DomainError(
             "asymptotic form needs |nu|/|z| in [0.5, 2] and |z| >= 10")
     phi = float(z.argument)
-    eps = REGIME_EPSILON
-    if eps <= phi <= 2 * math.pi - eps:
-        c = c_of_phi(z.argument)
-        with ctx.working():
-            val = mpf(1) / 2 + mp.erf(c * mp.sqrt(mpf(z.modulus) / 2)) / 2
-        return val, "smoothing"
-    if -math.pi + eps <= phi <= math.pi - eps:
-        with ctx.working():
-            zval = z.value()
-            num = -mpc(0, 1) * mp.exp(mpc(0, 1) * (mp.pi - z.argument) * nu)
-            val = num / (1 + mp.exp(-mpc(0, 1) * z.argument)) \
-                * mp.exp(-zval - z.modulus) / mp.sqrt(2 * mp.pi * z.modulus)
-        return val, "away"
-    raise DomainError(f"arg z = {phi} is outside both asymptotic regimes")
+    if not REGIME_EPSILON <= phi <= 2 * math.pi - REGIME_EPSILON:
+        raise DomainError(
+            f"arg z = {phi} is outside the smoothing form's "
+            f"[{REGIME_EPSILON}, 2 pi - {REGIME_EPSILON}]")
+    c = c_of_phi(z.argument)
+    with ctx.working():
+        return mpf(1) / 2 + mp.erf(c * mp.sqrt(mpf(z.modulus) / 2)) / 2

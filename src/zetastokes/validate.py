@@ -21,7 +21,7 @@ from mpmath import mp, mpf, mpc
 
 from .errors import InsufficientPrecisionError, ZetaError
 from .expansion import TruncationPlan, script_r_k, z_improved
-from .hp import PrecisionContext, RayComplex
+from .hp import CONNECTION_EXTRA, HEADROOM, PrecisionContext, RayComplex
 from .oracle import (ZetaPoint, f_tilde_reference, hurwitz_zeta_direct,
                      periodic_zeta_direct, z_reference)
 from .stokes import stokes_multiplier
@@ -95,7 +95,7 @@ def exactness_residual(s, a: RayComplex, plans, ctx: PrecisionContext) -> mpf:
     summation, over a list of ``TruncationPlan``s; the reference is computed
     once for all of them.
     """
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         ref = z_reference(s, a, ctx)
         worst = mpf(0)
         for plan in plans:
@@ -110,7 +110,7 @@ def reflection_residuals(point: ZetaPoint, ctx: PrecisionContext):
     and of its subtracted form
     Ftilde = (2 pi)^(-s) [e^(i pi s/2) Z(s,a) + e^(-i pi s/2) Z(s,a')]."""
     s = point.s
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         f = periodic_zeta_direct(point, ctx)
         rhs = mp.gamma(s) / (2 * mp.pi) ** s * point.combine(
             hurwitz_zeta_direct(s, point.a, ctx),
@@ -125,7 +125,7 @@ def reflection_residuals(point: ZetaPoint, ctx: PrecisionContext):
 def connection_residual(nu, mod, base, ctx: PrecisionContext) -> mpf:
     """|T_nu(z e^(-i pi)) - e^(2 pi i nu) (T_nu(z e^(i pi)) - 1)| for
     z = mod e^(i base), the half-turn continuation of the terminant."""
-    with ctx.working(20):
+    with ctx.working(CONNECTION_EXTRA):
         lhs = terminant(nu, RayComplex(mod, base - mp.pi), ctx)
         t_plus = terminant(nu, RayComplex(mod, base + mp.pi), ctx)
         return abs(lhs - mp.exp(2 * mp.pi * mpc(0, 1) * nu) * (t_plus - 1))
@@ -135,10 +135,10 @@ def smoothing_check(mod, ctx: PrecisionContext):
     """T_nu(z) on the Stokes line, nu = |z| = mod, arg z = pi: returns
     |T - 1/2| in units of the bound 2|z|^(-1/2), and the distance of T from
     its error-function asymptotic form."""
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         z = RayComplex(mpf(mod), mp.pi)
         exact = terminant(mod, z, ctx)
-        approx, _ = terminant_asymptotic(mod, z, ctx)
+        approx = terminant_asymptotic(mod, z, ctx)
         ratio = float(abs(exact - mpf(1) / 2)) / (2 / math.sqrt(mod))
         return ratio, float(abs(exact - approx))
 
@@ -149,7 +149,7 @@ def _suite_exactness(report: ValidationReport, ctx: PrecisionContext) -> None:
         (mpc(2, 0.5), 8, 0.52, TruncationPlan((3, 9, 14), (3, 9, 14), 3)),
     ]
     worst = mpf(0)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         for s, mod, argpi, plan in cases:
             a = RayComplex(mpf(mod), mpf(str(argpi)) * mp.pi)
             worst = max(worst, exactness_residual(
@@ -162,12 +162,11 @@ def _suite_reflection(report: ValidationReport, ctx: PrecisionContext,
                       rng: random.Random) -> None:
     worst_f = mpf(0)
     worst_ft = mpf(0)
-    with ctx.working(10):
-        for s, mod, arg in _random_points(rng, 4):
-            point = ZetaPoint.create(s, RayComplex(mpf(mod), mpf(arg)), ctx)
-            res_f, res_ft = reflection_residuals(point, ctx)
-            worst_f = max(worst_f, res_f)
-            worst_ft = max(worst_ft, res_ft)
+    for s, mod, arg in _random_points(rng, 4):
+        point = ZetaPoint.create(s, RayComplex(mpf(mod), mpf(arg)), ctx)
+        res_f, res_ft = reflection_residuals(point, ctx)
+        worst_f = max(worst_f, res_f)
+        worst_ft = max(worst_ft, res_ft)
     report.add("periodic-zeta reflection", worst_f, ctx.tol(),
                "polylog vs the two-zeta combination")
     report.add("subtracted reflection", worst_ft, ctx.tol(),
@@ -209,7 +208,7 @@ def _suite_remainder_forms(report: ValidationReport,
     """
     tol = ctx.tol()
     s = mpc(3)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         a = RayComplex(mpf(6), mpf("0.5") * mp.pi)
         point = ZetaPoint.create(s, a, ctx)
         k, nk, nkp = 1, 17, 17
@@ -253,7 +252,7 @@ def _suite_remainder_forms(report: ValidationReport,
 def _suite_prefactor(report: ValidationReport, ctx: PrecisionContext) -> None:
     """Arbitrate the overall normalization of the improved expansion."""
     s = mpc(3)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         a = RayComplex(mpf(6), mpf("0.45") * mp.pi)
         ref = z_reference(s, a, ctx)
         z = z_improved(s, a, TruncationPlan.constant(4, 3), ctx)
@@ -270,7 +269,7 @@ def _suite_prefactor(report: ValidationReport, ctx: PrecisionContext) -> None:
 def _suite_extraction(report: ValidationReport, ctx: PrecisionContext) -> None:
     """Scale-2 multiplier extraction within the precision budget."""
     s = mpc(2)
-    with ctx.working(10):
+    with ctx.working(HEADROOM):
         a = RayComplex(mpf(6), mp.pi / 2)
     try:
         point = ZetaPoint.create(s, a, ctx)

@@ -27,10 +27,9 @@ with CTX.working(10):
     A = RayComplex(mpf(6), mpf("0.4") * mp.pi)
     NU = 2 * 17 + S
     ALPHA = 1 - NU
-    # the t_plus and t_minus rays 2 pi |a| e^(i (arg a +- pi/2)) of
-    # remainder_rk; on t_minus the asymptotic terminant depends on nu
+    # the t_plus ray 2 pi |a| e^(i (arg a + pi/2)) of remainder_rk, inside
+    # the window of the asymptotic terminant's smoothing form
     Z = RayComplex(2 * mp.pi * A.modulus, A.argument + mp.pi / 2)
-    Z_MINUS = RayComplex(2 * mp.pi * A.modulus, A.argument - mp.pi / 2)
 POINT = ZetaPoint.create(S, A, CTX)
 N = 17
 
@@ -54,7 +53,7 @@ CASES = {
     "sweep": lambda: [smp.exact for smp in sweep(
         1, 6, S, (0.45 * math.pi, 0.46 * math.pi, 2), CTX)],
     "terminant": lambda: terminant(NU, Z, CTX),
-    "terminant_asymptotic": lambda: terminant_asymptotic(NU, Z_MINUS, CTX),
+    "terminant_asymptotic": lambda: terminant_asymptotic(NU, Z, CTX),
     "upper_gamma": lambda: upper_gamma(ALPHA, Z, CTX),
 }
 

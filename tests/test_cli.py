@@ -100,6 +100,8 @@ class TestSweep:
         assert doc["meta"]["plan_source"] == "pinned:fig1a"
         assert len(doc["rows"]) == 41
         assert doc["rows"][0]["N_list"] == "17|17"
+        assert all(isinstance(row["resolved_digits"], float)
+                   for row in doc["rows"])
 
     def test_failed_points_recorded(self, capsys, tmp_path):
         path = tmp_path / "fail.csv"

@@ -178,7 +178,24 @@ class TestStokesMultiplier:
         s1 = stokes_multiplier(1, pt, ctx)
         assert set(s1.diagnostics) >= {"ft_abs", "peeled_abs",
                                        "remainder_abs",
-                                       "target_exponential"}
+                                       "target_exponential",
+                                       "resolved_digits"}
+
+    @pytest.mark.parametrize("arg_over_pi", ["0.40", "0.52"])
+    def test_resolved_digits_match_a_110_digit_run(self, arg_over_pi, ctx):
+        # two fig1c points (n = 2, |a| = 6, s = 2, its pinned plan): the
+        # digits of S_2 at 60 digits that agree with a 110-digit run are
+        # the estimate, to within 1 (54.5 and 52.1 measured)
+        plan = TruncationPlan((18, 36), (18, 37), 2)
+        fine = PrecisionContext(digits=110)
+        a = _point(2, 6, arg_over_pi, fine).a
+        sample = stokes_multiplier(2, ZetaPoint.create(mpc(2), a, ctx), ctx,
+                                   plan=plan)
+        ref = stokes_multiplier(2, ZetaPoint.create(mpc(2), a, fine), fine,
+                                plan=plan)
+        with fine.working():
+            measured = -mp.log10(abs(sample.exact - ref.exact))
+        assert abs(sample.diagnostics["resolved_digits"] - measured) <= 1
 
 
 class TestSweep:

@@ -34,6 +34,20 @@ def _gammainc_on_ray(alpha, mod, arg):
     return phase * principal + (1 - phase) * mp.gamma(alpha)
 
 
+def _assert_matches_oracle(ours, reference, digits):
+    """|ours - ref| <= 10^-digits |ref| with ref = reference(), an mpmath
+    oracle, at the current precision.  mp.gammainc itself can miss at large
+    negative order near arg z = +-pi/2 (by 7e-13 at 100 digits for
+    alpha = -743.66, |z| = 261.4), so a miss is judged again against
+    reference() at twice the precision, with the same bound."""
+    bound = mpf(10) ** -digits
+    ref = reference()
+    if abs(ours - ref) > bound * abs(ref):
+        with mp.workdps(2 * mp.dps):
+            ref = reference()
+    assert abs(ours - ref) <= bound * abs(ref)
+
+
 class TestQueryValidation:
     """Each terminant input is checked once: the ray when it is built, the
     order by upper_gamma, |arg z| by terminant."""
@@ -131,9 +145,9 @@ class TestUpperGamma:
         with mp.workdps(2 * (ctx.digits + ctx.guard)):
             z = RayComplex(2 * mp.pi * k * abs_a, mpf(arg_over_pi) * mp.pi)
             ours = upper_gamma(alpha, z, ctx)
-            ref = mp.gammainc(alpha, z.value())
-            assert abs(ours - ref) <= \
-                mpf(10) ** -(ctx.digits + ctx.guard - 10) * abs(ref)
+            _assert_matches_oracle(
+                ours, lambda: mp.gammainc(alpha, z.value()),
+                ctx.digits + ctx.guard - 10)
 
     @pytest.mark.parametrize("n", [37, 73])
     @pytest.mark.parametrize("k", [6, 12])
@@ -249,9 +263,9 @@ class TestPrecisionCheck:
                      "integer": mpc(n),
                      "near-integer": mpc(n) + sign * mpf(10) ** -gap}[kind]
             ours = upper_gamma(alpha, RayComplex(mpf(mod), mpf(arg)), ctx)
-            ref = _gammainc_on_ray(alpha, mpf(mod), mpf(arg))
-            assert abs(ours - ref) <= \
-                mpf(10) ** -(ctx.digits + ctx.guard - 10) * abs(ref)
+            _assert_matches_oracle(
+                ours, lambda: _gammainc_on_ray(alpha, mpf(mod), mpf(arg)),
+                ctx.digits + ctx.guard - 10)
 
     def test_never_fires_on_the_exactness_grid(self, ctx, monkeypatch):
         # every terminant of the 27 points under the three plans of
@@ -340,9 +354,25 @@ class TestContinuedFraction:
                      "integer": mpc(n),
                      "near-integer": mpc(n) + mpf(10) ** -gap}[kind]
             ours = upper_gamma(alpha, z, ctx)
-            ref = mp.gammainc(alpha, z.value())
-            assert abs(ours - ref) <= \
-                mpf(10) ** -(ctx.digits + ctx.guard - 10) * abs(ref)
+            _assert_matches_oracle(
+                ours, lambda: mp.gammainc(alpha, z.value()),
+                ctx.digits + ctx.guard - 10)
+
+    @pytest.mark.parametrize("alpha,mod,arg_over_pi", [
+        ("-743.66", "261.4", "-0.4974"), ("-912.41", "400.1", "0.4463")])
+    def test_values_where_the_oracle_misses(self, alpha, mod, arg_over_pi,
+                                            ctx_fast):
+        # two fraction inputs of a 700-case fuzz where mp.gammainc at twice
+        # the 50 working digits misses by 6.9e-13 and 5.9e-35 relative; at
+        # 200 digits it agrees with upper_gamma to 1.2e-54 and 1.9e-54
+        ctx = ctx_fast
+        with mp.workdps(2 * (ctx.digits + ctx.guard)):
+            alpha = mpc(alpha)
+            z = RayComplex(mpf(mod), mpf(arg_over_pi) * mp.pi)
+            ours = upper_gamma(alpha, z, ctx)
+            _assert_matches_oracle(
+                ours, lambda: mp.gammainc(alpha, z.value()),
+                ctx.digits + ctx.guard - 10)
 
     @pytest.mark.parametrize("mod", [CROSSOVER - 2, CROSSOVER, CROSSOVER + 6])
     @pytest.mark.parametrize("alpha,arg_over_pi", [
@@ -465,28 +495,22 @@ class TestSmoothing:
         # pi; the smoothing coefficient then vanishes on the line
         with mp.workdps(40):
             z = RayComplex(mpf(30), mp.pi)
-        val, regime = terminant_asymptotic(30, z, ctx)
-        assert regime == "smoothing"
+        val = terminant_asymptotic(30, z, ctx)
         assert abs(val - mpf(1) / 2) < mpf("1e-20")
-
-    def test_away_regime_agrees_with_exact(self, ctx):
-        # a negative argument falls outside the smoothing window, so the
-        # algebraically decaying form is selected
-        with ctx.working(20):
-            nu = mpc(40)
-            z = RayComplex(mpf(40), mpf("-0.3"))
-            approx, regime = terminant_asymptotic(nu, z, ctx)
-            assert regime == "away"
-            exact = terminant(nu, z, ctx)
-            assert abs(exact - approx) <= abs(exact) * mpf("0.2")
 
     def test_smoothing_regime_agrees_with_exact(self, ctx):
         with ctx.working(20):
             z = RayComplex(mpf(60), mp.pi)
-            approx, _ = terminant_asymptotic(60, z, ctx)
+            approx = terminant_asymptotic(60, z, ctx)
             exact = terminant(60, z, ctx)
             assert abs(exact - approx) < mpf("0.05")
 
     def test_rejects_out_of_regime(self, ctx):
         with pytest.raises(DomainError):
             terminant_asymptotic(5, RayComplex(mpf(40), mp.pi), ctx)
+
+    def test_rejects_outside_the_smoothing_window(self, ctx):
+        # arg z = -0.3 lies below [0.05, 2 pi - 0.05], the only window the
+        # asymptotic form serves
+        with pytest.raises(DomainError, match="smoothing"):
+            terminant_asymptotic(40, RayComplex(mpf(40), mpf("-0.3")), ctx)
