@@ -20,8 +20,8 @@ from mpmath import mp, mpf, mpc
 
 from .errors import ZetaError
 from .expansion import TruncationPlan
-from .hp import HEADROOM, PrecisionContext, RayComplex
-from .stokes import find_minimum, sweep
+from .hp import HEADROOM, PRINT_MARGIN, PrecisionContext, RayComplex
+from .stokes import find_minimum, sweep, sweep_point
 from .terminant import terminant
 from .validate import run_validation
 
@@ -84,9 +84,12 @@ def _parse_complex(text: str, ctx: PrecisionContext) -> mpc:
     return value
 
 
-def _parse_abs_a(text: str) -> float:
+def _parse_abs_a(text: str, ctx: PrecisionContext) -> mpf:
+    """--abs-a, parsed at the command's ``ctx.working(HEADROOM)`` as --s
+    is: ``6.1`` is the ray |a| = 6.1, not the double nearest it."""
     try:
-        value = float(text)
+        with ctx.working(HEADROOM):
+            value = mpf(text)
     except ValueError as exc:
         raise ConfigError(f"unparseable --abs-a {text!r}") from exc
     _check_finite(text, value)
@@ -206,6 +209,27 @@ def _plan_to_str(plan) -> str:
         + ";".join(str(n) for n in plan.nk_prime)
 
 
+def _raised_context(smp, digits: int) -> PrecisionContext | None:
+    """The context at which smp must be computed again so that every
+    printed digit is resolved, or None if it already is.
+
+    A part x is printed to ``digits`` significant digits, so it needs
+    digits - log10|x| + PRINT_MARGIN resolved digits; the smallest part
+    sets the need (Im S_2 reaches 3.6e-8 on fig1c).  ``resolved_digits``
+    grows one for one with the working digits, so the context is raised
+    by the shortfall.  A failed point has nothing to print.
+    """
+    if smp.error is not None:
+        return None
+    parts = [abs(x) for x in (smp.exact.real, smp.exact.imag) if x]
+    need = digits + PRINT_MARGIN - min(
+        (float(mp.log10(x)) for x in parts), default=0.0)
+    short = need - smp.diagnostics["resolved_digits"]
+    if short <= 0:
+        return None
+    return PrecisionContext(digits + math.ceil(short))
+
+
 def run_sweep(args) -> int:
     ctx = _context(args.digits)
     flags = [("--n", args.n), ("--abs-a", args.abs_a),
@@ -228,13 +252,19 @@ def run_sweep(args) -> int:
                 "sweep needs " + ", ".join(missing) + " (or --reproduce)")
         if args.n < 1:
             raise ConfigError(f"--n must be >= 1, got {args.n}")
-        n, abs_a, s = args.n, args.abs_a, _parse_complex(args.s, ctx)
+        n, s = args.n, _parse_complex(args.s, ctx)
+        abs_a = _parse_abs_a(args.abs_a, ctx)
         lo, hi, count = _parse_theta(args.theta)
         plan = None
         plan_source = "least-term (per point)"
     _require_writable(args.out)
-    samples = sweep(n, abs_a, s,
-                    (lo * math.pi, hi * math.pi, count), ctx, plan=plan)
+    theta_range = (lo * math.pi, hi * math.pi, count)
+    samples = sweep(n, abs_a, s, theta_range, ctx, plan=plan)
+    for j, smp in enumerate(samples):
+        raised = _raised_context(smp, args.digits)
+        if raised is not None:
+            samples[j] = sweep_point(n, abs_a, s, theta_range, j, raised,
+                                     plan)
     rows = []
     for smp in samples:
         plan_str = _plan_to_str(smp.plan)
@@ -314,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="theta-sweep of S_n")
     common(p_sweep)
     p_sweep.add_argument("--n", type=int, default=None)
-    p_sweep.add_argument("--abs-a", dest="abs_a", type=_parse_abs_a,
-                         default=None)
+    p_sweep.add_argument("--abs-a", dest="abs_a", default=None)
     p_sweep.add_argument("--s", default=None, help="complex s as RE[,IM]")
     p_sweep.add_argument("--theta", default=None,
                          help="LO:HI:COUNT in units of pi")

@@ -15,13 +15,13 @@ least-term indices until the dropped tail clears the budget, and
 ``leading_blocks`` over that extended list is then the one algebraic sum.
 
 Only the power of a depends on theta.  The block sums take the
-coefficients of one ray as one list, ``a_r_coefficients``, whose powers
-come from one ``hp.ray_powers`` call, and each keeps the bits of a
-term-by-term evaluation.  ``bernoulli_series`` takes only a^(-1-s) and
-a^(-2) from ``ray_powers`` and sums by Horner's rule in a^(-2), with the
-theta-independent factor B_{2r}/(2r)! Gamma(2r+s-1) memoized on
-(r, s, ctx); its powers of a thus never come from the per-term
-exponentials behind A_r.
+coefficients of one ray as one list, ``a_r_coefficients``, built by the
+ratio recurrence A_{r+1}/A_r = -(2r+s+1)(2r+s+2)/(2 pi a)^2 from one
+``hp.ray_powers`` call and one Gamma: a coefficient is right to O(r)
+units of the working precision, not bit for bit the term-by-term value.
+``bernoulli_series`` takes a^(-1-s) and a^(-2) from ``ray_powers`` and
+sums by Horner's rule in a^(-2), with the theta-independent factor
+B_{2r}/(2r)! Gamma(2r+s-1) memoized on (r, s, ctx).
 """
 from __future__ import annotations
 
@@ -71,17 +71,28 @@ class TruncationPlan:
 def a_r_coefficients(s, a: RayComplex, lo: int, hi: int,
                      ctx: PrecisionContext) -> list:
     """[A_r(a) for lo <= r < hi], A_r(a) = (-1)^r Gamma(2r+s+1) /
-    (2 pi a)^(2r+s+1), with the powers of the ray 2 pi a taken in one
-    ``ray_powers`` call."""
+    (2 pi a)^(2r+s+1), by the ratio recurrence
+    A_{r+1} = A_r (-(2r+s+1)(2r+s+2)) (2 pi a)^-2.
+
+    One ``ray_powers`` call gives (2 pi a)^-(2lo+s+1) and (2 pi a)^-2, and
+    one ``gamma_complex`` call Gamma(2lo+s+1); each later coefficient costs
+    a product, its ratio formed afresh from r.  Every step rounds a few
+    times, so A_r is off by O(r) units of the working precision.
+    """
     if lo < 0:
         raise DomainError("r must be >= 0")
+    if hi <= lo:
+        return []
     s = ctx.read(s)
     with ctx.working(FACTOR_EXTRA):
         ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
-        exponents = [2 * r + s + 1 for r in range(lo, hi)]
-        powers = ray_powers(ray, exponents, ctx, extra=FACTOR_EXTRA)
-        return [(-1) ** r * gamma_complex(e, ctx) / p
-                for r, e, p in zip(range(lo, hi), exponents, powers)]
+        e = 2 * lo + s + 1
+        power, step = ray_powers(ray, [-e, -2], ctx, extra=FACTOR_EXTRA)
+        out = [(-1) ** lo * gamma_complex(e, ctx) * power]
+        for r in range(lo, hi - 1):
+            e = 2 * r + s + 1
+            out.append(out[-1] * (-e * (e + 1)) * step)
+        return out
 
 
 def a_r_coefficient(r: int, s, a: RayComplex, ctx: PrecisionContext) -> mpc:

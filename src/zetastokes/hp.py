@@ -8,10 +8,10 @@ any operation-specific inflation) and returned as mpmath numbers.
 
 ``gamma_complex`` and ``hurwitz_zeta_integer`` are memoized with
 ``functools.cache`` on their exact arguments plus the ``PrecisionContext``,
-as ``bernoulli_even`` is on its index: the Gamma(2r+s+1) and zeta(2r+2, m)
-values of the expansion do not depend on theta, so a sweep computes each
-once.  The caches live for the life of the process and have no size limit
-or switch.
+as ``bernoulli_even`` is on its index: the zeta(2r+2, m) blocks, the one
+Gamma(2lo+s+1) that starts each A_r list and the Gamma(s) of the
+oracles do not depend on theta, so a sweep computes each once.  The
+caches live for the life of the process and have no size limit or switch.
 
 What does depend on theta is the power of the ray a; ``ray_powers`` takes
 all the powers of one ray in one call, with one logarithm of the ray and
@@ -40,8 +40,11 @@ MIN_DIGITS = 30
 GUARD = 20  # digits beyond ctx.digits that absorb the peel's rounding
 HEADROOM = 10  # a step's offset: its own few roundings stay below GUARD
 # Offset of the three A_r factor steps: a_r_coefficients' ray powers and
-# division, gamma_complex and zeta_even.  At 0 they round at digits + GUARD,
-# which caps the 60-digit fig1c sweep near 52 true digits (ROADMAP item 3).
+# recurrence, gamma_complex and zeta_even.  At 0 they round at
+# digits + GUARD, which caps a 60-digit fig1c sweep near 52 true digits;
+# the CLI reaches its printed digits by raising the whole context
+# (PRINT_MARGIN).  Raising this offset instead would need resolved_digits
+# to count it, which it does not (ROADMAP item 11).
 FACTOR_EXTRA = 0
 # validate.connection_residual's offset: the phase e^(2 pi i nu) and the
 # difference of two terminants round below the terminants' own digits.
@@ -49,6 +52,10 @@ CONNECTION_EXTRA = 20
 LOG_ESTIMATE_DIGITS = 20  # extend_plan compares its logs to within a digit
 SMOOTHING_DIGITS = 30  # c_of_phi: its form is only good to O(|z|^(-1/2))
 RAY_VALUE_BITS = 10  # RayComplex.value: bits above the caller's precision
+# Digits that `zeta sweep` resolves beyond the last one it prints: a part
+# rounds wrongly only if its error reaches a rounding boundary, about
+# 2 10^-PRINT_MARGIN of the time.
+PRINT_MARGIN = 5
 
 
 @dataclass(frozen=True)

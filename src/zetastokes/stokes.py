@@ -259,17 +259,24 @@ def sweep(n: int, abs_a, s, theta_range, ctx: PrecisionContext,
         raise DomainError("theta range must satisfy 0 < lo < hi < pi")
     if plan is not None:
         _require_scales(plan, n)
-    samples = []
-    for j in range(count):
-        with ctx.working(HEADROOM):
-            theta = mpf(lo) + (mpf(hi) - mpf(lo)) * j / (count - 1)
-            a = RayComplex(mpf(abs_a), theta)
-        try:
-            point = ZetaPoint.create(s, a, ctx)
-            samples.append(stokes_multiplier(n, point, ctx, plan=plan))
-        except ZetaError as exc:
-            approx = erf_approx(n, float(abs_a), float(theta))
-            samples.append(MultiplierSample(
-                theta=float(theta), exact=None, approx=approx, plan=plan,
-                diagnostics={}, error=f"{type(exc).__name__}: {exc}"))
-    return samples
+    return [sweep_point(n, abs_a, s, theta_range, j, ctx, plan)
+            for j in range(count)]
+
+
+def sweep_point(n: int, abs_a, s, theta_range, j: int, ctx: PrecisionContext,
+                plan: TruncationPlan | None = None) -> MultiplierSample:
+    """Point j of ``sweep``, its theta formed at ``ctx``; a ZetaError is
+    carried in the sample's ``error`` field.  ``sweep`` checks the
+    arguments that no point could take."""
+    lo, hi, count = theta_range
+    with ctx.working(HEADROOM):
+        theta = mpf(lo) + (mpf(hi) - mpf(lo)) * j / (count - 1)
+        a = RayComplex(mpf(abs_a), theta)
+    try:
+        point = ZetaPoint.create(s, a, ctx)
+        return stokes_multiplier(n, point, ctx, plan=plan)
+    except ZetaError as exc:
+        approx = erf_approx(n, float(abs_a), float(theta))
+        return MultiplierSample(
+            theta=float(theta), exact=None, approx=approx, plan=plan,
+            diagnostics={}, error=f"{type(exc).__name__}: {exc}")

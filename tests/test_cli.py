@@ -3,10 +3,11 @@ import math
 from pathlib import Path
 
 import pytest
+from mpmath import mpf
 
 from zetastokes import cli
 from zetastokes.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
-from zetastokes.hp import PrecisionContext
+from zetastokes.hp import PRINT_MARGIN, PrecisionContext
 from zetastokes.stokes import sweep
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -127,6 +128,42 @@ class TestSweep:
         assert printed == [[cli._nstr(smp.exact.real, 60),
                             cli._nstr(smp.exact.imag, 60)]
                            for smp in samples]
+
+    def test_abs_a_is_parsed_at_working_precision(self, capsys):
+        # --abs-a 6.1 sweeps the ray |a| = 6.1: the double nearest it,
+        # 6.0999999999999996447..., moves S_1 by about 6e-17
+        code, out, _ = run(capsys, "sweep", "--n", "1", "--abs-a", "6.1",
+                           "--s", "3", "--theta", "0.45:0.55:3")
+        assert code == EXIT_OK
+        printed = [line.split(",")[1:3]
+                   for line in out.strip().splitlines()[1:]]
+        ctx = PrecisionContext(digits=80)
+        theta = (0.45 * math.pi, 0.55 * math.pi, 3)
+
+        def digits(abs_a):
+            return [[cli._nstr(smp.exact.real, 60),
+                     cli._nstr(smp.exact.imag, 60)]
+                    for smp in sweep(1, abs_a, 3, theta, ctx)]
+
+        with ctx.working():
+            exact = mpf("6.1")
+        assert printed == digits(exact)
+        assert printed != digits(6.1)
+
+    def test_printed_digits_are_resolved(self, capsys):
+        # S_2 at |a| = 6 resolves about 52 digits at 60, so each point is
+        # computed again at a context raised by its shortfall; the JSON
+        # reports the digits of the value printed: the 60 printed, the
+        # smallest part's leading zeros and the margin
+        code, out, _ = run(capsys, "sweep", "--n", "2", "--abs-a", "6",
+                           "--s", "2", "--theta", "0.45:0.55:3",
+                           "--format", "json")
+        assert code == EXIT_OK
+        for row in json.loads(out)["rows"]:
+            smallest = min(abs(float(row["re_S_exact"])),
+                           abs(float(row["im_S_exact"])))
+            assert row["resolved_digits"] >= \
+                60 + PRINT_MARGIN - math.log10(smallest)
 
     def test_abs_a_beyond_double_squares_fails_per_point(self, capsys):
         # used to end in an OverflowError traceback, exit 1

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import time
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,26 @@ def _power(base, exponent, ctx, extra=0):
         return mp.exp(mpc(exponent) * logz)
 
 
+REF_DPS = 130
+
+
+@cache
+def _gamma_reference(s):
+    # Gamma(2r+s+1) for r < 300 at REF_DPS, one term at a time
+    with mp.workdps(REF_DPS):
+        return [mp.gamma(2 * r + s + 1) for r in range(300)]
+
+
+@cache
+def _a_r_reference(s, mod, arg, ctx):
+    # A_r(a) for r < 300 at REF_DPS, each from its own Gamma and power
+    a = _ray(mod, arg, ctx)
+    with mp.workdps(REF_DPS):
+        log_ray = mp.log(2 * mp.pi * a.modulus) + mpc(0, 1) * a.argument
+        return [(-1) ** r * g * mp.exp(-(2 * r + s + 1) * log_ray)
+                for r, g in enumerate(_gamma_reference(s))]
+
+
 def _bernoulli_term_factor(r, s, ctx):
     # B_{2r}/(2r)! Gamma(2r+s-1), under the caller's ctx.working(10)
     b = bernoulli_even(r)
@@ -106,7 +127,9 @@ class TestCoefficients:
 
 
 class TestBatchBits:
-    """The per-ray batches keep the bits of a term-by-term evaluation."""
+    """``ray_powers`` and ``bernoulli_series`` keep the bits of a
+    term-by-term evaluation; ``a_r_coefficients`` is held to an accuracy
+    bound, because its recurrence rounds differently by design."""
 
     @pytest.mark.parametrize("extra", [0, 10])
     def test_ray_powers(self, ctx, extra):
@@ -116,23 +139,35 @@ class TestBatchBits:
         want = [_power(base, e, ctx, extra) for e in exponents]
         assert [bits(v) for v in got] == [bits(v) for v in want]
 
-    @pytest.mark.parametrize("lo, hi", [(0, 25), (7, 19), (5, 5)])
+    # A_r is A_lo times r - lo rounded steps.  With U = 10^-(digits+guard),
+    # one rounding is at most u = 2^-prec = 0.106 U at 60 digits; over
+    # these inputs |L| = |log 2 pi |a| + i arg a| <= 4.4,
+    # |e| = |2lo+s+1| <= 8.4 (lo+1) and |psi(e)| <= 3.1.
+    # - A_lo: e rounds, moving Gamma(e) (2 pi a)^-e by |psi(e) - L| |e| u;
+    #   the power's exponent -e L is off by (2 |L| + 2) |e| u and its exp
+    #   rounds; Gamma and the last product add 2 u.  In all at most
+    #   (3 |L| + |psi| + 3) |e| u + 2 u < 18 (lo+1) U.
+    # - Each step: its ratio -e(e+1) (e, e+1 and the product: 4 u), two
+    #   products (2 u) and the error of (2 pi a)^-2, (4 |L| + 5) u: at most
+    #   (4 |L| + 11) u < 3.1 U.
+    # So |A_r - exact| <= C (r+1) U |exact| with C = 22.  Measured worst
+    # over these inputs: 1.9 (r+1) U, and 138 U over 300 terms (368 U for
+    # the term-by-term form Gamma(e) / (2 pi a)^e).
+    @pytest.mark.parametrize("lo, hi", [(0, 25), (7, 19), (5, 5), (0, 300)])
     @pytest.mark.parametrize("arg", [0.3, 0.55])
-    @pytest.mark.parametrize("mod", [1, 8])
+    @pytest.mark.parametrize("mod", [1, 3, 8, 9])
     @pytest.mark.parametrize("s, dps", [(s, 15) for s in S_VALUES]
                              + [(FINE_S, FINE_DPS)])
     def test_a_r_coefficients(self, s, dps, mod, arg, lo, hi, ctx):
         a = _ray(mod, arg, ctx)
         with mp.workdps(dps):
             got = a_r_coefficients(s, a, lo, hi, ctx)
-            s = mpc(s)
-        want = []
-        with ctx.working():
-            ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
-            for r in range(lo, hi):
-                g = gamma_complex(2 * r + s + 1, ctx)
-                want.append((-1) ** r * g / _power(ray, 2 * r + s + 1, ctx))
-        assert [bits(v) for v in got] == [bits(v) for v in want]
+        assert len(got) == hi - lo
+        want = _a_r_reference(s, mod, arg, ctx)[lo:hi]
+        unit = mpf(10) ** -(ctx.digits + ctx.guard)
+        with mp.workdps(REF_DPS):
+            assert all(abs(g - w) <= 22 * (r + 1) * unit * abs(w)
+                       for r, g, w in zip(range(lo, hi), got, want))
 
     @pytest.mark.parametrize("n", [1, 25])
     @pytest.mark.parametrize("arg", [0.3, 0.55])
@@ -408,6 +443,26 @@ class TestBlocks:
 
     def test_empty_index_list_is_zero(self, ctx):
         assert leading_blocks(mpc(3), _ray(6, 0.45, ctx), (), ctx) == 0
+
+    @pytest.mark.parametrize("nlist", [(1,), (25,), (18, 36)])
+    def test_one_power_call_and_one_gamma_per_ray(self, nlist, ctx,
+                                                  monkeypatch):
+        # the coefficients come from their ratio recurrence: one
+        # ray_powers call and one Gamma per block sum, whatever its length
+        calls = []
+
+        def counting(name):
+            real = getattr(expansion, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+
+        for name in ("ray_powers", "gamma_complex"):
+            monkeypatch.setattr(expansion, name, counting(name))
+        leading_blocks(mpc(2, 0.5), _ray(8, 0.45, ctx), nlist, ctx)
+        assert sorted(calls) == ["gamma_complex", "ray_powers"]
 
     def test_blocks_match_direct_double_sum(self, ctx):
         # for one scale: (1/pi) sum_{r<N} A_r zeta(2r+2, 1)
