@@ -15,7 +15,7 @@ from .expansion import (TruncationPlan, a_r_coefficient, optimal_plan,
                         optimal_truncation, remainder_rk, script_r_k,
                         z_improved)
 from .hp import (PrecisionContext, RayComplex, bernoulli_even,
-                 hurwitz_zeta_integer, zeta_even)
+                 hurwitz_zeta_integer)
 from .oracle import (ZetaPoint, f_tilde_reference, hurwitz_zeta_direct,
                      periodic_zeta_direct, z_reference)
 from .stokes import (MinimumResult, MultiplierSample, erf_approx,
@@ -33,7 +33,7 @@ __all__ = [
     "TruncationPlan", "a_r_coefficient", "optimal_plan",
     "optimal_truncation", "remainder_rk", "script_r_k", "z_improved",
     "PrecisionContext", "RayComplex", "bernoulli_even",
-    "hurwitz_zeta_integer", "zeta_even",
+    "hurwitz_zeta_integer",
     "ZetaPoint", "f_tilde_reference", "hurwitz_zeta_direct",
     "periodic_zeta_direct", "z_reference",
     "MinimumResult", "MultiplierSample", "erf_approx", "find_minimum",

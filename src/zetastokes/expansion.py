@@ -14,14 +14,17 @@ truncated: ``extend_plan`` first extends the plan past k_max with
 least-term indices until the dropped tail clears the budget, and
 ``leading_blocks`` over that extended list is then the one algebraic sum.
 
-Only the power of a depends on theta.  The block sums take the
-coefficients of one ray as one list, ``a_r_coefficients``, built by the
-ratio recurrence A_{r+1}/A_r = -(2r+s+1)(2r+s+2)/(2 pi a)^2 from one
-``hp.ray_powers`` call and one Gamma: a coefficient is right to O(r)
-units of the working precision, not bit for bit the term-by-term value.
-``bernoulli_series`` takes a^(-1-s) and a^(-2) from ``ray_powers`` and
-sums by Horner's rule in a^(-2), with the theta-independent factor
-B_{2r}/(2r)! Gamma(2r+s-1) memoized on (r, s, ctx).
+Only the power of a depends on theta, so both series are polynomials in a
+power of the ray with memoized theta-independent coefficients, summed by
+Horner's rule from one ``hp.ray_powers`` call.  ``leading_blocks`` sums
+in x = (2 pi a)^-2 over (-1)^r Gamma(2r+s+1) zeta(2r+2, m), memoized on
+(r, m, s, ctx), with the signed Gamma from the recurrence
+G_r/G_(r-1) = -(2r+s-1)(2r+s) started at Gamma(s+1); ``a_r_coefficient``
+is that signed Gamma times one power, so A_r has one source and is right
+to O(r) units of the working precision, not bit for bit the term-by-term
+value.  ``bernoulli_series`` sums in a^(-2) over B_{2r}/(2r)!
+Gamma(2r+s-1), memoized on (r, s, ctx).  The phases and the powers of
+2 pi and k come from the memoized helpers of ``hp``.
 """
 from __future__ import annotations
 
@@ -35,7 +38,8 @@ from mpmath import mp, mpf, mpc
 from .errors import DomainError, TailBoundError
 from .hp import (FACTOR_EXTRA, HEADROOM, LOG_ESTIMATE_DIGITS, MIN_DIGITS,
                  PrecisionContext, RayComplex, bernoulli_even, gamma_complex,
-                 hurwitz_zeta_integer, ray_powers)
+                 hurwitz_zeta_integer, int_power, phase, pow_ray, ray_powers,
+                 two_pi_power)
 from .oracle import ZetaPoint, check_s_off_poles
 from .terminant import terminant
 
@@ -68,36 +72,38 @@ class TruncationPlan:
         return cls((n,) * k_max, (n,) * k_max, k_max)
 
 
-def a_r_coefficients(s, a: RayComplex, lo: int, hi: int,
-                     ctx: PrecisionContext) -> list:
-    """[A_r(a) for lo <= r < hi], A_r(a) = (-1)^r Gamma(2r+s+1) /
-    (2 pi a)^(2r+s+1), by the ratio recurrence
-    A_{r+1} = A_r (-(2r+s+1)(2r+s+2)) (2 pi a)^-2.
-
-    One ``ray_powers`` call gives (2 pi a)^-(2lo+s+1) and (2 pi a)^-2, and
-    one ``gamma_complex`` call Gamma(2lo+s+1); each later coefficient costs
-    a product, its ratio formed afresh from r.  Every step rounds a few
-    times, so A_r is off by O(r) units of the working precision.
-    """
-    if lo < 0:
-        raise DomainError("r must be >= 0")
-    if hi <= lo:
-        return []
-    s = ctx.read(s)
+@cache
+def _signed_gammas(s, ctx: PrecisionContext) -> list:
+    """The table [(-1)^r Gamma(2r+s+1) for r < len], started at
+    Gamma(s+1) and grown in increasing r by ``_signed_gamma``; memoized on
+    (s, ctx)."""
     with ctx.working(FACTOR_EXTRA):
-        ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
-        e = 2 * lo + s + 1
-        power, step = ray_powers(ray, [-e, -2], ctx, extra=FACTOR_EXTRA)
-        out = [(-1) ** lo * gamma_complex(e, ctx) * power]
-        for r in range(lo, hi - 1):
-            e = 2 * r + s + 1
-            out.append(out[-1] * (-e * (e + 1)) * step)
-        return out
+        return [gamma_complex(s + 1, ctx)]
+
+
+def _signed_gamma(r: int, s, ctx: PrecisionContext) -> mpc:
+    """(-1)^r Gamma(2r+s+1), which does not depend on theta, by the
+    recurrence G_r = G_(r-1) (-(2r+s-1)(2r+s)) from the memoized table:
+    each entry is computed once, in increasing r, with no recursion."""
+    table = _signed_gammas(s, ctx)
+    with ctx.working(FACTOR_EXTRA):
+        while len(table) <= r:
+            e = 2 * len(table) + s - 1
+            table.append(table[-1] * (-e * (e + 1)))
+    return table[r]
 
 
 def a_r_coefficient(r: int, s, a: RayComplex, ctx: PrecisionContext) -> mpc:
-    """A_r(a) = (-1)^r Gamma(2r+s+1) / (2 pi a)^(2r+s+1)."""
-    return a_r_coefficients(s, a, r, r + 1, ctx)[0]
+    """A_r(a) = (-1)^r Gamma(2r+s+1) / (2 pi a)^(2r+s+1): the memoized
+    signed Gamma times one ``pow_ray``.  The recurrence rounds r times, so
+    A_r is off by O(r) units of the working precision."""
+    if r < 0:
+        raise DomainError("r must be >= 0")
+    s = ctx.read(s)
+    with ctx.working(FACTOR_EXTRA):
+        ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
+        return _signed_gamma(r, s, ctx) \
+            * pow_ray(ray, -(2 * r + s + 1), ctx, extra=FACTOR_EXTRA)
 
 
 def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
@@ -164,9 +170,18 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
         t_plus = terminant(nu, RayComplex(mod, a.argument + halfpi), ctx)
         t_minus = terminant(nu, RayComplex(mod, a.argument - halfpi), ctx)
         e2 = mp.exp(2 * mp.pi * mpc(0, 1) * k * a.value())
-        half_is = mp.expjpi(s / 2)
-        return mp.expjpi(-s) * (e2 * half_is * t_plus
-                                - t_minus / (e2 * half_is))
+        half_is = phase(s / 2, ctx)
+        return phase(-s, ctx) * (e2 * half_is * t_plus
+                                 - t_minus / (e2 * half_is))
+
+
+@cache
+def _block_factor(r: int, m: int, s, ctx: PrecisionContext) -> mpc:
+    """(-1)^r Gamma(2r+s+1) zeta(2r+2, m), the theta-independent part of
+    the block A_r(a) zeta(2r+2, m); memoized on (r, m, s, ctx)."""
+    with ctx.working(HEADROOM):
+        return _signed_gamma(r, s, ctx) \
+            * hurwitz_zeta_integer(2 * r + 2, m, ctx)
 
 
 def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
@@ -179,21 +194,32 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
     directly.  For a nondecreasing list F = N and the direct part is empty.
     This is the algebraic part of the improved expansion, and the piece
     peeled off when a Stokes multiplier is extracted.
+
+    Only (2 pi a)^-(2r+s+1) depends on theta, so the sum is
+    (2 pi a)^-(s+1)/pi sum_r c_r x^r with x = (2 pi a)^-2, summed by
+    Horner's rule from one ``ray_powers`` call: c_r is the memoized
+    (-1)^r Gamma(2r+s+1) zeta(2r+2, m) of the block m that holds r, plus
+    (-1)^r Gamma(2r+s+1) / k^(2r+2) for each scale k with F_k <= r < N_k.
     """
     s = ctx.read(s)
     floor = list(accumulate(reversed(nlist), min))[::-1]
     with ctx.working(HEADROOM):
-        coeffs = a_r_coefficients(s, a, 0, max(nlist, default=0), ctx)
-        total = mpc(0)
-        prev = 0
+        coeffs = []
         for m, f in enumerate(floor, start=1):
-            for r in range(prev, f):
-                total += coeffs[r] * hurwitz_zeta_integer(2 * r + 2, m, ctx)
-            prev = f
+            coeffs += [_block_factor(r, m, s, ctx)
+                       for r in range(len(coeffs), f)]
+        coeffs += [mpc(0)] * (max(nlist, default=0) - len(coeffs))
         for k, (f, n) in enumerate(zip(floor, nlist), start=1):
             for r in range(f, n):
-                total += coeffs[r] / mpf(k) ** (2 * r + 2)
-        return total / mp.pi
+                coeffs[r] += _signed_gamma(r, s, ctx) / mpf(k) ** (2 * r + 2)
+        with ctx.working(FACTOR_EXTRA):
+            ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
+            power, x = ray_powers(ray, [-(s + 1), -2], ctx,
+                                  extra=FACTOR_EXTRA)
+        total = mpc(0)
+        for c in reversed(coeffs):
+            total = total * x + c
+        return total * power / mp.pi
 
 
 @cache
@@ -306,9 +332,9 @@ def z_improved(s, a: RayComplex, plan: TruncationPlan,
     with ctx.working(HEADROOM):
         total = leading_blocks(s, a, nlist, ctx)
         for k, (n, kctx) in enumerate(zip(nlist, contexts), start=1):
-            total += mp.exp((s - 1) * mp.log(k)) \
+            total += int_power(k, s - 1, ctx) \
                 * remainder_rk(k, s, a, n, kctx)
-        return (2 * mp.pi) ** s * total
+        return two_pi_power(s, ctx) * total
 
 
 def script_r_k(k: int, point: ZetaPoint, nk: int, nk_prime: int,

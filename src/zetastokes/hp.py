@@ -8,10 +8,13 @@ any operation-specific inflation) and returned as mpmath numbers.
 
 ``gamma_complex`` and ``hurwitz_zeta_integer`` are memoized with
 ``functools.cache`` on their exact arguments plus the ``PrecisionContext``,
-as ``bernoulli_even`` is on its index: the zeta(2r+2, m) blocks, the one
-Gamma(2lo+s+1) that starts each A_r list and the Gamma(s) of the
-oracles do not depend on theta, so a sweep computes each once.  The
-caches live for the life of the process and have no size limit or switch.
+as ``bernoulli_even`` is on its index, and so are the phases e^(i pi x)
+(``phase``) and the real powers (2 pi)^x and k^x (``two_pi_power``,
+``int_power``): the zeta(2r+2, m) blocks, the Gamma(s+1) that starts the
+signed-Gamma recurrence of the A_r, the Gamma(s) of the oracles and the
+phases and powers of s, nu and k do not depend on theta, so a sweep
+computes each once.  The caches live for the life of the process and have
+no size limit or switch.
 
 What does depend on theta is the power of the ray a; ``ray_powers`` takes
 all the powers of one ray in one call, with one logarithm of the ray and
@@ -39,8 +42,8 @@ MIN_DIGITS = 30
 # The precision budget: working precisions are digits + GUARD + an offset.
 GUARD = 20  # digits beyond ctx.digits that absorb the peel's rounding
 HEADROOM = 10  # a step's offset: its own few roundings stay below GUARD
-# Offset of the three A_r factor steps: a_r_coefficients' ray powers and
-# recurrence, gamma_complex and zeta_even.  At 0 they round at
+# Offset of the three A_r factor steps: the block sums' ray_powers, the
+# signed-Gamma recurrence and gamma_complex.  At 0 they round at
 # digits + GUARD, which caps a 60-digit fig1c sweep near 52 true digits;
 # the CLI reaches its printed digits by raising the whole context
 # (PRINT_MARGIN).  Raising this offset instead would need resolved_digits
@@ -166,33 +169,19 @@ def bernoulli_even(k: int) -> Fraction:
     return Fraction(*mp.bernfrac(2 * k))
 
 
-def zeta_even(m: int, ctx: PrecisionContext) -> mpf:
-    """zeta(m) for even m >= 2, from B_m = 2(-1)^(m/2-1) zeta(m) m! / (2 pi)^m."""
-    if m < 2 or m % 2 != 0:
-        raise DomainError(f"m must be even and >= 2, got {m}")
-    r = m // 2
-    b = bernoulli_even(r)
-    with ctx.working(FACTOR_EXTRA):
-        sign = 1 if (r - 1) % 2 == 0 else -1
-        val = sign * mpf(b.numerator) / b.denominator
-        return val * (2 * mp.pi) ** m / (2 * mp.factorial(m))
-
-
 @cache
 def hurwitz_zeta_integer(m: int, base: int, ctx: PrecisionContext) -> mpf:
     """zeta(m, base) = sum_{j >= base} j^(-m) for even m >= 2, base >= 1.
 
-    Evaluated with full *relative* accuracy even when the value is far
-    below 1 (large m): never computed as zeta(m) minus a partial sum,
-    which loses every significant digit once base^(-m) << 1.  Memoized on
-    (m, base, ctx).
+    mpmath's ``zeta(m, base)`` at ``working(HEADROOM)``, base = 1
+    included: full *relative* accuracy even when the value is far below 1
+    (large m), never zeta(m) minus a partial sum, which loses every
+    significant digit once base^(-m) << 1.  Memoized on (m, base, ctx).
     """
     if base < 1:
         raise DomainError(f"base must be >= 1, got {base}")
     if m < 2 or m % 2 != 0:
         raise DomainError(f"m must be even and >= 2, got {m}")
-    if base == 1:
-        return zeta_even(m, ctx)
     with ctx.working(HEADROOM):
         return mp.zeta(m, mpf(base))
 
@@ -218,6 +207,28 @@ def gamma_complex(z, ctx: PrecisionContext) -> mpc:
                         distance=dist,
                     )
         return mp.gamma(z)
+
+
+@cache
+def phase(x, ctx: PrecisionContext) -> mpc:
+    """e^(i pi x) at ``working(HEADROOM)``; memoized on (x, ctx)."""
+    with ctx.working(HEADROOM):
+        return mp.expjpi(x)
+
+
+@cache
+def two_pi_power(x, ctx: PrecisionContext) -> mpc:
+    """(2 pi)^x at ``working(HEADROOM)``; memoized on (x, ctx)."""
+    with ctx.working(HEADROOM):
+        return (2 * mp.pi) ** x
+
+
+@cache
+def int_power(k: int, x, ctx: PrecisionContext) -> mpc:
+    """k^x = exp(x log k) for an integer k >= 1 at ``working(HEADROOM)``;
+    memoized on (k, x, ctx)."""
+    with ctx.working(HEADROOM):
+        return mp.exp(x * mp.log(k))
 
 
 def ray_powers(base: RayComplex, exponents, ctx: PrecisionContext,

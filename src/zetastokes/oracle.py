@@ -21,7 +21,7 @@ from mpmath import mp, mpf, mpc
 
 from .errors import DivergenceError, DomainError, PoleError
 from .hp import (HEADROOM, PrecisionContext, RayComplex, gamma_complex,
-                 ray_powers)
+                 phase, ray_powers, two_pi_power)
 
 RE_S_MARGIN = mpf("1.1")
 
@@ -58,7 +58,7 @@ class ZetaPoint:
         """e^(i pi s/2) x + e^(-i pi s/2) x_prime: a value on the ray a
         weighted with one on the ray a' as in the reflection formula."""
         with ctx.working(HEADROOM):
-            half_is = mp.expjpi(self.s / 2)
+            half_is = phase(self.s / 2, ctx)
             return half_is * x + x_prime / half_is
 
 
@@ -127,7 +127,7 @@ def f_tilde_reference(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
         raise PoleError("Ftilde has a pole at s = 1", distance=abs(s - 1))
     with ctx.working(HEADROOM):
         f = periodic_zeta_direct(point, ctx)
-        pref = gamma_complex(s, ctx) / (2 * mp.pi) ** s
+        pref = gamma_complex(s, ctx) / two_pi_power(s, ctx)
         ga = _subtracted_terms(s, point.a, ctx)
         gap = _subtracted_terms(s, point.a_prime, ctx)
         return f - pref * point.combine(ga, gap, ctx)

@@ -21,7 +21,8 @@ from .errors import (DomainError, IllConditionedError,
                      InsufficientPrecisionError, ZetaError)
 from .expansion import (TruncationPlan, bernoulli_series, leading_blocks,
                         optimal_plan, script_r_k)
-from .hp import HEADROOM, PrecisionContext, RayComplex
+from .hp import (HEADROOM, PrecisionContext, RayComplex, int_power,
+                 two_pi_power)
 from .oracle import ZetaPoint, f_tilde_reference
 
 GRID_POINTS = 400
@@ -107,7 +108,7 @@ def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, n1: int, n1p: int,
     """
     s = point.s
     with ctx.working(HEADROOM):
-        pref = (2 * mp.pi) ** (-s)
+        pref = two_pi_power(-s, ctx)
         series_a = pref * bernoulli_series(s, point.a, n1, ctx)
         series_ap = pref * bernoulli_series(s, point.a_prime, n1p, ctx)
         brace = ft - point.combine(series_a, series_ap, ctx)
@@ -161,10 +162,10 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
             rk = script_r_k(k, point, plan.nk[k - 1], plan.nk_prime[k - 1],
                             ctx)
             rk_abs.append(float(abs(rk)))
-            rsum += mp.exp((s - 1) * mp.log(k)) * rk
+            rsum += int_power(k, s - 1, ctx) * rk
         brace = ft - peeled - rsum
         exact = mp.exp(-2 * mp.pi * mpc(0, 1) * n * point.a.value()) * brace \
-            / mp.exp((s - 1) * mp.log(n))
+            / int_power(n, s - 1, ctx)
         if n == 1:
             alt = _bernoulli_form_s1(point, ft, plan.nk[0],
                                      plan.nk_prime[0], ctx)

@@ -38,13 +38,14 @@ Stokes line, is provided separately.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 from .errors import (ConvergenceError, DomainError, IllConditionedError)
 from .hp import (HEADROOM, SMOOTHING_DIGITS, PrecisionContext, RayComplex,
-                 gamma_complex, pow_ray)
+                 gamma_complex, phase, pow_ray)
 
 ARG_LIMIT_SLACK = 0.1
 REGIME_EPSILON = 0.05
@@ -203,6 +204,22 @@ def _digits_lost(head, zpow, peak2: int, wp: int, value) -> float:
     return float(bits) * math.log10(2)
 
 
+@cache
+def _gamma_head(alpha: mpc, dps: int) -> mpc:
+    """Gamma(alpha) at dps digits, the series head at a non-integer order;
+    memoized on (alpha, dps)."""
+    with mp.workdps(dps):
+        return mp.gamma(alpha)
+
+
+@cache
+def _limit_head(n: int, dps: int) -> tuple:
+    """((-1)^n/n!, psi(n+1)) at dps digits, the theta-independent factors
+    of the series head at the order -n; memoized on (n, dps)."""
+    with mp.workdps(dps):
+        return (-1) ** n / mp.factorial(n), mp.digamma(n + 1)
+
+
 def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     """Incomplete gamma Gamma(alpha, z) on the branch set by z.argument.
 
@@ -212,8 +229,10 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     Gamma(alpha) - z^alpha sum_m (-z)^m / (m! (alpha + m)): at alpha = -n,
     n = 0, 1, ..., the m = n term is dropped and Gamma(alpha) becomes its
     finite limit (-1)^n/n! (psi(n+1) - log z), with log z taken on the ray
-    (DLMF 8.4.15).  The series is summed in fixed point by
-    ``_fixed_series``; DomainError if its a-priori inflation exceeds
+    (DLMF 8.4.15).  Gamma(alpha), and (-1)^n/n! and psi(n+1), do not
+    depend on z: they are memoized on the order and the working digits,
+    and only log z is taken per call.  The series is summed in fixed point
+    by ``_fixed_series``; DomainError if its a-priori inflation exceeds
     SERIES_INFLATION_LIMIT digits, IllConditionedError if it lost more
     digits to cancellation than the inflation it carried.
 
@@ -283,10 +302,11 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
         total, peak2 = _fixed_series(alpha, z.value(), n, dps, wp,
                                      int(mp.floor(z.modulus)))
         if n is None:
-            head = mp.gamma(alpha)
+            head = _gamma_head(alpha, dps)
         else:
+            sign, psi = _limit_head(n, dps)
             logz = mp.log(mpf(z.modulus)) + mpc(0, 1) * z.argument
-            head = (-1) ** n / mp.factorial(n) * (mp.digamma(n + 1) - logz)
+            head = sign * (psi - logz)
         value = head - zpow * total
     lost = _digits_lost(head, zpow, peak2, wp, value)
     if lost > extra:
@@ -367,7 +387,7 @@ def terminant(nu, z: RayComplex, ctx: PrecisionContext) -> mpc:
     nu = ctx.read(nu)
     with ctx.working(HEADROOM):
         inc = upper_gamma(1 - nu, z, ctx)
-        return mp.expjpi(nu) * gamma_complex(nu, ctx) \
+        return phase(nu, ctx) * gamma_complex(nu, ctx) \
             / (2 * mp.pi * mpc(0, 1)) * inc
 
 

@@ -9,10 +9,9 @@ from mpmath import mp, mpf, mpc
 
 import zetastokes
 from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
-                                  a_r_coefficients, bernoulli_series,
-                                  extend_plan, leading_blocks,
-                                  optimal_truncation, remainder_rk,
-                                  script_r_k, z_improved)
+                                  bernoulli_series, extend_plan,
+                                  leading_blocks, optimal_truncation,
+                                  remainder_rk, script_r_k, z_improved)
 from zetastokes.hp import PrecisionContext, RayComplex
 from zetastokes.oracle import (ZetaPoint, f_tilde_reference,
                                hurwitz_zeta_direct, periodic_zeta_direct,
@@ -35,7 +34,6 @@ N = 17
 
 CASES = {
     "a_r_coefficient": lambda: a_r_coefficient(2, S, A, CTX),
-    "a_r_coefficients": lambda: a_r_coefficients(S, A, 0, 3, CTX),
     "optimal_truncation": lambda: optimal_truncation(1, S, A, CTX),
     "extend_plan": lambda: extend_plan(S, A, (N,), CTX),
     "hurwitz_zeta_direct": lambda: hurwitz_zeta_direct(S, A, CTX),

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import sys
 import time
 from functools import cache
 from pathlib import Path
@@ -11,8 +12,8 @@ from mpmath import mp, mpf, mpc
 from zetastokes import expansion
 from zetastokes.errors import DomainError, TailBoundError
 from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
-                                  a_r_coefficients, bernoulli_series,
-                                  extend_plan, leading_blocks, optimal_plan,
+                                  bernoulli_series, extend_plan,
+                                  leading_blocks, optimal_plan,
                                   optimal_truncation, remainder_rk,
                                   script_r_k, z_improved)
 from zetastokes.hp import (RayComplex, bernoulli_even, gamma_complex,
@@ -83,6 +84,23 @@ def _a_r_reference(s, mod, arg, ctx):
                 for r, g in enumerate(_gamma_reference(s))]
 
 
+def _block_terms_reference(s, mod, arg, nlist, ctx):
+    # the terms of leading_blocks at REF_DPS, one A_r zeta(2r+2, m)/pi per
+    # block and one A_r/(pi k^(2r+2)) per direct term
+    floor = [min(nlist[k:]) for k in range(len(nlist))]
+    coeffs = _a_r_reference(s, mod, arg, ctx)
+    with mp.workdps(REF_DPS):
+        terms, prev = [], 0
+        for m, f in enumerate(floor, start=1):
+            terms += [coeffs[r] * mp.zeta(2 * r + 2, m) / mp.pi
+                      for r in range(prev, f)]
+            prev = f
+        for k, (f, n) in enumerate(zip(floor, nlist), start=1):
+            terms += [coeffs[r] / (mp.pi * mpf(k) ** (2 * r + 2))
+                      for r in range(f, n)]
+        return terms
+
+
 def _bernoulli_term_factor(r, s, ctx):
     # B_{2r}/(2r)! Gamma(2r+s-1), under the caller's ctx.working(10)
     b = bernoulli_even(r)
@@ -117,8 +135,6 @@ class TestCoefficients:
     def test_rejects_negative_r(self, ctx):
         with pytest.raises(DomainError):
             a_r_coefficient(-1, mpc(3), _ray(6, 0.5, ctx), ctx)
-        with pytest.raises(DomainError):
-            a_r_coefficients(mpc(3), _ray(6, 0.5, ctx), -1, 3, ctx)
 
     def test_rejects_non_finite_ray(self, ctx):
         # used to come back as nan + nanj
@@ -128,8 +144,9 @@ class TestCoefficients:
 
 class TestBatchBits:
     """``ray_powers`` and ``bernoulli_series`` keep the bits of a
-    term-by-term evaluation; ``a_r_coefficients`` is held to an accuracy
-    bound, because its recurrence rounds differently by design."""
+    term-by-term evaluation; ``a_r_coefficient`` and ``leading_blocks`` are
+    held to accuracy bounds, because the signed-Gamma recurrence and
+    Horner's rule round differently by design."""
 
     @pytest.mark.parametrize("extra", [0, 10])
     def test_ray_powers(self, ctx, extra):
@@ -139,20 +156,21 @@ class TestBatchBits:
         want = [_power(base, e, ctx, extra) for e in exponents]
         assert [bits(v) for v in got] == [bits(v) for v in want]
 
-    # A_r is A_lo times r - lo rounded steps.  With U = 10^-(digits+guard),
-    # one rounding is at most u = 2^-prec = 0.106 U at 60 digits; over
-    # these inputs |L| = |log 2 pi |a| + i arg a| <= 4.4,
-    # |e| = |2lo+s+1| <= 8.4 (lo+1) and |psi(e)| <= 3.1.
-    # - A_lo: e rounds, moving Gamma(e) (2 pi a)^-e by |psi(e) - L| |e| u;
-    #   the power's exponent -e L is off by (2 |L| + 2) |e| u and its exp
-    #   rounds; Gamma and the last product add 2 u.  In all at most
-    #   (3 |L| + |psi| + 3) |e| u + 2 u < 18 (lo+1) U.
-    # - Each step: its ratio -e(e+1) (e, e+1 and the product: 4 u), two
-    #   products (2 u) and the error of (2 pi a)^-2, (4 |L| + 5) u: at most
-    #   (4 |L| + 11) u < 3.1 U.
-    # So |A_r - exact| <= C (r+1) U |exact| with C = 22.  Measured worst
-    # over these inputs: 1.9 (r+1) U, and 138 U over 300 terms (368 U for
-    # the term-by-term form Gamma(e) / (2 pi a)^e).
+    # Rounding of the factors of a term.  With U = 10^-(digits+guard), one
+    # rounding at digits + guard is at most u = 2^-prec = 0.106 U at 60
+    # digits, and one at HEADROOM is 10^-10 u, which is neglected; over
+    # these inputs |L| = |log 2 pi |a| + i arg a| <= 4.4, |s+1| <= 7.3 and
+    # |psi(s+1)| <= 2.1.
+    # - The signed Gamma G_r = (-1)^r Gamma(2r+s+1): s+1 rounds, moving
+    #   Gamma(s+1) by |psi(s+1)| |s+1| u, and Gamma rounds; each step of
+    #   the recurrence rounds 2r+s-1, 2r+s, their product and the new
+    #   entry.  |dG_r| <= (|psi(s+1)| |s+1| + 1 + 4r) u < (17 + 4r) u.
+    # - A power (2 pi a)^-e of the ray: 2 pi |a|, its log and i arg a round,
+    #   so L is off by (1 + 2|L|) u; -e rounds, -e L is off by
+    #   (2 + 4|L|) |e| u, and the exp rounds: (19.6 |e| + 1) u in all.
+    # So A_r = G_r (2 pi a)^-(2r+s+1), |2r+s+1| <= 7.3 (r+1), is off by
+    # (17 + 4r + 143 (r+1) + 1 + 1) u < 165 (r+1) u < 17.5 (r+1) U.
+    # Measured worst over these inputs: 2.5 (r+1) U.
     @pytest.mark.parametrize("lo, hi", [(0, 25), (7, 19), (5, 5), (0, 300)])
     @pytest.mark.parametrize("arg", [0.3, 0.55])
     @pytest.mark.parametrize("mod", [1, 3, 8, 9])
@@ -161,13 +179,37 @@ class TestBatchBits:
     def test_a_r_coefficients(self, s, dps, mod, arg, lo, hi, ctx):
         a = _ray(mod, arg, ctx)
         with mp.workdps(dps):
-            got = a_r_coefficients(s, a, lo, hi, ctx)
-        assert len(got) == hi - lo
+            got = [a_r_coefficient(r, s, a, ctx) for r in range(lo, hi)]
         want = _a_r_reference(s, mod, arg, ctx)[lo:hi]
         unit = mpf(10) ** -(ctx.digits + ctx.guard)
         with mp.workdps(REF_DPS):
-            assert all(abs(g - w) <= 22 * (r + 1) * unit * abs(w)
+            assert all(abs(g - w) <= 18 * (r + 1) * unit * abs(w)
                        for r, g, w in zip(range(lo, hi), got, want))
+
+    # leading_blocks is (2 pi a)^-(s+1)/pi sum_r c_r x^r with
+    # c_r = G_r zeta(2r+2, m) (or G_r / k^(2r+2)) and x = (2 pi a)^-2, by
+    # Horner's rule at HEADROOM.  By the rounding above, G_r is off by
+    # (17 + 4r) u, zeta(2r+2, m), the products, the sum and 1/pi by
+    # O(10^-10 u), (2 pi a)^-(s+1) by (19.6 |s+1| + 1) u < 145 u, and
+    # x = (2 pi a)^-2 by 40.2 u, so x^r by 40.2 r u.  Term r is off by
+    # (17 + 145 + 44.2 r) u < 207 N u relative, r < N = max(nlist),
+    # and the sum by at most 207 N u sum_r |term_r| < 22 N U sum |terms|.
+    # Measured worst over these inputs: 0.37 N U sum |terms|.
+    @pytest.mark.parametrize("nlist", [(25,), (18, 36), (5, 3), (3, 9, 84)])
+    @pytest.mark.parametrize("arg", [0.3, 0.55])
+    @pytest.mark.parametrize("mod", [1, 3, 9])
+    @pytest.mark.parametrize("s, dps", [(s, 15) for s in S_VALUES]
+                             + [(FINE_S, FINE_DPS)])
+    def test_leading_blocks(self, s, dps, mod, arg, nlist, ctx):
+        # (3, 9, 84) is an extended grid list: its blocks run to r = 83
+        a = _ray(mod, arg, ctx)
+        with mp.workdps(dps):
+            got = leading_blocks(s, a, nlist, ctx)
+        terms = _block_terms_reference(s, mod, arg, nlist, ctx)
+        unit = mpf(10) ** -(ctx.digits + ctx.guard)
+        with mp.workdps(REF_DPS):
+            bound = 22 * max(nlist) * unit * mp.fsum(abs(t) for t in terms)
+            assert abs(got - mp.fsum(terms)) <= bound
 
     @pytest.mark.parametrize("n", [1, 25])
     @pytest.mark.parametrize("arg", [0.3, 0.55])
@@ -447,22 +489,27 @@ class TestBlocks:
     @pytest.mark.parametrize("nlist", [(1,), (25,), (18, 36)])
     def test_one_power_call_and_one_gamma_per_ray(self, nlist, ctx,
                                                   monkeypatch):
-        # the coefficients come from their ratio recurrence: one
-        # ray_powers call and one Gamma per block sum, whatever its length
+        # a block sum is a polynomial in (2 pi a)^-2: one ray_powers call
+        # for 2 exponents, whatever its length, and at most one Gamma,
+        # Gamma(s+1), which starts the memoized signed-Gamma recurrence
         calls = []
 
         def counting(name):
             real = getattr(expansion, name)
 
             def counted(*args, **kwargs):
-                calls.append(name)
+                caller = sys._getframe(1).f_code.co_name
+                size = len(args[1]) if name == "ray_powers" else None
+                calls.append((name, caller, size))
                 return real(*args, **kwargs)
             return counted
 
         for name in ("ray_powers", "gamma_complex"):
             monkeypatch.setattr(expansion, name, counting(name))
         leading_blocks(mpc(2, 0.5), _ray(8, 0.45, ctx), nlist, ctx)
-        assert sorted(calls) == ["gamma_complex", "ray_powers"]
+        assert [c for c in calls if c[0] == "ray_powers"] \
+            == [("ray_powers", "leading_blocks", 2)]
+        assert len([c for c in calls if c[0] == "gamma_complex"]) <= 1
 
     def test_blocks_match_direct_double_sum(self, ctx):
         # for one scale: (1/pi) sum_{r<N} A_r zeta(2r+2, 1)

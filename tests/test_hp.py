@@ -7,10 +7,11 @@ from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError, PoleError
 from zetastokes.expansion import (TruncationPlan, _bernoulli_factor,
-                                  z_improved)
+                                  _block_factor, _signed_gammas, z_improved)
 from zetastokes.hp import (PrecisionContext, RayComplex, bernoulli_even,
-                           gamma_complex, hurwitz_zeta_integer, pow_ray,
-                           zeta_even)
+                           gamma_complex, hurwitz_zeta_integer, int_power,
+                           phase, pow_ray, two_pi_power)
+from zetastokes.terminant import _gamma_head, _limit_head
 from zetastokes.oracle import ZetaPoint
 from zetastokes.stokes import stokes_multiplier
 
@@ -23,10 +24,14 @@ def bits(value):
     return getattr(value, "_mpc_", None) or value._mpf_
 
 
+MEMOS = (gamma_complex, hurwitz_zeta_integer, phase, two_pi_power, int_power,
+         _bernoulli_factor, _block_factor, _signed_gammas, _gamma_head,
+         _limit_head)
+
+
 def clear_caches():
-    gamma_complex.cache_clear()
-    hurwitz_zeta_integer.cache_clear()
-    _bernoulli_factor.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 class TestPrecisionContext:
@@ -127,19 +132,22 @@ class TestBernoulli:
 
 
 class TestZetaEven:
+    """zeta(m) at even m, which ``hurwitz_zeta_integer(m, 1)`` serves."""
+
     def test_basel(self, ctx_fast):
         with ctx_fast.working():
-            assert abs(zeta_even(2, ctx_fast) - mp.pi ** 2 / 6) < ctx_fast.tol()
+            assert abs(hurwitz_zeta_integer(2, 1, ctx_fast) - mp.pi ** 2 / 6) \
+                < ctx_fast.tol()
 
     def test_matches_mpmath(self, ctx_fast):
         with ctx_fast.working():
             for m in (4, 10, 24):
-                assert abs(zeta_even(m, ctx_fast) - mp.zeta(m)) \
+                assert abs(hurwitz_zeta_integer(m, 1, ctx_fast) - mp.zeta(m)) \
                     < ctx_fast.tol()
 
     def test_rejects_odd(self, ctx_fast):
         with pytest.raises(DomainError):
-            zeta_even(3, ctx_fast)
+            hurwitz_zeta_integer(3, 1, ctx_fast)
 
 
 class TestHurwitzZetaInteger:
@@ -203,6 +211,12 @@ class TestMemo:
         (hurwitz_zeta_integer, (6, 1)),
         (_bernoulli_factor, (1, mpc(2, 0.5))),
         (_bernoulli_factor, (25, FINE)),
+        (_block_factor, (30, 2, mpc(2, 0.5))),
+        (_block_factor, (7, 1, FINE)),
+        (phase, (mpc(1, 0.25),)),
+        (phase, (FINE,)),
+        (two_pi_power, (mpc(2, 0.5),)),
+        (int_power, (3, FINE)),
     ])
     def test_hit_equals_fresh_evaluation(self, ctx_fast, fn, args):
         values = []

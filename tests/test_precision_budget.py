@@ -10,7 +10,7 @@ import zetastokes
 
 PACKAGE = Path(zetastokes.__file__).parent
 # calls that set a precision, and the functions whose ``extra`` does
-SETTERS = {"working", "workdps", "extraprec"}
+SETTERS = {"working", "workdps", "workprec", "extraprec"}
 EXTRA_TAKERS = {"ray_powers", "pow_ray"}
 
 
@@ -43,6 +43,8 @@ def _literal_precisions(source: str) -> list:
     ("pow_ray(a, e, ctx, 10)", [1]),
     ("with ctx.working(HEADROOM):\n    ray_powers(a, [2], ctx)", []),
     ("ctx.working()\nmp.workdps(SMOOTHING_DIGITS)", []),
+    ("with mp.workprec(300):\n    pass", [1]),
+    ("with mp.workprec(prec):\n    pass", []),
 ])
 def test_finder_flags_literals_only(source, lines):
     assert _literal_precisions(source) == lines

@@ -10,8 +10,10 @@ from zetastokes.expansion import TruncationPlan
 from zetastokes.hp import PrecisionContext, RayComplex
 from zetastokes import expansion, stokes
 from zetastokes.oracle import ZetaPoint
+from zetastokes.cli import REPRODUCTIONS
 from zetastokes.stokes import (MinimumResult, MultiplierSample, erf_approx,
-                               find_minimum, stokes_multiplier, sweep)
+                               find_minimum, stokes_multiplier, sweep,
+                               sweep_point)
 
 
 def _point(s, modulus, arg_over_pi, ctx):
@@ -137,8 +139,8 @@ class TestStokesMultiplier:
 
     def test_cross_check_takes_two_powers_per_ray(self, ctx, monkeypatch):
         # the Bernoulli side sums by Horner's rule from a^(-1-s) and a^-2,
-        # and the A_r side by their ratio recurrence from (2 pi a)^-(s+1)
-        # and (2 pi a)^-2, so a fig1b point asks ray_powers for 2 exponents
+        # and the block side by Horner's rule from (2 pi a)^-(s+1) and
+        # (2 pi a)^-2, so a fig1b point asks ray_powers for 2 exponents
         # per ray and side, not one per term (the plan's 25 + 24)
         asked = []
         real = expansion.ray_powers
@@ -154,7 +156,7 @@ class TestStokesMultiplier:
         bernoulli = [n for caller, n in asked if caller == "bernoulli_series"]
         assert bernoulli == [2, 2]
         assert [n for caller, n in asked
-                if caller == "a_r_coefficients"] == [2, 2]
+                if caller == "leading_blocks"] == [2, 2]
 
     @pytest.mark.parametrize("s", [mpc(2, 0.5), mpc(3), mpc(1.6)])
     @pytest.mark.parametrize("arg", [0.02, 0.1, 0.9, 0.98])
@@ -235,6 +237,35 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(n, abs_a, mpc(3), (0.49 * math.pi, 0.51 * math.pi, 2),
                   PrecisionContext(30), plan=TruncationPlan((17,), (17,), 1))
+
+    @pytest.mark.parametrize("name", ["fig1b", "fig1c"])
+    def test_theta_independent_factors_are_computed_once(self, name, ctx,
+                                                         monkeypatch):
+        # Gamma, zeta(2r+2, m) and the phases e^(i pi x) depend on s, the
+        # plan and the scale but not on theta: after its first point, a
+        # fixed-plan sweep takes every one of them from a memo
+        cfg = REPRODUCTIONS[name]
+        lo, hi, count = cfg["theta"]
+        theta_range = (lo * math.pi, hi * math.pi, count)
+        args = (cfg["n"], cfg["abs_a"], cfg["s"], theta_range)
+        first = sweep_point(*args, 0, ctx, cfg["plan"])
+        assert first.error is None
+        calls = []
+
+        def counting(name):
+            real = getattr(mp, name)
+
+            def counted(*a, **kw):
+                calls.append(name)
+                return real(*a, **kw)
+            return counted
+
+        for fn in ("gamma", "zeta", "expjpi"):
+            monkeypatch.setattr(mp, fn, counting(fn))
+        samples = [sweep_point(*args, j, ctx, cfg["plan"])
+                   for j in (1, count // 2, count - 1)]
+        assert all(smp.error is None for smp in samples)
+        assert calls == []
 
     def test_rejects_bad_range(self, ctx):
         with pytest.raises(DomainError):
