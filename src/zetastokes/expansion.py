@@ -260,6 +260,9 @@ def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
     plus the exponential bound 2 (k+1)^max(Re s-1, 0) e^(-2 pi (k+1) |Im a|)
     -- falls below the budget, tol/100 times the leading block
     |A_0| zeta(2)/pi, the rule taken in logs at ``hp.LOG_ESTIMATE_DIGITS``.
+    |Gamma(2r+s+1)| and zeta(2r+2, b) come from ``_signed_gamma`` and
+    ``hp.hurwitz_zeta_integer``, the memoized values ``leading_blocks``
+    then sums; only their logarithms are taken at the lower precision.
     The second item holds, for each added scale, log10(estimate/budget) of
     the tail estimate that added it, always >= 0: ``z_improved`` sizes that
     scale's remainder by it.  ``leading_blocks`` over the extended list
@@ -274,11 +277,13 @@ def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
     im_abs, power = float(im_abs), max(float(s.real) - 1, 0.0)
 
     def log_alg(r, b):  # log(|A_r| zeta(2r+2, b) / pi)
+        gamma = _signed_gamma(r, s, ctx)
+        zeta = hurwitz_zeta_integer(2 * r + 2, b, ctx)
         with mp.workdps(LOG_ESTIMATE_DIGITS):
             e = 2 * r + s + 1
-            return float(mp.re(mp.loggamma(e)) + e.imag * a.argument
+            return float(mp.log(abs(gamma)) + e.imag * a.argument
                          - e.real * mp.log(2 * mp.pi * a.modulus)
-                         + mp.log(mp.zeta(2 * r + 2, b) / mp.pi))
+                         + mp.log(zeta / mp.pi))
 
     log_budget = float(mp.log(ctx.tol() / 100)) + log_alg(0, 1)
     out, excess = list(nlist), []

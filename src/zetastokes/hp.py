@@ -16,6 +16,16 @@ phases and powers of s, nu and k do not depend on theta, so a sweep
 computes each once.  The caches live for the life of the process and have
 no size limit or switch.
 
+``hurwitz_zeta_integer`` takes no special-function call: while
+m log10(2) < D, with D the digits of ``working(HEADROOM)``, it subtracts
+the partial sum below the base from the exact zeta(m) of the Bernoulli
+numbers at D + ceil(m log10(base)) + 1 digits, the digits the subtraction
+cancels; beyond that it sums the tail directly until a remainder bound
+drops below 10^(-D) of it.  Both are right to a few units of 10^(-D),
+relative.  (mpmath's ``zeta(m, base)`` is not used: it stops at an
+absolute tolerance, so at D = 90 it has zeta(46, 3) only to 5e-76,
+relative.)
+
 What does depend on theta is the power of the ray a; ``ray_powers`` takes
 all the powers of one ray in one call, with one logarithm of the ray and
 one exponential per exponent, and ``pow_ray`` is its one-exponent case.
@@ -26,9 +36,11 @@ error-model constants of ``terminant`` and ``expansion`` live elsewhere.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import accumulate
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
@@ -161,29 +173,78 @@ class RayComplex:
 # ---------------------------------------------------------------------------
 # Bernoulli numbers (exact rationals, cached)
 
+# The last row of the Seidel-Entringer triangle and the zigzag numbers
+# E_0, E_1, ... that end its rows, grown on demand by ``bernoulli_even``.
+_ENTRINGER_ROW = [1]
+_ZIGZAG = [1]
+
+
 @cache
 def bernoulli_even(k: int) -> Fraction:
-    """Exact even-order Bernoulli number B_{2k}, k >= 1."""
+    """Exact even-order Bernoulli number B_{2k}, k >= 1.
+
+    B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), with the tangent number
+    T_k = E_(2k-1), a zigzag number.  Each row of the Seidel-Entringer
+    triangle is the running sum, from 0, of the previous row reversed, and
+    ends in the next E_n: integer additions only, each row once per
+    process.  (mpmath's ``bernfrac`` finds B_2k from a numerical zeta(2k)
+    at a precision of its own for each k, and keeps a table for each of
+    those precisions.)
+    """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    return Fraction(*mp.bernfrac(2 * k))
+    while len(_ZIGZAG) < 2 * k:
+        _ENTRINGER_ROW[:] = list(accumulate(reversed(_ENTRINGER_ROW),
+                                            initial=0))
+        _ZIGZAG.append(_ENTRINGER_ROW[-1])
+    return Fraction((-1) ** (k - 1) * 2 * k * _ZIGZAG[2 * k - 1],
+                    4 ** k * (4 ** k - 1))
 
 
 @cache
 def hurwitz_zeta_integer(m: int, base: int, ctx: PrecisionContext) -> mpf:
-    """zeta(m, base) = sum_{j >= base} j^(-m) for even m >= 2, base >= 1.
+    """zeta(m, base) = sum_{j >= base} j^(-m) for even m >= 2, base >= 1,
+    in closed form, rounded to the D = digits + guard + HEADROOM digits of
+    ``working(HEADROOM)``; memoized on (m, base, ctx).
 
-    mpmath's ``zeta(m, base)`` at ``working(HEADROOM)``, base = 1
-    included: full *relative* accuracy even when the value is far below 1
-    (large m), never zeta(m) minus a partial sum, which loses every
-    significant digit once base^(-m) << 1.  Memoized on (m, base, ctx).
+    One formula in two regimes, chosen by m alone:
+
+    - m log10(2) < D, subtraction: zeta(m) - sum_{j<base} j^(-m), with the
+      exact zeta(m) = (2 pi)^m |B_m| / (2 m!) (DLMF 25.6.2).  As
+      zeta(m, base) > base^(-m), the subtraction cancels fewer than
+      m log10(base) + log10 zeta(2) digits, so it runs at
+      D + ceil(m log10(base)) + 1 digits.
+    - otherwise, direct tail: sum_{j>=base} j^(-m), whose terms fall by
+      2^(-m) < 10^(-D) before j = 2 base; the sum stops once the bound
+      sum_{j>J} j^(-m) <= int_J^oo x^(-m) dx = J^(1-m)/(m-1) on what it
+      drops is below 10^(-D) base^(-m) < 10^(-D) zeta(m, base).
+
+    Either way the value is right to a few units of 10^(-D), relative.
     """
     if base < 1:
         raise DomainError(f"base must be >= 1, got {base}")
     if m < 2 or m % 2 != 0:
         raise DomainError(f"m must be even and >= 2, got {m}")
+    dps = ctx.digits + ctx.guard + HEADROOM
+    if m * math.log10(2) < dps:
+        b = bernoulli_even(m // 2)
+        with mp.workdps(dps + math.ceil(m * math.log10(base)) + 1):
+            value = (2 * mp.pi) ** m * abs(mpf(b.numerator)) \
+                / (2 * b.denominator * math.factorial(m))
+            for j in range(base - 1, 0, -1):
+                value -= mpf(j) ** -m
+    else:
+        # about 2 base terms, one rounding each: log10(2 base) more digits
+        with mp.workdps(dps + math.ceil(math.log10(2 * base))):
+            value, j = mpf(0), base
+            limit = -dps * math.log(10) - m * math.log(base)
+            while True:
+                value += mpf(j) ** -m
+                if (1 - m) * math.log(j) - math.log(m - 1) < limit:
+                    break
+                j += 1
     with ctx.working(HEADROOM):
-        return mp.zeta(m, mpf(base))
+        return +value
 
 
 @cache

@@ -97,10 +97,10 @@ def erf_approx(n: int, abs_a: float, theta: float) -> float:
     return 1 + 0.5 * first - 0.5 * second
 
 
-def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, n1: int, n1p: int,
-                       ctx: PrecisionContext) -> mpc:
+def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, turn: mpc, n1: int,
+                       n1p: int, ctx: PrecisionContext) -> mpc:
     """S_1 from ft = Ftilde(a, s) via the single-scale Bernoulli series
-    instead of zeta blocks.
+    instead of zeta blocks; turn is the caller's e^(-2 pi i a).
 
     The peeled blocks for k = 1 equal (2 pi)^(-s) times the truncated
     Bernoulli series, term by term (the same pairing that links the two
@@ -112,7 +112,7 @@ def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, n1: int, n1p: int,
         series_a = pref * bernoulli_series(s, point.a, n1, ctx)
         series_ap = pref * bernoulli_series(s, point.a_prime, n1p, ctx)
         brace = ft - point.combine(series_a, series_ap, ctx)
-        return mp.exp(-2 * mp.pi * mpc(0, 1) * point.a.value()) * brace
+        return turn * brace
 
 
 def _require_scales(plan: TruncationPlan, n: int) -> None:
@@ -164,10 +164,10 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
             rk_abs.append(float(abs(rk)))
             rsum += int_power(k, s - 1, ctx) * rk
         brace = ft - peeled - rsum
-        exact = mp.exp(-2 * mp.pi * mpc(0, 1) * n * point.a.value()) * brace \
-            / int_power(n, s - 1, ctx)
+        turn = mp.exp(-2 * mp.pi * mpc(0, 1) * n * point.a.value())
+        exact = turn * brace / int_power(n, s - 1, ctx)
         if n == 1:
-            alt = _bernoulli_form_s1(point, ft, plan.nk[0],
+            alt = _bernoulli_form_s1(point, ft, turn, plan.nk[0],
                                      plan.nk_prime[0], ctx)
             bound = mpf(10) ** (-ctx.digits + EQUIV_EXTRA) \
                 * (abs(ft) + ctx.tol()) * mp.exp(2 * mp.pi * im_a)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import sys
 import time
@@ -424,7 +425,58 @@ class TestExactness:
             assert abs(got - ref) <= ctx.tol() * abs(ref)
 
 
+# extend_plan on the 27 points of acceptance criterion 2 under each of its
+# three plans, as computed when the tail estimate took mpmath's loggamma and
+# zeta(2r+2, b) at 20 digits; the excess is rounded to 12 digits
+EXTENSIONS = json.loads((Path(__file__).resolve().parent / "data"
+                         / "extend_plan_grid.json").read_text())
+
+
+def _extension_id(case):
+    return "s{}+{}i-arg{}-mod{}-plan{}".format(
+        *case["s"], case["arg_pi"], case["abs_a"],
+        ",".join(map(str, case["plan"])))
+
+
 class TestExtendPlan:
+    @pytest.mark.parametrize("case", EXTENSIONS,
+                             ids=[_extension_id(c) for c in EXTENSIONS])
+    def test_matches_the_recorded_extensions(self, case, ctx):
+        with ctx.working(10):
+            s = mpc(*case["s"])
+            a = _ray(case["abs_a"], case["arg_pi"], ctx)
+        nlist, excess = extend_plan(s, a, tuple(case["plan"]), ctx)
+        assert list(nlist) == case["nlist"]
+        assert len(excess) == len(case["excess"])
+        for got, want in zip(excess, case["excess"]):
+            assert got == pytest.approx(want, abs=1e-9)
+
+    def test_z_improved_calls_neither_zeta_nor_loggamma(self, ctx,
+                                                        monkeypatch):
+        # the tail estimate reads the memoized zeta(2r+2, b) and signed
+        # Gamma that leading_blocks sums, and zeta(2r+2, b) is in closed
+        # form: from cold memos, a grid point takes neither function
+        for memo in (hurwitz_zeta_integer, expansion._block_factor,
+                     expansion._signed_gammas, gamma_complex):
+            memo.cache_clear()
+        calls = []
+
+        def counting(name):
+            real = getattr(mp, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+
+        for name in ("zeta", "loggamma"):
+            monkeypatch.setattr(mp, name, counting(name))
+        with ctx.working(10):
+            a = _ray(6, 0.5, ctx)
+            z_improved(mpc(2, 0.5), a, TruncationPlan((3, 9), (3, 9), 2),
+                       ctx)
+        assert calls == []
+
     @pytest.mark.parametrize("s, mod, arg, plan, want", [
         (mpc(2, 0.5), "3.120626", "0.400927", (7, 7),
          ((7, 7, 28, 38, 48, 58, 67), 1.017)),

@@ -1,5 +1,7 @@
 import math
+import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,9 @@ from mpmath import mp, mpf, mpc
 from zetastokes.errors import DomainError, PoleError
 from zetastokes.expansion import (TruncationPlan, _bernoulli_factor,
                                   _block_factor, _signed_gammas, z_improved)
-from zetastokes.hp import (PrecisionContext, RayComplex, bernoulli_even,
-                           gamma_complex, hurwitz_zeta_integer, int_power,
+from zetastokes.hp import (HEADROOM, PrecisionContext, RayComplex,
+                           bernoulli_even, gamma_complex,
+                           hurwitz_zeta_integer, int_power,
                            phase, pow_ray, two_pi_power)
 from zetastokes.terminant import _gamma_head, _limit_head
 from zetastokes.oracle import ZetaPoint
@@ -119,6 +122,11 @@ class TestBernoulli:
         with pytest.raises(DomainError):
             bernoulli_even(0)
 
+    def test_matches_mpmath_bernfrac(self):
+        # the tangent-number recurrence against mpmath's numerical route
+        for k in range(1, 151):
+            assert bernoulli_even(k) == Fraction(*mp.bernfrac(2 * k)), k
+
     @given(st.integers(min_value=1, max_value=30))
     def test_defining_recurrence_residual_is_zero(self, k):
         # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m = 2k, exactly in rationals
@@ -175,6 +183,88 @@ class TestHurwitzZetaInteger:
     def test_rejects_bad_base(self, ctx_fast):
         with pytest.raises(DomainError):
             hurwitz_zeta_integer(4, 0, ctx_fast)
+
+
+@cache
+def _bernoulli_fraction(n):
+    return Fraction(*mp.bernfrac(n))
+
+
+def _zeta_reference(m, base, dps):
+    """zeta(m, base) at dps digits without mp.zeta: the terms below
+    N = base + m + 100 summed one by one (the sum stops early once a term
+    falls below 10^-dps of it), then the Euler-Maclaurin tail at N
+    (DLMF 2.10.1), N^(1-m)/(m-1) + N^(-m)/2
+    + sum_k B_2k/(2k)! m (m+1) ... (m+2k-2) N^(1-m-2k), whose terms fall
+    like ((m+2k)/(2 pi N))^2 until m + 2k nears 2 pi N."""
+    top = base + m + 100
+    with mp.workdps(dps):
+        total, eps = mpf(0), mpf(10) ** -dps
+        for j in range(base, top):
+            term = mpf(j) ** -m
+            total += term
+            if term < eps * total:
+                return total
+        n = mpf(top)
+        total += n ** (1 - m) / (m - 1) + n ** -m / 2
+        rising, k = mpf(m), 1
+        while True:
+            b = _bernoulli_fraction(2 * k)
+            term = mpf(b.numerator) / b.denominator / mp.factorial(2 * k) \
+                * rising * n ** (1 - m - 2 * k)
+            total += term
+            if abs(term) < eps * total:
+                return total
+            rising *= (m + 2 * k - 1) * (m + 2 * k)
+            k += 1
+
+
+def _relative_miss(m, base, ctx):
+    """|value - reference| / reference in units of 10^-D, with D the
+    digits of ``ctx.working(HEADROOM)``, against a reference at 2 D."""
+    dps = ctx.digits + ctx.guard + HEADROOM
+    got = hurwitz_zeta_integer(m, base, ctx)
+    want = _zeta_reference(m, base, 2 * dps)
+    with mp.workdps(2 * dps):
+        return abs(got - want) / want * mpf(10) ** dps
+
+
+# Every (m, base) that the three benchmark workloads use at seeds 0 and 3
+# lies in these ranges of even m (all of them on the subtraction side).
+WORKLOAD_M_RANGES = {1: (2, 50), 2: (8, 74), 3: (6, 168), 4: (56, 170),
+                     5: (74, 98), 6: (92, 118), 7: (112, 134),
+                     8: (130, 136)}
+
+
+class TestHurwitzZetaAccuracy:
+    """Both regimes of the closed form are right to 10^-(D-2), relative,
+    with D = digits + guard + HEADROOM."""
+
+    @pytest.mark.parametrize("base", sorted(WORKLOAD_M_RANGES))
+    def test_workload_values(self, base, ctx):
+        lo, hi = WORKLOAD_M_RANGES[base]
+        for m in range(lo, hi + 1, 2):
+            assert _relative_miss(m, base, ctx) < 100, (m, base)
+
+    @pytest.mark.parametrize("digits, m, base", [
+        # mpmath's zeta(m, base) stops at an absolute tolerance: at
+        # D = 90 it is off by 4.6e-76 and 6.5e-60 relative on these two
+        (60, 46, 3), (60, 46, 7), (60, 488, 13), (60, 5000, 100),
+        # D = 90: m = 298 is the last even m of the subtraction regime
+        (60, 298, 1), (60, 298, 2), (60, 298, 13),
+        (60, 300, 1), (60, 300, 2), (60, 300, 13),
+        # D = 60: m = 198 and 200
+        (30, 198, 2), (30, 198, 13), (30, 200, 2), (30, 200, 13),
+    ])
+    def test_named_and_boundary_values(self, digits, m, base):
+        assert _relative_miss(m, base, PrecisionContext(digits)) < 100
+
+    @pytest.mark.parametrize("m, base", [
+        (2, 300), (298, 300), (300, 300), (5000, 300)])
+    def test_a_call_takes_under_50_ms(self, m, base, ctx):
+        start = time.perf_counter()
+        hurwitz_zeta_integer.__wrapped__(m, base, ctx)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestGammaComplex:
