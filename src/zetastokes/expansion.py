@@ -15,16 +15,20 @@ least-term indices until the dropped tail clears the budget, and
 ``leading_blocks`` over that extended list is then the one algebraic sum.
 
 Only the power of a depends on theta, so both series are polynomials in a
-power of the ray with memoized theta-independent coefficients, summed by
-Horner's rule from one ``hp.ray_powers`` call.  ``leading_blocks`` sums
-in x = (2 pi a)^-2 over (-1)^r Gamma(2r+s+1) zeta(2r+2, m), memoized on
-(r, m, s, ctx), with the signed Gamma from the recurrence
-G_r/G_(r-1) = -(2r+s-1)(2r+s) started at Gamma(s+1); ``a_r_coefficient``
-is that signed Gamma times one power, so A_r has one source and is right
-to O(r) units of the working precision, not bit for bit the term-by-term
-value.  ``bernoulli_series`` sums in a^(-2) over B_{2r}/(2r)!
-Gamma(2r+s-1), memoized on (r, s, ctx).  The phases and the powers of
-2 pi and k come from the memoized helpers of ``hp``.
+power of the ray with theta-independent coefficients, and one kernel sums
+them both: ``_fixed_horner``, Horner's rule on Python ints scaled to the
+largest term, FIXED_GUARD_BITS beyond the working precision.  The powers
+come from one ``hp.ray_powers`` call, and the coefficients reach the
+kernel as one list per call, sliced from tables that grow on demand.
+``leading_blocks`` sums in x = (2 pi a)^-2 over
+(-1)^r Gamma(2r+s+1) zeta(2r+2, m), tabled on (m, s, ctx), with the
+signed Gamma from the recurrence G_r/G_(r-1) = -(2r+s-1)(2r+s) started
+at Gamma(s+1); ``a_r_coefficient`` is that signed Gamma times one power,
+so A_r has one source and is right to O(r) units of the working
+precision, not bit for bit the term-by-term value.  ``bernoulli_series``
+sums in a^(-2) over B_{2r}/(2r)! Gamma(2r+s-1), tabled on (s, ctx).  The
+phases and the powers of 2 pi and k come from the memoized helpers of
+``hp``.
 """
 from __future__ import annotations
 
@@ -34,10 +38,12 @@ from functools import cache
 from itertools import accumulate
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import DomainError, TailBoundError
-from .hp import (FACTOR_EXTRA, HEADROOM, LOG_ESTIMATE_DIGITS, MIN_DIGITS,
-                 PrecisionContext, RayComplex, bernoulli_even, gamma_complex,
+from .hp import (FACTOR_EXTRA, FIXED_GUARD_BITS, HEADROOM,
+                 LOG_ESTIMATE_DIGITS, MIN_DIGITS, PrecisionContext,
+                 RayComplex, bernoulli_even, gamma_complex,
                  hurwitz_zeta_integer, int_power, phase, pow_ray, ray_powers,
                  two_pi_power)
 from .oracle import ZetaPoint, check_s_off_poles
@@ -113,7 +119,7 @@ def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
     |(2r+s-1)(2r+s)| / (2 pi k |a|)^2 stays below 1; the index of the
     smallest term is returned (ties broken toward the smaller index, and
     never below 1).  Close to pi*k*|a|, and found in O(log |a|) ratio
-    evaluations when Re s > -1 (one at a time from r = 1 otherwise).
+    evaluations, plus one for each r < (1 - Re s)/2 when Re s <= -1.
     DomainError unless |a| >= 1 and (2 pi k |a|)^2 is a finite double.
     """
     if k < 1:
@@ -132,21 +138,23 @@ def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
     def shrinks(r):
         return abs((2 * r + s - 1) * (2 * r + s)) < bound
 
-    if s.real <= -1:
-        r = 1
-        while shrinks(r):
-            r += 1
-        return max(r - 1, 1)
-    # For Re s > -1 the ratio grows with r >= 1, so the first r where the
-    # terms stop shrinking is found by bisection from the real root of
-    # |(2r+s-1)(2r+s)| = x^2: with u = 2r + Re s - 1/2 it solves
-    # (u^2 + 1/4 + Im s^2)^2 - u^2 = x^4.  lo = 0 stands for "before r = 1".
+    # Both factors |2r+s-1| and |2r+s| grow with r from r0 on, and so does
+    # the ratio: below r0 the indices are walked one at a time, and beyond
+    # it the first r where the terms stop shrinking is found by bisection
+    # from the real root of |(2r+s-1)(2r+s)| = x^2: with
+    # u = 2r + Re s - 1/2 it solves (u^2 + 1/4 + Im s^2)^2 - u^2 = x^4.
+    # lo = r0 - 1 stands for "every index before r0 shrinks" (none when
+    # r0 = 1, that is Re s > -1).
+    r0 = max(math.ceil((1 - s.real) / 2), 1)
+    for r in range(1, r0):
+        if not shrinks(r):
+            return max(r - 1, 1)
     t = s.imag
     w = 0.25 - t * t + bound * math.sqrt(max(1 - (t / bound) ** 2, 0.0))
     r = int((math.sqrt(max(w, 0.0)) - s.real + 0.5) / 2)
-    lo, hi = max(r - 1, 0), r + 2
-    if lo and not shrinks(lo):
-        lo = 0
+    lo, hi = max(r - 1, r0 - 1), max(r + 2, r0)
+    if lo >= r0 and not shrinks(lo):
+        lo = r0 - 1
     while shrinks(hi):  # the float root is off by r 2^-52 at large |a|
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
@@ -175,13 +183,85 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
                                  - t_minus / (e2 * half_is))
 
 
-@cache
+def _fixed_horner(coeffs, x: mpc) -> mpc:
+    """sum_r coeffs[r] x^r for a nonzero x, by Horner's rule on Python ints,
+    at the current precision prec; exact on return, unrounded.
+
+    With e = mag(x), u = x 2^-e has 1/4 <= |u| < 1, and the sum is
+    sum_r d_r u^r with d_r = c_r 2^(e r).  u enters as U = u 2^wu, with
+    wu = prec + FIXED_GUARD_BITS, and d_r as D_r = c_r 2^(w + e r), both
+    by ``to_fixed``: exact, save that bits below the unit are dropped.
+    The fixed scale w puts the largest true term P = max_r |c_r| |x|^r,
+    read from binary exponents and a float log2 |x|, at
+    prec + FIXED_GUARD_BITS bits, to within 2.  Then
+    T_r = (T_(r+1) U >> wu) + D_r, on the real and imaginary parts.
+    """
+    # Error bound, in units 2^-w, with P 2^w >= 2^(prec + G - 2) and
+    # G = FIXED_GUARD_BITS.  Each D_r and each shift truncates by less than
+    # one unit per part, so T_0 2^-w is the exact Horner sum at the stored
+    # u~ = U 2^-wu plus at most 2 sqrt(2) N units carried by powers of
+    # |u~| <= 1 (|u| < 1, and flooring a part never passes 2^wu): at most
+    # 8 sqrt(2) N P 2^-(prec+G).  u~ is off by |du| < sqrt(2) 2^-wu, which
+    # moves the sum by at most sum_r r |d_r| |u|^(r-1) |du| (to first order)
+    # = sum_r r t_r |du| / |u| <= 4 sqrt(2) 2^-wu P N^2 / 2, with
+    # t_r = |c_r| |x|^r <= P.  In all the kernel is off by less than
+    # 3 (N^2 + 4 N) P 2^-(prec+G) from the sum of the coefficients and x
+    # it is given: for N <= 1000 that is below P 2^-(prec+18), far below
+    # the one rounding of P at prec bits that the product after it makes.
+    prec, e = mp.prec, mp.mag(x)
+    wu = prec + FIXED_GUARD_BITS
+    xr, xi = x._mpc_
+    ur, ui = to_fixed(xr, wu - e), to_fixed(xi, wu - e)
+    drop = wu - 60  # log2 |x| from the 60 leading bits of U
+    log_x = e + math.log2(math.hypot(ur >> drop, ui >> drop)) - 60
+    parts = [c._mpc_ for c in coeffs]
+    # log2 t_r lies within [-1, 1/2] of exp + bc of c_r's larger part
+    # plus r log2 |x|; top is the largest such bound
+    top = -math.inf
+    for r, (cr, ci) in enumerate(parts):
+        power = r * log_x
+        if cr[1] and cr[2] + cr[3] + power > top:
+            top = cr[2] + cr[3] + power
+        if ci[1] and ci[2] + ci[3] + power > top:
+            top = ci[2] + ci[3] + power
+    if top == -math.inf:
+        return mpc(0)
+    w = wu - math.ceil(top)
+    tr = ti = 0
+    for r in range(len(parts) - 1, -1, -1):
+        cr, ci = parts[r]
+        shift = w + e * r
+        tr, ti = ((tr * ur - ti * ui) >> wu) + to_fixed(cr, shift), \
+            ((tr * ui + ti * ur) >> wu) + to_fixed(ci, shift)
+    return mp.make_mpc((from_man_exp(tr, -w), from_man_exp(ti, -w)))
+
+
 def _block_factor(r: int, m: int, s, ctx: PrecisionContext) -> mpc:
     """(-1)^r Gamma(2r+s+1) zeta(2r+2, m), the theta-independent part of
-    the block A_r(a) zeta(2r+2, m); memoized on (r, m, s, ctx)."""
+    the block A_r(a) zeta(2r+2, m)."""
     with ctx.working(HEADROOM):
         return _signed_gamma(r, s, ctx) \
             * hurwitz_zeta_integer(2 * r + 2, m, ctx)
+
+
+@cache
+def _block_factors(m: int, s, ctx: PrecisionContext) -> list:
+    """The table of ``_block_factor(r, m, s, ctx)`` by r, None where not
+    yet asked for; filled by ``_block_coefficients``, memoized on
+    (m, s, ctx)."""
+    return []
+
+
+def _block_coefficients(m: int, lo: int, hi: int, s,
+                        ctx: PrecisionContext) -> list:
+    """[_block_factor(r, m, s, ctx) for lo <= r < hi] from the memoized
+    table, each entry computed the first time it is asked for."""
+    table = _block_factors(m, s, ctx)
+    table += [None] * (hi - len(table))
+    for r in range(lo, hi):
+        if table[r] is None:
+            table[r] = _block_factor(r, m, s, ctx)
+    return table[lo:hi]
 
 
 def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
@@ -197,17 +277,17 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
 
     Only (2 pi a)^-(2r+s+1) depends on theta, so the sum is
     (2 pi a)^-(s+1)/pi sum_r c_r x^r with x = (2 pi a)^-2, summed by
-    Horner's rule from one ``ray_powers`` call: c_r is the memoized
-    (-1)^r Gamma(2r+s+1) zeta(2r+2, m) of the block m that holds r, plus
-    (-1)^r Gamma(2r+s+1) / k^(2r+2) for each scale k with F_k <= r < N_k.
+    ``_fixed_horner`` from one ``ray_powers`` call: c_r is the memoized
+    (-1)^r Gamma(2r+s+1) zeta(2r+2, m) of the block m that holds r, one
+    table slice per block, plus (-1)^r Gamma(2r+s+1) / k^(2r+2) for each
+    scale k with F_k <= r < N_k.
     """
     s = ctx.read(s)
     floor = list(accumulate(reversed(nlist), min))[::-1]
     with ctx.working(HEADROOM):
         coeffs = []
         for m, f in enumerate(floor, start=1):
-            coeffs += [_block_factor(r, m, s, ctx)
-                       for r in range(len(coeffs), f)]
+            coeffs += _block_coefficients(m, len(coeffs), f, s, ctx)
         coeffs += [mpc(0)] * (max(nlist, default=0) - len(coeffs))
         for k, (f, n) in enumerate(zip(floor, nlist), start=1):
             for r in range(f, n):
@@ -216,20 +296,31 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
             ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
             power, x = ray_powers(ray, [-(s + 1), -2], ctx,
                                   extra=FACTOR_EXTRA)
-        total = mpc(0)
-        for c in reversed(coeffs):
-            total = total * x + c
-        return total * power / mp.pi
+        return _fixed_horner(coeffs, x) * power / mp.pi
 
 
-@cache
 def _bernoulli_factor(r: int, s, ctx: PrecisionContext) -> mpc:
-    """B_{2r}/(2r)! Gamma(2r+s-1), which does not depend on theta;
-    memoized on (r, s, ctx)."""
+    """B_{2r}/(2r)! Gamma(2r+s-1), which does not depend on theta."""
     b = bernoulli_even(r)
     with ctx.working(HEADROOM):
         return (mpf(b.numerator) / b.denominator) / mp.factorial(2 * r) \
             * gamma_complex(2 * r + s - 1, ctx)
+
+
+@cache
+def _bernoulli_factors(s, ctx: PrecisionContext) -> list:
+    """The table [_bernoulli_factor(r, s, ctx) for 1 <= r <= len], grown
+    in increasing r by ``_bernoulli_coefficients``; memoized on (s, ctx)."""
+    return []
+
+
+def _bernoulli_coefficients(n: int, s, ctx: PrecisionContext) -> list:
+    """[_bernoulli_factor(r, s, ctx) for 1 <= r <= n] from the memoized
+    table, each entry computed once."""
+    table = _bernoulli_factors(s, ctx)
+    while len(table) < n:
+        table.append(_bernoulli_factor(len(table) + 1, s, ctx))
+    return table[:n]
 
 
 def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
@@ -239,16 +330,13 @@ def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
     Term by term it equals (2 pi)^s leading_blocks(s, a, (N,)), but it is
     built from Bernoulli numbers instead of A_r and zeta(2r+2): it is the
     independent side of the S_1 cross-check in ``stokes``.  It is summed as
-    a^(-1-s) sum_r c_r (a^-2)^(r-1) by Horner's rule from r = N down to 1,
-    with c_r the memoized ``_bernoulli_factor`` and the two powers of a
-    from one ``ray_powers`` call: one multiply-add per term."""
+    a^(-1-s) sum_r c_r (a^-2)^(r-1) by ``_fixed_horner``, with c_r the
+    memoized ``_bernoulli_factor`` table and the two powers of a from one
+    ``ray_powers`` call."""
     s = ctx.read(s)
     with ctx.working(HEADROOM):
         lead, step = ray_powers(a, [-1 - s, -2], ctx)
-        total = mpc(0)
-        for r in range(n, 0, -1):
-            total = total * step + _bernoulli_factor(r, s, ctx)
-        return total * lead
+        return _fixed_horner(_bernoulli_coefficients(n, s, ctx), step) * lead
 
 
 def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:

@@ -31,8 +31,11 @@ all the powers of one ray in one call, with one logarithm of the ray and
 one exponential per exponent, and ``pow_ray`` is its one-exponent case.
 
 The precision budget is decided here: every offset of ``ctx.working`` and
-every fixed precision is a named constant below, with its reason; only the
-error-model constants of ``terminant`` and ``expansion`` live elsewhere.
+every fixed precision is a named constant below, with its reason, and so
+is ``FIXED_GUARD_BITS``, the bits that the three fixed-point kernels
+(``terminant``'s series and continued fraction, ``expansion``'s Horner sum)
+carry beyond the working precision; only the error-model constants of
+``terminant`` and ``expansion`` live elsewhere.
 """
 from __future__ import annotations
 
@@ -67,6 +70,11 @@ CONNECTION_EXTRA = 20
 LOG_ESTIMATE_DIGITS = 20  # extend_plan compares its logs to within a digit
 SMOOTHING_DIGITS = 30  # c_of_phi: its form is only good to O(|z|^(-1/2))
 RAY_VALUE_BITS = 10  # RayComplex.value: bits above the caller's precision
+# Bits the fixed-point kernels carry beyond the working precision: the
+# incomplete-gamma series and continued fraction (``terminant``) and the
+# Horner sum of both algebraic series (``expansion``).  Each kernel derives
+# its error bound from this value next to its code.
+FIXED_GUARD_BITS = 40
 # Digits that `zeta sweep` resolves beyond the last one it prints: a part
 # rounds wrongly only if its error reaches a rounding boundary, about
 # 2 10^-PRINT_MARGIN of the time.

@@ -15,6 +15,7 @@ that every Ftilde identity inherits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc
@@ -84,13 +85,26 @@ def _check_re_s(s, ctx: PrecisionContext) -> mpc:
 
 
 def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
-    """zeta(s, a) = sum_{k>=0} (k+a)^(-s), by mpmath's ``zeta(s, a)``."""
+    """zeta(s, a) = sum_{k>=0} (k+a)^(-s), by mpmath's ``zeta(s, a)``,
+    rounded to ``working(HEADROOM)``.
+
+    mpmath stops at an absolute tolerance, so the call runs
+    max(0, ceil(-log10 |a^-s|)) digits above ``working(HEADROOM)``, with
+    log |a^-s| = -Re s log|a| + Im s arg a taken in floats from the ray:
+    zeta(s, a) is about a^-s at large |a|, and the digits its size lies
+    below 1 are the digits an absolute stop would lose.
+    """
     s = _check_re_s(s, ctx)
     with ctx.working(HEADROOM):
+        log_size = float(s.imag * a.argument - s.real * mp.log(a.modulus))
+    offset = HEADROOM + max(0, math.ceil(-log_size / math.log(10)))
+    with ctx.working(offset):
         aval = a.value()
         if abs(aval.imag) < ctx.tol() and aval.real <= ctx.tol():
             raise DomainError("a must not be a nonpositive real/integer")
-        return mp.zeta(s, aval)
+        value = mp.zeta(s, aval)
+    with ctx.working(HEADROOM):
+        return +value
 
 
 def _subtracted_terms(s, a: RayComplex, ctx: PrecisionContext) -> mpc:

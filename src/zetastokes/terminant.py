@@ -44,8 +44,8 @@ from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 from .errors import (ConvergenceError, DomainError, IllConditionedError)
-from .hp import (HEADROOM, SMOOTHING_DIGITS, PrecisionContext, RayComplex,
-                 gamma_complex, phase, pow_ray)
+from .hp import (FIXED_GUARD_BITS, HEADROOM, SMOOTHING_DIGITS,
+                 PrecisionContext, RayComplex, gamma_complex, phase, pow_ray)
 
 ARG_LIMIT_SLACK = 0.1
 REGIME_EPSILON = 0.05
@@ -63,9 +63,6 @@ CF_STOP_DIGITS = 10
 # margin and stops the series near |z| = 334 on the positive real axis.
 SERIES_INFLATION_LIMIT = 300
 SERIES_TERM_CAP = 100000
-# Bits both fixed-point kernels carry beyond the working precision, derived
-# in upper_gamma (the series) and _upper_gamma_cf (the fraction).
-FIXED_GUARD_BITS = 40
 
 
 def _series_inflation(z: RayComplex) -> int:

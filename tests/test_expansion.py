@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import dps_to_prec
 
 from zetastokes import expansion
 from zetastokes.errors import DomainError, TailBoundError
@@ -17,7 +18,8 @@ from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
                                   leading_blocks, optimal_plan,
                                   optimal_truncation, remainder_rk,
                                   script_r_k, z_improved)
-from zetastokes.hp import (RayComplex, bernoulli_even, gamma_complex,
+from zetastokes.hp import (FIXED_GUARD_BITS, HEADROOM, RayComplex,
+                           bernoulli_even, gamma_complex,
                            hurwitz_zeta_integer, ray_powers)
 from zetastokes.oracle import ZetaPoint, z_reference
 
@@ -212,24 +214,132 @@ class TestBatchBits:
             bound = 22 * max(nlist) * unit * mp.fsum(abs(t) for t in terms)
             assert abs(got - mp.fsum(terms)) <= bound
 
+    # bernoulli_series is a^(-1-s) sum_{r=1}^N c_r x^(r-1), with
+    # c_r = B_2r/(2r)! Gamma(z_r), z_r = 2r+s-1, and x = a^-2, summed by
+    # _fixed_horner at HEADROOM.  In units u of one rounding at
+    # digits + guard (roundings at HEADROOM, 10^-10 u, are neglected, and
+    # so is the kernel, which TestFixedHorner holds below 2^-18 of one):
+    # - gamma_complex rounds z_r, moving Gamma by |z_r psi(z_r)| u, and
+    #   then its value: (|z_r psi(z_r)| + 1) u;
+    # - a^-(1+s) and x = a^-2, one ray_powers call at digits + guard, are
+    #   off by ((2 + 4|L|)|e| + 1) u for the exponent e, as in
+    #   test_a_r_coefficients, with L = log|a| + i arg a; x^(r-1) by r - 1
+    #   times that of x.
+    # So term r is off by at most
+    # (|z_r psi(z_r)| + (2 + 4|L|)(|1+s| + 2(r-1)) + r + 1) u, relative,
+    # and the sum by that times |term r|, summed over r.
     @pytest.mark.parametrize("n", [1, 25])
     @pytest.mark.parametrize("arg", [0.3, 0.55])
     @pytest.mark.parametrize("s, dps", [(s, 15) for s in S_VALUES]
                              + [(FINE_S, FINE_DPS)])
     def test_bernoulli_series(self, s, dps, arg, n, ctx):
-        # Horner's rule in a^-2 from r = N down to 1, times a^(-1-s)
         a = _ray(8, arg, ctx)
         with mp.workdps(dps):
             got = bernoulli_series(s, a, n, ctx)
             s = mpc(s)
-        with ctx.working(10):
-            lead = _power(a, -1 - s, ctx)
-            step = _power(a, -2, ctx)
-            want = mpc(0)
-            for r in range(n, 0, -1):
-                want = want * step + _bernoulli_term_factor(r, s, ctx)
-            want = want * lead
-        assert bits(got) == bits(want)
+        u = mpf(2) ** -dps_to_prec(ctx.digits + ctx.guard)
+        with mp.workdps(REF_DPS):
+            log_a = mp.log(a.modulus) + mpc(0, 1) * a.argument
+            power_units = 2 + 4 * abs(log_a)
+            want, bound = mpc(0), mpf(0)
+            for r in range(1, n + 1):
+                b, z = bernoulli_even(r), 2 * r + s - 1
+                term = mpf(b.numerator) / b.denominator \
+                    / mp.factorial(2 * r) * mp.gamma(z) * mp.exp(-z * log_a)
+                units = abs(z * mp.digamma(z)) + r + 1 \
+                    + power_units * (abs(1 + s) + 2 * (r - 1))
+                want += term
+                bound += units * u * abs(term)
+            assert abs(got - want) <= bound
+
+
+def _mpc_horner(coeffs, x):
+    # Horner's rule in mpc arithmetic at the current precision: the loop
+    # that _fixed_horner replaced
+    total = mpc(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _ray_x(mod, arg, ctx):
+    # x = b^-2 on the ray b of modulus mod and argument arg pi
+    return ray_powers(_ray(mod, arg, ctx), [-2], ctx)[0]
+
+
+def _taylor_exp(y, n):
+    # the first n terms of the Taylor series of e^y: for y = -60, x = 1/2
+    # their sum e^(-30) lies 25 digits below the largest
+    return [mpc(y) ** r / mp.factorial(r) for r in range(n)]
+
+
+S_KERNEL = mpc(2, 0.5)
+# (coefficients, x) builders, each run under ctx.working(HEADROOM)
+HORNER_CASES = {
+    "empty": lambda ctx: ([], mpc("0.3", "0.2")),
+    "one_term": lambda ctx: ([mpc(mp.pi, mp.e)], mpc("0.3", "0.2")),
+    "zero_top": lambda ctx: (  # leading_blocks pads with zeros
+        expansion._block_coefficients(1, 0, 3, S_KERNEL, ctx)
+        + [mpc(0)] * 3, _ray_x(2 * math.pi * 3, 0.4, ctx)),
+    "zero_between": lambda ctx: (
+        [mpc(1, 2), mpc(0), mpc(0), mpc(-3, 1), mpc(0), mpc(0, 5)],
+        mpc("0.7", "-0.4")),
+    "all_zero": lambda ctx: ([mpc(0)] * 4, mpc("0.3", "0.2")),
+    "real_power_of_two": lambda ctx: (
+        expansion._bernoulli_coefficients(25, S_KERNEL, ctx),
+        mpc(mpf(2) ** -6)),
+    "imaginary_power_of_two": lambda ctx: (
+        expansion._bernoulli_coefficients(25, S_KERNEL, ctx),
+        mpc(0, -mpf(2) ** -3)),
+    "just_below_one_real": lambda ctx: (
+        _taylor_exp(mpc("-0.9", "0.2"), 60),
+        mpc(1 - mpf(2) ** (1 - mp.prec))),
+    "just_below_one": lambda ctx: (
+        _taylor_exp(mpc("-0.9", "0.2"), 60),
+        _ray_x(1 + mpf(10) ** -30, 0.3, ctx)),
+    "abs_a_one": lambda ctx: (  # bernoulli_series at |a| = 1
+        expansion._bernoulli_coefficients(60, S_KERNEL, ctx),
+        _ray_x(1, 0.3, ctx)),
+    "x_one": lambda ctx: (_taylor_exp(-2, 40), mpc(1)),
+    "cancelling": lambda ctx: (_taylor_exp(-60, 200), mpc(0.5)),
+    "n300_blocks": lambda ctx: (
+        expansion._block_coefficients(1, 0, 300, S_KERNEL, ctx),
+        _ray_x(2 * math.pi * 3, 0.55, ctx)),
+    "n300_decaying": lambda ctx: (
+        _taylor_exp(mpc(3, -4), 300), _ray_x(1.25, 0.3, ctx)),
+}
+
+
+class TestFixedHorner:
+    """The fixed-point Horner kernel against a 200-digit Horner sum over the
+    same coefficients and x: within its error bound
+    3 (N^2 + 4N) P 2^-(prec + FIXED_GUARD_BITS), P the largest term
+    |c_r| |x|^r (derived at _fixed_horner), and no further off than the
+    mpc Horner loop it replaced, at the same precision."""
+
+    @pytest.mark.parametrize("case", sorted(HORNER_CASES))
+    def test_matches_a_200_digit_sum(self, case, ctx):
+        with ctx.working(HEADROOM):
+            coeffs, x = HORNER_CASES[case](ctx)
+            prec = mp.prec
+            got = expansion._fixed_horner(coeffs, x)
+            old = _mpc_horner(coeffs, x)
+        n = len(coeffs)
+        with mp.workdps(200):
+            want = _mpc_horner(coeffs, x)
+            top = max((abs(c) * abs(x) ** r for r, c in enumerate(coeffs)),
+                      default=0)
+            bound = 3 * (n * n + 4 * n) * top \
+                * mpf(2) ** -(prec + FIXED_GUARD_BITS)
+            assert abs(got - want) <= bound
+            assert abs(got - want) <= abs(old - want)
+
+    def test_result_is_exact_fixed_point(self, ctx):
+        # the sum comes back unrounded: more bits than the working precision
+        with ctx.working(HEADROOM):
+            coeffs, x = HORNER_CASES["n300_decaying"](ctx)
+            got = expansion._fixed_horner(coeffs, x)
+            assert got.real._mpf_[3] > mp.prec
 
 
 class TestBernoulliSeriesAccuracy:
@@ -298,19 +408,33 @@ class TestOptimalTruncation:
            im=st.floats(min_value=-30, max_value=30))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_matches_the_loop(self, ctx_fast, mod, k, re, im):
-        # |a| = 10^mod up to 10^4; Re s <= -1 keeps the walk from r = 1
+        # |a| = 10^mod up to 10^4; Re s <= -1 walks r < (1 - Re s)/2
         a = RayComplex(mpf(10) ** mod, mpf("0.4"))
         s = mpc(re, im)
         assert optimal_truncation(k, s, a, ctx_fast) == \
             _least_term_loop(k, s, a)
 
     def test_large_modulus_returns_at_once(self, ctx):
-        # the loop takes about pi |a| steps: some 13 s at |a| = 1e7
+        # the loop takes about pi |a| steps: some 13 s at |a| = 1e7, and
+        # Re s <= -1 used to walk them all (1.5 s at |a| = 1e6, s = -1.5)
         a = RayComplex(mpf("1e7"), mpf("0.4"))
-        start = time.perf_counter()
-        n = optimal_truncation(1, mpc(2, 0.5), a, ctx)
-        assert time.perf_counter() - start < 0.1
-        assert abs(n - math.pi * 1e7) < 2
+        for s in (mpc(2, 0.5), mpc(-1.5, 3)):
+            start = time.perf_counter()
+            n = optimal_truncation(1, s, a, ctx)
+            assert time.perf_counter() - start < 0.1
+            assert abs(n - math.pi * 1e7) < 2
+
+    @pytest.mark.parametrize("s", [mpc(-1), mpc(-1.5), mpc(-7.25, 3),
+                                   mpc(-40, -2), mpc(-3, 2000),
+                                   mpc(-120.5, -600)])
+    @pytest.mark.parametrize("mod", ["1", "3.7", "250", "1e5"])
+    def test_re_s_at_most_minus_one_matches_the_loop(self, s, mod, ctx_fast):
+        # the walk below r = (1 - Re s)/2 and the bisection beyond it give
+        # the loop's index, large |Im s| included
+        a = RayComplex(mpf(mod), mpf("0.4"))
+        for k in (1, 4) if float(mod) < 1e3 else (1,):
+            assert optimal_truncation(k, s, a, ctx_fast) == \
+                _least_term_loop(k, s, a), k
 
     def test_rejects_small_modulus(self, ctx):
         with pytest.raises(DomainError, match=r"modulus >= 1, got 0\.5\b"):
@@ -452,13 +576,12 @@ class TestExtendPlan:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_z_improved_calls_neither_zeta_nor_loggamma(self, ctx,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        clear_caches):
         # the tail estimate reads the memoized zeta(2r+2, b) and signed
         # Gamma that leading_blocks sums, and zeta(2r+2, b) is in closed
         # form: from cold memos, a grid point takes neither function
-        for memo in (hurwitz_zeta_integer, expansion._block_factor,
-                     expansion._signed_gammas, gamma_complex):
-            memo.cache_clear()
+        clear_caches()
         calls = []
 
         def counting(name):

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError, PoleError
-from zetastokes.expansion import (TruncationPlan, _bernoulli_factor,
-                                  _block_factor, _signed_gammas, z_improved)
+from zetastokes.expansion import (TruncationPlan, _bernoulli_coefficients,
+                                  _bernoulli_factor, _bernoulli_factors,
+                                  _block_coefficients, _block_factor,
+                                  _block_factors, _signed_gammas, z_improved)
 from zetastokes.hp import (HEADROOM, PrecisionContext, RayComplex,
                            bernoulli_even, gamma_complex,
                            hurwitz_zeta_integer, int_power,
@@ -27,14 +29,19 @@ def bits(value):
     return getattr(value, "_mpc_", None) or value._mpf_
 
 
-MEMOS = (gamma_complex, hurwitz_zeta_integer, phase, two_pi_power, int_power,
-         _bernoulli_factor, _block_factor, _signed_gammas, _gamma_head,
-         _limit_head)
+def bernoulli_entry(r, s, ctx):
+    # entry r of the Bernoulli coefficient table
+    return _bernoulli_coefficients(r, s, ctx)[-1]
 
 
-def clear_caches():
-    for memo in MEMOS:
-        memo.cache_clear()
+def block_entry(r, m, s, ctx):
+    # entry r of the block-m coefficient table
+    return _block_coefficients(m, r, r + 1, s, ctx)[0]
+
+
+# the memo that holds each table, and the uncached builder of an entry
+TABLES = {bernoulli_entry: (_bernoulli_factors, _bernoulli_factor),
+          block_entry: (_block_factors, _block_factor)}
 
 
 class TestPrecisionContext:
@@ -299,26 +306,52 @@ class TestMemo:
         (gamma_complex, (FINE,)),
         (hurwitz_zeta_integer, (40, 3)),
         (hurwitz_zeta_integer, (6, 1)),
-        (_bernoulli_factor, (1, mpc(2, 0.5))),
-        (_bernoulli_factor, (25, FINE)),
-        (_block_factor, (30, 2, mpc(2, 0.5))),
-        (_block_factor, (7, 1, FINE)),
+        (bernoulli_entry, (1, mpc(2, 0.5))),
+        (bernoulli_entry, (25, FINE)),
+        (block_entry, (30, 2, mpc(2, 0.5))),
+        (block_entry, (7, 1, FINE)),
         (phase, (mpc(1, 0.25),)),
         (phase, (FINE,)),
         (two_pi_power, (mpc(2, 0.5),)),
         (int_power, (3, FINE)),
     ])
     def test_hit_equals_fresh_evaluation(self, ctx_fast, fn, args):
+        # a table entry is cleared with its table and evaluated fresh by
+        # its builder
+        memo, fresh = TABLES[fn] if fn in TABLES else (fn, fn.__wrapped__)
         values = []
         for dps, other in ((15, 200), (200, 15)):
-            fn.cache_clear()
+            memo.cache_clear()
             with mp.workdps(dps):
                 values.append(fn(*args, ctx_fast))  # cold
                 values.append(fn(*args, ctx_fast))  # warm
             with mp.workdps(other):
                 values.append(fn(*args, ctx_fast))  # warm, other precision
-                values.append(fn.__wrapped__(*args, ctx_fast))
+                values.append(fresh(*args, ctx_fast))
         assert len({bits(v) for v in values}) == 1
+
+    def test_tables_keep_entries_in_order(self, ctx_fast):
+        # a block read over [lo, hi) after a read of a later range, and the
+        # Bernoulli table read short after a long read, give the entries
+        # their builders give
+        s = mpc(2, 0.5)
+        _block_factors.cache_clear()
+        _bernoulli_factors.cache_clear()
+        _block_coefficients(2, 9, 12, s, ctx_fast)
+        got = _block_coefficients(2, 4, 11, s, ctx_fast)
+        assert [bits(g) for g in got] == [
+            bits(_block_factor(r, 2, s, ctx_fast)) for r in range(4, 11)]
+        _bernoulli_coefficients(9, s, ctx_fast)
+        got = _bernoulli_coefficients(4, s, ctx_fast)
+        assert [bits(g) for g in got] == [
+            bits(_bernoulli_factor(r, s, ctx_fast)) for r in range(1, 5)]
+
+    def test_clear_caches_finds_every_memo(self, package_memos):
+        # the walk over the modules finds the memos a hand-kept list named
+        want = {gamma_complex, hurwitz_zeta_integer, phase, two_pi_power,
+                int_power, bernoulli_even, _signed_gammas, _block_factors,
+                _bernoulli_factors, _gamma_head, _limit_head}
+        assert want <= set(package_memos)
 
     def test_errors_are_not_cached(self, ctx_fast):
         for _ in range(2):
@@ -328,7 +361,7 @@ class TestMemo:
             with pytest.raises(DomainError):
                 hurwitz_zeta_integer(4, 0, ctx_fast)
 
-    def test_fig1b_point_cold_equals_warm(self, ctx):
+    def test_fig1b_point_cold_equals_warm(self, ctx, clear_caches):
         a = RayComplex(mpf(8), mpf("0.45") * mp.pi)
         point = ZetaPoint.create(mpc(2, 0.5), a, ctx)
         plan = TruncationPlan((25,), (24,), 1)
@@ -337,7 +370,7 @@ class TestMemo:
         warm = stokes_multiplier(1, point, ctx, plan=plan).exact
         assert bits(cold) == bits(warm)
 
-    def test_z_improved_cold_equals_warm(self, ctx):
+    def test_z_improved_cold_equals_warm(self, ctx, clear_caches):
         a = RayComplex(mpf(6), mpf("0.40") * mp.pi)
         plan = TruncationPlan((3, 9), (3, 9), 2)
         clear_caches()

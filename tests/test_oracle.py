@@ -64,6 +64,17 @@ class TestHurwitzZetaDirect:
             assert (pt.a_prime.value().real < 0) == left
             assert _shift_residual(pt.s, pt.a_prime, ctx) <= ctx.tol()
 
+    @pytest.mark.parametrize("s", [10, 30, 60])
+    def test_relative_accuracy_at_large_s(self, s, ctx):
+        # mpmath's zeta(s, a) stops at an absolute tolerance: run at
+        # working(10) alone it missed by 4.4e-88, 4.5e-70 and 6.7e-69
+        with ctx.working(10):
+            a = RayComplex(mpf(9), mpf("0.4") * mp.pi)
+        got = hurwitz_zeta_direct(s, a, ctx)
+        with mp.workdps(200):
+            want = mp.zeta(s, a.value())
+            assert abs(got - want) <= mpf("1e-90") * abs(want)
+
     def test_rejects_small_re_s(self, ctx):
         with ctx.working():
             a = RayComplex(mpf(6), mpf("0.5") * mp.pi)
