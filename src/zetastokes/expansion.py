@@ -19,22 +19,21 @@ power of the ray with theta-independent coefficients, and one kernel sums
 them both: ``_fixed_horner``, Horner's rule on Python ints scaled to the
 largest term, FIXED_GUARD_BITS beyond the working precision.  The powers
 come from one ``hp.ray_powers`` call, and the coefficients reach the
-kernel as one list per call, sliced from tables that grow on demand.
-``leading_blocks`` sums in x = (2 pi a)^-2 over
-(-1)^r Gamma(2r+s+1) zeta(2r+2, m), tabled on (m, s, ctx), with the
-signed Gamma from the recurrence G_r/G_(r-1) = -(2r+s-1)(2r+s) started
-at Gamma(s+1); ``a_r_coefficient`` is that signed Gamma times one power,
-so A_r has one source and is right to O(r) units of the working
-precision, not bit for bit the term-by-term value.  ``bernoulli_series``
-sums in a^(-2) over B_{2r}/(2r)! Gamma(2r+s-1), tabled on (s, ctx).  The
-phases and the powers of 2 pi and k come from the memoized helpers of
-``hp``.
+kernel as one list per call, read from the tables of the one owner of
+the theta-independent state of (s, ctx), ``hp.series_tables(s, ctx)``,
+which also holds the phases and the powers of 2 pi and k.
+``leading_blocks`` sums in x = (2 pi a)^-2 over the block factors
+(-1)^r Gamma(2r+s+1) zeta(2r+2, m), whose signed Gammas come from the
+recurrence G_r/G_(r-1) = -(2r+s-1)(2r+s) started at Gamma(s+1);
+``a_r_coefficient`` is that signed Gamma times one power, so A_r has one
+source and is right to O(r) units of the working precision, not bit for
+bit the term-by-term value.  ``bernoulli_series`` sums in a^(-2) over
+the Bernoulli factors B_{2r}/(2r)! Gamma(2r+s-1).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 
 from mpmath import mp, mpf, mpc
@@ -43,9 +42,8 @@ from mpmath.libmp import from_man_exp, to_fixed
 from .errors import DomainError, TailBoundError
 from .hp import (FACTOR_EXTRA, FIXED_GUARD_BITS, HEADROOM,
                  LOG_ESTIMATE_DIGITS, MIN_DIGITS, PrecisionContext,
-                 RayComplex, bernoulli_even, gamma_complex,
-                 hurwitz_zeta_integer, int_power, phase, pow_ray, ray_powers,
-                 two_pi_power)
+                 RayComplex, hurwitz_zeta_integer, pow_ray, ray_powers,
+                 series_tables)
 from .oracle import ZetaPoint, check_s_off_poles
 from .terminant import terminant
 
@@ -78,29 +76,8 @@ class TruncationPlan:
         return cls((n,) * k_max, (n,) * k_max, k_max)
 
 
-@cache
-def _signed_gammas(s, ctx: PrecisionContext) -> list:
-    """The table [(-1)^r Gamma(2r+s+1) for r < len], started at
-    Gamma(s+1) and grown in increasing r by ``_signed_gamma``; memoized on
-    (s, ctx)."""
-    with ctx.working(FACTOR_EXTRA):
-        return [gamma_complex(s + 1, ctx)]
-
-
-def _signed_gamma(r: int, s, ctx: PrecisionContext) -> mpc:
-    """(-1)^r Gamma(2r+s+1), which does not depend on theta, by the
-    recurrence G_r = G_(r-1) (-(2r+s-1)(2r+s)) from the memoized table:
-    each entry is computed once, in increasing r, with no recursion."""
-    table = _signed_gammas(s, ctx)
-    with ctx.working(FACTOR_EXTRA):
-        while len(table) <= r:
-            e = 2 * len(table) + s - 1
-            table.append(table[-1] * (-e * (e + 1)))
-    return table[r]
-
-
 def a_r_coefficient(r: int, s, a: RayComplex, ctx: PrecisionContext) -> mpc:
-    """A_r(a) = (-1)^r Gamma(2r+s+1) / (2 pi a)^(2r+s+1): the memoized
+    """A_r(a) = (-1)^r Gamma(2r+s+1) / (2 pi a)^(2r+s+1): the owned
     signed Gamma times one ``pow_ray``.  The recurrence rounds r times, so
     A_r is off by O(r) units of the working precision."""
     if r < 0:
@@ -108,7 +85,7 @@ def a_r_coefficient(r: int, s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     s = ctx.read(s)
     with ctx.working(FACTOR_EXTRA):
         ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
-        return _signed_gamma(r, s, ctx) \
+        return series_tables(s, ctx).signed_gamma(r) \
             * pow_ray(ray, -(2 * r + s + 1), ctx, extra=FACTOR_EXTRA)
 
 
@@ -178,9 +155,10 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
         t_plus = terminant(nu, RayComplex(mod, a.argument + halfpi), ctx)
         t_minus = terminant(nu, RayComplex(mod, a.argument - halfpi), ctx)
         e2 = mp.exp(2 * mp.pi * mpc(0, 1) * k * a.value())
-        half_is = phase(s / 2, ctx)
-        return phase(-s, ctx) * (e2 * half_is * t_plus
-                                 - t_minus / (e2 * half_is))
+        tables = series_tables(s, ctx)
+        half_is = tables.phase_half_s
+        return tables.phase_minus_s * (e2 * half_is * t_plus
+                                       - t_minus / (e2 * half_is))
 
 
 def _fixed_horner(coeffs, x: mpc) -> mpc:
@@ -236,34 +214,6 @@ def _fixed_horner(coeffs, x: mpc) -> mpc:
     return mp.make_mpc((from_man_exp(tr, -w), from_man_exp(ti, -w)))
 
 
-def _block_factor(r: int, m: int, s, ctx: PrecisionContext) -> mpc:
-    """(-1)^r Gamma(2r+s+1) zeta(2r+2, m), the theta-independent part of
-    the block A_r(a) zeta(2r+2, m)."""
-    with ctx.working(HEADROOM):
-        return _signed_gamma(r, s, ctx) \
-            * hurwitz_zeta_integer(2 * r + 2, m, ctx)
-
-
-@cache
-def _block_factors(m: int, s, ctx: PrecisionContext) -> list:
-    """The table of ``_block_factor(r, m, s, ctx)`` by r, None where not
-    yet asked for; filled by ``_block_coefficients``, memoized on
-    (m, s, ctx)."""
-    return []
-
-
-def _block_coefficients(m: int, lo: int, hi: int, s,
-                        ctx: PrecisionContext) -> list:
-    """[_block_factor(r, m, s, ctx) for lo <= r < hi] from the memoized
-    table, each entry computed the first time it is asked for."""
-    table = _block_factors(m, s, ctx)
-    table += [None] * (hi - len(table))
-    for r in range(lo, hi):
-        if table[r] is None:
-            table[r] = _block_factor(r, m, s, ctx)
-    return table[lo:hi]
-
-
 def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
     """(1/pi) sum_{k>=1} sum_{r<N_k} A_r(a) / k^(2r+2), the index list
     extended constantly past its last entry.
@@ -277,50 +227,27 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
 
     Only (2 pi a)^-(2r+s+1) depends on theta, so the sum is
     (2 pi a)^-(s+1)/pi sum_r c_r x^r with x = (2 pi a)^-2, summed by
-    ``_fixed_horner`` from one ``ray_powers`` call: c_r is the memoized
+    ``_fixed_horner`` from one ``ray_powers`` call: c_r is the owned
     (-1)^r Gamma(2r+s+1) zeta(2r+2, m) of the block m that holds r, one
-    table slice per block, plus (-1)^r Gamma(2r+s+1) / k^(2r+2) for each
+    table read per block, plus (-1)^r Gamma(2r+s+1) / k^(2r+2) for each
     scale k with F_k <= r < N_k.
     """
     s = ctx.read(s)
     floor = list(accumulate(reversed(nlist), min))[::-1]
+    tables = series_tables(s, ctx)
     with ctx.working(HEADROOM):
         coeffs = []
         for m, f in enumerate(floor, start=1):
-            coeffs += _block_coefficients(m, len(coeffs), f, s, ctx)
+            coeffs += tables.block_coefficients(m, len(coeffs), f)
         coeffs += [mpc(0)] * (max(nlist, default=0) - len(coeffs))
         for k, (f, n) in enumerate(zip(floor, nlist), start=1):
             for r in range(f, n):
-                coeffs[r] += _signed_gamma(r, s, ctx) / mpf(k) ** (2 * r + 2)
+                coeffs[r] += tables.signed_gamma(r) / mpf(k) ** (2 * r + 2)
         with ctx.working(FACTOR_EXTRA):
             ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
             power, x = ray_powers(ray, [-(s + 1), -2], ctx,
                                   extra=FACTOR_EXTRA)
         return _fixed_horner(coeffs, x) * power / mp.pi
-
-
-def _bernoulli_factor(r: int, s, ctx: PrecisionContext) -> mpc:
-    """B_{2r}/(2r)! Gamma(2r+s-1), which does not depend on theta."""
-    b = bernoulli_even(r)
-    with ctx.working(HEADROOM):
-        return (mpf(b.numerator) / b.denominator) / mp.factorial(2 * r) \
-            * gamma_complex(2 * r + s - 1, ctx)
-
-
-@cache
-def _bernoulli_factors(s, ctx: PrecisionContext) -> list:
-    """The table [_bernoulli_factor(r, s, ctx) for 1 <= r <= len], grown
-    in increasing r by ``_bernoulli_coefficients``; memoized on (s, ctx)."""
-    return []
-
-
-def _bernoulli_coefficients(n: int, s, ctx: PrecisionContext) -> list:
-    """[_bernoulli_factor(r, s, ctx) for 1 <= r <= n] from the memoized
-    table, each entry computed once."""
-    table = _bernoulli_factors(s, ctx)
-    while len(table) < n:
-        table.append(_bernoulli_factor(len(table) + 1, s, ctx))
-    return table[:n]
 
 
 def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
@@ -331,12 +258,13 @@ def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
     built from Bernoulli numbers instead of A_r and zeta(2r+2): it is the
     independent side of the S_1 cross-check in ``stokes``.  It is summed as
     a^(-1-s) sum_r c_r (a^-2)^(r-1) by ``_fixed_horner``, with c_r the
-    memoized ``_bernoulli_factor`` table and the two powers of a from one
+    owned Bernoulli factors and the two powers of a from one
     ``ray_powers`` call."""
     s = ctx.read(s)
+    coeffs = series_tables(s, ctx).bernoulli_coefficients(n)
     with ctx.working(HEADROOM):
         lead, step = ray_powers(a, [-1 - s, -2], ctx)
-        return _fixed_horner(_bernoulli_coefficients(n, s, ctx), step) * lead
+        return _fixed_horner(coeffs, step) * lead
 
 
 def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
@@ -348,9 +276,9 @@ def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
     plus the exponential bound 2 (k+1)^max(Re s-1, 0) e^(-2 pi (k+1) |Im a|)
     -- falls below the budget, tol/100 times the leading block
     |A_0| zeta(2)/pi, the rule taken in logs at ``hp.LOG_ESTIMATE_DIGITS``.
-    |Gamma(2r+s+1)| and zeta(2r+2, b) come from ``_signed_gamma`` and
-    ``hp.hurwitz_zeta_integer``, the memoized values ``leading_blocks``
-    then sums; only their logarithms are taken at the lower precision.
+    |Gamma(2r+s+1)| and zeta(2r+2, b) come from ``hp.series_tables`` and
+    ``hp.hurwitz_zeta_integer``, the values ``leading_blocks`` then sums;
+    only their logarithms are taken at the lower precision.
     The second item holds, for each added scale, log10(estimate/budget) of
     the tail estimate that added it, always >= 0: ``z_improved`` sizes that
     scale's remainder by it.  ``leading_blocks`` over the extended list
@@ -365,7 +293,7 @@ def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
     im_abs, power = float(im_abs), max(float(s.real) - 1, 0.0)
 
     def log_alg(r, b):  # log(|A_r| zeta(2r+2, b) / pi)
-        gamma = _signed_gamma(r, s, ctx)
+        gamma = series_tables(s, ctx).signed_gamma(r)
         zeta = hurwitz_zeta_integer(2 * r + 2, b, ctx)
         with mp.workdps(LOG_ESTIMATE_DIGITS):
             e = 2 * r + s + 1
@@ -422,12 +350,12 @@ def z_improved(s, a: RayComplex, plan: TruncationPlan,
     contexts = [ctx] * len(plan.nk) + [
         ctx.reduced(max(MIN_DIGITS, math.ceil(e) + TAIL_MARGIN))
         for e in excess]
+    tables = series_tables(s, ctx)
     with ctx.working(HEADROOM):
         total = leading_blocks(s, a, nlist, ctx)
         for k, (n, kctx) in enumerate(zip(nlist, contexts), start=1):
-            total += int_power(k, s - 1, ctx) \
-                * remainder_rk(k, s, a, n, kctx)
-        return two_pi_power(s, ctx) * total
+            total += tables.k_power(k) * remainder_rk(k, s, a, n, kctx)
+        return tables.two_pi_s * total
 
 
 def script_r_k(k: int, point: ZetaPoint, nk: int, nk_prime: int,

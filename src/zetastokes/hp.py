@@ -6,15 +6,13 @@ special functions every other module consumes.  All heavy lifting is done
 with mpmath; values are computed at ``digits + guard`` decimal digits (plus
 any operation-specific inflation) and returned as mpmath numbers.
 
-``gamma_complex`` and ``hurwitz_zeta_integer`` are memoized with
-``functools.cache`` on their exact arguments plus the ``PrecisionContext``,
-as ``bernoulli_even`` is on its index, and so are the phases e^(i pi x)
-(``phase``) and the real powers (2 pi)^x and k^x (``two_pi_power``,
-``int_power``): the zeta(2r+2, m) blocks, the Gamma(s+1) that starts the
-signed-Gamma recurrence of the A_r, the Gamma(s) of the oracles and the
-phases and powers of s, nu and k do not depend on theta, so a sweep
-computes each once.  The caches live for the life of the process and have
-no size limit or switch.
+Every value that depends on s and the context but not on theta has one
+owner, a ``SeriesTables`` per (s, ctx), so a sweep computes it once;
+``series_tables`` keeps the TABLES_LIMIT most recently used, and one
+dropped is built again, with the same bits, when next asked for.  The
+memos keyed on a terminant order are bounded by ORDER_LIMIT; only those
+keyed on integer indices (``bernoulli_even``, ``hurwitz_zeta_integer``,
+``terminant._limit_head``) have no bound.
 
 ``hurwitz_zeta_integer`` takes no special-function call: while
 m log10(2) < D, with D the digits of ``working(HEADROOM)``, it subtracts
@@ -42,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 from fractions import Fraction
 
@@ -79,6 +77,13 @@ FIXED_GUARD_BITS = 40
 # rounds wrongly only if its error reaches a rounding boundary, about
 # 2 10^-PRINT_MARGIN of the time.
 PRINT_MARGIN = 5
+# Owners of the theta-independent state that ``series_tables`` keeps, and
+# entries of each memo keyed on a terminant order (``terminant``'s
+# prefactor and series head).  A sweep needs one owner per context; the
+# benchmark's grid at seeds 0 and 3 meets 35 owners, 78 prefactors and 102
+# heads; a nine-point S_1 sweep's owner holds about 34 KiB at 60 digits.
+TABLES_LIMIT = 64
+ORDER_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -255,13 +260,11 @@ def hurwitz_zeta_integer(m: int, base: int, ctx: PrecisionContext) -> mpf:
         return +value
 
 
-@cache
 def gamma_complex(z, ctx: PrecisionContext) -> mpc:
     """Gamma(z) for complex z away from the nonpositive-integer poles.
 
-    Memoized on (z, ctx).  The whole evaluation, the conversion of z
-    included, runs at the context's precision, so the result does not
-    depend on the caller's.
+    The whole evaluation, the conversion of z included, runs at the
+    context's precision, so the result does not depend on the caller's.
     """
     with ctx.working(FACTOR_EXTRA):
         z = mpc(z)
@@ -278,26 +281,81 @@ def gamma_complex(z, ctx: PrecisionContext) -> mpc:
         return mp.gamma(z)
 
 
-@cache
-def phase(x, ctx: PrecisionContext) -> mpc:
-    """e^(i pi x) at ``working(HEADROOM)``; memoized on (x, ctx)."""
-    with ctx.working(HEADROOM):
-        return mp.expjpi(x)
+class SeriesTables:
+    """Every theta-independent value of one (s, ctx), each computed once
+    and kept; errors are not kept.
+
+    The phases and the powers of 2 pi are taken on construction, the rest
+    when first asked for (Gamma(s) too: ``z_improved`` admits s = 0).
+    ``signed_gamma(r)``, (-1)^r Gamma(2r+s+1), runs the recurrence
+    G_r = G_(r-1) (-(2r+s-1)(2r+s)) from Gamma(s+1) at
+    ``working(FACTOR_EXTRA)``, in increasing r with no recursion; all else
+    runs at ``working(HEADROOM)``.
+    """
+
+    def __init__(self, s: mpc, ctx: PrecisionContext):
+        self.s, self.ctx = s, ctx
+        self._signed, self._blocks, self._bernoulli = [], {}, []
+        self._k_powers = {}
+        with ctx.working(HEADROOM):
+            self.phase_half_s = mp.expjpi(s / 2)  # e^(i pi s/2)
+            self.phase_minus_s = mp.expjpi(-s)  # e^(-i pi s)
+            self.two_pi_s = (2 * mp.pi) ** s
+            self.two_pi_minus_s = (2 * mp.pi) ** -s
+
+    def signed_gamma(self, r: int) -> mpc:
+        """(-1)^r Gamma(2r+s+1)."""
+        table = self._signed
+        if len(table) <= r:
+            with self.ctx.working(FACTOR_EXTRA):
+                if not table:
+                    table.append(gamma_complex(self.s + 1, self.ctx))
+                while len(table) <= r:
+                    e = 2 * len(table) + self.s - 1
+                    table.append(table[-1] * (-e * (e + 1)))
+        return table[r]
+
+    def block_coefficients(self, m: int, lo: int, hi: int) -> list:
+        """[(-1)^r Gamma(2r+s+1) zeta(2r+2, m) for lo <= r < hi], the
+        theta-independent parts of the blocks A_r(a) zeta(2r+2, m)."""
+        table = self._blocks
+        for r in range(lo, hi):
+            if (m, r) not in table:
+                with self.ctx.working(HEADROOM):
+                    table[m, r] = self.signed_gamma(r) \
+                        * hurwitz_zeta_integer(2 * r + 2, m, self.ctx)
+        return [table[m, r] for r in range(lo, hi)]
+
+    def bernoulli_coefficients(self, n: int) -> list:
+        """[B_2r/(2r)! Gamma(2r+s-1) for 1 <= r <= n]."""
+        table = self._bernoulli
+        while len(table) < n:
+            r = len(table) + 1
+            b = bernoulli_even(r)
+            with self.ctx.working(HEADROOM):
+                table.append((mpf(b.numerator) / b.denominator)
+                             / mp.factorial(2 * r)
+                             * gamma_complex(2 * r + self.s - 1, self.ctx))
+        return table[:n]
+
+    def k_power(self, k: int) -> mpc:
+        """k^(s-1) = exp((s-1) log k) for an integer k >= 1."""
+        if k not in self._k_powers:
+            with self.ctx.working(HEADROOM):
+                self._k_powers[k] = mp.exp((self.s - 1) * mp.log(k))
+        return self._k_powers[k]
+
+    @cached_property
+    def gamma(self) -> mpc:
+        """Gamma(s)."""
+        return gamma_complex(self.s, self.ctx)
 
 
-@cache
-def two_pi_power(x, ctx: PrecisionContext) -> mpc:
-    """(2 pi)^x at ``working(HEADROOM)``; memoized on (x, ctx)."""
-    with ctx.working(HEADROOM):
-        return (2 * mp.pi) ** x
-
-
-@cache
-def int_power(k: int, x, ctx: PrecisionContext) -> mpc:
-    """k^x = exp(x log k) for an integer k >= 1 at ``working(HEADROOM)``;
-    memoized on (k, x, ctx)."""
-    with ctx.working(HEADROOM):
-        return mp.exp(x * mp.log(k))
+@lru_cache(maxsize=TABLES_LIMIT)
+def series_tables(s: mpc, ctx: PrecisionContext) -> SeriesTables:
+    """The one ``SeriesTables`` of (s, ctx), while it is among the
+    TABLES_LIMIT most recently used."""
+    return SeriesTables(s, ctx)
 
 
 def ray_powers(base: RayComplex, exponents, ctx: PrecisionContext,

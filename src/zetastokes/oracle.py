@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, mpc
 
 from .errors import DivergenceError, DomainError, PoleError
-from .hp import (HEADROOM, PrecisionContext, RayComplex, gamma_complex,
-                 phase, ray_powers, two_pi_power)
+from .hp import HEADROOM, PrecisionContext, RayComplex, ray_powers, \
+    series_tables
 
 RE_S_MARGIN = mpf("1.1")
 
@@ -58,8 +58,8 @@ class ZetaPoint:
     def combine(self, x, x_prime, ctx: PrecisionContext) -> mpc:
         """e^(i pi s/2) x + e^(-i pi s/2) x_prime: a value on the ray a
         weighted with one on the ray a' as in the reflection formula."""
+        half_is = series_tables(self.s, ctx).phase_half_s
         with ctx.working(HEADROOM):
-            half_is = phase(self.s / 2, ctx)
             return half_is * x + x_prime / half_is
 
 
@@ -92,13 +92,17 @@ def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     max(0, ceil(-log10 |a^-s|)) digits above ``working(HEADROOM)``, with
     log |a^-s| = -Re s log|a| + Im s arg a taken in floats from the ray:
     zeta(s, a) is about a^-s at large |a|, and the digits its size lies
-    below 1 are the digits an absolute stop would lose.
+    below 1 are the digits an absolute stop would lose.  mpmath sums its
+    head in fixed point only while |Re s| < prec/2 of its own precision,
+    and relatively accurately beyond, so the offset is added only while
+    |Re s| is below the bits of ``working(HEADROOM)``.
     """
     s = _check_re_s(s, ctx)
     with ctx.working(HEADROOM):
         log_size = float(s.imag * a.argument - s.real * mp.log(a.modulus))
-    offset = HEADROOM + max(0, math.ceil(-log_size / math.log(10)))
-    with ctx.working(offset):
+        below = max(0, math.ceil(-log_size / math.log(10))) \
+            if abs(s.real) < mp.prec else 0
+    with ctx.working(HEADROOM + below):
         aval = a.value()
         if abs(aval.imag) < ctx.tol() and aval.real <= ctx.tol():
             raise DomainError("a must not be a nonpositive real/integer")
@@ -120,7 +124,8 @@ def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     s = _check_re_s(s, ctx)
     with ctx.working(HEADROOM):
         zeta = hurwitz_zeta_direct(s, a, ctx)
-        return gamma_complex(s, ctx) * (zeta - _subtracted_terms(s, a, ctx))
+        return series_tables(s, ctx).gamma \
+            * (zeta - _subtracted_terms(s, a, ctx))
 
 
 def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
@@ -141,7 +146,8 @@ def f_tilde_reference(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
         raise PoleError("Ftilde has a pole at s = 1", distance=abs(s - 1))
     with ctx.working(HEADROOM):
         f = periodic_zeta_direct(point, ctx)
-        pref = gamma_complex(s, ctx) / two_pi_power(s, ctx)
+        tables = series_tables(s, ctx)
+        pref = tables.gamma / tables.two_pi_s
         ga = _subtracted_terms(s, point.a, ctx)
         gap = _subtracted_terms(s, point.a_prime, ctx)
         return f - pref * point.combine(ga, gap, ctx)

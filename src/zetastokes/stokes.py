@@ -21,8 +21,7 @@ from .errors import (DomainError, IllConditionedError,
                      InsufficientPrecisionError, ZetaError)
 from .expansion import (TruncationPlan, bernoulli_series, leading_blocks,
                         optimal_plan, script_r_k)
-from .hp import (HEADROOM, PrecisionContext, RayComplex, int_power,
-                 two_pi_power)
+from .hp import HEADROOM, PrecisionContext, RayComplex, series_tables
 from .oracle import ZetaPoint, f_tilde_reference
 
 GRID_POINTS = 400
@@ -108,7 +107,7 @@ def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, turn: mpc, n1: int,
     """
     s = point.s
     with ctx.working(HEADROOM):
-        pref = two_pi_power(-s, ctx)
+        pref = series_tables(s, ctx).two_pi_minus_s
         series_a = pref * bernoulli_series(s, point.a, n1, ctx)
         series_ap = pref * bernoulli_series(s, point.a_prime, n1p, ctx)
         brace = ft - point.combine(series_a, series_ap, ctx)
@@ -140,6 +139,7 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
     if plan is None:
         plan = optimal_plan(point, n, ctx)
     _require_scales(plan, n)
+    tables = series_tables(s, ctx)
     with ctx.working(HEADROOM):
         ft = f_tilde_reference(point, ctx)
         im_a = point.a.modulus * mp.sin(point.a.argument)
@@ -162,10 +162,10 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
             rk = script_r_k(k, point, plan.nk[k - 1], plan.nk_prime[k - 1],
                             ctx)
             rk_abs.append(float(abs(rk)))
-            rsum += int_power(k, s - 1, ctx) * rk
+            rsum += tables.k_power(k) * rk
         brace = ft - peeled - rsum
         turn = mp.exp(-2 * mp.pi * mpc(0, 1) * n * point.a.value())
-        exact = turn * brace / int_power(n, s - 1, ctx)
+        exact = turn * brace / tables.k_power(n)
         if n == 1:
             alt = _bernoulli_form_s1(point, ft, turn, plan.nk[0],
                                      plan.nk_prime[0], ctx)

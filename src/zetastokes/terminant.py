@@ -38,14 +38,14 @@ Stokes line, is provided separately.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 from .errors import (ConvergenceError, DomainError, IllConditionedError)
-from .hp import (FIXED_GUARD_BITS, HEADROOM, SMOOTHING_DIGITS,
-                 PrecisionContext, RayComplex, gamma_complex, phase, pow_ray)
+from .hp import (FIXED_GUARD_BITS, HEADROOM, ORDER_LIMIT, SMOOTHING_DIGITS,
+                 PrecisionContext, RayComplex, gamma_complex, pow_ray)
 
 ARG_LIMIT_SLACK = 0.1
 REGIME_EPSILON = 0.05
@@ -201,10 +201,10 @@ def _digits_lost(head, zpow, peak2: int, wp: int, value) -> float:
     return float(bits) * math.log10(2)
 
 
-@cache
+@lru_cache(maxsize=ORDER_LIMIT)
 def _gamma_head(alpha: mpc, dps: int) -> mpc:
     """Gamma(alpha) at dps digits, the series head at a non-integer order;
-    memoized on (alpha, dps)."""
+    memoized on (alpha, dps), ``hp.ORDER_LIMIT`` of them."""
     with mp.workdps(dps):
         return mp.gamma(alpha)
 
@@ -384,8 +384,16 @@ def terminant(nu, z: RayComplex, ctx: PrecisionContext) -> mpc:
     nu = ctx.read(nu)
     with ctx.working(HEADROOM):
         inc = upper_gamma(1 - nu, z, ctx)
-        return phase(nu, ctx) * gamma_complex(nu, ctx) \
-            / (2 * mp.pi * mpc(0, 1)) * inc
+        return _prefactor(nu, ctx) * inc
+
+
+@lru_cache(maxsize=ORDER_LIMIT)
+def _prefactor(nu: mpc, ctx: PrecisionContext) -> mpc:
+    """e^(pi i nu) Gamma(nu)/(2 pi i), the factor of T_nu(z) that does not
+    depend on z; memoized on (nu, ctx), ``hp.ORDER_LIMIT`` of them."""
+    with ctx.working(HEADROOM):
+        return mp.expjpi(nu) * gamma_complex(nu, ctx) \
+            / (2 * mp.pi * mpc(0, 1))
 
 
 def c_of_phi(phi) -> mpc:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec
 
-from zetastokes import expansion
+from zetastokes import expansion, hp
 from zetastokes.errors import DomainError, TailBoundError
 from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
                                   bernoulli_series, extend_plan,
@@ -20,7 +20,7 @@ from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
                                   script_r_k, z_improved)
 from zetastokes.hp import (FIXED_GUARD_BITS, HEADROOM, RayComplex,
                            bernoulli_even, gamma_complex,
-                           hurwitz_zeta_integer, ray_powers)
+                           hurwitz_zeta_integer, ray_powers, series_tables)
 from zetastokes.oracle import ZetaPoint, z_reference
 
 
@@ -279,17 +279,17 @@ HORNER_CASES = {
     "empty": lambda ctx: ([], mpc("0.3", "0.2")),
     "one_term": lambda ctx: ([mpc(mp.pi, mp.e)], mpc("0.3", "0.2")),
     "zero_top": lambda ctx: (  # leading_blocks pads with zeros
-        expansion._block_coefficients(1, 0, 3, S_KERNEL, ctx)
+        series_tables(S_KERNEL, ctx).block_coefficients(1, 0, 3)
         + [mpc(0)] * 3, _ray_x(2 * math.pi * 3, 0.4, ctx)),
     "zero_between": lambda ctx: (
         [mpc(1, 2), mpc(0), mpc(0), mpc(-3, 1), mpc(0), mpc(0, 5)],
         mpc("0.7", "-0.4")),
     "all_zero": lambda ctx: ([mpc(0)] * 4, mpc("0.3", "0.2")),
     "real_power_of_two": lambda ctx: (
-        expansion._bernoulli_coefficients(25, S_KERNEL, ctx),
+        series_tables(S_KERNEL, ctx).bernoulli_coefficients(25),
         mpc(mpf(2) ** -6)),
     "imaginary_power_of_two": lambda ctx: (
-        expansion._bernoulli_coefficients(25, S_KERNEL, ctx),
+        series_tables(S_KERNEL, ctx).bernoulli_coefficients(25),
         mpc(0, -mpf(2) ** -3)),
     "just_below_one_real": lambda ctx: (
         _taylor_exp(mpc("-0.9", "0.2"), 60),
@@ -298,12 +298,12 @@ HORNER_CASES = {
         _taylor_exp(mpc("-0.9", "0.2"), 60),
         _ray_x(1 + mpf(10) ** -30, 0.3, ctx)),
     "abs_a_one": lambda ctx: (  # bernoulli_series at |a| = 1
-        expansion._bernoulli_coefficients(60, S_KERNEL, ctx),
+        series_tables(S_KERNEL, ctx).bernoulli_coefficients(60),
         _ray_x(1, 0.3, ctx)),
     "x_one": lambda ctx: (_taylor_exp(-2, 40), mpc(1)),
     "cancelling": lambda ctx: (_taylor_exp(-60, 200), mpc(0.5)),
     "n300_blocks": lambda ctx: (
-        expansion._block_coefficients(1, 0, 300, S_KERNEL, ctx),
+        series_tables(S_KERNEL, ctx).block_coefficients(1, 0, 300),
         _ray_x(2 * math.pi * 3, 0.55, ctx)),
     "n300_decaying": lambda ctx: (
         _taylor_exp(mpc(3, -4), 300), _ray_x(1.25, 0.3, ctx)),
@@ -666,21 +666,21 @@ class TestBlocks:
                                                   monkeypatch):
         # a block sum is a polynomial in (2 pi a)^-2: one ray_powers call
         # for 2 exponents, whatever its length, and at most one Gamma,
-        # Gamma(s+1), which starts the memoized signed-Gamma recurrence
+        # Gamma(s+1), which starts the owned signed-Gamma recurrence
         calls = []
 
-        def counting(name):
-            real = getattr(expansion, name)
+        def counting(module, name):
+            real = getattr(module, name)
 
             def counted(*args, **kwargs):
                 caller = sys._getframe(1).f_code.co_name
                 size = len(args[1]) if name == "ray_powers" else None
                 calls.append((name, caller, size))
                 return real(*args, **kwargs)
-            return counted
+            monkeypatch.setattr(module, name, counted)
 
-        for name in ("ray_powers", "gamma_complex"):
-            monkeypatch.setattr(expansion, name, counting(name))
+        counting(expansion, "ray_powers")
+        counting(hp, "gamma_complex")
         leading_blocks(mpc(2, 0.5), _ray(8, 0.45, ctx), nlist, ctx)
         assert [c for c in calls if c[0] == "ray_powers"] \
             == [("ray_powers", "leading_blocks", 2)]

@@ -1,47 +1,73 @@
 import math
 import time
+import weakref
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DomainError, PoleError
-from zetastokes.expansion import (TruncationPlan, _bernoulli_coefficients,
-                                  _bernoulli_factor, _bernoulli_factors,
-                                  _block_coefficients, _block_factor,
-                                  _block_factors, _signed_gammas, z_improved)
-from zetastokes.hp import (HEADROOM, PrecisionContext, RayComplex,
-                           bernoulli_even, gamma_complex,
-                           hurwitz_zeta_integer, int_power,
-                           phase, pow_ray, two_pi_power)
-from zetastokes.terminant import _gamma_head, _limit_head
+from zetastokes.expansion import TruncationPlan, z_improved
+from zetastokes.hp import (HEADROOM, TABLES_LIMIT, PrecisionContext,
+                           RayComplex, SeriesTables, bernoulli_even,
+                           gamma_complex, hurwitz_zeta_integer, pow_ray,
+                           series_tables)
+from zetastokes.terminant import _gamma_head, _limit_head, _prefactor
 from zetastokes.oracle import ZetaPoint
 from zetastokes.stokes import stokes_multiplier
 
 with mp.workdps(100):
     # a real argument with more bits than a 15-digit caller would keep
     FINE = +mp.pi
+    FINE_S = mpc(FINE, -FINE)
 
 
 def bits(value):
     return getattr(value, "_mpc_", None) or value._mpf_
 
 
-def bernoulli_entry(r, s, ctx):
-    # entry r of the Bernoulli coefficient table
-    return _bernoulli_coefficients(r, s, ctx)[-1]
+class Owned:
+    """Readers of one value that the owner of (s, ctx) holds, each named
+    for the value it reads: through ``series_tables``, or from an owner
+    built afresh with tables=SeriesTables."""
 
+    @staticmethod
+    def gamma_complex(s, ctx, tables=series_tables):
+        return tables(s, ctx).gamma  # Gamma(s)
 
-def block_entry(r, m, s, ctx):
-    # entry r of the block-m coefficient table
-    return _block_coefficients(m, r, r + 1, s, ctx)[0]
+    @staticmethod
+    def signed_gamma(r, s, ctx, tables=series_tables):
+        return tables(s, ctx).signed_gamma(r)
 
+    @staticmethod
+    def bernoulli_entry(r, s, ctx, tables=series_tables):
+        return tables(s, ctx).bernoulli_coefficients(r)[-1]
 
-# the memo that holds each table, and the uncached builder of an entry
-TABLES = {bernoulli_entry: (_bernoulli_factors, _bernoulli_factor),
-          block_entry: (_block_factors, _block_factor)}
+    @staticmethod
+    def block_entry(r, m, s, ctx, tables=series_tables):
+        return tables(s, ctx).block_coefficients(m, r, r + 1)[0]
+
+    @staticmethod
+    def phase(s, ctx, tables=series_tables):
+        return tables(s, ctx).phase_half_s  # e^(i pi s/2)
+
+    @staticmethod
+    def phase_minus_s(s, ctx, tables=series_tables):
+        return tables(s, ctx).phase_minus_s
+
+    @staticmethod
+    def two_pi_power(s, ctx, tables=series_tables):
+        return tables(s, ctx).two_pi_s
+
+    @staticmethod
+    def two_pi_minus_s(s, ctx, tables=series_tables):
+        return tables(s, ctx).two_pi_minus_s
+
+    @staticmethod
+    def int_power(k, s, ctx, tables=series_tables):
+        return tables(s, ctx).k_power(k)  # k^(s-1)
 
 
 class TestPrecisionContext:
@@ -302,23 +328,31 @@ class TestMemo:
     cache state and the caller's precision."""
 
     @pytest.mark.parametrize("fn, args", [
-        (gamma_complex, (mpc(27, 0.5),)),
-        (gamma_complex, (FINE,)),
+        (Owned.gamma_complex, (mpc(27, 0.5),)),
+        (Owned.gamma_complex, (FINE_S,)),
         (hurwitz_zeta_integer, (40, 3)),
         (hurwitz_zeta_integer, (6, 1)),
-        (bernoulli_entry, (1, mpc(2, 0.5))),
-        (bernoulli_entry, (25, FINE)),
-        (block_entry, (30, 2, mpc(2, 0.5))),
-        (block_entry, (7, 1, FINE)),
-        (phase, (mpc(1, 0.25),)),
-        (phase, (FINE,)),
-        (two_pi_power, (mpc(2, 0.5),)),
-        (int_power, (3, FINE)),
+        (Owned.bernoulli_entry, (1, mpc(2, 0.5))),
+        (Owned.bernoulli_entry, (25, FINE_S)),
+        (Owned.block_entry, (30, 2, mpc(2, 0.5))),
+        (Owned.block_entry, (7, 1, FINE_S)),
+        (Owned.phase, (mpc(2, 0.5),)),
+        (Owned.phase, (FINE_S,)),
+        (Owned.two_pi_power, (mpc(2, 0.5),)),
+        (Owned.int_power, (3, FINE_S)),
+        (Owned.signed_gamma, (12, FINE_S)),
+        (Owned.phase_minus_s, (FINE_S,)),
+        (Owned.two_pi_minus_s, (FINE_S,)),
+        (_prefactor, (mpc(37, 0.5),)),
+        (_prefactor, (FINE_S,)),
     ])
     def test_hit_equals_fresh_evaluation(self, ctx_fast, fn, args):
-        # a table entry is cleared with its table and evaluated fresh by
-        # its builder
-        memo, fresh = TABLES[fn] if fn in TABLES else (fn, fn.__wrapped__)
+        # an owned value is cleared with its owner and read fresh from an
+        # owner built for it alone
+        if hasattr(fn, "cache_clear"):
+            memo, fresh = fn, fn.__wrapped__
+        else:
+            memo, fresh = series_tables, partial(fn, tables=SeriesTables)
         values = []
         for dps, other in ((15, 200), (200, 15)):
             memo.cache_clear()
@@ -333,33 +367,65 @@ class TestMemo:
     def test_tables_keep_entries_in_order(self, ctx_fast):
         # a block read over [lo, hi) after a read of a later range, and the
         # Bernoulli table read short after a long read, give the entries
-        # their builders give
+        # that owners built for each of them alone give
         s = mpc(2, 0.5)
-        _block_factors.cache_clear()
-        _bernoulli_factors.cache_clear()
-        _block_coefficients(2, 9, 12, s, ctx_fast)
-        got = _block_coefficients(2, 4, 11, s, ctx_fast)
+        tables = SeriesTables(s, ctx_fast)
+        tables.block_coefficients(2, 9, 12)
+        got = tables.block_coefficients(2, 4, 11)
         assert [bits(g) for g in got] == [
-            bits(_block_factor(r, 2, s, ctx_fast)) for r in range(4, 11)]
-        _bernoulli_coefficients(9, s, ctx_fast)
-        got = _bernoulli_coefficients(4, s, ctx_fast)
+            bits(Owned.block_entry(r, 2, s, ctx_fast, tables=SeriesTables))
+            for r in range(4, 11)]
+        tables.bernoulli_coefficients(9)
+        got = tables.bernoulli_coefficients(4)
         assert [bits(g) for g in got] == [
-            bits(_bernoulli_factor(r, s, ctx_fast)) for r in range(1, 5)]
+            bits(Owned.bernoulli_entry(r, s, ctx_fast, tables=SeriesTables))
+            for r in range(1, 5)]
 
     def test_clear_caches_finds_every_memo(self, package_memos):
-        # the walk over the modules finds the memos a hand-kept list named
-        want = {gamma_complex, hurwitz_zeta_integer, phase, two_pi_power,
-                int_power, bernoulli_even, _signed_gammas, _block_factors,
-                _bernoulli_factors, _gamma_head, _limit_head}
-        assert want <= set(package_memos)
+        # the walk over the modules finds the six memos of the package
+        want = {bernoulli_even, hurwitz_zeta_integer, series_tables,
+                _prefactor, _gamma_head, _limit_head}
+        assert set(package_memos) == want
 
     def test_errors_are_not_cached(self, ctx_fast):
         for _ in range(2):
             with pytest.raises(PoleError):
-                gamma_complex(mpc(-3) + 1e-40, ctx_fast)
+                series_tables(mpc(-3) + 1e-40, ctx_fast).gamma
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                _prefactor(mpc(-3) + 1e-40, ctx_fast)
         for _ in range(2):
             with pytest.raises(DomainError):
                 hurwitz_zeta_integer(4, 0, ctx_fast)
+
+    def test_owners_are_bounded(self, ctx_fast):
+        # beyond TABLES_LIMIT distinct s the least recently used owners
+        # are dropped, and nothing else keeps them alive
+        series_tables.cache_clear()
+        owners = [weakref.ref(series_tables(mpc(k, 0.5), ctx_fast))
+                  for k in range(TABLES_LIMIT + 5)]
+        alive = [ref() is not None for ref in owners]
+        assert sum(alive) <= TABLES_LIMIT and alive[-1]
+
+    def test_z_improved_at_s_zero(self, ctx, clear_caches):
+        # s = 0 is a pole of Gamma(s) but not of the expansion, so the
+        # owner takes Gamma(s) only when asked for; the value is
+        # log Gamma(a) - log(2 pi)/2 + log(a)/2 - a log a + a, the limit
+        # of Z(s, a) at s = 0, and keeps its bits
+        with ctx.working(10):
+            a = RayComplex(mpf(6), mpf("0.40") * mp.pi)
+        clear_caches()
+        got = z_improved(0, a, TruncationPlan((3, 9), (3, 9), 2), ctx)
+        assert got._mpc_ == (
+            (0, int("224362625035288186771611384170073316890330147791467068"
+                    "0146973920963447037848221738782433673"), -308, 301),
+            (1, int("689224814705247357325850153236148998778955507684143617"
+                    "4650871815934344225237341769374063727"), -308, 302))
+        with mp.workdps(100):
+            av = a.value()
+            want = mp.loggamma(av) - mp.log(2 * mp.pi) / 2 \
+                + mp.log(av) / 2 - av * mp.log(av) + av
+            assert abs(got - want) < ctx.tol() * abs(want)
 
     def test_fig1b_point_cold_equals_warm(self, ctx, clear_caches):
         a = RayComplex(mpf(8), mpf("0.45") * mp.pi)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from mpmath import mp, mpf, mpc
 
@@ -64,13 +66,17 @@ class TestHurwitzZetaDirect:
             assert (pt.a_prime.value().real < 0) == left
             assert _shift_residual(pt.s, pt.a_prime, ctx) <= ctx.tol()
 
-    @pytest.mark.parametrize("s", [10, 30, 60])
+    @pytest.mark.parametrize("s", [10, 30, 60, 1000])
     def test_relative_accuracy_at_large_s(self, s, ctx):
         # mpmath's zeta(s, a) stops at an absolute tolerance: run at
-        # working(10) alone it missed by 4.4e-88, 4.5e-70 and 6.7e-69
+        # working(10) alone it missed by 4.4e-88, 4.5e-70 and 6.7e-69.
+        # At s = 1000 it sums in floating point, and the 955 digits that
+        # |a^-s| lies below 1 would take seconds for nothing
         with ctx.working(10):
             a = RayComplex(mpf(9), mpf("0.4") * mp.pi)
+        start = time.perf_counter()
         got = hurwitz_zeta_direct(s, a, ctx)
+        assert time.perf_counter() - start < 1
         with mp.workdps(200):
             want = mp.zeta(s, a.value())
             assert abs(got - want) <= mpf("1e-90") * abs(want)
