@@ -21,7 +21,7 @@ from mpmath import mp, mpf, mpc
 from .errors import ZetaError
 from .expansion import TruncationPlan
 from .hp import HEADROOM, PRINT_MARGIN, PrecisionContext, RayComplex
-from .stokes import find_minimum, sweep, sweep_point
+from .stokes import find_minimum, sweep_point
 from .terminant import terminant
 from .validate import run_validation
 
@@ -209,15 +209,16 @@ def _plan_to_str(plan) -> str:
         + ";".join(str(n) for n in plan.nk_prime)
 
 
-def _raised_context(smp, digits: int) -> PrecisionContext | None:
-    """The context at which smp must be computed again so that every
-    printed digit is resolved, or None if it already is.
+def _raised_context(smp, digits: int,
+                    ctx: PrecisionContext) -> PrecisionContext | None:
+    """The context at which smp, computed at ctx, must be computed again
+    so that every printed digit is resolved, or None if it already is.
 
     A part x is printed to ``digits`` significant digits, so it needs
     digits - log10|x| + PRINT_MARGIN resolved digits; the smallest part
     sets the need (Im S_2 reaches 3.6e-8 on fig1c).  ``resolved_digits``
-    grows one for one with the working digits, so the context is raised
-    by the shortfall.  A failed point has nothing to print.
+    grows one for one with the working digits, so ctx is raised by the
+    shortfall.  A failed point has nothing to print.
     """
     if smp.error is not None:
         return None
@@ -227,7 +228,7 @@ def _raised_context(smp, digits: int) -> PrecisionContext | None:
     short = need - smp.diagnostics["resolved_digits"]
     if short <= 0:
         return None
-    return PrecisionContext(digits + math.ceil(short))
+    return PrecisionContext(ctx.digits + math.ceil(short))
 
 
 def run_sweep(args) -> int:
@@ -259,12 +260,16 @@ def run_sweep(args) -> int:
         plan_source = "least-term (per point)"
     _require_writable(args.out)
     theta_range = (lo * math.pi, hi * math.pi, count)
-    samples = sweep(n, abs_a, s, theta_range, ctx, plan=plan)
-    for j, smp in enumerate(samples):
-        raised = _raised_context(smp, args.digits)
+    # each point runs once at the current context; a short one raises it
+    # for itself and every later point, and runs again
+    samples, reruns = [], 0
+    for j in range(count):
+        smp = sweep_point(n, abs_a, s, theta_range, j, ctx, plan)
+        raised = _raised_context(smp, args.digits, ctx)
         if raised is not None:
-            samples[j] = sweep_point(n, abs_a, s, theta_range, j, raised,
-                                     plan)
+            ctx, reruns = raised, reruns + 1
+            smp = sweep_point(n, abs_a, s, theta_range, j, ctx, plan)
+        samples.append(smp)
     rows = []
     for smp in samples:
         plan_str = _plan_to_str(smp.plan)
@@ -285,7 +290,7 @@ def run_sweep(args) -> int:
         meta = {
             "command": "sweep", "digits": args.digits,
             "s": str(s), "absA": float(abs_a), "n": n,
-            "plan_source": plan_source,
+            "plan_source": plan_source, "reruns": reruns,
             "timestamp_noncomparable": time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }

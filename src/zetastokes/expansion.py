@@ -95,8 +95,8 @@ def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
     The terms A_r(a)/k^(2r+2) shrink while their ratio
     |(2r+s-1)(2r+s)| / (2 pi k |a|)^2 stays below 1; the index of the
     smallest term is returned (ties broken toward the smaller index, and
-    never below 1).  Close to pi*k*|a|, and found in O(log |a|) ratio
-    evaluations, plus one for each r < (1 - Re s)/2 when Re s <= -1.
+    never below 1).  Close to pi*k*|a|, and found in O(log N) ratio
+    evaluations for the returned index N.
     DomainError unless |a| >= 1 and (2 pi k |a|)^2 is a finite double.
     """
     if k < 1:
@@ -115,29 +115,21 @@ def optimal_truncation(k: int, s, a: RayComplex, ctx: PrecisionContext) -> int:
     def shrinks(r):
         return abs((2 * r + s - 1) * (2 * r + s)) < bound
 
-    # Both factors |2r+s-1| and |2r+s| grow with r from r0 on, and so does
-    # the ratio: below r0 the indices are walked one at a time, and beyond
-    # it the first r where the terms stop shrinking is found by bisection
-    # from the real root of |(2r+s-1)(2r+s)| = x^2: with
-    # u = 2r + Re s - 1/2 it solves (u^2 + 1/4 + Im s^2)^2 - u^2 = x^4.
-    # lo = r0 - 1 stands for "every index before r0 shrinks" (none when
-    # r0 = 1, that is Re s > -1).
-    r0 = max(math.ceil((1 - s.real) / 2), 1)
-    for r in range(1, r0):
-        if not shrinks(r):
-            return max(r - 1, 1)
-    t = s.imag
-    w = 0.25 - t * t + bound * math.sqrt(max(1 - (t / bound) ** 2, 0.0))
-    r = int((math.sqrt(max(w, 0.0)) - s.real + 0.5) / 2)
-    lo, hi = max(r - 1, r0 - 1), max(r + 2, r0)
-    if lo >= r0 and not shrinks(lo):
-        lo = r0 - 1
-    while shrinks(hi):  # the float root is off by r 2^-52 at large |a|
+    # With u = 2r + Re s - 1/2, |(2r+s-1)(2r+s)|^2 is
+    # (u^2 + 1/4 + Im s^2)^2 - u^2, which grows with u^2 wherever it can
+    # reach the bound: its one interior maximum, at u = 0 when
+    # |Im s| < 1/2, makes |(2r+s-1)(2r+s)| = 1/4 + Im s^2 < 1/2 < bound.
+    # So the shrinking indices form one interval; when it holds r = 1, its
+    # last index is found by doubling and then bisection.
+    if not shrinks(1):
+        return 1
+    lo, hi = 1, 2
+    while shrinks(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if shrinks(mid) else (lo, mid)
-    return max(hi - 1, 1)
+    return lo
 
 
 def remainder_rk(k: int, s, a: RayComplex, nk: int,

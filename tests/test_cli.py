@@ -8,7 +8,7 @@ from mpmath import mpf
 from zetastokes import cli
 from zetastokes.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from zetastokes.hp import PRINT_MARGIN, PrecisionContext
-from zetastokes.stokes import sweep
+from zetastokes.stokes import sweep, sweep_point
 
 DATA = Path(__file__).resolve().parent / "data"
 # the entries of `zeta validate`, in report order
@@ -151,8 +151,8 @@ class TestSweep:
         assert printed != digits(6.1)
 
     def test_printed_digits_are_resolved(self, capsys):
-        # S_2 at |a| = 6 resolves about 52 digits at 60, so each point is
-        # computed again at a context raised by its shortfall; the JSON
+        # S_2 at |a| = 6 resolves about 52 digits at 60, so a short point
+        # raises the context by its shortfall and runs again; the JSON
         # reports the digits of the value printed: the 60 printed, the
         # smallest part's leading zeros and the margin
         code, out, _ = run(capsys, "sweep", "--n", "2", "--abs-a", "6",
@@ -164,6 +164,25 @@ class TestSweep:
                            abs(float(row["im_S_exact"])))
             assert row["resolved_digits"] >= \
                 60 + PRINT_MARGIN - math.log10(smallest)
+
+    def test_each_point_computed_once_plus_reruns(self, capsys,
+                                                  monkeypatch):
+        # a short point raises the context for itself and every later
+        # point, so only short points at the current context run twice
+        digits = []
+
+        def counted(*args):
+            digits.append(args[5].digits)
+            return sweep_point(*args)
+        monkeypatch.setattr(cli, "sweep_point", counted)
+        code, out, _ = run(capsys, "sweep", "--n", "2", "--abs-a", "6",
+                           "--s", "2", "--theta", "0.45:0.55:3",
+                           "--format", "json")
+        assert code == EXIT_OK
+        reruns = json.loads(out)["meta"]["reruns"]
+        assert reruns >= 1
+        assert len(digits) == 3 + reruns
+        assert digits == sorted(digits) and digits[0] == 60
 
     def test_abs_a_beyond_double_squares_fails_per_point(self, capsys):
         # used to end in an OverflowError traceback, exit 1
@@ -299,7 +318,7 @@ def test_unwritable_output_is_config_error(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("argv, work", [
     (("table1", "--out"), "find_minimum"),
-    (("sweep", "--reproduce", "fig1c", "--out"), "sweep"),
+    (("sweep", "--reproduce", "fig1c", "--out"), "sweep_point"),
     (("validate", "--json"), "run_validation"),
 ], ids=["table1", "sweep", "validate"])
 def test_unwritable_output_rejected_before_computing(capsys, tmp_path,

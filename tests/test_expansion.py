@@ -43,7 +43,7 @@ def bits(value):
 
 def _least_term_loop(k, s, a):
     """The least-term index counted one r at a time: the reference for
-    optimal_truncation's bisection."""
+    optimal_truncation's doubling search."""
     s = complex(s)
     bound = (2 * math.pi * k * float(a.modulus)) ** 2
     r = 1
@@ -408,29 +408,34 @@ class TestOptimalTruncation:
            im=st.floats(min_value=-30, max_value=30))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_matches_the_loop(self, ctx_fast, mod, k, re, im):
-        # |a| = 10^mod up to 10^4; Re s <= -1 walks r < (1 - Re s)/2
+        # |a| = 10^mod up to 10^4; for Re s <= -1 the ratio falls until r
+        # nears (1 - Re s)/2 and grows beyond, one search covers both
         a = RayComplex(mpf(10) ** mod, mpf("0.4"))
         s = mpc(re, im)
         assert optimal_truncation(k, s, a, ctx_fast) == \
             _least_term_loop(k, s, a)
 
     def test_large_modulus_returns_at_once(self, ctx):
-        # the loop takes about pi |a| steps: some 13 s at |a| = 1e7, and
-        # Re s <= -1 used to walk them all (1.5 s at |a| = 1e6, s = -1.5)
-        a = RayComplex(mpf("1e7"), mpf("0.4"))
-        for s in (mpc(2, 0.5), mpc(-1.5, 3)):
+        # the loop takes about pi |a| - Re s/2 steps: some 13 s at
+        # |a| = 1e7; Re s <= -1 used to walk them all (1.5 s at |a| = 1e6,
+        # s = -1.5), and later the indices below (1 - Re s)/2 (0.22 s at
+        # |a| = 1e6, s = -1e6)
+        for mod, s in (("1e7", mpc(2, 0.5)), ("1e7", mpc(-1.5, 3)),
+                       ("1e6", mpc(-1e6))):
+            a = RayComplex(mpf(mod), mpf("0.4"))
             start = time.perf_counter()
             n = optimal_truncation(1, s, a, ctx)
-            assert time.perf_counter() - start < 0.1
-            assert abs(n - math.pi * 1e7) < 2
+            assert time.perf_counter() - start < 0.1, (mod, s)
+            assert abs(n - (2 * math.pi * float(mod) - s.real) / 2) < 2
 
     @pytest.mark.parametrize("s", [mpc(-1), mpc(-1.5), mpc(-7.25, 3),
                                    mpc(-40, -2), mpc(-3, 2000),
                                    mpc(-120.5, -600)])
     @pytest.mark.parametrize("mod", ["1", "3.7", "250", "1e5"])
     def test_re_s_at_most_minus_one_matches_the_loop(self, s, mod, ctx_fast):
-        # the walk below r = (1 - Re s)/2 and the bisection beyond it give
-        # the loop's index, large |Im s| included
+        # the one search from r = 1 gives the loop's index whether or not
+        # the ratio first falls while r < (1 - Re s)/2, large |Im s|
+        # included
         a = RayComplex(mpf(mod), mpf("0.4"))
         for k in (1, 4) if float(mod) < 1e3 else (1,):
             assert optimal_truncation(k, s, a, ctx_fast) == \
