@@ -62,37 +62,36 @@ class ConfigError(Exception):
     """Unusable command-line input."""
 
 
-def _check_finite(text: str, *values) -> None:
+def _read_reals(text: str, ctx: PrecisionContext, noun: str, shape: str,
+                sep: str = ",", counts=(1,)) -> list:
+    """The parts of text between the separators sep, each a real decimal
+    read by ``ctx.read``, so at ``ctx.working(HEADROOM)``; ConfigError
+    unless their number is in counts (naming shape) and each is readable
+    (naming noun) and finite."""
+    parts = text.split(sep)
+    if len(parts) not in counts:
+        raise ConfigError(f"expected {shape}, got {text!r}")
+    try:
+        values = [ctx.read(part).real for part in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"unparseable {noun} {text!r}") from exc
     if not all(mp.isfinite(v) for v in values):
         raise ConfigError(f"non-finite number in {text!r}")
+    return values
 
 
 def _parse_complex(text: str, ctx: PrecisionContext) -> mpc:
-    """RE or RE,IM, parsed at the command's ``ctx.working(HEADROOM)``, as
-    ``PrecisionContext.read`` parses a decimal string."""
-    parts = text.split(",")
-    if len(parts) not in (1, 2):
-        raise ConfigError(f"expected RE or RE,IM, got {text!r}")
-    try:
-        with ctx.working(HEADROOM):
-            re = mpf(parts[0])
-            im = mpf(parts[1]) if len(parts) == 2 else mpf(0)
-            value = mpc(re, im)
-    except ValueError as exc:
-        raise ConfigError(f"unparseable complex number {text!r}") from exc
-    _check_finite(text, re, im)
-    return value
+    """RE or RE,IM; the parts are joined at the precision they were read
+    at, since ``mpc`` rounds them to the ambient one."""
+    parts = _read_reals(text, ctx, "complex number", "RE or RE,IM",
+                        counts=(1, 2))
+    with ctx.working(HEADROOM):
+        return mpc(*parts)
 
 
 def _parse_abs_a(text: str, ctx: PrecisionContext) -> mpf:
-    """--abs-a, parsed at the command's ``ctx.working(HEADROOM)`` as --s
-    is: ``6.1`` is the ray |a| = 6.1, not the double nearest it."""
-    try:
-        with ctx.working(HEADROOM):
-            value = mpf(text)
-    except ValueError as exc:
-        raise ConfigError(f"unparseable --abs-a {text!r}") from exc
-    _check_finite(text, value)
+    """--abs-a: ``6.1`` is the ray |a| = 6.1, not the double nearest it."""
+    (value,) = _read_reals(text, ctx, "--abs-a", "one number")
     if value < 1:
         raise ConfigError(f"--abs-a must be >= 1, got {text!r}")
     return value
@@ -114,16 +113,9 @@ def _parse_theta(text: str):
     return lo, hi, count
 
 
-def _parse_polar(text: str) -> RayComplex:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"expected MOD:ARG, got {text!r}")
-    try:
-        modulus = mpf(parts[0])
-        argument = mpf(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"unparseable polar value {text!r}") from exc
-    _check_finite(text, modulus, argument)
+def _parse_polar(text: str, ctx: PrecisionContext) -> RayComplex:
+    modulus, argument = _read_reals(text, ctx, "polar value", "MOD:ARG",
+                                    sep=":", counts=(2,))
     if modulus <= 0:
         raise ConfigError("modulus must be positive")
     return RayComplex(modulus, argument)
@@ -322,7 +314,7 @@ def run_validate(args) -> int:
 def run_terminant(args) -> int:
     ctx = _context(args.digits)
     nu = _parse_complex(args.nu, ctx)
-    z = _parse_polar(args.z)
+    z = _parse_polar(args.z, ctx)
     value = terminant(nu, z, ctx)
     print(_nstr(value, args.digits))
     return EXIT_OK

@@ -10,9 +10,9 @@ Every value that depends on s and the context but not on theta has one
 owner, a ``SeriesTables`` per (s, ctx), so a sweep computes it once;
 ``series_tables`` keeps the TABLES_LIMIT most recently used, and one
 dropped is built again, with the same bits, when next asked for.  The
-memos keyed on a terminant order are bounded by ORDER_LIMIT; only those
-keyed on integer indices (``bernoulli_even``, ``hurwitz_zeta_integer``,
-``terminant._limit_head``) have no bound.
+memos keyed on a terminant order are bounded by ORDER_LIMIT; only the two
+keyed on integer indices alone (``bernoulli_even``,
+``hurwitz_zeta_integer``) have no bound.
 
 ``hurwitz_zeta_integer`` takes no special-function call: while
 m log10(2) < D, with D the digits of ``working(HEADROOM)``, it subtracts
@@ -79,9 +79,10 @@ FIXED_GUARD_BITS = 40
 PRINT_MARGIN = 5
 # Owners of the theta-independent state that ``series_tables`` keeps, and
 # entries of each memo keyed on a terminant order (``terminant``'s
-# prefactor and series head).  A sweep needs one owner per context; the
-# benchmark's grid at seeds 0 and 3 meets 35 owners, 78 prefactors and 102
-# heads; a nine-point S_1 sweep's owner holds about 34 KiB at 60 digits.
+# prefactor and series heads).  A sweep needs one owner per context; the
+# benchmark's grid at seeds 0 and 3 meets 35 owners, 78 prefactors, 102
+# heads and 44 integer-order heads; a nine-point S_1 sweep's owner holds
+# about 34 KiB at 60 digits.
 TABLES_LIMIT = 64
 ORDER_LIMIT = 256
 

@@ -85,8 +85,8 @@ def erf_approx(n: int, abs_a: float, theta: float) -> float:
         raise DomainError("n must be >= 1")
     if not (0 < theta < math.pi):
         raise DomainError(f"theta must lie in (0, pi), got {theta}")
-    if abs_a < 1:
-        raise DomainError("erf_approx needs |a| >= 1 for the geometry")
+    if not 1 <= abs_a < math.inf:
+        raise DomainError(f"erf_approx needs a finite |a| >= 1, got {abs_a}")
     half = theta - math.pi / 2
     first = math.erf(half * math.sqrt(math.pi * n * abs_a))
     a = abs_a * cmath.exp(1j * theta)

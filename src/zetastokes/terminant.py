@@ -26,19 +26,19 @@ DomainError when that inflation would exceed SERIES_INFLATION_LIMIT.  The
 inflation is checked after the fact: ``upper_gamma`` takes the digits
 actually lost, log10(max(|head|, |z^alpha| peak) / |value|) with head
 Gamma(alpha) or its finite limit and peak the largest addend, from binary
-exponents, and raises IllConditionedError when they exceed the inflation,
-so every value it returns carries digits + guard digits.  The series is
-summed in fixed point (``_fixed_series``): real and imaginary parts are
-Python ints scaled by 2^wp, with wp the bits of the inflated digits plus
-guard bits sized by an a-priori error bound, so its hundreds of terms cost
-integer products rather than mpmath number objects.  The error-function
-smoothing form of T_nu(z) near optimal truncation (|nu| ~ |z|), about the
-Stokes line, is provided separately.
+exponents.  Both checks raise in ``_checked``, from the digits each left
+spare, so every value ``upper_gamma`` returns carries digits + guard
+digits.  The series is summed in fixed point (``_fixed_series``): real and
+imaginary parts are Python ints scaled by 2^wp, with wp the bits of the
+inflated digits plus guard bits sized by an a-priori error bound, so its
+hundreds of terms cost integer products rather than mpmath number objects.
+The error-function smoothing form of T_nu(z) near optimal truncation
+(|nu| ~ |z|), about the Stokes line, is provided separately.
 """
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
@@ -201,6 +201,18 @@ def _digits_lost(head, zpow, peak2: int, wp: int, value) -> float:
     return float(bits) * math.log10(2)
 
 
+def _checked(value: mpc, spare: float, method: str, alpha: mpc,
+             z: RayComplex) -> mpc:
+    """value, whose method's check left spare digits: IllConditionedError if
+    spare < 0.  Both methods of ``upper_gamma`` accept a value only here."""
+    if spare < 0:
+        raise IllConditionedError(
+            f"incomplete gamma {method} fell {-spare:.1f} digits short of "
+            f"its check at alpha = {mp.nstr(alpha, 8)}, "
+            f"|z| = {mp.nstr(z.modulus, 8)}, arg z = {mp.nstr(z.argument, 8)}")
+    return value
+
+
 @lru_cache(maxsize=ORDER_LIMIT)
 def _gamma_head(alpha: mpc, dps: int) -> mpc:
     """Gamma(alpha) at dps digits, the series head at a non-integer order;
@@ -209,10 +221,10 @@ def _gamma_head(alpha: mpc, dps: int) -> mpc:
         return mp.gamma(alpha)
 
 
-@cache
+@lru_cache(maxsize=ORDER_LIMIT)
 def _limit_head(n: int, dps: int) -> tuple:
     """((-1)^n/n!, psi(n+1)) at dps digits, the theta-independent factors
-    of the series head at the order -n; memoized on (n, dps)."""
+    of the series head at the order -n; ORDER_LIMIT memoized on (n, dps)."""
     with mp.workdps(dps):
         return (-1) ** n / mp.factorial(n), mp.digamma(n + 1)
 
@@ -230,8 +242,8 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     depend on z: they are memoized on the order and the working digits,
     and only log z is taken per call.  The series is summed in fixed point
     by ``_fixed_series``; DomainError if its a-priori inflation exceeds
-    SERIES_INFLATION_LIMIT digits, IllConditionedError if it lost more
-    digits to cancellation than the inflation it carried.
+    SERIES_INFLATION_LIMIT digits; ``_checked`` raises IllConditionedError
+    if it lost more digits than it carried, or the fraction missed its budget.
 
     The order is read by ``ctx.read``, so the value does not depend on the
     caller's mpmath precision.  An order or |z| beyond the double range
@@ -305,19 +317,14 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
             logz = mp.log(mpf(z.modulus)) + mpc(0, 1) * z.argument
             head = sign * (psi - logz)
         value = head - zpow * total
-    lost = _digits_lost(head, zpow, peak2, wp, value)
-    if lost > extra:
-        raise IllConditionedError(
-            f"incomplete gamma series lost {lost:.1f} digits, more than the "
-            f"{extra} it carried, at alpha = {mp.nstr(alpha, 8)}, "
-            f"|z| = {mp.nstr(z.modulus, 8)}, arg z = {mp.nstr(z.argument, 8)}")
-    return value
+    spare = extra - _digits_lost(head, zpow, peak2, wp, value)
+    return _checked(value, spare, "series", alpha, z)
 
 
 def _upper_gamma_cf(alpha: mpc, z: RayComplex, ctx: PrecisionContext):
     """Gamma(alpha, z) = z^alpha e^(-z) F on the principal sheet, with F
-    from ``_fixed_cf``; IllConditionedError if its final convergent
-    difference exceeds the budget."""
+    from ``_fixed_cf``, checked by ``_checked`` against its final
+    convergent difference."""
     # Error model, relative to the value, against the budget
     # 10^-(digits + guard) that the series also meets:
     # - Truncation.  For real alpha < 0 the fraction is a Stieltjes
@@ -334,9 +341,9 @@ def _upper_gamma_cf(alpha: mpc, z: RayComplex, ctx: PrecisionContext):
     #   the last difference |F_n - F_(n-1)|, which holds whenever the
     #   differences shrink by q <= 0.999 per step (q/(1-q) <= 10^3).  The
     #   loop stops once the difference, read from bit lengths to within 2
-    #   bits, is below 10^-(digits + guard + CF_STOP_DIGITS), and the check
-    #   below raises unless the exact final difference, to within 3 bits,
-    #   is below 10^-(digits + guard + 3): about 6 digits spare.
+    #   bits, is below 10^-(digits + guard + CF_STOP_DIGITS), and
+    #   ``_checked`` raises unless the exact final difference, to within 3
+    #   bits, is below 10^-(digits + guard + 3): about 6 digits spare.
     # - Rounding.  z and alpha are stored to within 2^-wp, and each shift
     #   truncates A_n or B_n, kept at least wp bits wide, by less than 2^-wp
     #   relative.  A_n and B_n are dominant solutions of their recurrence,
@@ -361,14 +368,8 @@ def _upper_gamma_cf(alpha: mpc, z: RayComplex, ctx: PrecisionContext):
         zval = z.value()
         frac, diff_bits = _fixed_cf(alpha, zval, wp, stop_bits)
         value = pow_ray(z, alpha, ctx, extra=extra) * mp.exp(-zval) * frac
-    diff = diff_bits * math.log10(2)
-    if diff > -(dps + 3):
-        raise IllConditionedError(
-            f"incomplete gamma continued fraction stopped at a convergent "
-            f"difference of 10^{diff:.1f}, above its budget of "
-            f"10^-{dps + 3}, at alpha = {mp.nstr(alpha, 8)}, "
-            f"|z| = {mp.nstr(z.modulus, 8)}, arg z = {mp.nstr(z.argument, 8)}")
-    return value
+    spare = -(dps + 3) - diff_bits * math.log10(2)
+    return _checked(value, spare, "continued fraction", alpha, z)
 
 
 def terminant(nu, z: RayComplex, ctx: PrecisionContext) -> mpc:

@@ -3,12 +3,14 @@ import math
 from pathlib import Path
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from zetastokes import cli
-from zetastokes.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
-from zetastokes.hp import PRINT_MARGIN, PrecisionContext
+from zetastokes.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
+                            main)
+from zetastokes.hp import PRINT_MARGIN, PrecisionContext, RayComplex
 from zetastokes.stokes import sweep, sweep_point
+from zetastokes.terminant import terminant
 
 DATA = Path(__file__).resolve().parent / "data"
 # the entries of `zeta validate`, in report order
@@ -195,6 +197,16 @@ class TestSweep:
         assert all("DomainError" in row and "double range" in row
                    for row in rows)
 
+    def test_abs_a_beyond_double_is_numeric_error(self, capsys):
+        # |a| = 1e400 is finite as read but infinite as the double of the
+        # erf approximation, which printed nan in every row and exited 0
+        code, out, err = run(capsys, "sweep", "--n", "1", "--abs-a", "1e400",
+                             "--s", "3", "--theta", "0.4:0.6:2",
+                             "--digits", "30")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "nan" not in err
+        assert "erf_approx needs a finite |a|" in err
+
     @pytest.mark.parametrize("fig", ["fig1a", "fig1b", "fig1c"])
     def test_reproduction_matches_committed_csv(self, capsys, tmp_path, fig):
         # every printed digit of the pinned sweeps is fixed by the CSVs in
@@ -236,9 +248,19 @@ class TestTerminant:
                            "--z", "30:3.141592653589793")
         assert code == EXIT_OK
         assert out == (
-            "(0.499999999999999731658481036287080853472202066453741965662843"
-            " - 0.0487651343492038462228210313701486968498282026226137211600770"
+            "(0.499999999999999477486668106074820804118219688187797209981267"
+            " - 0.0487651343492038462228210313701028280737788499905761729238674"
             "j)\n")
+
+    def test_z_is_read_at_working_precision(self, capsys):
+        # 0.1 is the decimal typed, not the double nearest it
+        code, out, _ = run(capsys, "terminant", "--nu", "30",
+                           "--z", "30:0.1")
+        assert code == EXIT_OK
+        ctx = PrecisionContext(60)
+        z = RayComplex(ctx.read("30").real, ctx.read("0.1").real)
+        assert out == mp.nstr(terminant(30, z, ctx), 60,
+                              strip_zeros=False) + "\n"
 
     def test_bad_polar(self, capsys):
         code, _, err = run(capsys, "terminant", "--nu", "3", "--z", "5")
@@ -288,6 +310,7 @@ def _sweep_with(flag, value):
 @pytest.mark.parametrize("argv, message", [
     (_sweep_with("--s", "1,2,3"), "expected RE or RE,IM"),
     (_sweep_with("--s", "x"), "unparseable complex number"),
+    (_sweep_with("--s", "1/0"), "unparseable complex number"),
     (_sweep_with("--abs-a", "x"), "unparseable --abs-a"),
     (_sweep_with("--theta", "0.3:0.7"), "expected LO:HI:COUNT"),
     (_sweep_with("--theta", "a:b:c"), "unparseable theta range"),

@@ -59,7 +59,7 @@ def test_no_precision_literal_outside_hp(module):
 
 
 # the memos keyed on integer indices alone
-UNBOUNDED_ALLOWED = {"bernoulli_even", "hurwitz_zeta_integer", "_limit_head"}
+UNBOUNDED_ALLOWED = {"bernoulli_even", "hurwitz_zeta_integer"}
 
 
 def _unbounded(node) -> bool:

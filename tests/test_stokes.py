@@ -37,6 +37,12 @@ class TestErfApprox:
         with pytest.raises(DomainError):
             erf_approx(1, 0.5, 1.0)
 
+    @pytest.mark.parametrize("abs_a", [math.inf, math.nan])
+    def test_rejects_non_finite_abs_a(self, abs_a):
+        # returned nan at inf, and so printed nan in every S_approx cell
+        with pytest.raises(DomainError, match="finite"):
+            erf_approx(1, abs_a, 1.0)
+
 
 class TestSampleInvariants:
     def test_rejects_out_of_range_approx(self):

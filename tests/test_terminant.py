@@ -215,8 +215,28 @@ class TestUpperGamma:
 
 
 class TestPrecisionCheck:
-    """upper_gamma measures the digits its series lost and raises
-    IllConditionedError when they exceed the inflation it carried."""
+    """Both methods of upper_gamma hand their value and the digits their
+    after-the-fact check left spare to ``_checked``, which raises
+    IllConditionedError when the spare is negative: the series when it lost
+    more digits than the inflation it carried, the continued fraction when
+    its final convergent difference exceeds its budget."""
+
+    @pytest.mark.parametrize("arg_over_pi,method", [
+        ("0.3", "continued fraction"), ("0.7", "series")])
+    def test_both_methods_reach_the_one_check(self, ctx_fast, monkeypatch,
+                                              arg_over_pi, method):
+        seen = []
+        checked = terminant_module._checked
+
+        def spy(value, spare, name, alpha, z):
+            seen.append((name, spare))
+            return checked(value, spare, name, alpha, z)
+
+        monkeypatch.setattr(terminant_module, "_checked", spy)
+        with ctx_fast.working(10):
+            z = RayComplex(mpf(40), mpf(arg_over_pi) * mp.pi)
+        upper_gamma(mpc(-40), z, ctx_fast)
+        assert len(seen) == 1 and seen[0][0] == method and seen[0][1] >= 0
 
     def test_too_little_inflation_raises(self, ctx, monkeypatch):
         # a pipeline-sized order at |z| = 2 pi 18 just past arg z = pi/2,
@@ -227,7 +247,7 @@ class TestPrecisionCheck:
                             lambda z: rule(z) - 20)
         with ctx.working(10):
             z = RayComplex(mpf("113.1"), mpf("0.52") * mp.pi)
-            with pytest.raises(IllConditionedError, match="lost"):
+            with pytest.raises(IllConditionedError, match="series"):
                 upper_gamma(mpc(-111, -0.5), z, ctx)
 
     def test_too_loose_stop_rule_raises(self, ctx, monkeypatch):
@@ -239,7 +259,8 @@ class TestPrecisionCheck:
                                                           stop - 50))
         with ctx.working(10):
             z = RayComplex(mpf("113.1"), mpf("-0.05") * mp.pi)
-            with pytest.raises(IllConditionedError, match="difference"):
+            with pytest.raises(IllConditionedError,
+                               match="continued fraction"):
                 upper_gamma(mpc(-111, -0.5), z, ctx)
 
     @given(mod=st.floats(min_value=1, max_value=250),
