@@ -310,7 +310,6 @@ def _sweep_with(flag, value):
 @pytest.mark.parametrize("argv, message", [
     (_sweep_with("--s", "1,2,3"), "expected RE or RE,IM"),
     (_sweep_with("--s", "x"), "unparseable complex number"),
-    (_sweep_with("--s", "1/0"), "unparseable complex number"),
     (_sweep_with("--abs-a", "x"), "unparseable --abs-a"),
     (_sweep_with("--theta", "0.3:0.7"), "expected LO:HI:COUNT"),
     (_sweep_with("--theta", "a:b:c"), "unparseable theta range"),
@@ -318,6 +317,7 @@ def _sweep_with(flag, value):
     (("terminant", "--nu", "3", "--z", "x:1"), "unparseable polar value"),
     (("terminant", "--nu", "3", "--z=-1:0"), "modulus must be positive"),
     (_sweep_with("--digits", "20"), "digits must be >= 30"),
+    (_sweep_with("--s", "1/0"), "unparseable complex number"),
 ])
 def test_bad_input_is_config_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
