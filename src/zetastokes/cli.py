@@ -2,10 +2,10 @@
 
 Subcommands: ``table1`` (dip-minimum table, optionally checked against the
 reference values), ``sweep`` (theta-sweeps of the Stokes multiplier, with
-caption-pinned reproduction modes), ``validate`` (identity suites), and
-``terminant`` (debug evaluator).  Output is deterministic CSV or JSON;
-exit codes: 0 success, 2 config error, 3 numerical-domain error,
-4 check/validation failure.
+caption-pinned reproduction modes; it prints what one ``stokes.sweep`` call
+returns), ``validate`` (identity suites), and ``terminant`` (debug
+evaluator).  Output is deterministic CSV or JSON; exit codes: 0 success,
+2 config error, 3 numerical-domain error, 4 check/validation failure.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from mpmath import mp, mpf, mpc
 
 from .errors import ZetaError
 from .expansion import TruncationPlan
-from .hp import HEADROOM, PRINT_MARGIN, PrecisionContext, RayComplex
-from .stokes import find_minimum, sweep_point
+from .hp import HEADROOM, PrecisionContext, RayComplex
+from .stokes import find_minimum, sweep
 from .terminant import terminant
 from .validate import run_validation
 
@@ -201,28 +201,6 @@ def _plan_to_str(plan) -> str:
         + ";".join(str(n) for n in plan.nk_prime)
 
 
-def _raised_context(smp, digits: int,
-                    ctx: PrecisionContext) -> PrecisionContext | None:
-    """The context at which smp, computed at ctx, must be computed again
-    so that every printed digit is resolved, or None if it already is.
-
-    A part x is printed to ``digits`` significant digits, so it needs
-    digits - log10|x| + PRINT_MARGIN resolved digits; the smallest part
-    sets the need (Im S_2 reaches 3.6e-8 on fig1c).  ``resolved_digits``
-    grows one for one with the working digits, so ctx is raised by the
-    shortfall.  A failed point has nothing to print.
-    """
-    if smp.error is not None:
-        return None
-    parts = [abs(x) for x in (smp.exact.real, smp.exact.imag) if x]
-    need = digits + PRINT_MARGIN - min(
-        (float(mp.log10(x)) for x in parts), default=0.0)
-    short = need - smp.diagnostics["resolved_digits"]
-    if short <= 0:
-        return None
-    return PrecisionContext(ctx.digits + math.ceil(short))
-
-
 def run_sweep(args) -> int:
     ctx = _context(args.digits)
     flags = [("--n", args.n), ("--abs-a", args.abs_a),
@@ -251,17 +229,11 @@ def run_sweep(args) -> int:
         plan = None
         plan_source = "least-term (per point)"
     _require_writable(args.out)
-    theta_range = (lo * math.pi, hi * math.pi, count)
-    # each point runs once at the current context; a short one raises it
-    # for itself and every later point, and runs again
-    samples, reruns = [], 0
-    for j in range(count):
-        smp = sweep_point(n, abs_a, s, theta_range, j, ctx, plan)
-        raised = _raised_context(smp, args.digits, ctx)
-        if raised is not None:
-            ctx, reruns = raised, reruns + 1
-            smp = sweep_point(n, abs_a, s, theta_range, j, ctx, plan)
-        samples.append(smp)
+    samples = sweep(n, abs_a, s, (lo * math.pi, hi * math.pi, count), ctx,
+                    plan)
+    # contexts only rise, one rerun each: count the rises
+    rises = [smp.diagnostics["digits"] for smp in samples if not smp.error]
+    reruns = sum(b > a for a, b in zip([args.digits] + rises, rises))
     rows = []
     for smp in samples:
         plan_str = _plan_to_str(smp.plan)

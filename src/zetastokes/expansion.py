@@ -185,18 +185,13 @@ def _fixed_horner(coeffs, x: mpc) -> mpc:
     drop = wu - 60  # log2 |x| from the 60 leading bits of U
     log_x = e + math.log2(math.hypot(ur >> drop, ui >> drop)) - 60
     parts = [c._mpc_ for c in coeffs]
-    # log2 t_r lies within [-1, 1/2] of exp + bc of c_r's larger part
-    # plus r log2 |x|; top is the largest such bound
-    top = -math.inf
-    for r, (cr, ci) in enumerate(parts):
-        power = r * log_x
-        if cr[1] and cr[2] + cr[3] + power > top:
-            top = cr[2] + cr[3] + power
-        if ci[1] and ci[2] + ci[3] + power > top:
-            top = ci[2] + ci[3] + power
-    if top == -math.inf:
+    # log2 t_r lies within [-1, 1/2] of exp + bc of c_r's larger part plus
+    # r log2 |x|; w takes the largest ceiling in ints, past a float's range
+    tops = [part[2] + part[3] + math.ceil(r * log_x)
+            for r, pair in enumerate(parts) for part in pair if part[1]]
+    if not tops:
         return mpc(0)
-    w = wu - math.ceil(top)
+    w = wu - max(tops)
     tr = ti = 0
     for r in range(len(parts) - 1, -1, -1):
         cr, ci = parts[r]

@@ -10,9 +10,9 @@ Every value that depends on s and the context but not on theta has one
 owner, a ``SeriesTables`` per (s, ctx), so a sweep computes it once;
 ``series_tables`` keeps the TABLES_LIMIT most recently used, and one
 dropped is built again, with the same bits, when next asked for.  The
-memos keyed on a terminant order are bounded by ORDER_LIMIT; only the two
-keyed on integer indices alone (``bernoulli_even``,
-``hurwitz_zeta_integer``) have no bound.
+memos keyed on a terminant order are bounded by ORDER_LIMIT; only
+``hurwitz_zeta_integer``, keyed on (m, base, ctx), has none: one table per
+context, of 25, 37 and 140 entries after a benchmark n1, n2 or grid pass.
 
 ``hurwitz_zeta_integer`` takes no special-function call: while
 m log10(2) < D, with D the digits of ``working(HEADROOM)``, it subtracts
@@ -58,9 +58,9 @@ HEADROOM = 10  # a step's offset: its own few roundings stay below GUARD
 # Offset of the three A_r factor steps: the block sums' ray_powers, the
 # signed-Gamma recurrence and gamma_complex.  At 0 they round at
 # digits + GUARD, which caps a 60-digit fig1c sweep near 52 true digits;
-# the CLI reaches its printed digits by raising the whole context
-# (PRINT_MARGIN).  Raising this offset instead would need resolved_digits
-# to count it, which it does not (ROADMAP item 11).
+# ``stokes.sweep`` reaches the digits asked for by raising the whole
+# context (PRINT_MARGIN).  Raising this offset instead would need
+# resolved_digits to count it, which it does not (ROADMAP item 11).
 FACTOR_EXTRA = 0
 # validate.connection_residual's offset: the phase e^(2 pi i nu) and the
 # difference of two terminants round below the terminants' own digits.
@@ -73,8 +73,8 @@ RAY_VALUE_BITS = 10  # RayComplex.value: bits above the caller's precision
 # Horner sum of both algebraic series (``expansion``).  Each kernel derives
 # its error bound from this value next to its code.
 FIXED_GUARD_BITS = 40
-# Digits that `zeta sweep` resolves beyond the last one it prints: a part
-# rounds wrongly only if its error reaches a rounding boundary, about
+# Digits that ``stokes.sweep`` resolves beyond the last one asked for: a
+# part rounds wrongly only if its error reaches a rounding boundary, about
 # 2 10^-PRINT_MARGIN of the time.
 PRINT_MARGIN = 5
 # Owners of the theta-independent state that ``series_tables`` keeps, and
@@ -185,7 +185,7 @@ class RayComplex:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers (exact rationals, cached)
+# Bernoulli numbers (exact rationals)
 
 # The last row of the Seidel-Entringer triangle and the zigzag numbers
 # E_0, E_1, ... that end its rows, grown on demand by ``bernoulli_even``.
@@ -193,7 +193,6 @@ _ENTRINGER_ROW = [1]
 _ZIGZAG = [1]
 
 
-@cache
 def bernoulli_even(k: int) -> Fraction:
     """Exact even-order Bernoulli number B_{2k}, k >= 1.
 

@@ -63,10 +63,16 @@ class ZetaPoint:
             return half_is * x + x_prime / half_is
 
 
+def _check_finite(s: mpc) -> None:
+    if not mp.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
+
+
 def check_s_off_poles(s: mpc, highest: int, ctx: PrecisionContext) -> None:
-    """DomainError if s lies within tol of an integer <= highest: a pole
-    of Gamma(s) (highest = 0, ``ZetaPoint``) or of Gamma(s + 1), the A_0
-    of the expansion (highest = -1, ``z_improved``)."""
+    """DomainError if s is not finite or lies within tol of an integer
+    <= highest: a pole of Gamma(s) (highest = 0, ``ZetaPoint``) or of
+    Gamma(s + 1), the A_0 of the expansion (highest = -1, ``z_improved``)."""
+    _check_finite(s)
     with ctx.working():
         nearest = int(mp.nint(s.real))
         if nearest <= highest and abs(s - nearest) < ctx.tol():
@@ -77,6 +83,7 @@ def check_s_off_poles(s: mpc, highest: int, ctx: PrecisionContext) -> None:
 
 def _check_re_s(s, ctx: PrecisionContext) -> mpc:
     s = ctx.read(s)
+    _check_finite(s)
     if s.real <= RE_S_MARGIN:
         raise DomainError(
             f"oracle requires Re(s) > {RE_S_MARGIN}, got Re(s) = {s.real}; "

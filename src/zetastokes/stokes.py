@@ -7,7 +7,8 @@ exponentials (scales k < n) and the optimally truncated algebraic blocks
 superposition of two error-function transitions -- one per Stokes line --
 whose interference produces a dip rather than a step.  This module houses
 the exact extraction, the double-erf approximation, theta-sweeps and the
-minimum finder behind the dip-location table.
+minimum finder behind the dip-location table.  ``sweep`` is the one loop
+over sweep points and resolves every digit that ``zeta sweep`` prints.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from .errors import (DomainError, IllConditionedError,
                      InsufficientPrecisionError, ZetaError)
 from .expansion import (TruncationPlan, bernoulli_series, leading_blocks,
                         optimal_plan, script_r_k)
-from .hp import HEADROOM, PrecisionContext, RayComplex, series_tables
+from .hp import (HEADROOM, PRINT_MARGIN, PrecisionContext, RayComplex,
+                 series_tables)
 from .oracle import ZetaPoint, f_tilde_reference
 
 GRID_POINTS = 400
@@ -131,7 +133,8 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
 
     For n = 1 the extraction is repeated through the single-scale Bernoulli
     series and the two values are required to agree.  ``resolved_digits``
-    in the diagnostics is digits + guard - log10(|Ftilde| / e^(-2 pi n Im a)).
+    in the diagnostics is digits + guard - log10(|Ftilde| / e^(-2 pi n Im a)),
+    and ``digits`` is ctx.digits.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -184,6 +187,7 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
             "remainder_abs": rk_abs,
             "target_exponential": float(target),
             "resolved_digits": float(ctx.digits + ctx.guard - lost),
+            "digits": ctx.digits,
         }
         return MultiplierSample(theta=theta, exact=exact, approx=approx,
                                 plan=plan, diagnostics=diagnostics)
@@ -194,11 +198,8 @@ def find_minimum(n: int, abs_a: float) -> MinimumResult:
 
     Coarse 400-point scan of (0.02 pi, 0.98 pi) with a unimodality check,
     then golden-section refinement of the bracketing interval to 1e-10.
+    The first scan point's ``erf_approx`` rejects n < 1 and |a| < 1.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if abs_a < 1:
-        raise DomainError("find_minimum needs |a| >= 1")
 
     def f(theta: float) -> float:
         return erf_approx(n, abs_a, theta)
@@ -244,10 +245,12 @@ def sweep(n: int, abs_a, s, theta_range, ctx: PrecisionContext,
     theta_range is (lo, hi, count) in radians, inclusive endpoints; a fixed
     plan pins the truncation indices at every point (reproduction mode),
     otherwise least-term plans are re-derived per point because |a'| varies
-    with theta.  A failed point is reported through its ``error`` field,
-    never dropped; arguments that no point could take (n < 1, |a| < 1, a
-    bad theta range, a plan with fewer than n scales) raise DomainError
-    before any point is computed.
+    with theta.  A point short of ctx.digits (``_raised_context``) raises
+    the context for itself and every later point and runs once more.  A
+    failed point is reported through its ``error`` field, never dropped or
+    run again; arguments that no point could take (n < 1, |a| < 1, a bad
+    theta range, a plan with fewer than n scales) raise DomainError before
+    any point is computed.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -260,8 +263,32 @@ def sweep(n: int, abs_a, s, theta_range, ctx: PrecisionContext,
         raise DomainError("theta range must satisfy 0 < lo < hi < pi")
     if plan is not None:
         _require_scales(plan, n)
-    return [sweep_point(n, abs_a, s, theta_range, j, ctx, plan)
-            for j in range(count)]
+    digits, samples = ctx.digits, []
+    for j in range(count):
+        smp = sweep_point(n, abs_a, s, theta_range, j, ctx, plan)
+        if (raised := _raised_context(smp, digits, ctx)) is not None:
+            ctx = raised
+            smp = sweep_point(n, abs_a, s, theta_range, j, ctx, plan)
+        samples.append(smp)
+    return samples
+
+
+def _raised_context(smp, digits: int, ctx: PrecisionContext):
+    """The context at which smp, computed at ctx, must be computed again
+    so that each part x resolves its ``digits`` significant digits, that
+    is digits - log10|x| + PRINT_MARGIN (Im S_2 reaches 3.6e-8 on fig1c),
+    or None.  ``resolved_digits`` grows one for one with the working
+    digits, so ctx is raised by the shortfall.  A failed point has none.
+    """
+    if smp.error is not None:
+        return None
+    parts = [abs(x) for x in (smp.exact.real, smp.exact.imag) if x]
+    need = digits + PRINT_MARGIN - min(
+        (float(mp.log10(x)) for x in parts), default=0.0)
+    short = need - smp.diagnostics["resolved_digits"]
+    if short <= 0:
+        return None
+    return PrecisionContext(ctx.digits + math.ceil(short))
 
 
 def sweep_point(n: int, abs_a, s, theta_range, j: int, ctx: PrecisionContext,

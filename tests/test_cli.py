@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from zetastokes import cli
+from zetastokes import cli, stokes
 from zetastokes.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                             main)
 from zetastokes.hp import PRINT_MARGIN, PrecisionContext, RayComplex
@@ -176,7 +176,7 @@ class TestSweep:
         def counted(*args):
             digits.append(args[5].digits)
             return sweep_point(*args)
-        monkeypatch.setattr(cli, "sweep_point", counted)
+        monkeypatch.setattr(stokes, "sweep_point", counted)
         code, out, _ = run(capsys, "sweep", "--n", "2", "--abs-a", "6",
                            "--s", "2", "--theta", "0.45:0.55:3",
                            "--format", "json")
@@ -341,7 +341,7 @@ def test_unwritable_output_is_config_error(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("argv, work", [
     (("table1", "--out"), "find_minimum"),
-    (("sweep", "--reproduce", "fig1c", "--out"), "sweep_point"),
+    (("sweep", "--reproduce", "fig1c", "--out"), "sweep"),
     (("validate", "--json"), "run_validation"),
 ], ids=["table1", "sweep", "validate"])
 def test_unwritable_output_rejected_before_computing(capsys, tmp_path,

@@ -334,6 +334,20 @@ class TestFixedHorner:
             assert abs(got - want) <= bound
             assert abs(got - want) <= abs(old - want)
 
+    def test_exponents_beyond_a_float(self):
+        # coefficients of binary exponent near 2^1030, as Gamma(2r+s+1)
+        # has at a huge |Im s|: the fixed scale is read in ints, where
+        # floats raised OverflowError
+        with mp.workprec(300):
+            scale = 2 ** 1030
+            coeffs = [mpc(mp.ldexp(c.real, scale), mp.ldexp(c.imag, scale))
+                      for c in _taylor_exp(mpc(3, -4), 25)]
+            x = mpc("0.013", "-0.004")
+            got = expansion._fixed_horner(coeffs, x)
+        with mp.workprec(2000):
+            want = _mpc_horner(coeffs, x)
+            assert abs(got - want) <= abs(want) * mpf(2) ** -300
+
     def test_result_is_exact_fixed_point(self, ctx):
         # the sum comes back unrounded: more bits than the working precision
         with ctx.working(HEADROOM):

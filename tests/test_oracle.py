@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DivergenceError, DomainError, PoleError
+from zetastokes.expansion import TruncationPlan, z_improved
 from zetastokes.hp import PrecisionContext, RayComplex
 from zetastokes.oracle import (ZetaPoint, f_tilde_reference,
                                hurwitz_zeta_direct, periodic_zeta_direct,
@@ -48,6 +49,30 @@ def _shift_residual(s, a, ctx):
             - hurwitz_zeta_direct(s, a_next, ctx)
         want = mp.power(a.value(), -s)
         return abs(diff - want) / abs(want)
+
+
+# the entry points that read s: ZetaPoint.create and z_improved through
+# check_s_off_poles, hurwitz_zeta_direct and z_reference through _check_re_s
+S_ENTRIES = {
+    "ZetaPoint.create": ZetaPoint.create,
+    "z_improved": lambda s, a, ctx: z_improved(
+        s, a, TruncationPlan((3,), (3,), 1), ctx),
+    "hurwitz_zeta_direct": hurwitz_zeta_direct,
+    "z_reference": z_reference,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(S_ENTRIES))
+@pytest.mark.parametrize("s", [
+    mpc(mp.nan), mpc(mp.inf), mpc(-mp.inf), mpc(3, mp.inf), mpc(3, mp.nan),
+], ids=["nan", "inf", "-inf", "3+inf_i", "3+nan_i"])
+def test_non_finite_s_is_domain_error(entry, s, ctx_fast):
+    # used to raise ValueError from mp.nint, return nan or 1.0, or pass
+    # ZetaPoint.create and hang stokes_multiplier in mp.polylog
+    with ctx_fast.working():
+        a = RayComplex(mpf(6), mpf("0.45") * mp.pi)
+    with pytest.raises(DomainError, match="s must be finite"):
+        S_ENTRIES[entry](s, a, ctx_fast)
 
 
 class TestHurwitzZetaDirect:

@@ -1,8 +1,8 @@
 """The precision budget is decided in one module: ``hp`` names every
 working-precision offset, and no other module of the package writes a
 number of digits or bits where a precision is set.  Likewise every memo
-keyed on s or an order is bounded by a constant of ``hp``: only the memos
-keyed on integer indices may grow without a bound."""
+keyed on s or an order is bounded by a constant of ``hp``: only the memo
+keyed on integer indices and a context may grow without a bound."""
 import ast
 from pathlib import Path
 
@@ -58,8 +58,8 @@ def test_no_precision_literal_outside_hp(module):
     assert _literal_precisions((PACKAGE / module).read_text()) == []
 
 
-# the memos keyed on integer indices alone
-UNBOUNDED_ALLOWED = {"bernoulli_even", "hurwitz_zeta_integer"}
+# the memo keyed on integer indices and a context, one table per context
+UNBOUNDED_ALLOWED = {"hurwitz_zeta_integer"}
 
 
 def _unbounded(node) -> bool:

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf, mpc
@@ -7,13 +8,15 @@ from mpmath import mp, mpf, mpc
 from zetastokes.errors import (DomainError, IllConditionedError,
                                InsufficientPrecisionError)
 from zetastokes.expansion import TruncationPlan
-from zetastokes.hp import PrecisionContext, RayComplex
+from zetastokes.hp import PRINT_MARGIN, PrecisionContext, RayComplex
 from zetastokes import expansion, stokes
 from zetastokes.oracle import ZetaPoint
 from zetastokes.cli import REPRODUCTIONS
 from zetastokes.stokes import (MinimumResult, MultiplierSample, erf_approx,
                                find_minimum, stokes_multiplier, sweep,
                                sweep_point)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _point(s, modulus, arg_over_pi, ctx):
@@ -228,6 +231,42 @@ class TestSweep:
         assert len(samples) == 3
         assert all(s.error is not None for s in samples)
         assert all("InsufficientPrecisionError" in s.error for s in samples)
+
+    def test_returned_digits_are_resolved(self):
+        # S_2 at |a| = 6 resolves about 52 digits at 60, so a short point
+        # raises the context by its shortfall and runs again: each part is
+        # resolved to the 60 asked for, below its leading zeros, plus the
+        # margin
+        samples = sweep(2, 6, mpc(2), (0.45 * math.pi, 0.55 * math.pi, 3),
+                        PrecisionContext(60))
+        assert all(smp.error is None for smp in samples)
+        for smp in samples:
+            smaller = min(abs(smp.exact.real), abs(smp.exact.imag))
+            assert smp.diagnostics["resolved_digits"] >= \
+                60 + PRINT_MARGIN - float(mp.log10(smaller))
+
+    def test_fig1c_returns_the_printed_values(self, monkeypatch):
+        # the library sweep is the one zeta sweep prints: the same 41
+        # values, from 46 evaluations at contexts that only rise
+        cfg = REPRODUCTIONS["fig1c"]
+        lo, hi, count = cfg["theta"]
+        contexts = []
+
+        def counted(*args):
+            contexts.append(args[5].digits)
+            return sweep_point(*args)
+        monkeypatch.setattr(stokes, "sweep_point", counted)
+        samples = sweep(cfg["n"], cfg["abs_a"], cfg["s"],
+                        (lo * math.pi, hi * math.pi, count),
+                        PrecisionContext(60), cfg["plan"])
+        assert len(contexts) == 46 and contexts == sorted(contexts)
+        assert sorted(set(contexts)) == [60, 71, 72, 74, 75, 76]
+        rows = (DATA / "fig1c.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(samples) == 41
+        for smp, row in zip(samples, rows):
+            assert [mp.nstr(part, 60, strip_zeros=False)
+                    for part in (smp.exact.real, smp.exact.imag)] \
+                == row.split(",")[1:3]
 
     @pytest.mark.parametrize("n,abs_a", [(1, 0.5), (0, 6), (2, 6)])
     def test_rejects_bad_arguments_up_front(self, n, abs_a, monkeypatch):
