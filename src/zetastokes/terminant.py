@@ -81,12 +81,19 @@ def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
                   m_floor: int):
     """sum_m (-z)^m / (m! (alpha + m)) over m >= 0, m != n, in fixed point.
 
-    Real and imaginary parts are Python ints scaled by 2^wp.  The sum stops
-    at the first m > |z| (m > m_floor) whose addend c has
-    |c| < 10^(5-dps) peak, peak the largest |c| so far, compared through
-    squared magnitudes; ConvergenceError, at once when m_floor leaves no
-    room, if that takes SERIES_TERM_CAP addends.  Returns the sum as an mpc
-    (exact, unrounded) and peak^2 in units of 2^(-2 wp).
+    Real and imaginary parts are Python ints scaled by 2^wp.  Each step
+    multiplies the term t by -z (Gauss's three products), floor-divides it
+    by m and divides it by alpha + m: at an integer order k (ai = 0, ar a
+    multiple of 2^wp) as t // (k + m), at another real order as
+    (t << wp) // (ar + m 2^wp), else through the conjugate and
+    |alpha + m|^2; the first two are floors of the third's rationals, so
+    all give the same ints.  The sum stops at the first m > |z|
+    (m > m_floor) whose addend c has |c| < 10^(5-dps) peak, peak the largest
+    |c| so far, compared through squared magnitudes as
+    c2 < ceil(peak2 / tol2) (exactly c2 tol2 < peak2, one division per
+    peak); ConvergenceError, at once when m_floor leaves no room, if that
+    takes SERIES_TERM_CAP addends.  Returns the sum as an mpc (exact,
+    unrounded) and peak^2 in units of 2^(-2 wp).
     """
     if m_floor + 1 >= SERIES_TERM_CAP:
         raise ConvergenceError(
@@ -94,30 +101,41 @@ def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
             f"terms, beyond its cap of {SERIES_TERM_CAP}")
     zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
     ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
+    zs, zd = zr + zi, zi - zr
     ai2 = ai * ai
+    k = ar >> wp if not ai and not ar & ((1 << wp) - 1) else None
     tol2 = 10 ** (2 * (dps - 5))
     tr, ti = 1 << wp, 0
     sr = si = peak2 = 0
+    limit = None
     for m in range(SERIES_TERM_CAP):
         if m:
             # term *= -z / m
-            tr, ti = (ti * zi - tr * zr >> wp) // m, \
-                (-tr * zi - ti * zr >> wp) // m
+            g = zr * (tr + ti)
+            tr, ti = (ti * zs - g >> wp) // m, (-g - tr * zd >> wp) // m
         if m == n:
             continue
-        # c = term / (alpha + m) = term conj(alpha + m) / |alpha + m|^2
-        dr = ar + (m << wp)
-        den = dr * dr + ai2
-        cr = ((tr * dr + ti * ai) << wp) // den
-        ci = ((ti * dr - tr * ai) << wp) // den
+        if k is not None:
+            cr, ci = tr // (k + m), ti // (k + m)
+        elif not ai:
+            dr = ar + (m << wp)
+            cr, ci = (tr << wp) // dr, (ti << wp) // dr
+        else:
+            dr = ar + (m << wp)
+            den = dr * dr + ai2
+            cr = ((tr * dr + ti * ai) << wp) // den
+            ci = ((ti * dr - tr * ai) << wp) // den
         sr += cr
         si += ci
         c2 = cr * cr + ci * ci
         if c2 > peak2:
-            peak2 = c2
-        elif m > m_floor and c2 * tol2 < peak2:
-            return mp.make_mpc((from_man_exp(sr, -wp),
-                                from_man_exp(si, -wp))), peak2
+            peak2, limit = c2, None
+        elif m > m_floor:
+            if limit is None:
+                limit = -(-peak2 // tol2)
+            if c2 < limit:
+                return mp.make_mpc((from_man_exp(sr, -wp),
+                                    from_man_exp(si, -wp))), peak2
     raise ConvergenceError("incomplete gamma series did not converge")
 
 
@@ -135,12 +153,17 @@ def _fixed_cf(alpha: mpc, zval: mpc, wp: int, stop_bits: int):
     The Wallis recurrence X_n = b_n X_(n-1) + a_n X_(n-2), with
     b_n = z + 2n - 1 - alpha and a_(n+1) = -n(n - alpha), runs on Python
     ints for the numerators A_n and the denominators B_n, with b_n and a_n
-    scaled by 2^wp.  Each pair (X_n, X_(n-1)) is shifted right by a common
-    amount, separately for A and B, whenever both exceed wp + 64 bits, so
-    both stay at least wp bits wide.  The relative convergent difference
-    |F_n - F_(n-1)|/|F_n| = |A_n B_(n-1) - A_(n-1) B_n| / |A_n B_(n-1)| is
-    read from the closed form |A_n B_(n-1) - A_(n-1) B_n| = |a_2 ... a_n|
-    and the bit lengths; the loop stops once it is below 2^-stop_bits, and
+    scaled by 2^wp and b_n X in Gauss's three products.  At an integer
+    order k (ai = 0, ar a multiple of 2^wp), b_n - z and a_n are multiples
+    of 2^wp, which commute with the floor shift: a step is
+    ((z X_(n-1)) >> wp) + (2n-1-k) X_(n-1) - (n-1)(n-1-k) X_(n-2), the
+    same ints with small-int factors.  Each pair (X_n, X_(n-1)) is shifted
+    right by a common amount, separately for A and B, whenever both exceed
+    wp + 64 bits, so both stay at least wp bits wide.  The convergents'
+    relative difference |A_n B_(n-1) - A_(n-1) B_n| / |A_n B_(n-1)| is read
+    from the closed form |A_n B_(n-1) - A_(n-1) B_n| = |a_2 ... a_n| and
+    the bit lengths, each carried from the step before except after a
+    shift; the loop stops once it is below 2^-stop_bits, and
     ConvergenceError past CF_TERM_CAP steps.  Returns F_n = A_n/B_n as an
     mpc at the current precision, and log2 of the exact final relative
     difference, from the cross product of the stored ints.
@@ -148,36 +171,57 @@ def _fixed_cf(alpha: mpc, zval: mpc, wp: int, stop_bits: int):
     zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
     ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
     fr, fi = float(alpha.real), float(alpha.imag)
+    zs, zd = zr + zi, zi - zr
     # (A_0, A_1) = (0, 1), (B_0, B_1) = (1, b_1); log2 |A_1 B_0 - A_0 B_1|
     # in units of the stored ints, less their shifts
     one, two = 1 << wp, 2 << wp
+    k = ar >> wp if not ai and not ar & (one - 1) else None
     par = pai = cai = pbi = 0
     car = pbr = one
     br, bi = zr + one - ar, zi - ai
     cbr, cbi = br, bi
+    la, lcb = wp + 1, max(br.bit_length(), bi.bit_length())
     logdet, sa, sb = 2.0 * wp, 0, 0
     low, high = wp, wp + 64
     for n in range(1, CF_TERM_CAP):
-        anr, ani = -n * ((n << wp) - ar), n * ai
-        br += two
-        par, pai, car, cai = car, cai, \
-            (br * car - bi * cai + anr * par - ani * pai) >> wp, \
-            (br * cai + bi * car + anr * pai + ani * par) >> wp
-        pbr, pbi, cbr, cbi = cbr, cbi, \
-            (br * cbr - bi * cbi + anr * pbr - ani * pbi) >> wp, \
-            (br * cbi + bi * cbr + anr * pbi + ani * pbr) >> wp
+        if k is not None:
+            # b_(n+1) - z = (2n+1-k) 2^wp and a_(n+1) = n(k-n) 2^wp
+            kn, an = 2 * n + 1 - k, n * (k - n)
+            g = zr * (car + cai)
+            par, pai, car, cai = car, cai, \
+                (g - cai * zs >> wp) + kn * car + an * par, \
+                (g + car * zd >> wp) + kn * cai + an * pai
+            g = zr * (cbr + cbi)
+            pbr, pbi, cbr, cbi = cbr, cbi, \
+                (g - cbi * zs >> wp) + kn * cbr + an * pbr, \
+                (g + cbr * zd >> wp) + kn * cbi + an * pbi
+        else:
+            anr, ani = -n * ((n << wp) - ar), n * ai
+            br += two
+            bs, bd = br + bi, bi - br
+            g = br * (car + cai)
+            par, pai, car, cai = car, cai, \
+                (g - cai * bs + anr * par - ani * pai) >> wp, \
+                (g + car * bd + anr * pai + ani * par) >> wp
+            g = br * (cbr + cbi)
+            pbr, pbi, cbr, cbi = cbr, cbi, \
+                (g - cbi * bs + anr * pbr - ani * pbi) >> wp, \
+                (g + cbr * bd + anr * pbi + ani * pbr) >> wp
         logdet += math.log2(n) + math.log2(math.hypot(n - fr, fi))
-        la, lb = _bits(car, cai), _bits(pbr, pbi)
+        lpa, la = la, max(car.bit_length(), cai.bit_length())
+        lb, lcb = lcb, max(cbr.bit_length(), cbi.bit_length())
         if logdet - la - lb < -stop_bits:
             break
-        e = min(la, _bits(par, pai)) - low
+        e = min(la, lpa) - low
         if e > high - low:
             par, pai, car, cai = par >> e, pai >> e, car >> e, cai >> e
             logdet, sa = logdet - e, sa + e
-        e = min(lb, _bits(cbr, cbi)) - low
+            la = max(car.bit_length(), cai.bit_length())
+        e = min(lb, lcb) - low
         if e > high - low:
             pbr, pbi, cbr, cbi = pbr >> e, pbi >> e, cbr >> e, cbi >> e
             logdet, sb = logdet - e, sb + e
+            lcb = max(cbr.bit_length(), cbi.bit_length())
     else:
         raise ConvergenceError(
             f"incomplete gamma continued fraction did not converge in "
@@ -301,7 +345,8 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     # of A B keep the error below P 2^-(prec+4), less than one rounding of
     # the peak at the prec bits of dps digits.  d >= 1 at integer alpha (the
     # m = n term is skipped), and the classification keeps d above
-    # 10^(-digits/2) otherwise.
+    # 10^(-digits/2) otherwise.  Every form of the kernel's divisor returns
+    # the general form's ints, so the bound holds for all of them.
     zbits = max(0, 2 - mp.mag(z.modulus))
     dbits = 0 if integer else max(0, 2 - dmag)
     wp = dps_to_prec(dps) + FIXED_GUARD_BITS + 2 * zbits \
@@ -351,7 +396,7 @@ def _upper_gamma_cf(alpha: mpc, z: RayComplex, ctx: PrecisionContext):
     #   it excites decays); over fewer than CF_TERM_CAP < 2^14 steps of at
     #   most 4 such units each, F is off by less than 2^(16 - wp), and
     #   wp = prec + FIXED_GUARD_BITS = prec + 40 puts that 2^-24 below the
-    #   budget.
+    #   budget.  The integer-order step returns the general step's ints.
     # - The prefactor.  exp(alpha log z) e^(-z) rounds an exponent of size
     #   S <= |alpha| (|log|z|| + |arg z|) + |z|, so `extra` digits with
     #   10^extra > 100 S keep it 10^-2 below the budget.

@@ -87,6 +87,13 @@ def _a_r_reference(s, mod, arg, ctx):
                 for r, g in enumerate(_gamma_reference(s))]
 
 
+@cache
+def _zeta_reference(order, m):
+    # zeta(order, m) at REF_DPS, which depends on neither s nor a
+    with mp.workdps(REF_DPS):
+        return mp.zeta(order, m)
+
+
 def _block_terms_reference(s, mod, arg, nlist, ctx):
     # the terms of leading_blocks at REF_DPS, one A_r zeta(2r+2, m)/pi per
     # block and one A_r/(pi k^(2r+2)) per direct term
@@ -95,7 +102,7 @@ def _block_terms_reference(s, mod, arg, nlist, ctx):
     with mp.workdps(REF_DPS):
         terms, prev = [], 0
         for m, f in enumerate(floor, start=1):
-            terms += [coeffs[r] * mp.zeta(2 * r + 2, m) / mp.pi
+            terms += [coeffs[r] * _zeta_reference(2 * r + 2, m) / mp.pi
                       for r in range(prev, f)]
             prev = f
         for k, (f, n) in enumerate(zip(floor, nlist), start=1):

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 from zetastokes.errors import (ConvergenceError, DomainError,
                                IllConditionedError)
@@ -46,6 +47,94 @@ def _assert_matches_oracle(ours, reference, digits):
         with mp.workdps(2 * mp.dps):
             ref = reference()
     assert abs(ours - ref) <= bound * abs(ref)
+
+
+def _fixed_series_reference(alpha, zval, n, dps, wp, m_floor):
+    """``_fixed_series`` in its general form, kept as the reference for
+    its ints: every addend is divided through conj(alpha + m) and
+    |alpha + m|^2, and the stop test multiplies by tol2."""
+    zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
+    ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
+    tol2 = 10 ** (2 * (dps - 5))
+    tr, ti = 1 << wp, 0
+    sr = si = peak2 = 0
+    for m in range(terminant_module.SERIES_TERM_CAP):
+        if m:
+            tr, ti = (ti * zi - tr * zr >> wp) // m, \
+                (-tr * zi - ti * zr >> wp) // m
+        if m == n:
+            continue
+        dr = ar + (m << wp)
+        den = dr * dr + ai * ai
+        cr = ((tr * dr + ti * ai) << wp) // den
+        ci = ((ti * dr - tr * ai) << wp) // den
+        sr += cr
+        si += ci
+        c2 = cr * cr + ci * ci
+        if c2 > peak2:
+            peak2 = c2
+        elif m > m_floor and c2 * tol2 < peak2:
+            return mp.make_mpc((from_man_exp(sr, -wp),
+                                from_man_exp(si, -wp))), peak2
+    raise ConvergenceError("reference series did not converge")
+
+
+def _bits(re, im):
+    return max(abs(re), abs(im)).bit_length()
+
+
+def _fixed_cf_reference(alpha, zval, wp, stop_bits):
+    """``_fixed_cf`` in its general form, kept as the reference for its
+    ints: every step multiplies the full b_n and a_n in four products each
+    and takes all four bit lengths afresh.  Returns the value, log2 of the
+    final difference and the number of shifts."""
+    zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
+    ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
+    fr, fi = float(alpha.real), float(alpha.imag)
+    one, two = 1 << wp, 2 << wp
+    par = pai = cai = pbi = 0
+    car = pbr = one
+    br, bi = zr + one - ar, zi - ai
+    cbr, cbi = br, bi
+    logdet, sa, sb, shifts = 2.0 * wp, 0, 0, 0
+    low, high = wp, wp + 64
+    for n in range(1, terminant_module.CF_TERM_CAP):
+        anr, ani = -n * ((n << wp) - ar), n * ai
+        br += two
+        par, pai, car, cai = car, cai, \
+            (br * car - bi * cai + anr * par - ani * pai) >> wp, \
+            (br * cai + bi * car + anr * pai + ani * par) >> wp
+        pbr, pbi, cbr, cbi = cbr, cbi, \
+            (br * cbr - bi * cbi + anr * pbr - ani * pbi) >> wp, \
+            (br * cbi + bi * cbr + anr * pbi + ani * pbr) >> wp
+        logdet += math.log2(n) + math.log2(math.hypot(n - fr, fi))
+        la, lb = _bits(car, cai), _bits(pbr, pbi)
+        if logdet - la - lb < -stop_bits:
+            break
+        e = min(la, _bits(par, pai)) - low
+        if e > high - low:
+            par, pai, car, cai = par >> e, pai >> e, car >> e, cai >> e
+            logdet, sa, shifts = logdet - e, sa + e, shifts + 1
+        e = min(lb, _bits(cbr, cbi)) - low
+        if e > high - low:
+            pbr, pbi, cbr, cbi = pbr >> e, pbi >> e, cbr >> e, cbi >> e
+            logdet, sb, shifts = logdet - e, sb + e, shifts + 1
+    else:
+        raise ConvergenceError("reference fraction did not converge")
+    cross = (car * pbr - cai * pbi, car * pbi + cai * pbr)
+    diff = (cross[0] - par * cbr + pai * cbi, cross[1] - par * cbi - pai * cbr)
+    value = mp.make_mpc((from_man_exp(car, sa - sb),
+                         from_man_exp(cai, sa - sb))) \
+        / mp.make_mpc((from_man_exp(cbr, 0), from_man_exp(cbi, 0)))
+    return value, _bits(*diff) - _bits(*cross) + 2, shifts
+
+
+def _order(kind, re, frac, im):
+    """An order of the given kind near re: the integer round(re), a real
+    order off it by frac, or a complex one."""
+    n = round(re)
+    return {"integer": mpc(n), "real": mpc(n + frac),
+            "complex": mpc(n + frac, im)}[kind]
 
 
 class TestQueryValidation:
@@ -431,6 +520,77 @@ class TestSeriesLimits:
         widest = terminant_module._series_inflation(
             RayComplex(mpf(250), mpf(0)))
         assert widest <= terminant_module.SERIES_INFLATION_LIMIT
+
+
+class TestKernelBits:
+    """Both fixed-point kernels return the ints of their general forms (the
+    references above) bit for bit, whichever form of a step the order
+    selects: integer, other real, or complex."""
+
+    DPS = 50
+
+    @given(mod=st.floats(min_value=1, max_value=200),
+           arg=st.floats(min_value=-math.pi, max_value=math.pi),
+           kind=st.sampled_from(["integer", "real", "complex"]),
+           ratio=st.floats(min_value=-1.5, max_value=1.5),
+           frac=st.floats(min_value=0.01, max_value=0.99),
+           im=st.floats(min_value=-5, max_value=5))
+    @example(mod=5.0, arg=0.3, kind="integer", ratio=0.0, frac=0.5,
+             im=0.0)                                    # alpha = 0
+    @example(mod=5.0, arg=2.0, kind="integer", ratio=-6.0, frac=0.5,
+             im=0.0)             # alpha = -30: m < 30 divides by k + m < 0
+    @example(mod=1.0, arg=-3.0, kind="real", ratio=-0.5, frac=0.25,
+             im=0.0)
+    @example(mod=200.0, arg=0.1, kind="complex", ratio=-1.0, frac=0.5,
+             im=3.0)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_series(self, mod, arg, kind, ratio, frac, im):
+        with mp.workdps(self.DPS):
+            alpha = _order(kind, ratio * mod, frac, im)
+            zval = mpf(mod) * mp.expj(mpf(arg))
+            n = -int(alpha.real) if kind == "integer" and alpha.real <= 0 \
+                else None
+            wp = dps_to_prec(self.DPS) + 40 + max(0, mp.mag(alpha))
+            args = (alpha, zval, n, self.DPS, wp, int(mod))
+            value, peak2 = terminant_module._fixed_series(*args)
+            ref, ref_peak2 = _fixed_series_reference(*args)
+        assert (value._mpc_, peak2) == (ref._mpc_, ref_peak2)
+
+    @given(mod=st.floats(min_value=5, max_value=200),
+           arg=st.floats(min_value=-1.4, max_value=1.4),
+           kind=st.sampled_from(["integer", "real", "complex"]),
+           ratio=st.floats(min_value=-1.5, max_value=-0.1),
+           frac=st.floats(min_value=0.01, max_value=0.99),
+           im=st.floats(min_value=-1, max_value=1))
+    @example(mod=30.0, arg=0.4, kind="integer", ratio=-1.0, frac=0.5,
+             im=0.0)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_fraction(self, mod, arg, kind, ratio, frac, im):
+        # Re alpha < 0, |Im alpha| <= Re z: the fraction's own domain
+        with mp.workdps(self.DPS):
+            alpha = _order(kind, ratio * mod, frac,
+                           im * mod * math.cos(arg))
+            if alpha.real >= 0:
+                alpha -= 1
+            zval = mpf(mod) * mp.expj(mpf(arg))
+            wp, stop = dps_to_prec(self.DPS) + 40, self.DPS * 4
+            value, bits = terminant_module._fixed_cf(alpha, zval, wp, stop)
+            ref, ref_bits, _ = _fixed_cf_reference(alpha, zval, wp, stop)
+        assert (value._mpc_, bits) == (ref._mpc_, ref_bits)
+
+    @pytest.mark.parametrize("alpha", [mpc(-9), mpc("-9.5"),
+                                       mpc("-9.5", "7")])
+    def test_fraction_that_shifts_often(self, alpha):
+        # at |z| = 10 the fraction takes hundreds of steps, and A_n and B_n,
+        # with parts of both signs, shift 30 times or so
+        with mp.workdps(self.DPS):
+            zval = 10 * mp.expj(mpf("0.4"))
+            wp, stop = dps_to_prec(self.DPS) + 40, self.DPS * 4
+            value, bits = terminant_module._fixed_cf(alpha, zval, wp, stop)
+            ref, ref_bits, shifts = _fixed_cf_reference(alpha, zval, wp,
+                                                        stop)
+        assert shifts >= 25
+        assert (value._mpc_, bits) == (ref._mpc_, ref_bits)
 
 
 class TestTerminant:
