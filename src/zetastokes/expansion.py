@@ -17,18 +17,21 @@ least-term indices until the dropped tail clears the budget, and
 Only the power of a depends on theta, so both series are polynomials in a
 power of the ray with theta-independent coefficients, and one kernel sums
 them both: ``_fixed_horner``, Horner's rule on Python ints scaled to the
-largest term, FIXED_GUARD_BITS beyond the working precision.  The powers
-come from one ``hp.ray_powers`` call, and the coefficients reach the
-kernel as one list per call, read from the tables of the one owner of
-the theta-independent state of (s, ctx), ``hp.series_tables(s, ctx)``,
-which also holds the phases and the powers of 2 pi and k.
-``leading_blocks`` sums in x = (2 pi a)^-2 over the block factors
-(-1)^r Gamma(2r+s+1) zeta(2r+2, m), whose signed Gammas come from the
-recurrence G_r/G_(r-1) = -(2r+s-1)(2r+s) started at Gamma(s+1);
-``a_r_coefficient`` is that signed Gamma times one power, so A_r has one
-source and is right to O(r) units of the working precision, not bit for
-bit the term-by-term value.  ``bernoulli_series`` sums in a^(-2) over
-the Bernoulli factors B_{2r}/(2r)! Gamma(2r+s-1).
+largest term, FIXED_GUARD_BITS beyond the working precision.  Every power
+of a they need is a^(-s), one ``hp.pow_ray`` that the ray keeps, times an
+integer power of the ray's value and of 2 pi, taken at
+``working(FACTOR_EXTRA)``; the coefficients reach the kernel as one list
+per call, read from the tables of the one owner of the theta-independent
+state of (s, ctx), ``hp.series_tables(s, ctx)``, which also holds the
+phases and the powers of 2 pi and k.  ``leading_blocks`` sums in
+x = (2 pi a)^-2 over the block factors (-1)^r Gamma(2r+s+1) zeta(2r+2, m),
+whose signed Gammas come from the recurrence
+G_r/G_(r-1) = -(2r+s-1)(2r+s) started at Gamma(s+1); ``a_r_coefficient``
+is that signed Gamma times one power, so A_r has one source and is right
+to O(r) units of the working precision, not bit for bit the term-by-term
+value.  ``bernoulli_series`` sums in a^(-2) over the Bernoulli factors
+B_{2r}/(2r)! Gamma(2r+s-1), whose Gammas are the same recurrence's
+(-1)^(r-1) G_(r-1).
 """
 from __future__ import annotations
 
@@ -42,8 +45,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 from .errors import DomainError, TailBoundError
 from .hp import (FACTOR_EXTRA, FIXED_GUARD_BITS, HEADROOM,
                  LOG_ESTIMATE_DIGITS, MIN_DIGITS, PrecisionContext,
-                 RayComplex, hurwitz_zeta_integer, pow_ray, ray_powers,
-                 series_tables)
+                 RayComplex, hurwitz_zeta_integer, pow_ray, series_tables)
 from .oracle import ZetaPoint, check_s_off_poles
 from .terminant import terminant
 
@@ -214,10 +216,12 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
 
     Only (2 pi a)^-(2r+s+1) depends on theta, so the sum is
     (2 pi a)^-(s+1)/pi sum_r c_r x^r with x = (2 pi a)^-2, summed by
-    ``_fixed_horner`` from one ``ray_powers`` call: c_r is the owned
-    (-1)^r Gamma(2r+s+1) zeta(2r+2, m) of the block m that holds r, one
-    table read per block, plus (-1)^r Gamma(2r+s+1) / k^(2r+2) for each
-    scale k with F_k <= r < N_k.
+    ``_fixed_horner``: c_r is the owned (-1)^r Gamma(2r+s+1)
+    zeta(2r+2, m) of the block m that holds r, one table read per block,
+    plus (-1)^r Gamma(2r+s+1) / k^(2r+2) for each scale k with
+    F_k <= r < N_k.  With v = 2 pi a, the powers are
+    (2 pi a)^-(s+1) = (2 pi)^-s a^(-s) / v and x = v^-2, from the ray's
+    one kept a^(-s) at ``working(FACTOR_EXTRA)``.
     """
     s = ctx.read(s)
     floor = list(accumulate(reversed(nlist), min))[::-1]
@@ -231,9 +235,10 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
             for r in range(f, n):
                 coeffs[r] += tables.signed_gamma(r) / mpf(k) ** (2 * r + 2)
         with ctx.working(FACTOR_EXTRA):
-            ray = RayComplex(2 * mp.pi * a.modulus, a.argument)
-            power, x = ray_powers(ray, [-(s + 1), -2], ctx,
-                                  extra=FACTOR_EXTRA)
+            v = 2 * mp.pi * a.value()
+            power = tables.two_pi_minus_s \
+                * pow_ray(a, -s, ctx, extra=FACTOR_EXTRA) / v
+            x = v ** -2
         return _fixed_horner(coeffs, x) * power / mp.pi
 
 
@@ -245,12 +250,16 @@ def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
     built from Bernoulli numbers instead of A_r and zeta(2r+2): it is the
     independent side of the S_1 cross-check in ``stokes``.  It is summed as
     a^(-1-s) sum_r c_r (a^-2)^(r-1) by ``_fixed_horner``, with c_r the
-    owned Bernoulli factors and the two powers of a from one
-    ``ray_powers`` call."""
+    owned Bernoulli factors, a^(-1-s) = a^(-s) / a from the same kept
+    a^(-s) as ``leading_blocks`` and a^-2 from the ray's value, both at
+    ``working(FACTOR_EXTRA)``."""
     s = ctx.read(s)
     coeffs = series_tables(s, ctx).bernoulli_coefficients(n)
+    with ctx.working(FACTOR_EXTRA):
+        v = a.value()
+        lead = pow_ray(a, -s, ctx, extra=FACTOR_EXTRA) / v
+        step = v ** -2
     with ctx.working(HEADROOM):
-        lead, step = ray_powers(a, [-1 - s, -2], ctx)
         return _fixed_horner(coeffs, step) * lead
 
 

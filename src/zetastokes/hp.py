@@ -24,9 +24,13 @@ relative.  (mpmath's ``zeta(m, base)`` is not used: it stops at an
 absolute tolerance, so at D = 90 it has zeta(46, 3) only to 5e-76,
 relative.)
 
-What does depend on theta is the power of the ray a; ``ray_powers`` takes
-all the powers of one ray in one call, with one logarithm of the ray and
-one exponential per exponent, and ``pow_ray`` is its one-exponent case.
+What does depend on theta is the power of the ray a.  ``pow_ray`` is the
+one place that takes a non-integer power of a ray, exp(e (log|base| +
+i arg base)), and a ray keeps each power it was asked for, per exponent,
+context and offset, as it keeps its ``value()`` per precision.  Every other
+algebraic power of a sweep point, a^(1-s), a^(-1-s), (2 pi a)^-(s+1) and
+the steps a^-2 and (2 pi a)^-2, is a^(-s) times an integer power of the
+ray's value and of 2 pi: one exponential per ray and precision.
 
 The precision budget is decided here: every offset of ``ctx.working`` and
 every fixed precision is a named constant below, with its reason, and so
@@ -55,12 +59,13 @@ MIN_DIGITS = 30
 # The precision budget: working precisions are digits + GUARD + an offset.
 GUARD = 20  # digits beyond ctx.digits that absorb the peel's rounding
 HEADROOM = 10  # a step's offset: its own few roundings stay below GUARD
-# Offset of the three A_r factor steps: the block sums' ray_powers, the
-# signed-Gamma recurrence and gamma_complex.  At 0 they round at
-# digits + GUARD, which caps a 60-digit fig1c sweep near 52 true digits;
-# ``stokes.sweep`` reaches the digits asked for by raising the whole
-# context (PRINT_MARGIN).  Raising this offset instead would need
-# resolved_digits to count it, which it does not (ROADMAP item 11).
+# Offset of the three A_r factor steps: the block sums' powers of the ray
+# (a^(-s) and the steps from the ray's value), the signed-Gamma recurrence
+# and gamma_complex.  At 0 they round at digits + GUARD, which caps a
+# 60-digit fig1c sweep near 52 true digits; ``stokes.sweep`` reaches the
+# digits asked for by raising the whole context (PRINT_MARGIN).  Raising
+# this offset instead would need resolved_digits to count it, which it
+# does not (ROADMAP item 11).
 FACTOR_EXTRA = 0
 # validate.connection_residual's offset: the phase e^(2 pi i nu) and the
 # difference of two terminants round below the terminants' own digits.
@@ -162,10 +167,17 @@ class RayComplex:
     Invariant: the modulus is finite and > 0 and the argument is finite;
     construction raises DomainError otherwise, so no consumer of a ray
     checks it again.  Both are stored as given, unconverted.
+
+    A ray keeps what it computes of itself: ``value()`` per precision and
+    each ``pow_ray`` per (exponent, context, offset).  The memo lives and
+    dies with the ray, which lives as long as its point, and takes no part
+    in equality, hashing or repr.
     """
 
     modulus: mpf
     argument: mpf
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if not (mp.isfinite(self.modulus) and mp.isfinite(self.argument)):
@@ -174,8 +186,14 @@ class RayComplex:
             raise DomainError("a ray needs a strictly positive modulus")
 
     def value(self) -> mpc:
-        with mp.extraprec(RAY_VALUE_BITS):
-            return mpc(self.modulus) * mp.expj(self.argument)
+        """The ray's complex value, RAY_VALUE_BITS above the caller's
+        precision; kept per precision."""
+        prec = mp.prec
+        if prec not in self._memo:
+            with mp.extraprec(RAY_VALUE_BITS):
+                self._memo[prec] = mpc(self.modulus) \
+                    * mp.expj(self.argument)
+        return self._memo[prec]
 
     @classmethod
     def from_value(cls, z) -> "RayComplex":
@@ -289,8 +307,9 @@ class SeriesTables:
     when first asked for (Gamma(s) too: ``z_improved`` admits s = 0).
     ``signed_gamma(r)``, (-1)^r Gamma(2r+s+1), runs the recurrence
     G_r = G_(r-1) (-(2r+s-1)(2r+s)) from Gamma(s+1) at
-    ``working(FACTOR_EXTRA)``, in increasing r with no recursion; all else
-    runs at ``working(HEADROOM)``.
+    ``working(FACTOR_EXTRA)``, in increasing r with no recursion, and is
+    the one source of the Gammas of both the block and the Bernoulli
+    factors; all else runs at ``working(HEADROOM)``.
     """
 
     def __init__(self, s: mpc, ctx: PrecisionContext):
@@ -327,15 +346,18 @@ class SeriesTables:
         return [table[m, r] for r in range(lo, hi)]
 
     def bernoulli_coefficients(self, n: int) -> list:
-        """[B_2r/(2r)! Gamma(2r+s-1) for 1 <= r <= n]."""
+        """[B_2r/(2r)! Gamma(2r+s-1) for 1 <= r <= n], each Gamma the
+        owned (-1)^(r-1) signed_gamma(r-1)."""
         table = self._bernoulli
         while len(table) < n:
             r = len(table) + 1
             b = bernoulli_even(r)
             with self.ctx.working(HEADROOM):
+                gamma = self.signed_gamma(r - 1)
+                if r % 2 == 0:
+                    gamma = -gamma
                 table.append((mpf(b.numerator) / b.denominator)
-                             / mp.factorial(2 * r)
-                             * gamma_complex(2 * r + self.s - 1, self.ctx))
+                             / mp.factorial(2 * r) * gamma)
         return table[:n]
 
     def k_power(self, k: int) -> mpc:
@@ -358,22 +380,17 @@ def series_tables(s: mpc, ctx: PrecisionContext) -> SeriesTables:
     return SeriesTables(s, ctx)
 
 
-def ray_powers(base: RayComplex, exponents, ctx: PrecisionContext,
-               extra: int = 0) -> list:
-    """[base**e for e in exponents] using the ray's carried argument.
-
-    Never applies a principal-value reduction: exp(e * (log modulus
-    + i * argument)), with the logarithm taken once for the whole list.
-    Like the modulus, each exponent is converted (and so rounded) at the
-    working precision.
-    """
-    with ctx.working(extra):
-        logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
-        return [mp.exp(mpc(e) * logz) for e in exponents]
-
-
 def pow_ray(base: RayComplex, exponent, ctx: PrecisionContext,
             extra: int = 0) -> mpc:
-    """base**exponent using the ray's carried argument: the one-exponent
-    case of ``ray_powers``."""
-    return ray_powers(base, (exponent,), ctx, extra)[0]
+    """base**exponent using the ray's carried argument, never a
+    principal-value reduction: exp(e (log modulus + i argument)) at
+    ``ctx.working(extra)``, where the exponent, like the modulus, is
+    converted (and so rounded).  Kept on the ray per (exponent, ctx,
+    extra)."""
+    key = (exponent, ctx, extra)
+    memo = base._memo
+    if key not in memo:
+        with ctx.working(extra):
+            logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
+            memo[key] = mp.exp(mpc(exponent) * logz)
+    return memo[key]

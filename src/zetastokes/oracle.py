@@ -21,10 +21,17 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, mpc
 
 from .errors import DivergenceError, DomainError, PoleError
-from .hp import HEADROOM, PrecisionContext, RayComplex, ray_powers, \
+from .hp import HEADROOM, PrecisionContext, RayComplex, pow_ray, \
     series_tables
 
 RE_S_MARGIN = mpf("1.1")
+# Largest k* = (Re s - 1)/(2 pi Im a) that ``periodic_zeta_direct`` hands
+# to mp.polylog: the terms k^(Re s - 1) |q|^k of the q-series peak near
+# k*, so its sum takes more than k* terms, about 1 ms each at 60 digits on
+# mpmath's pure-Python backend, and 10^4 terms bound a call near 10 s.
+# The package's own inputs stay below 500 (the oracle tests' near-axis
+# points), the benchmark's and the pinned sweeps' below 1.
+Q_TERM_LIMIT = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -120,10 +127,10 @@ def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
 
 def _subtracted_terms(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     """a^(-s)/2 + a^(1-s)/(s-1) on the ray a: the two leading algebraic
-    terms of zeta(s, a) that Z(s, a) strips."""
+    terms of zeta(s, a) that Z(s, a) strips, with a^(1-s) = a^(-s) a."""
     with ctx.working(HEADROOM):
-        a_s, a_1s = ray_powers(a, [-s, 1 - s], ctx, extra=HEADROOM)
-        return a_s / 2 + a_1s / (s - 1)
+        a_s = pow_ray(a, -s, ctx, extra=HEADROOM)
+        return a_s / 2 + a_s * a.value() / (s - 1)
 
 
 def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
@@ -137,11 +144,21 @@ def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
 
 def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
     """F(a, 1-s) = sum_{k>=1} k^(s-1) e^(2 pi i k a) = Li_{1-s}(q) with
-    q = e^(2 pi i a), by mpmath's ``polylog``."""
+    q = e^(2 pi i a), by mpmath's ``polylog``.  DomainError, before any
+    term is summed, where the terms peak beyond Q_TERM_LIMIT."""
     with ctx.working(HEADROOM):
         aval = point.a.value()
         if aval.imag <= 0:
             raise DivergenceError("periodic zeta sum needs Im(a) > 0")
+        # k* > limit, in floats and without a division: Re s may pass the
+        # float range and Im a fall below it
+        if float(point.s.real) - 1 \
+                > Q_TERM_LIMIT * 2 * math.pi * float(aval.imag):
+            raise DomainError(
+                "the q-series of F(a, 1-s) peaks beyond term "
+                f"{Q_TERM_LIMIT} at s = {mp.nstr(point.s, 8)}, "
+                f"Im a = {mp.nstr(aval.imag, 8)}: its largest term is "
+                "near k = (Re s - 1)/(2 pi Im a)")
         q = mp.exp(2 * mp.pi * mpc(0, 1) * aval)
         return mp.polylog(1 - point.s, q)
 

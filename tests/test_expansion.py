@@ -19,8 +19,8 @@ from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
                                   optimal_truncation, remainder_rk,
                                   script_r_k, z_improved)
 from zetastokes.hp import (FIXED_GUARD_BITS, HEADROOM, RayComplex,
-                           bernoulli_even, gamma_complex,
-                           hurwitz_zeta_integer, ray_powers, series_tables)
+                           SeriesTables, bernoulli_even, gamma_complex,
+                           hurwitz_zeta_integer, pow_ray, series_tables)
 from zetastokes.oracle import ZetaPoint, z_reference
 
 
@@ -153,18 +153,20 @@ class TestCoefficients:
 
 
 class TestBatchBits:
-    """``ray_powers`` and ``bernoulli_series`` keep the bits of a
-    term-by-term evaluation; ``a_r_coefficient`` and ``leading_blocks`` are
-    held to accuracy bounds, because the signed-Gamma recurrence and
-    Horner's rule round differently by design."""
+    """``pow_ray`` keeps the bits of a power taken on its own, on a first
+    call and on a repeated one; ``a_r_coefficient``, ``leading_blocks`` and
+    ``bernoulli_series`` are held to accuracy bounds, because the
+    signed-Gamma recurrence, the powers derived from a^(-s) and Horner's
+    rule round differently by design."""
 
     @pytest.mark.parametrize("extra", [0, 10])
-    def test_ray_powers(self, ctx, extra):
+    def test_pow_ray(self, ctx, extra):
         base = _ray(2 * 8, 0.55, ctx)
         exponents = [mpc(0, 1), mpf(2), mpc(-3.5, 2), 27, mpc(6, -2) + 11]
-        got = ray_powers(base, exponents, ctx, extra)
-        want = [_power(base, e, ctx, extra) for e in exponents]
-        assert [bits(v) for v in got] == [bits(v) for v in want]
+        for _ in range(2):
+            got = [pow_ray(base, e, ctx, extra) for e in exponents]
+            want = [_power(base, e, ctx, extra) for e in exponents]
+            assert [bits(v) for v in got] == [bits(v) for v in want]
 
     # Rounding of the factors of a term.  With U = 10^-(digits+guard), one
     # rounding at digits + guard is at most u = 2^-prec = 0.106 U at 60
@@ -199,12 +201,21 @@ class TestBatchBits:
     # leading_blocks is (2 pi a)^-(s+1)/pi sum_r c_r x^r with
     # c_r = G_r zeta(2r+2, m) (or G_r / k^(2r+2)) and x = (2 pi a)^-2, by
     # Horner's rule at HEADROOM.  By the rounding above, G_r is off by
-    # (17 + 4r) u, zeta(2r+2, m), the products, the sum and 1/pi by
-    # O(10^-10 u), (2 pi a)^-(s+1) by (19.6 |s+1| + 1) u < 145 u, and
-    # x = (2 pi a)^-2 by 40.2 u, so x^r by 40.2 r u.  Term r is off by
-    # (17 + 145 + 44.2 r) u < 207 N u relative, r < N = max(nlist),
-    # and the sum by at most 207 N u sum_r |term_r| < 22 N U sum |terms|.
-    # Measured worst over these inputs: 0.37 N U sum |terms|.
+    # (17 + 4r) u; zeta(2r+2, m), the products, the sum, 1/pi and
+    # (2 pi)^-s by O(10^-10 u).  The powers, at digits + guard:
+    # - P = a^(-s): log |a|, i arg a and their sum round, so L is off by
+    #   (1 + 2|L|) u, with |L| <= 2.8 here; -s rounds, -s L is off by
+    #   (2 + 4|L|) |s| u, and the exp rounds: (13.2 |s| + 1) u < 85 u, as
+    #   |s| <= 6.4;
+    # - v = 2 pi a: a's value (10 bits above, so O(2^-10 u)), pi and the
+    #   product round, 2.01 u;
+    # - (2 pi a)^-(s+1) = (2 pi)^-s P / v: P, v and two roundings, < 90 u;
+    # - x = v^-2: twice v's error, the square (4 bits above) and the
+    #   reciprocal, < 5.1 u, so x^r is off by 5.1 r u.
+    # Term r is off by (17 + 4r + 90 + 5.1 r) u < 117 N u relative,
+    # r < N = max(nlist), and the sum by at most 117 N u sum_r |term_r|
+    # < 13 N U sum |terms|.  Measured worst over these inputs:
+    # 0.41 N U sum |terms|.
     @pytest.mark.parametrize("nlist", [(25,), (18, 36), (5, 3), (3, 9, 84)])
     @pytest.mark.parametrize("arg", [0.3, 0.55])
     @pytest.mark.parametrize("mod", [1, 3, 9])
@@ -218,22 +229,25 @@ class TestBatchBits:
         terms = _block_terms_reference(s, mod, arg, nlist, ctx)
         unit = mpf(10) ** -(ctx.digits + ctx.guard)
         with mp.workdps(REF_DPS):
-            bound = 22 * max(nlist) * unit * mp.fsum(abs(t) for t in terms)
+            bound = 13 * max(nlist) * unit * mp.fsum(abs(t) for t in terms)
             assert abs(got - mp.fsum(terms)) <= bound
 
     # bernoulli_series is a^(-1-s) sum_{r=1}^N c_r x^(r-1), with
-    # c_r = B_2r/(2r)! Gamma(z_r), z_r = 2r+s-1, and x = a^-2, summed by
+    # c_r = B_2r/(2r)! Gamma(2r+s-1), and x = a^-2, summed by
     # _fixed_horner at HEADROOM.  In units u of one rounding at
     # digits + guard (roundings at HEADROOM, 10^-10 u, are neglected, and
     # so is the kernel, which TestFixedHorner holds below 2^-18 of one):
-    # - gamma_complex rounds z_r, moving Gamma by |z_r psi(z_r)| u, and
-    #   then its value: (|z_r psi(z_r)| + 1) u;
-    # - a^-(1+s) and x = a^-2, one ray_powers call at digits + guard, are
-    #   off by ((2 + 4|L|)|e| + 1) u for the exponent e, as in
-    #   test_a_r_coefficients, with L = log|a| + i arg a; x^(r-1) by r - 1
-    #   times that of x.
+    # - Gamma(2r+s-1) = (-1)^(r-1) G_(r-1), the signed-Gamma recurrence,
+    #   off by (|(s+1) psi(s+1)| + 1 + 4(r-1)) u, as in
+    #   test_a_r_coefficients, where this is bounded by (17 + 4r) u;
+    # - P = a^(-s), at digits + guard, is off by ((2 + 4|L|)|s| + 1) u,
+    #   with L = log|a| + i arg a; a's value is 10 bits above, so its
+    #   error, O(2^-10 u), is counted as 0.01 u;
+    # - a^(-1-s) = P / a rounds once more: ((2 + 4|L|)|s| + 2.01) u;
+    # - x = a^-2: the square (4 bits above) and the reciprocal round, with
+    #   twice a's error, < 1.1 u, so x^(r-1) is off by 1.1 (r-1) u.
     # So term r is off by at most
-    # (|z_r psi(z_r)| + (2 + 4|L|)(|1+s| + 2(r-1)) + r + 1) u, relative,
+    # (|(s+1) psi(s+1)| + (2 + 4|L|)|s| + 5.1 r - 2) u, relative,
     # and the sum by that times |term r|, summed over r.
     @pytest.mark.parametrize("n", [1, 25])
     @pytest.mark.parametrize("arg", [0.3, 0.55])
@@ -247,16 +261,15 @@ class TestBatchBits:
         u = mpf(2) ** -dps_to_prec(ctx.digits + ctx.guard)
         with mp.workdps(REF_DPS):
             log_a = mp.log(a.modulus) + mpc(0, 1) * a.argument
-            power_units = 2 + 4 * abs(log_a)
+            fixed_units = abs((s + 1) * mp.digamma(s + 1)) \
+                + (2 + 4 * abs(log_a)) * abs(s) - 2
             want, bound = mpc(0), mpf(0)
             for r in range(1, n + 1):
                 b, z = bernoulli_even(r), 2 * r + s - 1
                 term = mpf(b.numerator) / b.denominator \
                     / mp.factorial(2 * r) * mp.gamma(z) * mp.exp(-z * log_a)
-                units = abs(z * mp.digamma(z)) + r + 1 \
-                    + power_units * (abs(1 + s) + 2 * (r - 1))
                 want += term
-                bound += units * u * abs(term)
+                bound += (fixed_units + mpf("5.1") * r) * u * abs(term)
             assert abs(got - want) <= bound
 
 
@@ -271,7 +284,7 @@ def _mpc_horner(coeffs, x):
 
 def _ray_x(mod, arg, ctx):
     # x = b^-2 on the ray b of modulus mod and argument arg pi
-    return ray_powers(_ray(mod, arg, ctx), [-2], ctx)[0]
+    return pow_ray(_ray(mod, arg, ctx), -2, ctx)
 
 
 def _taylor_exp(y, n):
@@ -375,8 +388,8 @@ class TestBernoulliSeriesAccuracy:
             for n in (1, 5, 25, 60):
                 got = bernoulli_series(s, a, n, ctx)
                 with ctx.working(10):
-                    powers = ray_powers(
-                        a, [1 - (2 * r + s) for r in range(1, n + 1)], ctx)
+                    powers = [pow_ray(a, 1 - (2 * r + s), ctx)
+                              for r in range(1, n + 1)]
                     terms = [_bernoulli_term_factor(r, s, ctx) * p
                              for r, p in enumerate(powers, start=1)]
                     want = mp.fsum(terms)
@@ -690,9 +703,10 @@ class TestBlocks:
     @pytest.mark.parametrize("nlist", [(1,), (25,), (18, 36)])
     def test_one_power_call_and_one_gamma_per_ray(self, nlist, ctx,
                                                   monkeypatch):
-        # a block sum is a polynomial in (2 pi a)^-2: one ray_powers call
-        # for 2 exponents, whatever its length, and at most one Gamma,
-        # Gamma(s+1), which starts the owned signed-Gamma recurrence
+        # a block sum is a polynomial in (2 pi a)^-2 times (2 pi a)^-(s+1):
+        # one pow_ray call, for a^(-s), whatever its length, the rest from
+        # the ray's value, and at most one Gamma, Gamma(s+1), which starts
+        # the owned signed-Gamma recurrence
         calls = []
 
         def counting(module, name):
@@ -700,17 +714,35 @@ class TestBlocks:
 
             def counted(*args, **kwargs):
                 caller = sys._getframe(1).f_code.co_name
-                size = len(args[1]) if name == "ray_powers" else None
-                calls.append((name, caller, size))
+                exponent = args[1] if name == "pow_ray" else None
+                calls.append((name, caller, exponent))
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
 
-        counting(expansion, "ray_powers")
+        counting(expansion, "pow_ray")
         counting(hp, "gamma_complex")
-        leading_blocks(mpc(2, 0.5), _ray(8, 0.45, ctx), nlist, ctx)
-        assert [c for c in calls if c[0] == "ray_powers"] \
-            == [("ray_powers", "leading_blocks", 2)]
+        s = mpc(2, 0.5)
+        leading_blocks(s, _ray(8, 0.45, ctx), nlist, ctx)
+        assert [c for c in calls if c[0] == "pow_ray"] \
+            == [("pow_ray", "leading_blocks", -s)]
         assert len([c for c in calls if c[0] == "gamma_complex"]) <= 1
+
+    def test_bernoulli_gammas_come_from_the_recurrence(self, ctx,
+                                                        monkeypatch):
+        # the Bernoulli factors' Gamma(2r+s-1) is the owned signed Gamma
+        # (-1)^(r-1) G_(r-1): a fresh owner takes one Gamma, Gamma(s+1),
+        # for 25 factors
+        asked = []
+        real = hp.gamma_complex
+
+        def counting(z, ctx):
+            asked.append(z)
+            return real(z, ctx)
+
+        monkeypatch.setattr(hp, "gamma_complex", counting)
+        s = mpc(2, 0.5)
+        SeriesTables(s, ctx).bernoulli_coefficients(25)
+        assert asked == [s + 1]
 
     def test_blocks_match_direct_double_sum(self, ctx):
         # for one scale: (1/pi) sum_{r<N} A_r zeta(2r+2, 1)

@@ -8,7 +8,8 @@ and seed 0 before seed 3 within each.  A change that moves a bit of any
 output fails here and names the first output that moved.
 
 When a change is meant to move bits, ``python tests/test_identity.py``
-(with ``src`` on the path) writes the data file anew.
+(with ``src`` on the path) prints how many outputs moved per workload and
+seed, and then writes the data file anew.
 """
 import hashlib
 import json
@@ -54,6 +55,22 @@ def test_benchmark_outputs_keep_every_bit():
     assert got["combined"] == want["combined"]
 
 
+def _moved(old: dict, new: dict) -> dict:
+    """{workload/seed: (outputs moved, outputs)} between two digests."""
+    counts = {}
+    for key, digest in new["outputs"].items():
+        group = key.rsplit("/", 2)[0]
+        moved, total = counts.get(group, (0, 0))
+        counts[group] = (moved + (old["outputs"].get(key) != digest),
+                         total + 1)
+    return counts
+
+
 if __name__ == "__main__":
-    DATA.write_text(json.dumps(_digests(), indent=1) + "\n")
+    new = _digests()
+    if DATA.exists():
+        old = json.loads(DATA.read_text())
+        for group, (moved, total) in _moved(old, new).items():
+            print(f"{group}: {moved} of {total} outputs moved")
+    DATA.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {DATA}")

@@ -6,9 +6,10 @@ from mpmath import mp, mpf, mpc
 from zetastokes.errors import DivergenceError, DomainError, PoleError
 from zetastokes.expansion import TruncationPlan, z_improved
 from zetastokes.hp import PrecisionContext, RayComplex
-from zetastokes.oracle import (ZetaPoint, f_tilde_reference,
+from zetastokes.oracle import (Q_TERM_LIMIT, ZetaPoint, f_tilde_reference,
                                hurwitz_zeta_direct, periodic_zeta_direct,
                                z_reference)
+from zetastokes.stokes import stokes_multiplier
 from zetastokes.validate import reflection_residuals
 
 
@@ -154,6 +155,33 @@ class TestPeriodicZeta:
         res_f, res_ft = reflection_residuals(pt, ctx)
         assert res_f <= ctx.tol()
         assert res_ft <= ctx.tol()
+
+    def test_real_s_of_1e300_stops_before_polylog(self, ctx_fast,
+                                                   monkeypatch):
+        # the q-series' terms k^(Re s - 1) |q|^k peak near k = 2.7e298
+        # here; the call used to hang inside mp.polylog
+        def unreachable(*args):
+            raise AssertionError("mp.polylog reached")
+
+        monkeypatch.setattr(mp, "polylog", unreachable)
+        pt = _point(mpf(1e300), 6, 0.45, ctx_fast)
+        with pytest.raises(DomainError,
+                           match=r"s = \(1\.0e\+300 \+ 0\.0j\), Im a = 5\.9"):
+            stokes_multiplier(1, pt, ctx_fast)
+
+    @pytest.mark.parametrize("peak, reached", [(0.99, True), (1.01, False)])
+    def test_term_limit(self, peak, reached, ctx_fast, monkeypatch):
+        # Re s placed so that the largest term lies at peak * Q_TERM_LIMIT
+        monkeypatch.setattr(mp, "polylog", lambda *args: mpc(0))
+        with ctx_fast.working(10):
+            a = RayComplex(mpf(6), mpf("0.45") * mp.pi)
+            s = 1 + peak * Q_TERM_LIMIT * 2 * mp.pi * a.value().imag
+        pt = ZetaPoint.create(s, a, ctx_fast)
+        if reached:
+            assert periodic_zeta_direct(pt, ctx_fast) == 0
+        else:
+            with pytest.raises(DomainError, match="peaks beyond term"):
+                periodic_zeta_direct(pt, ctx_fast)
 
     def test_rejects_lower_halfplane_a(self, ctx):
         # create() admits only arg a in (0, pi); a point built around it

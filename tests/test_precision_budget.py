@@ -13,7 +13,7 @@ import zetastokes
 PACKAGE = Path(zetastokes.__file__).parent
 # calls that set a precision, and the functions whose ``extra`` does
 SETTERS = {"working", "workdps", "workprec", "extraprec"}
-EXTRA_TAKERS = {"ray_powers", "pow_ray"}
+EXTRA_TAKERS = {"pow_ray"}
 
 
 def _literal_precisions(source: str) -> list:
@@ -41,9 +41,9 @@ def _literal_precisions(source: str) -> list:
     ("with ctx.working(10):\n    pass", [1]),
     ("mp.workdps(ctx.digits + 20)", [1]),
     ("mp.extraprec(10)", [1]),
-    ("ray_powers(a, e, ctx, extra=10)", [1]),
+    ("pow_ray(a, e, ctx, extra=10)", [1]),
     ("pow_ray(a, e, ctx, 10)", [1]),
-    ("with ctx.working(HEADROOM):\n    ray_powers(a, [2], ctx)", []),
+    ("with ctx.working(HEADROOM):\n    pow_ray(a, 2, ctx)", []),
     ("ctx.working()\nmp.workdps(SMOOTHING_DIGITS)", []),
     ("with mp.workprec(300):\n    pass", [1]),
     ("with mp.workprec(prec):\n    pass", []),

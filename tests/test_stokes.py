@@ -1,5 +1,4 @@
 import math
-import sys
 from pathlib import Path
 
 import pytest
@@ -8,8 +7,9 @@ from mpmath import mp, mpf, mpc
 from zetastokes.errors import (DomainError, IllConditionedError,
                                InsufficientPrecisionError)
 from zetastokes.expansion import TruncationPlan
-from zetastokes.hp import PRINT_MARGIN, PrecisionContext, RayComplex
-from zetastokes import expansion, stokes
+from zetastokes.hp import (FACTOR_EXTRA, HEADROOM, PRINT_MARGIN,
+                           PrecisionContext, RayComplex)
+from zetastokes import expansion, hp, oracle, stokes
 from zetastokes.oracle import ZetaPoint
 from zetastokes.cli import REPRODUCTIONS
 from zetastokes.stokes import (MinimumResult, MultiplierSample, erf_approx,
@@ -147,25 +147,27 @@ class TestStokesMultiplier:
                    for s in samples)
 
     def test_cross_check_takes_two_powers_per_ray(self, ctx, monkeypatch):
-        # the Bernoulli side sums by Horner's rule from a^(-1-s) and a^-2,
-        # and the block side by Horner's rule from (2 pi a)^-(s+1) and
-        # (2 pi a)^-2, so a fig1b point asks ray_powers for 2 exponents
-        # per ray and side, not one per term (the plan's 25 + 24)
+        # every algebraic power of a fig1b point is a^(-s) times integer
+        # powers of the ray's value and of 2 pi: the oracle's subtracted
+        # terms take a^(-s) at HEADROOM, and the block and Bernoulli sums
+        # share one at FACTOR_EXTRA, so each ray takes one power per
+        # precision, not one per term (the plan's 25 + 24)
         asked = []
-        real = expansion.ray_powers
+        real = hp.pow_ray
 
-        def counting(base, exponents, *args, **kwargs):
-            exponents = list(exponents)
-            asked.append((sys._getframe(1).f_code.co_name, len(exponents)))
-            return real(base, exponents, *args, **kwargs)
+        def counting(base, exponent, ctx, extra=0):
+            asked.append((base, exponent, ctx, extra))
+            return real(base, exponent, ctx, extra)
 
-        monkeypatch.setattr(expansion, "ray_powers", counting)
+        for module in (expansion, oracle):
+            monkeypatch.setattr(module, "pow_ray", counting)
         pt = _point(mpc(2, 0.5), 8, 0.5, ctx)
         stokes_multiplier(1, pt, ctx, plan=TruncationPlan((25,), (24,), 1))
-        bernoulli = [n for caller, n in asked if caller == "bernoulli_series"]
-        assert bernoulli == [2, 2]
-        assert [n for caller, n in asked
-                if caller == "leading_blocks"] == [2, 2]
+        assert not hasattr(hp, "ray_powers")
+        assert len(asked) == 6  # subtracted terms, blocks, Bernoulli
+        assert set(asked) == {(ray, -pt.s, ctx, extra)
+                              for ray in (pt.a, pt.a_prime)
+                              for extra in (HEADROOM, FACTOR_EXTRA)}
 
     @pytest.mark.parametrize("s", [mpc(2, 0.5), mpc(3), mpc(1.6)])
     @pytest.mark.parametrize("arg", [0.02, 0.1, 0.9, 0.98])
