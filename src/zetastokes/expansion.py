@@ -16,7 +16,7 @@ least-term indices until the dropped tail clears the budget, and
 
 Only the power of a depends on theta, so both series are polynomials in a
 power of the ray with theta-independent coefficients, and one kernel sums
-them both: ``_fixed_horner``, Horner's rule on Python ints scaled to the
+them both: ``hp._fixed_horner``, Horner's rule on Python ints scaled to the
 largest term, FIXED_GUARD_BITS beyond the working precision.  Every power
 of a they need is a^(-s), one ``hp.pow_ray`` that the ray keeps, times an
 integer power of the ray's value and of 2 pi, taken at
@@ -40,12 +40,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import DomainError, TailBoundError
-from .hp import (FACTOR_EXTRA, FIXED_GUARD_BITS, HEADROOM,
-                 LOG_ESTIMATE_DIGITS, MIN_DIGITS, PrecisionContext,
-                 RayComplex, hurwitz_zeta_integer, pow_ray, series_tables)
+from .hp import (FACTOR_EXTRA, HEADROOM, LOG_ESTIMATE_DIGITS, MIN_DIGITS,
+                 PrecisionContext, RayComplex, _fixed_horner,
+                 hurwitz_zeta_integer, pow_ray, series_tables)
 from .oracle import ZetaPoint, check_s_off_poles
 from .terminant import terminant
 
@@ -153,54 +152,6 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
         half_is = tables.phase_half_s
         return tables.phase_minus_s * (e2 * half_is * t_plus
                                        - t_minus / (e2 * half_is))
-
-
-def _fixed_horner(coeffs, x: mpc) -> mpc:
-    """sum_r coeffs[r] x^r for a nonzero x, by Horner's rule on Python ints,
-    at the current precision prec; exact on return, unrounded.
-
-    With e = mag(x), u = x 2^-e has 1/4 <= |u| < 1, and the sum is
-    sum_r d_r u^r with d_r = c_r 2^(e r).  u enters as U = u 2^wu, with
-    wu = prec + FIXED_GUARD_BITS, and d_r as D_r = c_r 2^(w + e r), both
-    by ``to_fixed``: exact, save that bits below the unit are dropped.
-    The fixed scale w puts the largest true term P = max_r |c_r| |x|^r,
-    read from binary exponents and a float log2 |x|, at
-    prec + FIXED_GUARD_BITS bits, to within 2.  Then
-    T_r = (T_(r+1) U >> wu) + D_r, on the real and imaginary parts.
-    """
-    # Error bound, in units 2^-w, with P 2^w >= 2^(prec + G - 2) and
-    # G = FIXED_GUARD_BITS.  Each D_r and each shift truncates by less than
-    # one unit per part, so T_0 2^-w is the exact Horner sum at the stored
-    # u~ = U 2^-wu plus at most 2 sqrt(2) N units carried by powers of
-    # |u~| <= 1 (|u| < 1, and flooring a part never passes 2^wu): at most
-    # 8 sqrt(2) N P 2^-(prec+G).  u~ is off by |du| < sqrt(2) 2^-wu, which
-    # moves the sum by at most sum_r r |d_r| |u|^(r-1) |du| (to first order)
-    # = sum_r r t_r |du| / |u| <= 4 sqrt(2) 2^-wu P N^2 / 2, with
-    # t_r = |c_r| |x|^r <= P.  In all the kernel is off by less than
-    # 3 (N^2 + 4 N) P 2^-(prec+G) from the sum of the coefficients and x
-    # it is given: for N <= 1000 that is below P 2^-(prec+18), far below
-    # the one rounding of P at prec bits that the product after it makes.
-    prec, e = mp.prec, mp.mag(x)
-    wu = prec + FIXED_GUARD_BITS
-    xr, xi = x._mpc_
-    ur, ui = to_fixed(xr, wu - e), to_fixed(xi, wu - e)
-    drop = wu - 60  # log2 |x| from the 60 leading bits of U
-    log_x = e + math.log2(math.hypot(ur >> drop, ui >> drop)) - 60
-    parts = [c._mpc_ for c in coeffs]
-    # log2 t_r lies within [-1, 1/2] of exp + bc of c_r's larger part plus
-    # r log2 |x|; w takes the largest ceiling in ints, past a float's range
-    tops = [part[2] + part[3] + math.ceil(r * log_x)
-            for r, pair in enumerate(parts) for part in pair if part[1]]
-    if not tops:
-        return mpc(0)
-    w = wu - max(tops)
-    tr = ti = 0
-    for r in range(len(parts) - 1, -1, -1):
-        cr, ci = parts[r]
-        shift = w + e * r
-        tr, ti = ((tr * ur - ti * ui) >> wu) + to_fixed(cr, shift), \
-            ((tr * ui + ti * ur) >> wu) + to_fixed(ci, shift)
-    return mp.make_mpc((from_man_exp(tr, -w), from_man_exp(ti, -w)))
 
 
 def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:

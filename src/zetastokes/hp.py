@@ -32,10 +32,16 @@ algebraic power of a sweep point, a^(1-s), a^(-1-s), (2 pi a)^-(s+1) and
 the steps a^-2 and (2 pi a)^-2, is a^(-s) times an integer power of the
 ray's value and of 2 pi: one exponential per ray and precision.
 
+``_fixed_horner`` is the one Horner sum of the package, on Python ints
+scaled to the largest term.  It sums ``expansion``'s two algebraic series
+and the Euler-Maclaurin tail of ``oracle.hurwitz_zeta_direct``, whose
+factors c_j = B_2j/(2j)! (s)_(2j-1) are kept per (s, ctx) too, one list
+per precision offset, with their float logs beside them.
+
 The precision budget is decided here: every offset of ``ctx.working`` and
 every fixed precision is a named constant below, with its reason, and so
 is ``FIXED_GUARD_BITS``, the bits that the three fixed-point kernels
-(``terminant``'s series and continued fraction, ``expansion``'s Horner sum)
+(``terminant``'s series and continued fraction, and ``_fixed_horner``)
 carry beyond the working precision; only the error-model constants of
 ``terminant`` and ``expansion`` live elsewhere.
 """
@@ -49,7 +55,7 @@ from itertools import accumulate
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_float, from_int
+from mpmath.libmp import from_float, from_int, from_man_exp, to_fixed
 
 from .errors import DomainError, PoleError
 
@@ -70,13 +76,19 @@ FACTOR_EXTRA = 0
 # validate.connection_residual's offset: the phase e^(2 pi i nu) and the
 # difference of two terminants round below the terminants' own digits.
 CONNECTION_EXTRA = 20
+# Digits beyond those of ``working(HEADROOM)`` at which
+# ``oracle.hurwitz_zeta_direct`` truncates and sums: its sum is off by
+# 10^-(HURWITZ_EXTRA - lost - log10(M + 20)) of 10^-D, with lost the
+# digits it cancels and M its head terms, so a point that cancels no digit
+# and takes fewer than 80 head terms, every grid point, takes one pass.
+HURWITZ_EXTRA = 5
 LOG_ESTIMATE_DIGITS = 20  # extend_plan compares its logs to within a digit
 SMOOTHING_DIGITS = 30  # c_of_phi: its form is only good to O(|z|^(-1/2))
 RAY_VALUE_BITS = 10  # RayComplex.value: bits above the caller's precision
 # Bits the fixed-point kernels carry beyond the working precision: the
 # incomplete-gamma series and continued fraction (``terminant``) and the
-# Horner sum of both algebraic series (``expansion``).  Each kernel derives
-# its error bound from this value next to its code.
+# Horner sum ``_fixed_horner``.  Each kernel derives its error bound from
+# this value next to its code.
 FIXED_GUARD_BITS = 40
 # Digits that ``stokes.sweep`` resolves beyond the last one asked for: a
 # part rounds wrongly only if its error reaches a rounding boundary, about
@@ -309,13 +321,14 @@ class SeriesTables:
     G_r = G_(r-1) (-(2r+s-1)(2r+s)) from Gamma(s+1) at
     ``working(FACTOR_EXTRA)``, in increasing r with no recursion, and is
     the one source of the Gammas of both the block and the Bernoulli
-    factors; all else runs at ``working(HEADROOM)``.
+    factors; ``hurwitz_tail`` runs at ``working(HEADROOM + extra)`` for
+    the offset it is asked for, and all else at ``working(HEADROOM)``.
     """
 
     def __init__(self, s: mpc, ctx: PrecisionContext):
         self.s, self.ctx = s, ctx
         self._signed, self._blocks, self._bernoulli = [], {}, []
-        self._k_powers = {}
+        self._k_powers, self._tail, self._tail_logs = {}, {}, []
         with ctx.working(HEADROOM):
             self.phase_half_s = mp.expjpi(s / 2)  # e^(i pi s/2)
             self.phase_minus_s = mp.expjpi(-s)  # e^(-i pi s)
@@ -360,6 +373,52 @@ class SeriesTables:
                              / mp.factorial(2 * r) * gamma)
         return table[:n]
 
+    def hurwitz_tail(self, n: int, extra: int) -> list:
+        """[c_j = B_2j/(2j)! (s)_(2j-1) for 1 <= j <= n] at
+        ``working(HEADROOM + extra)``, one list per offset: the tail factors
+        of ``oracle.hurwitz_zeta_direct``.  From c_1 = s/12 by
+        c_j = c_(j-1) (s+2j-3)(s+2j-2) q_j with the exact ratio
+        q_j = B_2j / (B_(2j-2) (2j-1) 2j), so c_j is off by O(j) units of
+        that precision."""
+        table = self._tail.setdefault(extra, [])
+        if len(table) < n:
+            with self.ctx.working(HEADROOM + extra):
+                s = self.s
+                if not table:
+                    table.append(s / 12)
+                while len(table) < n:
+                    j = len(table) + 1
+                    q = bernoulli_even(j) \
+                        / (bernoulli_even(j - 1) * (2 * j - 1) * 2 * j)
+                    table.append(table[-1] * ((s + (2 * j - 3))
+                                              * (s + (2 * j - 2)))
+                                 * (mpf(q.numerator) / q.denominator))
+        return table[:n]
+
+    def hurwitz_tail_logs(self, n: int) -> list:
+        """[ln |c_j| for 1 <= j <= n], the sizes of ``hurwitz_tail``, in
+        floats by the same recurrence, with ln |q_j| = ln zeta(2j)
+        - ln zeta(2j-2) - 2 ln(2 pi) and zeta(2j) summed to 5^-2j, the rest
+        in closed form (to within 1e-3 nats).  inf where |s| passes the
+        float range."""
+        def log_zeta(j):  # ln zeta(2j)
+            return math.log(1 + sum(k ** (-2.0 * j) for k in range(2, 6))
+                            + 5.5 ** (1 - 2.0 * j) / (2 * j - 1))
+
+        logs = self._tail_logs
+        if len(logs) >= n:
+            return logs
+        s = complex(self.s)
+        if not logs:
+            logs.append(math.log(abs(s) / 12))
+        while len(logs) < n:
+            j = len(logs) + 1
+            logs.append(logs[-1] + math.log(abs(s + (2 * j - 3)))
+                        + math.log(abs(s + (2 * j - 2)))
+                        + log_zeta(j) - log_zeta(j - 1)
+                        - 2 * math.log(2 * math.pi))
+        return logs
+
     def k_power(self, k: int) -> mpc:
         """k^(s-1) = exp((s-1) log k) for an integer k >= 1."""
         if k not in self._k_powers:
@@ -394,3 +453,51 @@ def pow_ray(base: RayComplex, exponent, ctx: PrecisionContext,
             logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
             memo[key] = mp.exp(mpc(exponent) * logz)
     return memo[key]
+
+
+def _fixed_horner(coeffs, x: mpc) -> mpc:
+    """sum_r coeffs[r] x^r for a nonzero x, by Horner's rule on Python ints,
+    at the current precision prec; exact on return, unrounded.
+
+    With e = mag(x), u = x 2^-e has 1/4 <= |u| < 1, and the sum is
+    sum_r d_r u^r with d_r = c_r 2^(e r).  u enters as U = u 2^wu, with
+    wu = prec + FIXED_GUARD_BITS, and d_r as D_r = c_r 2^(w + e r), both
+    by ``to_fixed``: exact, save that bits below the unit are dropped.
+    The fixed scale w puts the largest true term P = max_r |c_r| |x|^r,
+    read from binary exponents and a float log2 |x|, at
+    prec + FIXED_GUARD_BITS bits, to within 2.  Then
+    T_r = (T_(r+1) U >> wu) + D_r, on the real and imaginary parts.
+    """
+    # Error bound, in units 2^-w, with P 2^w >= 2^(prec + G - 2) and
+    # G = FIXED_GUARD_BITS.  Each D_r and each shift truncates by less than
+    # one unit per part, so T_0 2^-w is the exact Horner sum at the stored
+    # u~ = U 2^-wu plus at most 2 sqrt(2) N units carried by powers of
+    # |u~| <= 1 (|u| < 1, and flooring a part never passes 2^wu): at most
+    # 8 sqrt(2) N P 2^-(prec+G).  u~ is off by |du| < sqrt(2) 2^-wu, which
+    # moves the sum by at most sum_r r |d_r| |u|^(r-1) |du| (to first order)
+    # = sum_r r t_r |du| / |u| <= 4 sqrt(2) 2^-wu P N^2 / 2, with
+    # t_r = |c_r| |x|^r <= P.  In all the kernel is off by less than
+    # 3 (N^2 + 4 N) P 2^-(prec+G) from the sum of the coefficients and x
+    # it is given: for N <= 1000 that is below P 2^-(prec+18), far below
+    # the one rounding of P at prec bits that the product after it makes.
+    prec, e = mp.prec, mp.mag(x)
+    wu = prec + FIXED_GUARD_BITS
+    xr, xi = x._mpc_
+    ur, ui = to_fixed(xr, wu - e), to_fixed(xi, wu - e)
+    drop = wu - 60  # log2 |x| from the 60 leading bits of U
+    log_x = e + math.log2(math.hypot(ur >> drop, ui >> drop)) - 60
+    parts = [c._mpc_ for c in coeffs]
+    # log2 t_r lies within [-1, 1/2] of exp + bc of c_r's larger part plus
+    # r log2 |x|; w takes the largest ceiling in ints, past a float's range
+    tops = [part[2] + part[3] + math.ceil(r * log_x)
+            for r, pair in enumerate(parts) for part in pair if part[1]]
+    if not tops:
+        return mpc(0)
+    w = wu - max(tops)
+    tr = ti = 0
+    for r in range(len(parts) - 1, -1, -1):
+        cr, ci = parts[r]
+        shift = w + e * r
+        tr, ti = ((tr * ur - ti * ui) >> wu) + to_fixed(cr, shift), \
+            ((tr * ui + ti * ur) >> wu) + to_fixed(ci, shift)
+    return mp.make_mpc((from_man_exp(tr, -w), from_man_exp(ti, -w)))

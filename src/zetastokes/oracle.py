@@ -1,12 +1,15 @@
 """Reference values, independent of the expansion machinery.
 
-The Hurwitz zeta function (mpmath's ``zeta(s, a)``, which checks its own
-Euler-Maclaurin cancellation), its decomposed companion Z(s,a), the
-periodic zeta function F(a,1-s) as mpmath's polylogarithm Li_{1-s}(q) at
-q = e^(2 pi i a), and the subtracted form Ftilde(a,s).  The Hurwitz side is
-restricted to Re(s) > 1.1 and the periodic side to Im(a) > 0, where
-|q| < 1 and the defining sums converge, so these routines can serve as
-unconditional ground truth for the expansion machinery.
+The Hurwitz zeta function, by an Euler-Maclaurin sum of its own: a head
+of powers (a+k)^(-s) and a tail in (a+M)^-2, sized in floats to the
+tail's error floor and checked for the digits it cancels (it shares with
+the expansion only ``hp._fixed_horner``, which sums the tail); its
+decomposed companion Z(s,a); the periodic zeta function F(a,1-s) as
+mpmath's polylogarithm Li_{1-s}(q) at q = e^(2 pi i a); and the
+subtracted form Ftilde(a,s).  The Hurwitz side is restricted to
+Re(s) > 1.1 and the periodic side to Im(a) > 0, where |q| < 1 and the
+defining sums converge, so these routines can serve as unconditional
+ground truth for the expansion machinery.
 
 ``ZetaPoint.combine`` is the one place the two rays are weighted,
 e^(i pi s/2) x(a) + e^(-i pi s/2) x(a'): the form of the reflection
@@ -20,9 +23,10 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc
 
-from .errors import DivergenceError, DomainError, PoleError
-from .hp import HEADROOM, PrecisionContext, RayComplex, pow_ray, \
-    series_tables
+from .errors import (ConvergenceError, DivergenceError, DomainError,
+                     PoleError)
+from .hp import (HEADROOM, HURWITZ_EXTRA, PrecisionContext, RayComplex,
+                 _fixed_horner, pow_ray, series_tables)
 
 RE_S_MARGIN = mpf("1.1")
 # Largest k* = (Re s - 1)/(2 pi Im a) that ``periodic_zeta_direct`` hands
@@ -32,6 +36,12 @@ RE_S_MARGIN = mpf("1.1")
 # The package's own inputs stay below 500 (the oracle tests' near-axis
 # points), the benchmark's and the pinned sweeps' below 1.
 Q_TERM_LIMIT = 10 ** 4
+# Most head terms, and most tail terms, of the Euler-Maclaurin sum of
+# ``hurwitz_zeta_direct``: about 150 us per head term at 100 digits, and
+# the tail's exact Bernoulli numbers take about 1 s up to B_2000, once per
+# process.  On the a' ray at |a| = 6, arg a = 0.45 pi, s = 2 + 1000i the
+# sum takes 228 and 456.
+EM_TERM_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -99,30 +109,162 @@ def _check_re_s(s, ctx: PrecisionContext) -> mpc:
 
 
 def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
-    """zeta(s, a) = sum_{k>=0} (k+a)^(-s), by mpmath's ``zeta(s, a)``,
-    rounded to ``working(HEADROOM)``.
+    """zeta(s, a) = sum_{k>=0} (a+k)^(-s), in principal powers, rounded to
+    ``working(HEADROOM)``: the Euler-Maclaurin sum (DLMF 2.10.1)
 
-    mpmath stops at an absolute tolerance, so the call runs
-    max(0, ceil(-log10 |a^-s|)) digits above ``working(HEADROOM)``, with
-    log |a^-s| = -Re s log|a| + Im s arg a taken in floats from the ray:
-    zeta(s, a) is about a^-s at large |a|, and the digits its size lies
-    below 1 are the digits an absolute stop would lose.  mpmath sums its
-    head in fixed point only while |Re s| < prec/2 of its own precision,
-    and relatively accurately beyond, so the offset is added only while
-    |Re s| is below the bits of ``working(HEADROOM)``.
+        sum_{k<M} (a+k)^(-s) + w^(-s)/2 + w^(1-s)/(s-1)
+            + w^(-1-s) sum_{j=1..J} c_j w^(-2(j-1)),      w = a + M,
+
+    with c_j = B_2j/(2j)! (s)_(2j-1) from ``hp.SeriesTables.hurwitz_tail``,
+    summed in w^-2 by ``hp._fixed_horner``.  ``_lengths`` sizes M and J,
+    and ``_euler_maclaurin`` sums and counts the digits the sum cancels.
+    A first pass truncates at 10^-(D + HURWITZ_EXTRA) of its largest addend,
+    D the digits of ``working(HEADROOM)``; where it cancels more digits
+    than it carries, a second truncates at 10^-(D + HURWITZ_EXTRA) of the
+    value the first found and carries the digits its own addends are
+    larger by.  ConvergenceError if that one falls short too.
     """
     s = _check_re_s(s, ctx)
     with ctx.working(HEADROOM):
-        log_size = float(s.imag * a.argument - s.real * mp.log(a.modulus))
-        below = max(0, math.ceil(-log_size / math.log(10))) \
-            if abs(s.real) < mp.prec else 0
-    with ctx.working(HEADROOM + below):
         aval = a.value()
         if abs(aval.imag) < ctx.tol() and aval.real <= ctx.tol():
             raise DomainError("a must not be a nonpositive real/integer")
-        value = mp.zeta(s, aval)
+    value, spare = _euler_maclaurin(s, a, ctx, None)
+    if spare < 0 and value:
+        value, spare = _euler_maclaurin(s, a, ctx,
+                                        float(mp.mag(value)) * math.log(2))
+    if spare < 0:
+        raise ConvergenceError(
+            f"the Euler-Maclaurin sum of zeta(s, a) at s = {mp.nstr(s, 8)}, "
+            f"a = {mp.nstr(aval, 8)} cancels {-spare:.1f} digits more than "
+            "it carries")
     with ctx.working(HEADROOM):
         return +value
+
+
+def _lengths(s: mpc, aval: mpc, tables, digits: int,
+             scale: float | None) -> tuple:
+    """(M, J, top) of the Euler-Maclaurin sum, in floats: the budget is
+    10^-digits of e^scale, or of e^top for a scale of None, with top the
+    log of the largest addend.
+
+    Sizes are natural logs: the head terms h_k = ln |(a+k)^(-s)| =
+    -Re s ln|a+k| + Im s arg(a+k), through k = M (w^(-s) is the head's
+    next term), the lead ln |w^(1-s)/(s-1)|, and the tail terms t_j =
+    ln |c_j| + ln |w^(1-s)| - 2j ln|w| from ``tables.hurwitz_tail_logs``.
+    At a head length M, J is the first j with t_j below the budget; there
+    is none if the terms turn upward first, because the tail's floor,
+    about e^(-2 pi |w|) of the lead while |s| is small, lies above the
+    budget.  M is at least -Re a, so that the half-line w + [0, oo) of the
+    remainder stays in the right half-plane.  The search starts at the
+    least |w| at which a t_j reaches the budget relative to the lead, which
+    is the least M unless a head term is larger than the lead; from there
+    it steps up until there is a J, and bisects down if one head term
+    fewer has one too.  DomainError beyond EM_TERM_LIMIT head terms.
+    """
+    sr, si = float(s.real), float(s.imag)
+    ar, ai = float(aval.real), float(aval.imag)
+    if not math.isfinite(math.hypot(ar, ai)):
+        raise DomainError(f"|a| = {mp.nstr(abs(aval), 8)} passes the float "
+                          "range that sizes the Euler-Maclaurin sum")
+    log_s1 = math.log(abs(complex(s) - 1))
+    unit = -digits * math.log(10)
+    low = max(0, math.ceil(-ar))
+    peaks = [-math.inf]  # peaks[k]: the largest h_i for i < k
+
+    def sizes(m):  # (J or None, top) at head length m
+        while len(peaks) <= m + 1:
+            k = len(peaks) - 1
+            peaks.append(max(peaks[-1], si * math.atan2(ai, ar + k)
+                             - sr * math.log(math.hypot(ar + k, ai))))
+        lam, phi = math.log(math.hypot(ar + m, ai)), math.atan2(ai, ar + m)
+        lead = si * phi - (sr - 1) * lam  # ln |w^(1-s)|
+        top = max(peaks[m + 1], lead - log_s1)
+        budget = unit + (top if scale is None else scale)
+        prev = math.inf
+        for j in range(1, EM_TERM_LIMIT + 1):
+            t = tables.hurwitz_tail_logs(j)[j - 1] + lead - 2 * j * lam
+            if t < budget:
+                return j, top
+            if not t < prev:
+                break
+            prev = t
+        return None, top
+
+    # ln of the least |w| at which some t_j reaches the budget relative to
+    # the lead: the least (ln |c_j| + ln|s-1| - unit)/2j, where it turns
+    # upward
+    log_radius, j = math.inf, 1
+    while j <= EM_TERM_LIMIT:
+        g = (tables.hurwitz_tail_logs(j)[j - 1] + log_s1 - unit) / (2 * j)
+        if not g < log_radius:
+            break
+        log_radius, j = g, j + 1
+    # the least real M with |a + M| at that radius (e^300: past any head
+    # length, and its square a float)
+    radius = math.exp(min(log_radius, 300.0))
+    reach = math.sqrt(max(0.0, radius * radius - ai * ai)) - ar
+    lo, hi = low - 1, max(low, math.ceil(min(reach, EM_TERM_LIMIT)))
+    step = 1
+    while hi > EM_TERM_LIMIT or sizes(hi)[0] is None:
+        if hi >= EM_TERM_LIMIT:
+            raise DomainError(
+                f"the Euler-Maclaurin sum of zeta(s, a) at "
+                f"s = {mp.nstr(s, 8)}, a = {mp.nstr(aval, 8)} needs more "
+                f"than {EM_TERM_LIMIT} head terms")
+        lo, hi, step = hi, min(hi + step, EM_TERM_LIMIT), 2 * step
+    if hi - 1 > lo and sizes(hi - 1)[0] is None:
+        lo = hi - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if sizes(mid)[0] is None else (lo, mid)
+    return (hi,) + sizes(hi)
+
+
+def _euler_maclaurin(s: mpc, a: RayComplex, ctx: PrecisionContext,
+                     scale: float | None) -> tuple:
+    """(the sum of ``hurwitz_zeta_direct``, its spare digits), truncated
+    by ``_lengths`` at 10^-(D + HURWITZ_EXTRA) of e^scale, or of the largest
+    addend for a scale of None, and summed at ``working(HEADROOM +
+    extra)``, where extra is HURWITZ_EXTRA plus the digits by which the
+    largest addend exceeds e^scale.
+
+    Each power z^(-s) is taken with the bits of |s| (|ln|z|| + pi) added,
+    which its exponent's rounding costs, and ``mp.fsum`` rounds the sum of
+    the addends once.  So each addend is off by a few units of the
+    precision, and the truncated tail by about ten: the sum is off by less
+    than (M + 20) units of its largest addend, and relative to its value by
+    10^lost times that, where lost is read from binary exponents as in
+    ``terminant._digits_lost``.  The spare, extra - lost - log10(M + 20),
+    is the digits by which that error stays below 10^-D.
+    """
+    tables = series_tables(s, ctx)
+    with ctx.working(HEADROOM):
+        m, j, top = _lengths(s, a.value(), tables, mp.dps + HURWITZ_EXTRA,
+                             scale)
+    if j is None:
+        raise ConvergenceError(
+            f"the Euler-Maclaurin tail at s = {mp.nstr(s, 8)} turns upward "
+            f"before its budget with {m} head terms")
+    extra = HURWITZ_EXTRA if scale is None \
+        else HURWITZ_EXTRA + max(0, math.ceil((top - scale) / math.log(10)))
+    with ctx.working(HEADROOM + extra):
+        aval = a.value()
+        span = max(abs(math.log(abs(complex(aval) + k)))
+                   for k in range(m + 1))
+        # |s| > 1.1 and span + pi > 3, so these bits are at least 2
+        with mp.extraprec(math.ceil(math.log2(float(abs(s))
+                                              * (span + math.pi)))):
+            z = a.value()
+            powers = [(z + k) ** -s for k in range(m + 1)]
+        w, w_s = aval + m, powers.pop()
+        coeffs = tables.hurwitz_tail(j, extra)
+        addends = powers + [w_s / 2, w_s * w / (s - 1),
+                            _fixed_horner(coeffs, w ** -2) * w_s / w]
+        value = mp.fsum(addends)
+        peak = max(mp.mag(x) for x in addends + [coeffs[0] * w_s / w])
+        lost = float(peak - mp.mag(value)) * math.log10(2)
+    return value, extra - lost - math.log10(m + 20)
 
 
 def _subtracted_terms(s, a: RayComplex, ctx: PrecisionContext) -> mpc:

@@ -21,7 +21,7 @@ from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
 from zetastokes.hp import (FIXED_GUARD_BITS, HEADROOM, RayComplex,
                            SeriesTables, bernoulli_even, gamma_complex,
                            hurwitz_zeta_integer, pow_ray, series_tables)
-from zetastokes.oracle import ZetaPoint, z_reference
+from zetastokes.oracle import ZetaPoint, hurwitz_zeta_direct, z_reference
 
 
 def _ray(mod, arg_over_pi, ctx):
@@ -342,7 +342,7 @@ class TestFixedHorner:
         with ctx.working(HEADROOM):
             coeffs, x = HORNER_CASES[case](ctx)
             prec = mp.prec
-            got = expansion._fixed_horner(coeffs, x)
+            got = hp._fixed_horner(coeffs, x)
             old = _mpc_horner(coeffs, x)
         n = len(coeffs)
         with mp.workdps(200):
@@ -363,7 +363,7 @@ class TestFixedHorner:
             coeffs = [mpc(mp.ldexp(c.real, scale), mp.ldexp(c.imag, scale))
                       for c in _taylor_exp(mpc(3, -4), 25)]
             x = mpc("0.013", "-0.004")
-            got = expansion._fixed_horner(coeffs, x)
+            got = hp._fixed_horner(coeffs, x)
         with mp.workprec(2000):
             want = _mpc_horner(coeffs, x)
             assert abs(got - want) <= abs(want) * mpf(2) ** -300
@@ -372,7 +372,7 @@ class TestFixedHorner:
         # the sum comes back unrounded: more bits than the working precision
         with ctx.working(HEADROOM):
             coeffs, x = HORNER_CASES["n300_decaying"](ctx)
-            got = expansion._fixed_horner(coeffs, x)
+            got = hp._fixed_horner(coeffs, x)
             assert got.real._mpf_[3] > mp.prec
 
 
@@ -619,24 +619,26 @@ class TestExtendPlan:
                                                         clear_caches):
         # the tail estimate reads the memoized zeta(2r+2, b) and signed
         # Gamma that leading_blocks sums, and zeta(2r+2, b) is in closed
-        # form: from cold memos, a grid point takes neither function
+        # form: from cold memos, a grid point takes neither function.  The
+        # Hurwitz oracle sums its own Euler-Maclaurin series, so neither
+        # z_reference nor hurwitz_zeta_direct takes mp.zeta
         clear_caches()
         calls = []
 
-        def counting(name):
-            real = getattr(mp, name)
-
-            def counted(*args, **kwargs):
+        def failing(name):
+            def fail(*args, **kwargs):
                 calls.append(name)
-                return real(*args, **kwargs)
-            return counted
+                raise AssertionError(f"mp.{name} called")
+            return fail
 
         for name in ("zeta", "loggamma"):
-            monkeypatch.setattr(mp, name, counting(name))
+            monkeypatch.setattr(mp, name, failing(name))
         with ctx.working(10):
             a = _ray(6, 0.5, ctx)
             z_improved(mpc(2, 0.5), a, TruncationPlan((3, 9), (3, 9), 2),
                        ctx)
+            z_reference(mpc(2, 0.5), a, ctx)
+            hurwitz_zeta_direct(mpc(3), a, ctx)
         assert calls == []
 
     @pytest.mark.parametrize("s, mod, arg, plan, want", [

@@ -1,11 +1,12 @@
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import DivergenceError, DomainError, PoleError
 from zetastokes.expansion import TruncationPlan, z_improved
-from zetastokes.hp import PrecisionContext, RayComplex
+from zetastokes.hp import HEADROOM, PrecisionContext, RayComplex
 from zetastokes.oracle import (Q_TERM_LIMIT, ZetaPoint, f_tilde_reference,
                                hurwitz_zeta_direct, periodic_zeta_direct,
                                z_reference)
@@ -106,6 +107,43 @@ class TestHurwitzZetaDirect:
         with mp.workdps(200):
             want = mp.zeta(s, a.value())
             assert abs(got - want) <= mpf("1e-90") * abs(want)
+
+    @given(ray=st.sampled_from(["a", "a'"]),
+           mod=st.floats(min_value=1, max_value=50),
+           arg_over_pi=st.floats(min_value=0.3, max_value=0.7),
+           re_s=st.floats(min_value=1.1, max_value=60, exclude_min=True),
+           im_s=st.floats(min_value=-1e3, max_value=1e3))
+    @example(ray="a'", mod=6.0, arg_over_pi=0.45, re_s=2.0, im_s=1e3)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_matches_mpmath_at_twice_the_digits(self, ray, mod, arg_over_pi,
+                                                re_s, im_s, ctx):
+        # both rays over the pinned sweeps' scan of arg a, within a second.
+        # mp.zeta stops at an absolute tolerance, so the reference runs at
+        # twice the digits of working(HEADROOM) plus the digits the value
+        # lies below 1 (a value off in size fails either way).  The example
+        # took 5.6 s when the oracle ran mp.zeta itself, at the 740 digits
+        # that |a'^-s| lies below 1
+        s = mpc(re_s, im_s)
+        pt = _point(s, mod, arg_over_pi, ctx)
+        a = pt.a if ray == "a" else pt.a_prime
+        start = time.perf_counter()
+        got = hurwitz_zeta_direct(s, a, ctx)
+        assert time.perf_counter() - start < 1
+        below = max(0, -int(mp.log10(abs(got))))
+        with mp.workdps(2 * (ctx.digits + ctx.guard + HEADROOM) + below):
+            want = mp.zeta(s, a.value())
+            assert abs(got - want) <= mpf("1e-88") * abs(want)
+
+    @pytest.mark.parametrize("s, mod, ray", [
+        (mpc(3), "1e6", "a'"), (mpc(3, -mpf("1e30")), "9", "a")],
+        ids=["re_a_below_-1000", "im_s_-1e30"])
+    def test_beyond_the_term_limit(self, s, mod, ray, ctx):
+        # a head of at least -Re a = 1.6e5 terms, or a tail whose floor
+        # needs |w| near |s|/(2 pi): raised before any power is taken
+        pt = _point(s, mod, 0.45, ctx)
+        a = pt.a if ray == "a" else pt.a_prime
+        with pytest.raises(DomainError, match="needs more than 1000 head"):
+            hurwitz_zeta_direct(s, a, ctx)
 
     def test_rejects_small_re_s(self, ctx):
         with ctx.working():

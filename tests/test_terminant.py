@@ -1,6 +1,8 @@
 import importlib
+import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,6 +35,27 @@ def _gammainc_on_ray(alpha, mod, arg):
             - 2 * mp.pi * mpc(0, 1) * turns * (-1) ** n / mp.factorial(n)
     phase = mp.expj(2 * mp.pi * turns * alpha)
     return phase * principal + (1 - phase) * mp.gamma(alpha)
+
+
+GAMMAINC_DATA = Path(__file__).resolve().parent / "data" / "gammainc.json"
+
+
+# mp.gammainc(alpha, z) for the examples of
+# TestContinuedFraction::test_values_match_gammainc, keyed on the bits of
+# (precision, alpha, z), each made by the same call at the same precision;
+# ``python tests/test_terminant.py`` (with ``src`` on the path) rewrites
+# the file
+_GAMMAINC = {key: mp.make_mpc(tuple(tuple(part) for part in value))
+             for key, value in json.loads(GAMMAINC_DATA.read_text()).items()}
+
+
+def _stored_gammainc(alpha, zval):
+    """mp.gammainc(alpha, z) at the current precision: the stored value,
+    bit for bit, or one computed live (and kept) for an input not stored."""
+    key = repr((mp.prec, alpha._mpc_, zval._mpc_))
+    if key not in _GAMMAINC:
+        _GAMMAINC[key] = mp.gammainc(alpha, zval)
+    return _GAMMAINC[key]
 
 
 def _assert_matches_oracle(ours, reference, digits):
@@ -465,7 +488,7 @@ class TestContinuedFraction:
                      "near-integer": mpc(n) + mpf(10) ** -gap}[kind]
             ours = upper_gamma(alpha, z, ctx)
             _assert_matches_oracle(
-                ours, lambda: mp.gammainc(alpha, z.value()),
+                ours, lambda: _stored_gammainc(alpha, z.value()),
                 ctx.digits + ctx.guard - 10)
 
     @pytest.mark.parametrize("alpha,mod,arg_over_pi", [
@@ -695,3 +718,12 @@ class TestSmoothing:
         # asymptotic form serves
         with pytest.raises(DomainError, match="smoothing"):
             terminant_asymptotic(40, RayComplex(mpf(40), mpf("-0.3")), ctx)
+
+
+if __name__ == "__main__":
+    _GAMMAINC.clear()
+    TestContinuedFraction().test_values_match_gammainc()
+    GAMMAINC_DATA.write_text(json.dumps(
+        {key: [list(part) for part in value._mpc_]
+         for key, value in _GAMMAINC.items()}, indent=1) + "\n")
+    print(f"wrote {len(_GAMMAINC)} references to {GAMMAINC_DATA}")
