@@ -25,12 +25,12 @@ absolute tolerance, so at D = 90 it has zeta(46, 3) only to 5e-76,
 relative.)
 
 What does depend on theta is the power of the ray a.  ``pow_ray`` is the
-one place that takes a non-integer power of a ray, exp(e (log|base| +
-i arg base)), and a ray keeps each power it was asked for, per exponent,
-context and offset, as it keeps its ``value()`` per precision.  Every other
-algebraic power of a sweep point, a^(1-s), a^(-1-s), (2 pi a)^-(s+1) and
-the steps a^-2 and (2 pi a)^-2, is a^(-s) times an integer power of the
-ray's value and of 2 pi: one exponential per ray and precision.
+one place that takes a power of a ray, exp(e (log|base| + i arg base)), or
+|base|^n e^(i n arg base) with no logarithm at an integer n, and a ray keeps
+each power, per exponent, context and offset, as it keeps its ``value()``
+per precision.  Every other algebraic power of a sweep point, a^(1-s),
+a^(-1-s), (2 pi a)^-(s+1) and the steps a^-2 and (2 pi a)^-2, is a^(-s)
+times an integer power of the ray's value and of 2 pi.
 
 ``_fixed_horner`` is the one Horner sum of the package, on Python ints
 scaled to the largest term.  It sums ``expansion``'s two algebraic series
@@ -370,7 +370,7 @@ class SeriesTables:
                 if r % 2 == 0:
                     gamma = -gamma
                 table.append((mpf(b.numerator) / b.denominator)
-                             / mp.factorial(2 * r) * gamma)
+                             / mpf(math.factorial(2 * r)) * gamma)
         return table[:n]
 
     def hurwitz_tail(self, n: int, extra: int) -> list:
@@ -442,16 +442,21 @@ def series_tables(s: mpc, ctx: PrecisionContext) -> SeriesTables:
 def pow_ray(base: RayComplex, exponent, ctx: PrecisionContext,
             extra: int = 0) -> mpc:
     """base**exponent using the ray's carried argument, never a
-    principal-value reduction: exp(e (log modulus + i argument)) at
-    ``ctx.working(extra)``, where the exponent, like the modulus, is
-    converted (and so rounded).  Kept on the ray per (exponent, ctx,
-    extra)."""
+    principal-value reduction: exp(e (log modulus + i argument)), or the
+    single-valued modulus^n e^(i n argument) at an integer n, at
+    ``ctx.working(extra)``, where the exponent and the modulus are
+    converted (and so rounded).  Kept on the ray per (exponent, ctx, extra)."""
     key = (exponent, ctx, extra)
     memo = base._memo
     if key not in memo:
         with ctx.working(extra):
-            logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
-            memo[key] = mp.exp(mpc(exponent) * logz)
+            e = mpc(exponent)
+            if not e.imag and e.real == int(e.real):
+                n = int(e.real)
+                memo[key] = mpf(base.modulus) ** n * mp.expj(n * base.argument)
+            else:
+                logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
+                memo[key] = mp.exp(e * logz)
     return memo[key]
 
 

@@ -170,6 +170,10 @@ def _lengths(s: mpc, aval: mpc, tables, digits: int,
     log_s1 = math.log(abs(complex(s) - 1))
     unit = -digits * math.log(10)
     low = max(0, math.ceil(-ar))
+    if low >= EM_TERM_LIMIT:
+        raise DomainError(
+            f"zeta(s, a) at a = {mp.nstr(aval, 8)} needs a head of M >= -Re a "
+            f"= {low} terms, for Re (a + M) > 0; the limit is {EM_TERM_LIMIT}")
     peaks = [-math.inf]  # peaks[k]: the largest h_i for i < k
 
     def sizes(m):  # (J or None, top) at head length m

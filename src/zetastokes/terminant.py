@@ -7,7 +7,8 @@ the order and the ray directly and reads the order exactly, through
 precision.  Each input is checked once: the ray on construction
 (``RayComplex``), the order and |z| by ``upper_gamma`` (both within the
 double range; the order not within 10^(-digits/2) of an integer unless on
-it), and |arg z| <= 2 pi by ``terminant``.
+it), and |arg z| <= 2 pi by ``terminant``; in floats and ints, and in
+mpmath only near the band's edge.
 
 The incomplete gamma function has exactly one method per input, chosen by
 geometry.  Legendre's continued fraction (DLMF 8.9.2) serves the principal
@@ -32,6 +33,9 @@ digits.  The series is summed in fixed point (``_fixed_series``): real and
 imaginary parts are Python ints scaled by 2^wp, with wp the bits of the
 inflated digits plus guard bits sized by an a-priori error bound, so its
 hundreds of terms cost integer products rather than mpmath number objects.
+At a nonpositive integer order -n the finite limit's head takes n! and
+psi(n+1) = H_n - gamma from ints, and z^(-n) is a log-free ``pow_ray``;
+the fraction sizes its prefactor's digits in floats.
 The error-function smoothing form of T_nu(z) near optimal truncation
 (|nu| ~ |z|), about the Stokes line, is provided separately.
 """
@@ -45,7 +49,8 @@ from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 from .errors import (ConvergenceError, DomainError, IllConditionedError)
 from .hp import (FIXED_GUARD_BITS, HEADROOM, ORDER_LIMIT, SMOOTHING_DIGITS,
-                 PrecisionContext, RayComplex, gamma_complex, pow_ray)
+                 PrecisionContext, RayComplex, bernoulli_even, gamma_complex,
+                 pow_ray)
 
 ARG_LIMIT_SLACK = 0.1
 REGIME_EPSILON = 0.05
@@ -63,6 +68,10 @@ CF_STOP_DIGITS = 10
 # margin and stops the series near |z| = 334 on the positive real axis.
 SERIES_INFLATION_LIMIT = 300
 SERIES_TERM_CAP = 100000
+# Order from which (with n >= dps) the head at -n takes Stirling's series:
+# below it the exact ints, whose cost grows as n^2, take at most 0.7 ms on
+# a 2-core x86-64 host.
+STIRLING_ORDER = 1000
 
 
 def _series_inflation(z: RayComplex) -> int:
@@ -195,6 +204,7 @@ def _fixed_cf(alpha: mpc, zval: mpc, wp: int, stop_bits: int):
             pbr, pbi, cbr, cbi = cbr, cbi, \
                 (g - cbi * zs >> wp) + kn * cbr + an * pbr, \
                 (g + cbr * zd >> wp) + kn * cbi + an * pbi
+            logdet += math.log2(-an)  # log2 |a_(n+1)| of the exact int
         else:
             anr, ani = -n * ((n << wp) - ar), n * ai
             br += two
@@ -207,7 +217,7 @@ def _fixed_cf(alpha: mpc, zval: mpc, wp: int, stop_bits: int):
             pbr, pbi, cbr, cbi = cbr, cbi, \
                 (g - cbi * bs + anr * pbr - ani * pbi) >> wp, \
                 (g + cbr * bd + anr * pbi + ani * pbr) >> wp
-        logdet += math.log2(n) + math.log2(math.hypot(n - fr, fi))
+            logdet += math.log2(n) + math.log2(math.hypot(n - fr, fi))
         lpa, la = la, max(car.bit_length(), cai.bit_length())
         lb, lcb = lcb, max(cbr.bit_length(), cbi.bit_length())
         if logdet - la - lb < -stop_bits:
@@ -268,9 +278,32 @@ def _gamma_head(alpha: mpc, dps: int) -> mpc:
 @lru_cache(maxsize=ORDER_LIMIT)
 def _limit_head(n: int, dps: int) -> tuple:
     """((-1)^n/n!, psi(n+1)) at dps digits, the theta-independent factors
-    of the series head at the order -n; ORDER_LIMIT memoized on (n, dps)."""
+    of the series head at the order -n; ORDER_LIMIT memoized on (n, dps).
+
+    Below max(STIRLING_ORDER, dps) from the ints n! and n! H_n
+    (psi(n+1) = H_n - gamma, DLMF 5.4.14); beyond, Stirling's series
+    (DLMF 5.11.1, 5.11.2), off by less than its first term dropped, down to
+    the working unit, which its least term e^(-2 pi n) passes.  Rounded
+    once."""
+    if n < max(STIRLING_ORDER, dps):
+        p, q = 0, 1
+        for k in range(1, n + 1):
+            p, q = p * k + q, q * k
+        with mp.workdps(dps + HEADROOM):
+            sign, psi = (-1) ** n / mpf(q), mpf(p) / q - mp.euler
+    else:
+        # ln n! < 10^(len(str(n)) + 3) takes that many digits more
+        with mp.workdps(dps + len(str(n)) + HEADROOM):
+            x, k, t = mpf(n), 0, 1
+            log_fac = (x + 0.5) * mp.log(x) - x + mp.log(2 * mp.pi) / 2
+            psi = mp.log(x) + 1 / (2 * x)
+            while abs(t) >= mp.eps:
+                k, b = k + 1, bernoulli_even(k + 1)
+                t = b.numerator / (2 * k * b.denominator * x ** (2 * k - 1))
+                log_fac, psi = log_fac + t / (2 * k - 1), psi - t / x
+            sign = (-1) ** n * mp.exp(-log_fac)
     with mp.workdps(dps):
-        return (-1) ** n / mp.factorial(n), mp.digamma(n + 1)
+        return +sign, +psi
 
 
 def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
@@ -295,26 +328,32 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
     10^(-digits/2) of an integer but not on it raises IllConditionedError.
     """
     alpha = ctx.read(alpha)
-    with ctx.working(HEADROOM):
-        if not (math.isfinite(float(abs(alpha)))
-                and math.isfinite(float(z.modulus))):
-            raise DomainError(
-                "upper_gamma needs a finite order and |z| within the double "
-                f"range, got alpha = {mp.nstr(alpha, 8)}, "
-                f"|z| = {mp.nstr(z.modulus, 8)}")
-        # d = |alpha - nearest| < 2^dmag; d counts as 1 at integer alpha
-        nearest = round(float(alpha.real))
-        offset = alpha - nearest
-        integer = offset == 0
-        if not integer and abs(offset) < mpf(10) ** (-ctx.digits // 2):
-            raise IllConditionedError(
-                f"order {alpha} is within 10^(-digits/2) of the integer "
-                f"{nearest} but not on it; perturb s instead")
-        dmag = 0 if integer else mp.mag(offset)
+    fr, fi = float(alpha.real), float(alpha.imag)
+    if not (math.isfinite(math.hypot(fr, fi))
+            and math.isfinite(float(z.modulus))):
+        raise DomainError(
+            "upper_gamma needs a finite order and |z| within the double "
+            f"range, got alpha = {mp.nstr(alpha, 8)}, "
+            f"|z| = {mp.nstr(z.modulus, 8)}")
+    # d = |alpha - nearest| < 2^dmag; d counts as 1 at integer alpha
+    nearest = round(fr)
+    integer = not alpha.imag and alpha.real == nearest
+    dmag = 0
+    if not integer:
+        with ctx.working(HEADROOM):
+            offset = alpha - nearest
+            dmag = mp.mag(offset)
+            # |offset| >= 2^(dmag-2) lies past the band 10^(-digits/2)
+            # unless dmag is below its edge plus 3 bits
+            if dmag < (-ctx.digits // 2) * math.log2(10) + 3 \
+                    and abs(offset) < mpf(10) ** (-ctx.digits // 2):
+                raise IllConditionedError(
+                    f"order {alpha} is within 10^(-digits/2) of the "
+                    f"integer {nearest} but not on it; perturb s instead")
     arg = float(z.argument)
     if alpha.real < 0 and abs(arg) < math.pi / 2 \
             and z.modulus >= CF_MIN_MODULUS \
-            and abs(float(alpha.imag)) <= float(z.modulus) * math.cos(arg):
+            and abs(fi) <= float(z.modulus) * math.cos(arg):
         return _upper_gamma_cf(alpha, z, ctx)
     n = -nearest if integer and nearest <= 0 else None
     # Within d < 1 of a pole -n <= 0 of Gamma, Gamma(alpha) and the addend
@@ -399,14 +438,14 @@ def _upper_gamma_cf(alpha: mpc, z: RayComplex, ctx: PrecisionContext):
     #   budget.  The integer-order step returns the general step's ints.
     # - The prefactor.  exp(alpha log z) e^(-z) rounds an exponent of size
     #   S <= |alpha| (|log|z|| + |arg z|) + |z|, so `extra` digits with
-    #   10^extra > 100 S keep it 10^-2 below the budget.
+    #   10^extra > 100 S, from floats, keep it 10^-2 below the budget.
     # Nothing cancels, and Gamma(alpha, z) is entire in alpha: neither
     # _series_inflation nor the pole term applies.
     dps = ctx.digits + ctx.guard
-    with ctx.working(HEADROOM):
-        size = abs(alpha) * (abs(mp.log(z.modulus)) + abs(z.argument)) \
-            + z.modulus
-        extra = int(mp.log10(size)) + 3
+    m = float(z.modulus)
+    size = math.hypot(float(alpha.real), float(alpha.imag)) \
+        * (abs(math.log(m)) + abs(float(z.argument))) + m
+    extra = int(math.log10(size)) + 3
     wp = dps_to_prec(dps) + FIXED_GUARD_BITS
     stop_bits = int((dps + CF_STOP_DIGITS) / math.log10(2))
     with ctx.working(extra):

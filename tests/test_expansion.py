@@ -61,10 +61,15 @@ def _bench_workloads():
 
 
 def _power(base, exponent, ctx, extra=0):
-    # one power of a ray on its own, exp(e (log|b| + i arg b))
+    # one power of a ray on its own: |b|^n e^(i n arg b) at an integer n,
+    # else exp(e (log|b| + i arg b))
     with ctx.working(extra):
+        e = mpc(exponent)
+        if e.imag == 0 and e.real == int(e.real):
+            n = int(e.real)
+            return mpf(base.modulus) ** n * mp.expj(n * base.argument)
         logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
-        return mp.exp(mpc(exponent) * logz)
+        return mp.exp(e * logz)
 
 
 REF_DPS = 130

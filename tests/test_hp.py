@@ -451,10 +451,10 @@ class TestMemo:
         clear_caches()
         got = z_improved(0, a, TruncationPlan((3, 9), (3, 9), 2), ctx)
         assert got._mpc_ == (
-            (0, int("560906562588220466929028460425183292225825369478667670"
-                    "036743480240861759462055436954846297"), -306, 299),
-            (1, int("344612407352623678662925076618074499389477753842071808"
-                    "7325435907967172112618670889191087121"), -307, 301))
+            (0, int("448725250070576373543222768340146633780660295582934136"
+                    "0293947841926894075696443495638770385"), -309, 302),
+            (1, int("689224814705247357325850153236148998778955507684143617"
+                    "4650871815934344225237341778382174241"), -308, 302))
         with mp.workdps(100):
             av = a.value()
             want = mp.loggamma(av) - mp.log(2 * mp.pi) / 2 \
@@ -498,6 +498,25 @@ class TestPowRay:
             lhs = pow_ray(base, mpf(x) + mpf(y), c)
             rhs = pow_ray(base, mpf(x), c) * pow_ray(base, mpf(y), c)
             assert abs(lhs - rhs) <= c.tol() * (1 + abs(lhs))
+
+    @pytest.mark.parametrize("arg_over_pi", ["0.55", "3.5", "-3.5"])
+    @pytest.mark.parametrize("n", [0, 1, -1, -2, -37, -300])
+    def test_integer_exponent_matches_the_exp_form(self, n, arg_over_pi,
+                                                   ctx):
+        # |b|^n e^(i n arg b) against exp(n (log|b| + i arg b)) at twice
+        # the digits, on rays beyond +-pi too, within the exp form's own
+        # bound: L = log|b| + i arg b is off by (1 + 2|L|) u, n L by
+        # (2 + 4|L|) |n| u with u = 2^-prec, and the exp rounds once
+        with ctx.working():
+            base = RayComplex(mpf("16.5"), mpf(arg_over_pi) * mp.pi)
+            prec = mp.prec
+        for exponent in (n, mpc(n)):
+            got = pow_ray(base, exponent, ctx)
+            with mp.workdps(2 * (ctx.digits + ctx.guard)):
+                log_b = mp.log(base.modulus) + mpc(0, 1) * base.argument
+                want = mp.exp(n * log_b)
+                bound = 1 + (2 + 4 * abs(log_b)) * abs(n)
+                assert abs(got - want) <= bound * mpf(2) ** -prec * abs(want)
 
     def test_rejects_zero_modulus(self, ctx_fast):
         with pytest.raises(DomainError):

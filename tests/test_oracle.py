@@ -95,10 +95,11 @@ class TestHurwitzZetaDirect:
 
     @pytest.mark.parametrize("s", [10, 30, 60, 1000])
     def test_relative_accuracy_at_large_s(self, s, ctx):
-        # mpmath's zeta(s, a) stops at an absolute tolerance: run at
-        # working(10) alone it missed by 4.4e-88, 4.5e-70 and 6.7e-69.
-        # At s = 1000 it sums in floating point, and the 955 digits that
-        # |a^-s| lies below 1 would take seconds for nothing
+        # the Euler-Maclaurin sum truncates relative to its largest
+        # addend, read from float logs, and not at an absolute tolerance:
+        # however far |a^-s| lies below 1 (955 digits at s = 1000), it
+        # keeps the value's relative digits, at a head and tail whose
+        # lengths do not grow with those digits
         with ctx.working(10):
             a = RayComplex(mpf(9), mpf("0.4") * mp.pi)
         start = time.perf_counter()
@@ -134,15 +135,17 @@ class TestHurwitzZetaDirect:
             want = mp.zeta(s, a.value())
             assert abs(got - want) <= mpf("1e-88") * abs(want)
 
-    @pytest.mark.parametrize("s, mod, ray", [
-        (mpc(3), "1e6", "a'"), (mpc(3, -mpf("1e30")), "9", "a")],
+    @pytest.mark.parametrize("s, mod, ray, match", [
+        (mpc(3), "1e6", "a'", "needs a head of M >= -Re a = 156434 terms"),
+        (mpc(3, -mpf("1e30")), "9", "a", "needs more than 1000 head")],
         ids=["re_a_below_-1000", "im_s_-1e30"])
-    def test_beyond_the_term_limit(self, s, mod, ray, ctx):
+    def test_beyond_the_term_limit(self, s, mod, ray, match, ctx):
         # a head of at least -Re a = 1.6e5 terms, or a tail whose floor
-        # needs |w| near |s|/(2 pi): raised before any power is taken
+        # needs |w| near |s|/(2 pi): raised before any power is taken, and
+        # the message names which
         pt = _point(s, mod, 0.45, ctx)
         a = pt.a if ray == "a" else pt.a_prime
-        with pytest.raises(DomainError, match="needs more than 1000 head"):
+        with pytest.raises(DomainError, match=match):
             hurwitz_zeta_direct(s, a, ctx)
 
     def test_rejects_small_re_s(self, ctx):

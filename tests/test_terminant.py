@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
+import zetastokes
+from test_expansion import _bench_workloads
 from zetastokes.errors import (ConvergenceError, DomainError,
                                IllConditionedError)
 from zetastokes.expansion import TruncationPlan, optimal_truncation, z_improved
@@ -109,8 +111,9 @@ def _bits(re, im):
 def _fixed_cf_reference(alpha, zval, wp, stop_bits):
     """``_fixed_cf`` in its general form, kept as the reference for its
     ints: every step multiplies the full b_n and a_n in four products each
-    and takes all four bit lengths afresh.  Returns the value, log2 of the
-    final difference and the number of shifts."""
+    and takes all four bit lengths afresh.  The float log2 |a_(n+1)| is
+    the kernel's: of the int n (n - k) at an integer order k.  Returns the
+    value, log2 of the final difference and the number of shifts."""
     zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
     ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
     fr, fi = float(alpha.real), float(alpha.imag)
@@ -130,7 +133,10 @@ def _fixed_cf_reference(alpha, zval, wp, stop_bits):
         pbr, pbi, cbr, cbi = cbr, cbi, \
             (br * cbr - bi * cbi + anr * pbr - ani * pbi) >> wp, \
             (br * cbi + bi * cbr + anr * pbi + ani * pbr) >> wp
-        logdet += math.log2(n) + math.log2(math.hypot(n - fr, fi))
+        if fi == 0 and fr == int(fr):
+            logdet += math.log2(n * (n - int(fr)))
+        else:
+            logdet += math.log2(n) + math.log2(math.hypot(n - fr, fi))
         la, lb = _bits(car, cai), _bits(pbr, pbi)
         if logdet - la - lb < -stop_bits:
             break
@@ -543,6 +549,51 @@ class TestSeriesLimits:
         widest = terminant_module._series_inflation(
             RayComplex(mpf(250), mpf(0)))
         assert widest <= terminant_module.SERIES_INFLATION_LIMIT
+
+
+class TestIntegerOrderHead:
+    """The series head at the order -n, (-1)^n/n! and psi(n+1), comes from
+    ints below max(STIRLING_ORDER, dps) and from Stirling's series from
+    there on, and takes neither mp.factorial nor mp.digamma."""
+
+    @pytest.mark.parametrize("dps", [30, 95, 400])
+    @pytest.mark.parametrize("n", [0, 1, 37, 500, 999, 1000, 10 ** 6,
+                                   10 ** 20])
+    def test_within_one_unit_of_mpmath(self, n, dps):
+        got = terminant_module._limit_head(n, dps)
+        with mp.workdps(dps):
+            prec = mp.prec
+            want = ((-1) ** n / mp.factorial(n), mp.digamma(n + 1))
+        with mp.workdps(2 * dps):
+            for g, w in zip(got, want):
+                assert g.man.bit_length() <= prec  # rounded to dps digits
+                assert abs(g - w) <= mpf(2) ** (mp.mag(w) - prec)
+
+    def test_library_takes_neither(self, ctx, monkeypatch, clear_caches):
+        # from cold memos: a fig1c point, an s = 3 grid point and the
+        # pinned CLI terminant, each on integer-order series heads
+        wl = _bench_workloads()
+        sweep = wl.Evaluator(zetastokes, "sweep_n2_integer_s")
+        grid = wl.Evaluator(zetastokes, "exactness_grid")
+        fig1c = wl.points("sweep_n2_integer_s", wl.DEFAULT_SEED)[0]
+        point = wl.points("exactness_grid", wl.DEFAULT_SEED)[0]
+        assert point["s"] == ["3", "0"]
+        clear_caches()
+        calls = []
+
+        def failing(name):
+            def fail(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"mp.{name} called")
+            return fail
+
+        for name in ("digamma", "factorial"):
+            monkeypatch.setattr(mp, name, failing(name))
+        sweep.evaluate(fig1c)
+        grid.evaluate(point)
+        terminant(30, RayComplex(mpf(30), mp.pi), ctx)
+        assert calls == []
+        assert terminant_module._limit_head.cache_info().currsize > 0
 
 
 class TestKernelBits:
