@@ -29,9 +29,10 @@ whose signed Gammas come from the recurrence
 G_r/G_(r-1) = -(2r+s-1)(2r+s) started at Gamma(s+1); ``a_r_coefficient``
 is that signed Gamma times one power, so A_r has one source and is right
 to O(r) units of the working precision, not bit for bit the term-by-term
-value.  ``bernoulli_series`` sums in a^(-2) over the Bernoulli factors
-B_{2r}/(2r)! Gamma(2r+s-1), whose Gammas are the same recurrence's
-(-1)^(r-1) G_(r-1).
+value.  ``bernoulli_series`` sums in a^(-2) over the Poincare factors
+c_r = B_{2r}/(2r)! (s)_(2r-1) of the Hurwitz oracle's Euler-Maclaurin
+tail, times Gamma(s): it reads neither the signed Gammas nor
+zeta(2r+2, m), so it checks them.
 """
 from __future__ import annotations
 
@@ -195,23 +196,26 @@ def leading_blocks(s, a: RayComplex, nlist, ctx: PrecisionContext) -> mpc:
 
 def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
     """sum_{r=1}^{N} B_{2r}/(2r)! Gamma(2r+s-1) a^(1-2r-s), the truncated
-    Poincare series of Z(s,a).
+    Poincare series of Z(s,a); PoleError at the poles s = 0, -1, ... of
+    Gamma(s), which its one caller's ``ZetaPoint`` already rejects.
 
     Term by term it equals (2 pi)^s leading_blocks(s, a, (N,)), but it is
     built from Bernoulli numbers instead of A_r and zeta(2r+2): it is the
     independent side of the S_1 cross-check in ``stokes``.  It is summed as
-    a^(-1-s) sum_r c_r (a^-2)^(r-1) by ``_fixed_horner``, with c_r the
-    owned Bernoulli factors, a^(-1-s) = a^(-s) / a from the same kept
-    a^(-s) as ``leading_blocks`` and a^-2 from the ray's value, both at
-    ``working(FACTOR_EXTRA)``."""
+    Gamma(s) a^(-1-s) sum_r c_r (a^-2)^(r-1) by ``_fixed_horner``, with
+    c_r = B_{2r}/(2r)! (s)_(2r-1) the owned ``hurwitz_tail(N, 0)`` at
+    ``working(HEADROOM)`` and Gamma(s) the owned ``gamma``; a^(-1-s) =
+    a^(-s) / a from the same kept a^(-s) as ``leading_blocks`` and a^-2
+    from the ray's value, both at ``working(FACTOR_EXTRA)``."""
     s = ctx.read(s)
-    coeffs = series_tables(s, ctx).bernoulli_coefficients(n)
+    tables = series_tables(s, ctx)
+    gamma, coeffs = tables.gamma, tables.hurwitz_tail(n, 0)
     with ctx.working(FACTOR_EXTRA):
         v = a.value()
         lead = pow_ray(a, -s, ctx, extra=FACTOR_EXTRA) / v
         step = v ** -2
     with ctx.working(HEADROOM):
-        return _fixed_horner(coeffs, step) * lead
+        return gamma * _fixed_horner(coeffs, step) * lead
 
 
 def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:

@@ -34,9 +34,10 @@ times an integer power of the ray's value and of 2 pi.
 
 ``_fixed_horner`` is the one Horner sum of the package, on Python ints
 scaled to the largest term.  It sums ``expansion``'s two algebraic series
-and the Euler-Maclaurin tail of ``oracle.hurwitz_zeta_direct``, whose
-factors c_j = B_2j/(2j)! (s)_(2j-1) are kept per (s, ctx) too, one list
-per precision offset, with their float logs beside them.
+and the Euler-Maclaurin tail of ``oracle.hurwitz_zeta_direct``.  That tail
+and ``expansion.bernoulli_series`` share one table of the Poincare factors
+c_j = B_2j/(2j)! (s)_(2j-1), kept per (s, ctx) too, one list per precision
+offset, with their float logs beside them.
 
 The precision budget is decided here: every offset of ``ctx.working`` and
 every fixed precision is a named constant below, with its reason, and so
@@ -320,14 +321,14 @@ class SeriesTables:
     ``signed_gamma(r)``, (-1)^r Gamma(2r+s+1), runs the recurrence
     G_r = G_(r-1) (-(2r+s-1)(2r+s)) from Gamma(s+1) at
     ``working(FACTOR_EXTRA)``, in increasing r with no recursion, and is
-    the one source of the Gammas of both the block and the Bernoulli
-    factors; ``hurwitz_tail`` runs at ``working(HEADROOM + extra)`` for
-    the offset it is asked for, and all else at ``working(HEADROOM)``.
+    the one source of the block factors' Gammas; ``hurwitz_tail`` runs at
+    ``working(HEADROOM + extra)`` for the offset it is asked for, and all
+    else at ``working(HEADROOM)``.
     """
 
     def __init__(self, s: mpc, ctx: PrecisionContext):
         self.s, self.ctx = s, ctx
-        self._signed, self._blocks, self._bernoulli = [], {}, []
+        self._signed, self._blocks = [], {}
         self._k_powers, self._tail, self._tail_logs = {}, {}, []
         with ctx.working(HEADROOM):
             self.phase_half_s = mp.expjpi(s / 2)  # e^(i pi s/2)
@@ -358,25 +359,11 @@ class SeriesTables:
                         * hurwitz_zeta_integer(2 * r + 2, m, self.ctx)
         return [table[m, r] for r in range(lo, hi)]
 
-    def bernoulli_coefficients(self, n: int) -> list:
-        """[B_2r/(2r)! Gamma(2r+s-1) for 1 <= r <= n], each Gamma the
-        owned (-1)^(r-1) signed_gamma(r-1)."""
-        table = self._bernoulli
-        while len(table) < n:
-            r = len(table) + 1
-            b = bernoulli_even(r)
-            with self.ctx.working(HEADROOM):
-                gamma = self.signed_gamma(r - 1)
-                if r % 2 == 0:
-                    gamma = -gamma
-                table.append((mpf(b.numerator) / b.denominator)
-                             / mpf(math.factorial(2 * r)) * gamma)
-        return table[:n]
-
     def hurwitz_tail(self, n: int, extra: int) -> list:
         """[c_j = B_2j/(2j)! (s)_(2j-1) for 1 <= j <= n] at
         ``working(HEADROOM + extra)``, one list per offset: the tail factors
-        of ``oracle.hurwitz_zeta_direct``.  From c_1 = s/12 by
+        of ``oracle.hurwitz_zeta_direct`` and, at extra = 0, the Poincare
+        factors of ``expansion.bernoulli_series``.  From c_1 = s/12 by
         c_j = c_(j-1) (s+2j-3)(s+2j-2) q_j with the exact ratio
         q_j = B_2j / (B_(2j-2) (2j-1) 2j), so c_j is off by O(j) units of
         that precision."""

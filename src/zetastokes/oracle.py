@@ -3,13 +3,14 @@
 The Hurwitz zeta function, by an Euler-Maclaurin sum of its own: a head
 of powers (a+k)^(-s) and a tail in (a+M)^-2, sized in floats to the
 tail's error floor and checked for the digits it cancels (it shares with
-the expansion only ``hp._fixed_horner``, which sums the tail); its
-decomposed companion Z(s,a); the periodic zeta function F(a,1-s) as
-mpmath's polylogarithm Li_{1-s}(q) at q = e^(2 pi i a); and the
-subtracted form Ftilde(a,s).  The Hurwitz side is restricted to
-Re(s) > 1.1 and the periodic side to Im(a) > 0, where |q| < 1 and the
-defining sums converge, so these routines can serve as unconditional
-ground truth for the expansion machinery.
+the expansion only ``hp._fixed_horner``, which sums the tail, and the tail
+factors c_j, which the S_1 cross-check's ``bernoulli_series`` reads and
+``z_improved`` never does); its decomposed companion Z(s,a); the
+periodic zeta function F(a,1-s) as mpmath's polylogarithm Li_{1-s}(q) at
+q = e^(2 pi i a); and the subtracted form Ftilde(a,s).  The Hurwitz side
+is restricted to Re(s) > 1.1 and the periodic side to Im(a) > 0, where
+|q| < 1 and the defining sums converge, so these routines can serve as
+unconditional ground truth for the expansion machinery.
 
 ``ZetaPoint.combine`` is the one place the two rays are weighted,
 e^(i pi s/2) x(a) + e^(-i pi s/2) x(a'): the form of the reflection

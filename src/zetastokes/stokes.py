@@ -105,7 +105,13 @@ def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, turn: mpc, n1: int,
 
     The peeled blocks for k = 1 equal (2 pi)^(-s) times the truncated
     Bernoulli series, term by term (the same pairing that links the two
-    expansion forms).
+    expansion forms).  Both sides subtract from the same ft and share
+    turn, (2 pi)^-s, the kept a^(-s) and ``hp._fixed_horner``; their
+    peeled series share no factor.  The blocks take the signed Gammas,
+    recurred from Gamma(s+1), and zeta(2r+2, m); this side takes Gamma(s),
+    which ft's subtracted terms hold too, and the Hurwitz oracle's tail
+    factors c_r.  So an error in a signed Gamma or in Gamma(s) shows as a
+    disagreement.
     """
     s = point.s
     with ctx.working(HEADROOM):

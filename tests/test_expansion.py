@@ -12,7 +12,7 @@ from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec
 
 from zetastokes import expansion, hp
-from zetastokes.errors import DomainError, TailBoundError
+from zetastokes.errors import DomainError, PoleError, TailBoundError
 from zetastokes.expansion import (TruncationPlan, a_r_coefficient,
                                   bernoulli_series, extend_plan,
                                   leading_blocks, optimal_plan,
@@ -237,14 +237,14 @@ class TestBatchBits:
             bound = 13 * max(nlist) * unit * mp.fsum(abs(t) for t in terms)
             assert abs(got - mp.fsum(terms)) <= bound
 
-    # bernoulli_series is a^(-1-s) sum_{r=1}^N c_r x^(r-1), with
-    # c_r = B_2r/(2r)! Gamma(2r+s-1), and x = a^-2, summed by
-    # _fixed_horner at HEADROOM.  In units u of one rounding at
-    # digits + guard (roundings at HEADROOM, 10^-10 u, are neglected, and
-    # so is the kernel, which TestFixedHorner holds below 2^-18 of one):
-    # - Gamma(2r+s-1) = (-1)^(r-1) G_(r-1), the signed-Gamma recurrence,
-    #   off by (|(s+1) psi(s+1)| + 1 + 4(r-1)) u, as in
-    #   test_a_r_coefficients, where this is bounded by (17 + 4r) u;
+    # bernoulli_series is Gamma(s) a^(-1-s) sum_{r=1}^N c_r x^(r-1), with
+    # c_r = B_2r/(2r)! (s)_(2r-1), so that Gamma(s) c_r = B_2r/(2r)!
+    # Gamma(2r+s-1), and x = a^-2, summed by _fixed_horner at HEADROOM.
+    # In units u of one rounding at digits + guard (roundings at HEADROOM,
+    # 10^-10 u, are neglected, and so are the kernel, which TestFixedHorner
+    # holds below 2^-18 of one, and c_r, off by O(r) units at HEADROOM):
+    # - Gamma(s), at digits + guard: s rounds, moving it by |s psi(s)| u,
+    #   and Gamma rounds, (|s psi(s)| + 1) u in all;
     # - P = a^(-s), at digits + guard, is off by ((2 + 4|L|)|s| + 1) u,
     #   with L = log|a| + i arg a; a's value is 10 bits above, so its
     #   error, O(2^-10 u), is counted as 0.01 u;
@@ -252,8 +252,9 @@ class TestBatchBits:
     # - x = a^-2: the square (4 bits above) and the reciprocal round, with
     #   twice a's error, < 1.1 u, so x^(r-1) is off by 1.1 (r-1) u.
     # So term r is off by at most
-    # (|(s+1) psi(s+1)| + (2 + 4|L|)|s| + 5.1 r - 2) u, relative,
-    # and the sum by that times |term r|, summed over r.
+    # (|s psi(s)| + (2 + 4|L|)|s| + 1.1 r + 2) u, relative,
+    # and the sum by that times |term r|, summed over r.  Measured worst
+    # over these inputs: 0.2 of this bound.
     @pytest.mark.parametrize("n", [1, 25])
     @pytest.mark.parametrize("arg", [0.3, 0.55])
     @pytest.mark.parametrize("s, dps", [(s, 15) for s in S_VALUES]
@@ -266,16 +267,21 @@ class TestBatchBits:
         u = mpf(2) ** -dps_to_prec(ctx.digits + ctx.guard)
         with mp.workdps(REF_DPS):
             log_a = mp.log(a.modulus) + mpc(0, 1) * a.argument
-            fixed_units = abs((s + 1) * mp.digamma(s + 1)) \
-                + (2 + 4 * abs(log_a)) * abs(s) - 2
+            fixed_units = abs(s * mp.digamma(s)) \
+                + (2 + 4 * abs(log_a)) * abs(s) + 2
             want, bound = mpc(0), mpf(0)
             for r in range(1, n + 1):
                 b, z = bernoulli_even(r), 2 * r + s - 1
                 term = mpf(b.numerator) / b.denominator \
                     / mp.factorial(2 * r) * mp.gamma(z) * mp.exp(-z * log_a)
                 want += term
-                bound += (fixed_units + mpf("5.1") * r) * u * abs(term)
+                bound += (fixed_units + mpf("1.1") * r) * u * abs(term)
             assert abs(got - want) <= bound
+
+    def test_bernoulli_series_pole(self, ctx):
+        # Gamma(s) has a pole at s = 0; ZetaPoint rejects such s first
+        with pytest.raises(PoleError):
+            bernoulli_series(0, _ray(8, 0.55, ctx), 25, ctx)
 
 
 def _mpc_horner(coeffs, x):
@@ -311,10 +317,10 @@ HORNER_CASES = {
         mpc("0.7", "-0.4")),
     "all_zero": lambda ctx: ([mpc(0)] * 4, mpc("0.3", "0.2")),
     "real_power_of_two": lambda ctx: (
-        series_tables(S_KERNEL, ctx).bernoulli_coefficients(25),
+        series_tables(S_KERNEL, ctx).hurwitz_tail(25, 0),
         mpc(mpf(2) ** -6)),
     "imaginary_power_of_two": lambda ctx: (
-        series_tables(S_KERNEL, ctx).bernoulli_coefficients(25),
+        series_tables(S_KERNEL, ctx).hurwitz_tail(25, 0),
         mpc(0, -mpf(2) ** -3)),
     "just_below_one_real": lambda ctx: (
         _taylor_exp(mpc("-0.9", "0.2"), 60),
@@ -323,7 +329,7 @@ HORNER_CASES = {
         _taylor_exp(mpc("-0.9", "0.2"), 60),
         _ray_x(1 + mpf(10) ** -30, 0.3, ctx)),
     "abs_a_one": lambda ctx: (  # bernoulli_series at |a| = 1
-        series_tables(S_KERNEL, ctx).bernoulli_coefficients(60),
+        series_tables(S_KERNEL, ctx).hurwitz_tail(60, 0),
         _ray_x(1, 0.3, ctx)),
     "x_one": lambda ctx: (_taylor_exp(-2, 40), mpc(1)),
     "cancelling": lambda ctx: (_taylor_exp(-60, 200), mpc(0.5)),
@@ -646,6 +652,21 @@ class TestExtendPlan:
             hurwitz_zeta_direct(mpc(3), a, ctx)
         assert calls == []
 
+    def test_z_improved_never_reads_the_hurwitz_tail(self, ctx,
+                                                     monkeypatch,
+                                                     clear_caches):
+        # the oracle's tail factors feed the S_1 cross-check and the
+        # reference, never the expansion that the exactness gate checks
+        clear_caches()
+
+        def fail(*args):
+            raise AssertionError("hurwitz_tail called")
+
+        monkeypatch.setattr(SeriesTables, "hurwitz_tail", fail)
+        with ctx.working(10):
+            z_improved(mpc(2, 0.5), _ray(6, 0.5, ctx),
+                       TruncationPlan((3, 9), (3, 9), 2), ctx)
+
     @pytest.mark.parametrize("s, mod, arg, plan, want", [
         (mpc(2, 0.5), "3.120626", "0.400927", (7, 7),
          ((7, 7, 28, 38, 48, 58, 67), 1.017)),
@@ -734,11 +755,12 @@ class TestBlocks:
             == [("pow_ray", "leading_blocks", -s)]
         assert len([c for c in calls if c[0] == "gamma_complex"]) <= 1
 
-    def test_bernoulli_gammas_come_from_the_recurrence(self, ctx,
-                                                        monkeypatch):
-        # the Bernoulli factors' Gamma(2r+s-1) is the owned signed Gamma
-        # (-1)^(r-1) G_(r-1): a fresh owner takes one Gamma, Gamma(s+1),
-        # for 25 factors
+    def test_bernoulli_factors_are_the_hurwitz_tail(self, ctx, monkeypatch,
+                                                    clear_caches):
+        # the Bernoulli side of the S_1 cross-check is Gamma(s) times the
+        # oracle's tail factors c_r: on a fresh owner it reads no signed
+        # Gamma and no block factor, and asks for one Gamma, Gamma(s)
+        clear_caches()
         asked = []
         real = hp.gamma_complex
 
@@ -746,10 +768,15 @@ class TestBlocks:
             asked.append(z)
             return real(z, ctx)
 
+        def fail(*args):
+            raise AssertionError("block-side factor read")
+
         monkeypatch.setattr(hp, "gamma_complex", counting)
+        for name in ("signed_gamma", "block_coefficients"):
+            monkeypatch.setattr(SeriesTables, name, fail)
         s = mpc(2, 0.5)
-        SeriesTables(s, ctx).bernoulli_coefficients(25)
-        assert asked == [s + 1]
+        bernoulli_series(s, _ray(8, 0.5, ctx), 25, ctx)
+        assert asked == [s]
 
     def test_blocks_match_direct_double_sum(self, ctx):
         # for one scale: (1/pi) sum_{r<N} A_r zeta(2r+2, 1)

@@ -43,7 +43,7 @@ class Owned:
 
     @staticmethod
     def bernoulli_entry(r, s, ctx, tables=series_tables):
-        return tables(s, ctx).bernoulli_coefficients(r)[-1]
+        return tables(s, ctx).hurwitz_tail(r, 0)[-1]  # B_2r/(2r)! (s)_(2r-1)
 
     @staticmethod
     def block_entry(r, m, s, ctx, tables=series_tables):
@@ -400,7 +400,7 @@ class TestMemo:
 
     def test_tables_keep_entries_in_order(self, ctx_fast):
         # a block read over [lo, hi) after a read of a later range, and the
-        # Bernoulli table read short after a long read, give the entries
+        # Bernoulli factors c_r read short after a long read, give the entries
         # that owners built for each of them alone give
         s = mpc(2, 0.5)
         tables = SeriesTables(s, ctx_fast)
@@ -409,8 +409,8 @@ class TestMemo:
         assert [bits(g) for g in got] == [
             bits(Owned.block_entry(r, 2, s, ctx_fast, tables=SeriesTables))
             for r in range(4, 11)]
-        tables.bernoulli_coefficients(9)
-        got = tables.bernoulli_coefficients(4)
+        tables.hurwitz_tail(9, 0)
+        got = tables.hurwitz_tail(4, 0)
         assert [bits(g) for g in got] == [
             bits(Owned.bernoulli_entry(r, s, ctx_fast, tables=SeriesTables))
             for r in range(1, 5)]

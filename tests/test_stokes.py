@@ -146,6 +146,34 @@ class TestStokesMultiplier:
         assert all(s.exact is None and "IllConditionedError" in s.error
                    for s in samples)
 
+    @pytest.mark.parametrize("which", ["signed_gamma_0", "signed_gamma_5",
+                                       "gamma_s"])
+    def test_cross_check_catches_a_gamma_error(self, which, ctx,
+                                               monkeypatch, clear_caches):
+        # a relative error of 1e-30 in one Gamma moves S_1 at a fig1b point
+        # by 1e-22 to 2e-14: the block side reads the signed Gammas, the
+        # Bernoulli side Gamma(s), so each error reaches one side only
+        clear_caches()
+        pt = _point(mpc(2, 0.5), 8, 0.5, ctx)
+
+        def off(value, hit):  # at the caller's precision
+            return value * (1 + mpf("1e-30")) if hit else value
+
+        if which == "gamma_s":
+            real = hp.gamma_complex
+            monkeypatch.setattr(hp, "gamma_complex", lambda z, ctx: off(
+                real(z, ctx), z == pt.s))
+        else:
+            real, at = hp.SeriesTables.signed_gamma, int(which[-1])
+            monkeypatch.setattr(hp.SeriesTables, "signed_gamma",
+                                lambda self, r: off(real(self, r), r == at))
+        try:
+            with pytest.raises(IllConditionedError, match="disagree"):
+                stokes_multiplier(1, pt, ctx,
+                                  plan=TruncationPlan((25,), (24,), 1))
+        finally:
+            clear_caches()  # the owners keep the perturbed Gammas
+
     def test_cross_check_takes_two_powers_per_ray(self, ctx, monkeypatch):
         # every algebraic power of a fig1b point is a^(-s) times integer
         # powers of the ray's value and of 2 pi: the oracle's subtracted
