@@ -20,7 +20,8 @@ them both: ``hp._fixed_horner``, Horner's rule on Python ints scaled to the
 largest term, FIXED_GUARD_BITS beyond the working precision.  Every power
 of a they need is a^(-s), one ``hp.pow_ray`` that the ray keeps, times an
 integer power of the ray's value and of 2 pi, taken at
-``working(FACTOR_EXTRA)``; the coefficients reach the kernel as one list
+``working(FACTOR_EXTRA)`` for the blocks and ``working(HEADROOM)`` for the
+Bernoulli series; the coefficients reach the kernel as one list
 per call, read from the tables of the one owner of the theta-independent
 state of (s, ctx), ``hp.series_tables(s, ctx)``, which also holds the
 phases and the powers of 2 pi and k.  ``leading_blocks`` sums in
@@ -31,8 +32,9 @@ is that signed Gamma times one power, so A_r has one source and is right
 to O(r) units of the working precision, not bit for bit the term-by-term
 value.  ``bernoulli_series`` sums in a^(-2) over the Poincare factors
 c_r = B_{2r}/(2r)! (s)_(2r-1) of the Hurwitz oracle's Euler-Maclaurin
-tail, times Gamma(s): it reads neither the signed Gammas nor
-zeta(2r+2, m), so it checks them.
+tail, times Gamma(s), and its a^(-s) is the oracle's, at HEADROOM: it
+reads none of the signed Gammas, zeta(2r+2, m) and the blocks' a^(-s), so
+it checks them.
 """
 from __future__ import annotations
 
@@ -205,17 +207,16 @@ def bernoulli_series(s, a: RayComplex, n: int, ctx: PrecisionContext) -> mpc:
     Gamma(s) a^(-1-s) sum_r c_r (a^-2)^(r-1) by ``_fixed_horner``, with
     c_r = B_{2r}/(2r)! (s)_(2r-1) the owned ``hurwitz_tail(N, 0)`` at
     ``working(HEADROOM)`` and Gamma(s) the owned ``gamma``; a^(-1-s) =
-    a^(-s) / a from the same kept a^(-s) as ``leading_blocks`` and a^-2
-    from the ray's value, both at ``working(FACTOR_EXTRA)``."""
+    a^(-s) / a from the kept a^(-s) at HEADROOM that the oracle's
+    subtracted terms read, not the blocks' one at FACTOR_EXTRA, and a^-2
+    from the ray's value, both at ``working(HEADROOM)``."""
     s = ctx.read(s)
     tables = series_tables(s, ctx)
     gamma, coeffs = tables.gamma, tables.hurwitz_tail(n, 0)
-    with ctx.working(FACTOR_EXTRA):
-        v = a.value()
-        lead = pow_ray(a, -s, ctx, extra=FACTOR_EXTRA) / v
-        step = v ** -2
     with ctx.working(HEADROOM):
-        return gamma * _fixed_horner(coeffs, step) * lead
+        v = a.value()
+        return gamma * _fixed_horner(coeffs, v ** -2) \
+            * pow_ray(a, -s, ctx, extra=HEADROOM) / v
 
 
 def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:

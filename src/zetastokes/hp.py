@@ -33,11 +33,18 @@ a^(-1-s), (2 pi a)^-(s+1) and the steps a^-2 and (2 pi a)^-2, is a^(-s)
 times an integer power of the ray's value and of 2 pi.
 
 ``_fixed_horner`` is the one Horner sum of the package, on Python ints
-scaled to the largest term.  It sums ``expansion``'s two algebraic series
-and the Euler-Maclaurin tail of ``oracle.hurwitz_zeta_direct``.  That tail
-and ``expansion.bernoulli_series`` share one table of the Poincare factors
+scaled to the largest term.  It sums ``expansion``'s two algebraic series,
+the Euler-Maclaurin tail of ``oracle.hurwitz_zeta_direct`` and the q-series
+of ``oracle.periodic_zeta_direct``.  That tail and
+``expansion.bernoulli_series`` share one table of the Poincare factors
 c_j = B_2j/(2j)! (s)_(2j-1), kept per (s, ctx) too, one list per precision
-offset, with their float logs beside them.
+offset, with their float logs beside them; the q-series reads the owned
+powers k^(s-1).
+
+Those powers follow the phase rule: x = (s-1) log k rounded at p bits is
+off by 2^-p |x|, which exp(x) turns into an error in its phase, so where
+|x| > 1 both take mag(x) extra bits.  (2 pi)^(+-s) and ``pow_ray`` do not
+follow it yet (ROADMAP item 14).
 
 The precision budget is decided here: every offset of ``ctx.working`` and
 every fixed precision is a named constant below, with its reason, and so
@@ -322,8 +329,8 @@ class SeriesTables:
     G_r = G_(r-1) (-(2r+s-1)(2r+s)) from Gamma(s+1) at
     ``working(FACTOR_EXTRA)``, in increasing r with no recursion, and is
     the one source of the block factors' Gammas; ``hurwitz_tail`` runs at
-    ``working(HEADROOM + extra)`` for the offset it is asked for, and all
-    else at ``working(HEADROOM)``.
+    ``working(HEADROOM + extra)`` for the offset it is asked for,
+    ``k_power`` by the phase rule, and all else at ``working(HEADROOM)``.
     """
 
     def __init__(self, s: mpc, ctx: PrecisionContext):
@@ -407,10 +414,17 @@ class SeriesTables:
         return logs
 
     def k_power(self, k: int) -> mpc:
-        """k^(s-1) = exp((s-1) log k) for an integer k >= 1."""
+        """k^(s-1) = exp(x), x = (s-1) log k, for an integer k >= 1, by the
+        phase rule: x and exp(x) take mag(x) extra bits where |x| > 1 and
+        none elsewhere, and the value is rounded to ``working(HEADROOM)``.
+        So it is right to a few units at any |Im s|, and the plain exp(x)
+        bit for bit where |x| <= 1."""
         if k not in self._k_powers:
             with self.ctx.working(HEADROOM):
-                self._k_powers[k] = mp.exp((self.s - 1) * mp.log(k))
+                x = (self.s - 1) * mp.log(k)
+                with mp.extraprec(mp.mag(x) if abs(x) > 1 else 0):
+                    value = mp.exp((self.s - 1) * mp.log(k))
+                self._k_powers[k] = +value
         return self._k_powers[k]
 
     @cached_property

@@ -6,9 +6,11 @@ tail's error floor and checked for the digits it cancels (it shares with
 the expansion only ``hp._fixed_horner``, which sums the tail, and the tail
 factors c_j, which the S_1 cross-check's ``bernoulli_series`` reads and
 ``z_improved`` never does); its decomposed companion Z(s,a); the
-periodic zeta function F(a,1-s) as mpmath's polylogarithm Li_{1-s}(q) at
-q = e^(2 pi i a); and the subtracted form Ftilde(a,s).  The Hurwitz side
-is restricted to Re(s) > 1.1 and the periodic side to Im(a) > 0, where
+periodic zeta function F(a,1-s) = sum_k k^(s-1) q^k at q = e^(2 pi i a),
+summed in q by ``hp._fixed_horner`` over the owned powers k^(s-1) where
+its terms fall by a factor 3 or more, and by mpmath's polylogarithm
+Li_{1-s}(q) elsewhere; and the subtracted form Ftilde(a,s).  The Hurwitz
+side is restricted to Re(s) > 1.1 and the periodic side to Im(a) > 0, where
 |q| < 1 and the defining sums converge, so these routines can serve as
 unconditional ground truth for the expansion machinery.
 
@@ -30,11 +32,12 @@ from .hp import (HEADROOM, HURWITZ_EXTRA, PrecisionContext, RayComplex,
                  _fixed_horner, pow_ray, series_tables)
 
 RE_S_MARGIN = mpf("1.1")
-# Largest k* = (Re s - 1)/(2 pi Im a) that ``periodic_zeta_direct`` hands
-# to mp.polylog: the terms k^(Re s - 1) |q|^k of the q-series peak near
-# k*, so its sum takes more than k* terms, about 1 ms each at 60 digits on
-# mpmath's pure-Python backend, and 10^4 terms bound a call near 10 s.
-# The package's own inputs stay below 500 (the oracle tests' near-axis
+# Largest k* = (Re s - 1)/(2 pi Im a) at which ``periodic_zeta_direct``
+# sums: the terms k^(Re s - 1) |q|^k of the q-series peak near k*, so
+# mp.polylog's sum takes more than k* terms, about 1 ms each at 60 digits
+# on mpmath's pure-Python backend, and 10^4 terms bound a call near 10 s.
+# The owned series runs only at k* < 1/ln 2 and never meets it.  The
+# package's own inputs stay below 500 (the oracle tests' near-axis
 # points), the benchmark's and the pinned sweeps' below 1.
 Q_TERM_LIMIT = 10 ** 4
 # Most head terms, and most tail terms, of the Euler-Maclaurin sum of
@@ -290,24 +293,39 @@ def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
 
 
 def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
-    """F(a, 1-s) = sum_{k>=1} k^(s-1) e^(2 pi i k a) = Li_{1-s}(q) with
-    q = e^(2 pi i a), by mpmath's ``polylog``.  DomainError, before any
-    term is summed, where the terms peak beyond Q_TERM_LIMIT."""
+    """F(a, 1-s) = sum_{k>=1} k^(s-1) q^k with q = e^(2 pi i a), at
+    ``working(HEADROOM)``; DomainError where the terms peak beyond
+    Q_TERM_LIMIT.  Where rho = 2^max(Re s - 1, 0) |q| <= 1/3 (every pinned
+    sweep and benchmark point), it is q sum_{k<=K} k^(s-1) q^(k-1) by
+    ``hp._fixed_horner`` over ``SeriesTables.k_power``, right at any
+    |Im s| by its phase rule: each term is at most a third of the one
+    before, so |F| >= |q|/2 and nothing cancels, and K is the first k at
+    which the float log of the next term over q, (Re s - 1) ln(k+1)
+    + k ln|q|, falls below -(D+2) ln 10, D the digits of the working
+    precision.  Elsewhere it is mpmath's ``polylog`` Li_{1-s}(q)."""
     with ctx.working(HEADROOM):
         aval = point.a.value()
         if aval.imag <= 0:
             raise DivergenceError("periodic zeta sum needs Im(a) > 0")
         # k* > limit, in floats and without a division: Re s may pass the
         # float range and Im a fall below it
-        if float(point.s.real) - 1 \
-                > Q_TERM_LIMIT * 2 * math.pi * float(aval.imag):
+        re_s1, im_a = float(point.s.real) - 1, float(aval.imag)
+        if re_s1 > Q_TERM_LIMIT * 2 * math.pi * im_a:
             raise DomainError(
                 "the q-series of F(a, 1-s) peaks beyond term "
                 f"{Q_TERM_LIMIT} at s = {mp.nstr(point.s, 8)}, "
                 f"Im a = {mp.nstr(aval.imag, 8)}: its largest term is "
                 "near k = (Re s - 1)/(2 pi Im a)")
         q = mp.exp(2 * mp.pi * mpc(0, 1) * aval)
-        return mp.polylog(1 - point.s, q)
+        log_q = -2 * math.pi * im_a
+        if not max(re_s1, 0) * math.log(2) + log_q <= -math.log(3):
+            return mp.polylog(1 - point.s, q)
+        floor, k = -(mp.dps + 2) * math.log(10), 1
+        while re_s1 * math.log(k + 1) + k * log_q >= floor:
+            k += 1
+        tables = series_tables(point.s, ctx)
+        return q * _fixed_horner([tables.k_power(j)
+                                  for j in range(1, k + 1)], q)
 
 
 def f_tilde_reference(point: ZetaPoint, ctx: PrecisionContext) -> mpc:

@@ -106,18 +106,18 @@ def _bernoulli_form_s1(point: ZetaPoint, ft: mpc, turn: mpc, n1: int,
     The peeled blocks for k = 1 equal (2 pi)^(-s) times the truncated
     Bernoulli series, term by term (the same pairing that links the two
     expansion forms).  Both sides subtract from the same ft and share
-    turn, (2 pi)^-s, the kept a^(-s) and ``hp._fixed_horner``; their
-    peeled series share no factor.  The blocks take the signed Gammas,
-    recurred from Gamma(s+1), and zeta(2r+2, m); this side takes Gamma(s),
-    which ft's subtracted terms hold too, and the Hurwitz oracle's tail
-    factors c_r.  So an error in a signed Gamma or in Gamma(s) shows as a
-    disagreement.
+    turn and ``hp._fixed_horner``; their peeled series share no factor.
+    The blocks take the signed Gammas, recurred from Gamma(s+1),
+    zeta(2r+2, m), (2 pi)^-s and a^(-s) at FACTOR_EXTRA; this side takes
+    the factors that ft's subtracted terms hold too, Gamma(s), 1/(2 pi)^s
+    and a^(-s) at HEADROOM, and the Hurwitz oracle's tail factors c_r.  So
+    an error in any factor of the blocks shows as a disagreement.
     """
     s = point.s
     with ctx.working(HEADROOM):
-        pref = series_tables(s, ctx).two_pi_minus_s
-        series_a = pref * bernoulli_series(s, point.a, n1, ctx)
-        series_ap = pref * bernoulli_series(s, point.a_prime, n1p, ctx)
+        two_pi_s = series_tables(s, ctx).two_pi_s
+        series_a = bernoulli_series(s, point.a, n1, ctx) / two_pi_s
+        series_ap = bernoulli_series(s, point.a_prime, n1p, ctx) / two_pi_s
         brace = ft - point.combine(series_a, series_ap, ctx)
         return turn * brace
 

@@ -168,7 +168,7 @@ def _suite_reflection(report: ValidationReport, ctx: PrecisionContext,
         worst_f = max(worst_f, res_f)
         worst_ft = max(worst_ft, res_ft)
     report.add("periodic-zeta reflection", worst_f, ctx.tol(),
-               "polylog vs the two-zeta combination")
+               "F(a, 1-s) vs the two-zeta combination")
     report.add("subtracted reflection", worst_ft, ctx.tol(),
                "Ftilde vs the two-Z combination")
 

@@ -240,21 +240,15 @@ class TestBatchBits:
     # bernoulli_series is Gamma(s) a^(-1-s) sum_{r=1}^N c_r x^(r-1), with
     # c_r = B_2r/(2r)! (s)_(2r-1), so that Gamma(s) c_r = B_2r/(2r)!
     # Gamma(2r+s-1), and x = a^-2, summed by _fixed_horner at HEADROOM.
-    # In units u of one rounding at digits + guard (roundings at HEADROOM,
-    # 10^-10 u, are neglected, and so are the kernel, which TestFixedHorner
-    # holds below 2^-18 of one, and c_r, off by O(r) units at HEADROOM):
-    # - Gamma(s), at digits + guard: s rounds, moving it by |s psi(s)| u,
-    #   and Gamma rounds, (|s psi(s)| + 1) u in all;
-    # - P = a^(-s), at digits + guard, is off by ((2 + 4|L|)|s| + 1) u,
-    #   with L = log|a| + i arg a; a's value is 10 bits above, so its
-    #   error, O(2^-10 u), is counted as 0.01 u;
-    # - a^(-1-s) = P / a rounds once more: ((2 + 4|L|)|s| + 2.01) u;
-    # - x = a^-2: the square (4 bits above) and the reciprocal round, with
-    #   twice a's error, < 1.1 u, so x^(r-1) is off by 1.1 (r-1) u.
-    # So term r is off by at most
-    # (|s psi(s)| + (2 + 4|L|)|s| + 1.1 r + 2) u, relative,
-    # and the sum by that times |term r|, summed over r.  Measured worst
-    # over these inputs: 0.2 of this bound.
+    # In units u of one rounding at digits + guard, the one factor taken
+    # there is Gamma(s): s rounds, moving it by |s psi(s)| u, and Gamma
+    # rounds, (|s psi(s)| + 1) u in all.  Everything else, a^(-s) (the
+    # oracle's, at HEADROOM), a^(-1-s) = a^(-s) / a, x and c_r, rounds at
+    # HEADROOM, O(r) 10^-10 u, and the kernel, which TestFixedHorner holds
+    # below 2^-18 of a unit, stays below the one u of margin.  So term r is
+    # off by at most (|s psi(s)| + 2) u, relative, and the sum by that
+    # times the sum of |term r|.  Measured worst over these inputs: 0.23
+    # of this bound.
     @pytest.mark.parametrize("n", [1, 25])
     @pytest.mark.parametrize("arg", [0.3, 0.55])
     @pytest.mark.parametrize("s, dps", [(s, 15) for s in S_VALUES]
@@ -267,15 +261,14 @@ class TestBatchBits:
         u = mpf(2) ** -dps_to_prec(ctx.digits + ctx.guard)
         with mp.workdps(REF_DPS):
             log_a = mp.log(a.modulus) + mpc(0, 1) * a.argument
-            fixed_units = abs(s * mp.digamma(s)) \
-                + (2 + 4 * abs(log_a)) * abs(s) + 2
+            units = abs(s * mp.digamma(s)) + 2
             want, bound = mpc(0), mpf(0)
             for r in range(1, n + 1):
                 b, z = bernoulli_even(r), 2 * r + s - 1
                 term = mpf(b.numerator) / b.denominator \
                     / mp.factorial(2 * r) * mp.gamma(z) * mp.exp(-z * log_a)
                 want += term
-                bound += (fixed_units + mpf("1.1") * r) * u * abs(term)
+                bound += units * u * abs(term)
             assert abs(got - want) <= bound
 
     def test_bernoulli_series_pole(self, ctx):

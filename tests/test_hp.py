@@ -479,6 +479,33 @@ class TestMemo:
         assert bits(cold) == bits(warm)
 
 
+class TestKPower:
+    """k^(s-1) by the phase rule of ``SeriesTables.k_power``."""
+
+    @pytest.mark.parametrize("e", [0, 40, 133, 1000, 3000])
+    def test_matches_twenty_more_digits(self, e, ctx_fast):
+        # right to a few units of working(HEADROOM) at any |Im s|: without
+        # the rule the phase (Im s) ln k would lose log2(|s-1| ln k) bits
+        s = mpc(3, mpf(2) ** e)
+        fine = PrecisionContext(ctx_fast.digits + 20)
+        with ctx_fast.working(HEADROOM):
+            unit = mpf(2) ** -mp.prec
+        for k in (2, 3, 10, 97):
+            got = SeriesTables(s, ctx_fast).k_power(k)
+            want = SeriesTables(s, fine).k_power(k)
+            with fine.working(HEADROOM):
+                assert abs(got - want) <= 4 * unit * abs(want), k
+
+    @pytest.mark.parametrize("s, k", [
+        (mpc(2, 0.5), 2), (mpc(1.5), 7), (mpc(1, 0.001), 1000), (mpc(3), 1),
+    ])
+    def test_plain_exp_where_the_phase_is_small(self, s, k, ctx_fast):
+        # |s-1| ln k <= 1 (0.77 at the first, with mag 1): no extra bit
+        got = SeriesTables(s, ctx_fast).k_power(k)
+        with ctx_fast.working(HEADROOM):
+            assert got._mpc_ == mp.exp((s - 1) * mp.log(k))._mpc_
+
+
 class TestPowRay:
     def test_uses_carried_argument(self, ctx_fast):
         # same value, different rays -> different powers

@@ -189,13 +189,50 @@ class TestPeriodicZeta:
     @pytest.mark.parametrize("s", [mpc(2, 0.5), mpc("1.6"), mpc(2, 30)],
                              ids=["2+0.5i", "1.6", "2+30i"])
     def test_reflection_at_scan_edge(self, s, argpi, ctx):
-        # F against the two Hurwitz values: the one check of the periodic
-        # oracle that does not go through polylog (at s = 2, polylog itself
-        # takes the closed form q/(1-q)^2)
+        # F against the two Hurwitz values, a reference that reads no
+        # polylog; at |a| = 1 and these angles rho > 1/3, so F itself is
+        # polylog's, which at s = 2 takes the closed form q/(1-q)^2
         pt = _point(s, 1, argpi, ctx)
         res_f, res_ft = reflection_residuals(pt, ctx)
         assert res_f <= ctx.tol()
         assert res_ft <= ctx.tol()
+
+    @pytest.mark.parametrize("s", [mpc(2), mpc(0.5, 3), mpc(2, 30), mpc(3)],
+                             ids=["2", "0.5+3i", "2+30i", "3"])
+    @pytest.mark.parametrize("mod", [1, 4, 9])
+    @pytest.mark.parametrize("argpi", ["0.02", "0.1", "0.5"])
+    def test_matches_polylog_at_twice_the_digits(self, argpi, mod, s, ctx,
+                                                 monkeypatch):
+        # the owned q-series where rho = 2^max(Re s - 1, 0) |q| <= 1/3 and
+        # mp.polylog beyond, each against mp.polylog at twice the digits
+        # D of working(HEADROOM): within 10 units of 10^-D, about q's own
+        # error at |a| = 9 (3.1 measured); the cases fall on both sides
+        calls, real = [], mp.polylog
+        monkeypatch.setattr(mp, "polylog",
+                            lambda *args: calls.append(1) or real(*args))
+        pt = _point(s, mod, argpi, ctx)
+        got = periodic_zeta_direct(pt, ctx)
+        digits = ctx.digits + ctx.guard + HEADROOM
+        with mp.workdps(2 * digits):
+            q = mp.exp(2 * mp.pi * mpc(0, 1) * pt.a.value())
+            want = real(1 - pt.s, q)
+            assert abs(got - want) <= mpf(10) ** (1 - digits) * abs(want)
+            rho = 2 ** max(float(s.real) - 1, 0) * abs(q)
+        assert len(calls) == (rho > mpf(1) / 3)
+
+    def test_sweep_points_take_no_polylog(self, ctx, monkeypatch):
+        # the ends of the fig1b sweep, with its pinned plan, and a point at
+        # |a| = 1 near the real axis, where rho = 0.67 > 1/3
+        def unreachable(*args):
+            raise AssertionError("mp.polylog reached")
+
+        monkeypatch.setattr(mp, "polylog", unreachable)
+        plan = TruncationPlan((25,), (24,), 1)
+        for argpi in (0.3, 0.7):
+            pt = _point(mpc(2, 0.5), 8, argpi, ctx)
+            assert stokes_multiplier(1, pt, ctx, plan=plan).error is None
+        with pytest.raises(AssertionError, match="polylog reached"):
+            periodic_zeta_direct(_point(mpc(2, 0.5), 1, 0.02, ctx), ctx)
 
     def test_real_s_of_1e300_stops_before_polylog(self, ctx_fast,
                                                    monkeypatch):

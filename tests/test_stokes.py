@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from zetastokes.errors import (DomainError, IllConditionedError,
-                               InsufficientPrecisionError)
+                               InsufficientPrecisionError, ZetaError)
 from zetastokes.expansion import TruncationPlan
 from zetastokes.hp import (FACTOR_EXTRA, HEADROOM, PRINT_MARGIN,
                            PrecisionContext, RayComplex)
@@ -174,11 +174,43 @@ class TestStokesMultiplier:
         finally:
             clear_caches()  # the owners keep the perturbed Gammas
 
+    @pytest.mark.parametrize("which", ["factor_power", "two_pi_minus_s"])
+    def test_cross_check_catches_a_block_power_error(self, which, ctx,
+                                                     monkeypatch,
+                                                     clear_caches):
+        # the blocks' a^(-s) at FACTOR_EXTRA and (2 pi)^-s, each off by
+        # 1e-30 relative at a fig1b point: the Bernoulli side reads the
+        # oracle's a^(-s) at HEADROOM and 1/(2 pi)^s instead, so neither
+        # error reaches it
+        clear_caches()
+        pt = _point(mpc(2, 0.5), 8, 0.5, ctx)
+        if which == "factor_power":
+            real = expansion.pow_ray
+
+            def off(base, exponent, ctx, extra=0):
+                value = real(base, exponent, ctx, extra)
+                if extra != FACTOR_EXTRA:
+                    return value
+                with ctx.working(HEADROOM):
+                    return value * (1 + mpf("1e-30"))
+
+            monkeypatch.setattr(expansion, "pow_ray", off)
+        else:
+            tables = hp.series_tables(pt.s, ctx)
+            with ctx.working(HEADROOM):
+                tables.two_pi_minus_s *= 1 + mpf("1e-30")
+        try:
+            with pytest.raises(IllConditionedError, match="disagree"):
+                stokes_multiplier(1, pt, ctx,
+                                  plan=TruncationPlan((25,), (24,), 1))
+        finally:
+            clear_caches()  # the owner keeps the perturbed power
+
     def test_cross_check_takes_two_powers_per_ray(self, ctx, monkeypatch):
         # every algebraic power of a fig1b point is a^(-s) times integer
         # powers of the ray's value and of 2 pi: the oracle's subtracted
-        # terms take a^(-s) at HEADROOM, and the block and Bernoulli sums
-        # share one at FACTOR_EXTRA, so each ray takes one power per
+        # terms and the Bernoulli sum share one a^(-s) at HEADROOM, and the
+        # blocks take one at FACTOR_EXTRA, so each ray takes one power per
         # precision, not one per term (the plan's 25 + 24)
         asked = []
         real = hp.pow_ray
@@ -239,6 +271,49 @@ class TestStokesMultiplier:
         with fine.working():
             measured = -mp.log10(abs(sample.exact - ref.exact))
         assert abs(sample.diagnostics["resolved_digits"] - measured) <= 1
+
+
+class TestLargeImS:
+    """S_n at s = 3 + i y, |a| = 6, arg a = 0.45 pi, against a run at 50
+    digits: the 30-digit value must hold its resolved_digits.  Here the
+    algebraic parts fall below 1e-60, and S_1 is e^(-2 pi i a) F(a, 1-s),
+    whose terms k^(s-1) lose log10(|Im s| ln k) digits to their phases
+    without the phase rule of ``SeriesTables.k_power`` (2.9e-43 off at
+    y = 2^133, 5e-16 at 2^332, while resolved_digits reads 50); S_2
+    divides by 2^(s-1) (3.5e-22 off at 2^133, against a claimed 1.5e-34)."""
+
+    @staticmethod
+    def _pair(n, s, plan):
+        fine = PrecisionContext(digits=50)
+        a = _point(s, 6, 0.45, fine).a
+        coarse = PrecisionContext(digits=30)
+        try:
+            sample = stokes_multiplier(n, ZetaPoint.create(s, a, coarse),
+                                       coarse, plan=plan)
+        except ZetaError:
+            return None
+        ref = stokes_multiplier(n, ZetaPoint.create(s, a, fine), fine,
+                                plan=plan)
+        with fine.working():
+            error = abs(sample.exact - ref.exact) / abs(ref.exact)
+            return error, mpf(10) ** -sample.diagnostics["resolved_digits"]
+
+    # S_2 reads terminants, which raise DomainError once Im s passes the
+    # float range (2^1024)
+    @pytest.mark.parametrize("e, n", [(133, 1), (332, 1), (1000, 1),
+                                      (3000, 1), (133, 2), (332, 2),
+                                      (1000, 2)])
+    def test_resolved_digits_hold(self, e, n):
+        error, claimed = self._pair(n, mpc(3, mpf(2) ** e),
+                                    TruncationPlan.constant(1, n))
+        assert error <= claimed
+
+    def test_im_s_of_1e400_is_a_value_or_a_typed_error(self):
+        # the optimal plan, whose sizing reads s in floats; an OverflowError
+        # would escape as neither
+        pair = self._pair(1, mpc(3, mpf("1e400")), None)
+        if pair is not None:
+            assert pair[0] <= pair[1]
 
 
 class TestSweep:
