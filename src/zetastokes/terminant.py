@@ -33,6 +33,8 @@ digits.  The series is summed in fixed point (``_fixed_series``): real and
 imaginary parts are Python ints scaled by 2^wp, with wp the bits of the
 inflated digits plus guard bits sized by an a-priori error bound, so its
 hundreds of terms cost integer products rather than mpmath number objects.
+Both kernels read the order once as a binary fraction
+(``_binary_fraction``), so s = 2+0.5i's remainder orders run on small ints.
 At a nonpositive integer order -n the finite limit's head takes n! and
 psi(n+1) = H_n - gamma from ints, and z^(-n) is a log-free ``pow_ray``;
 the fraction sizes its prefactor's digits in floats.
@@ -92,13 +94,15 @@ def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
 
     Real and imaginary parts are Python ints scaled by 2^wp.  Each step
     multiplies the term t by -z (Gauss's three products), floor-divides it
-    by m and divides it by alpha + m: at an integer order k (ai = 0, ar a
-    multiple of 2^wp) as t // (k + m), at another real order as
-    (t << wp) // (ar + m 2^wp), else through the conjugate and
-    |alpha + m|^2; the first two are floors of the third's rationals, so
-    all give the same ints.  The sum stops at the first m > |z|
-    (m > m_floor) whose addend c has |c| < 10^(5-dps) peak, peak the largest
-    |c| so far, compared through squared magnitudes as
+    by m and divides it by alpha + m, stored as (pr + i pi) 2^(wp-e)
+    (``_binary_fraction``): at an integer order k (e = 0) as t // (k + m),
+    at another real order as (t << e) // d, else as
+    (t conj(d) << e) // |d|^2, with d = pr + m 2^e + i pi; these are
+    floors of the general form's rationals, t conj(alpha + m) 2^wp over
+    |alpha + m|^2 at wp bits, so all give the same ints, and at a short
+    order (e = 1 at s = 2+0.5i) d is a small int.  The sum stops at the
+    first m > |z| (m > m_floor) whose addend c has |c| < 10^(5-dps) peak,
+    peak the largest |c| so far, compared through squared magnitudes as
     c2 < ceil(peak2 / tol2) (exactly c2 tol2 < peak2, one division per
     peak); ConvergenceError, at once when m_floor leaves no room, if that
     takes SERIES_TERM_CAP addends.  Returns the sum as an mpc (exact,
@@ -109,10 +113,10 @@ def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
             f"incomplete gamma series needs more than |z| = {m_floor} "
             f"terms, beyond its cap of {SERIES_TERM_CAP}")
     zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
-    ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
+    pr, pi, e = _binary_fraction(alpha, wp)
     zs, zd = zr + zi, zi - zr
-    ai2 = ai * ai
-    k = ar >> wp if not ai and not ar & ((1 << wp) - 1) else None
+    pi2 = pi * pi
+    k = pr if not e and not pi else None
     tol2 = 10 ** (2 * (dps - 5))
     tr, ti = 1 << wp, 0
     sr = si = peak2 = 0
@@ -126,14 +130,14 @@ def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
             continue
         if k is not None:
             cr, ci = tr // (k + m), ti // (k + m)
-        elif not ai:
-            dr = ar + (m << wp)
-            cr, ci = (tr << wp) // dr, (ti << wp) // dr
+        elif not pi:
+            dr = pr + (m << e)
+            cr, ci = (tr << e) // dr, (ti << e) // dr
         else:
-            dr = ar + (m << wp)
-            den = dr * dr + ai2
-            cr = ((tr * dr + ti * ai) << wp) // den
-            ci = ((ti * dr - tr * ai) << wp) // den
+            dr = pr + (m << e)
+            den = dr * dr + pi2
+            cr = ((tr * dr + ti * pi) << e) // den
+            ci = ((ti * dr - tr * pi) << e) // den
         sr += cr
         si += ci
         c2 = cr * cr + ci * ci
@@ -146,6 +150,17 @@ def _fixed_series(alpha: mpc, zval: mpc, n, dps: int, wp: int,
                 return mp.make_mpc((from_man_exp(sr, -wp),
                                     from_man_exp(si, -wp))), peak2
     raise ConvergenceError("incomplete gamma series did not converge")
+
+
+def _binary_fraction(alpha: mpc, wp: int) -> tuple:
+    """(pr, pi, e), e in [0, wp] least, with the order's fixed-point ints
+    at wp bits equal to (pr + i pi) 2^(wp-e), from their trailing zeros:
+    e = 0 at an integer order, 1 at s = 2+0.5i's remainder orders, and
+    about the bits it carries at a decimal one."""
+    ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
+    low = ar | ai
+    h = min((low & -low).bit_length() - 1, wp) if low else wp
+    return ar >> h, ai >> h, wp - h
 
 
 def _bits(re: int, im: int) -> int:
@@ -162,9 +177,13 @@ def _fixed_cf(alpha: mpc, zval: mpc, wp: int, stop_bits: int):
     The Wallis recurrence X_n = b_n X_(n-1) + a_n X_(n-2), with
     b_n = z + 2n - 1 - alpha and a_(n+1) = -n(n - alpha), runs on Python
     ints for the numerators A_n and the denominators B_n, with b_n and a_n
-    scaled by 2^wp and b_n X in Gauss's three products.  At an integer
-    order k (ai = 0, ar a multiple of 2^wp), b_n - z and a_n are multiples
-    of 2^wp, which commute with the floor shift: a step is
+    scaled by 2^wp and b_n X in Gauss's three products.  With the order
+    stored as (pr + i pi) 2^h, h = wp - e (``_binary_fraction``),
+    a_(n+1) = -n(n 2^e - pr - i pi) 2^h, and flooring by 2^h then 2^e
+    floors by 2^wp, so a step (((b_n X_(n-1)) >> h) + (a_n 2^-h) X_(n-2))
+    >> e returns the general step's ints, with small a_n 2^-h at a short
+    order (e = 1 at s = 2+0.5i).  At an integer order k (e = 0), b_n - z
+    is a multiple of 2^wp too, and a step is
     ((z X_(n-1)) >> wp) + (2n-1-k) X_(n-1) - (n-1)(n-1-k) X_(n-2), the
     same ints with small-int factors.  Each pair (X_n, X_(n-1)) is shifted
     right by a common amount, separately for A and B, whenever both exceed
@@ -178,16 +197,17 @@ def _fixed_cf(alpha: mpc, zval: mpc, wp: int, stop_bits: int):
     difference, from the cross product of the stored ints.
     """
     zr, zi = to_fixed(zval.real._mpf_, wp), to_fixed(zval.imag._mpf_, wp)
-    ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
+    pr, pi, e = _binary_fraction(alpha, wp)
+    h = wp - e
     fr, fi = float(alpha.real), float(alpha.imag)
     zs, zd = zr + zi, zi - zr
     # (A_0, A_1) = (0, 1), (B_0, B_1) = (1, b_1); log2 |A_1 B_0 - A_0 B_1|
     # in units of the stored ints, less their shifts
     one, two = 1 << wp, 2 << wp
-    k = ar >> wp if not ai and not ar & (one - 1) else None
+    k = pr if not e and not pi else None
     par = pai = cai = pbi = 0
     car = pbr = one
-    br, bi = zr + one - ar, zi - ai
+    br, bi = zr + one - (pr << h), zi - (pi << h)
     cbr, cbi = br, bi
     la, lcb = wp + 1, max(br.bit_length(), bi.bit_length())
     logdet, sa, sb = 2.0 * wp, 0, 0
@@ -206,31 +226,31 @@ def _fixed_cf(alpha: mpc, zval: mpc, wp: int, stop_bits: int):
                 (g + cbr * zd >> wp) + kn * cbi + an * pbi
             logdet += math.log2(-an)  # log2 |a_(n+1)| of the exact int
         else:
-            anr, ani = -n * ((n << wp) - ar), n * ai
+            anr, ani = -n * ((n << e) - pr), n * pi
             br += two
             bs, bd = br + bi, bi - br
             g = br * (car + cai)
             par, pai, car, cai = car, cai, \
-                (g - cai * bs + anr * par - ani * pai) >> wp, \
-                (g + car * bd + anr * pai + ani * par) >> wp
+                (g - cai * bs >> h) + anr * par - ani * pai >> e, \
+                (g + car * bd >> h) + anr * pai + ani * par >> e
             g = br * (cbr + cbi)
             pbr, pbi, cbr, cbi = cbr, cbi, \
-                (g - cbi * bs + anr * pbr - ani * pbi) >> wp, \
-                (g + cbr * bd + anr * pbi + ani * pbr) >> wp
+                (g - cbi * bs >> h) + anr * pbr - ani * pbi >> e, \
+                (g + cbr * bd >> h) + anr * pbi + ani * pbr >> e
             logdet += math.log2(n) + math.log2(math.hypot(n - fr, fi))
         lpa, la = la, max(car.bit_length(), cai.bit_length())
         lb, lcb = lcb, max(cbr.bit_length(), cbi.bit_length())
         if logdet - la - lb < -stop_bits:
             break
-        e = min(la, lpa) - low
-        if e > high - low:
-            par, pai, car, cai = par >> e, pai >> e, car >> e, cai >> e
-            logdet, sa = logdet - e, sa + e
+        cut = min(la, lpa) - low
+        if cut > high - low:
+            par, pai, car, cai = par >> cut, pai >> cut, car >> cut, cai >> cut
+            logdet, sa = logdet - cut, sa + cut
             la = max(car.bit_length(), cai.bit_length())
-        e = min(lb, lcb) - low
-        if e > high - low:
-            pbr, pbi, cbr, cbi = pbr >> e, pbi >> e, cbr >> e, cbi >> e
-            logdet, sb = logdet - e, sb + e
+        cut = min(lb, lcb) - low
+        if cut > high - low:
+            pbr, pbi, cbr, cbi = pbr >> cut, pbi >> cut, cbr >> cut, cbi >> cut
+            logdet, sb = logdet - cut, sb + cut
             lcb = max(cbr.bit_length(), cbi.bit_length())
     else:
         raise ConvergenceError(
@@ -435,7 +455,7 @@ def _upper_gamma_cf(alpha: mpc, z: RayComplex, ctx: PrecisionContext):
     #   it excites decays); over fewer than CF_TERM_CAP < 2^14 steps of at
     #   most 4 such units each, F is off by less than 2^(16 - wp), and
     #   wp = prec + FIXED_GUARD_BITS = prec + 40 puts that 2^-24 below the
-    #   budget.  The integer-order step returns the general step's ints.
+    #   budget.  Every form of the step returns the general step's ints.
     # - The prefactor.  exp(alpha log z) e^(-z) rounds an exponent of size
     #   S <= |alpha| (|log|z|| + |arg z|) + |z|, so `extra` digits with
     #   10^extra > 100 S, from floats, keep it 10^-2 below the budget.

@@ -14,7 +14,7 @@ from test_expansion import _bench_workloads
 from zetastokes.errors import (ConvergenceError, DomainError,
                                IllConditionedError)
 from zetastokes.expansion import TruncationPlan, optimal_truncation, z_improved
-from zetastokes.hp import PrecisionContext, RayComplex, pow_ray
+from zetastokes.hp import HEADROOM, PrecisionContext, RayComplex, pow_ray
 from zetastokes.terminant import (c_of_phi, terminant,
                                   terminant_asymptotic, upper_gamma)
 
@@ -160,10 +160,15 @@ def _fixed_cf_reference(alpha, zval, wp, stop_bits):
 
 def _order(kind, re, frac, im):
     """An order of the given kind near re: the integer round(re), a real
-    order off it by frac, or a complex one."""
+    order off it by frac, or a complex one.  A float frac is a short binary
+    fraction; the decimal kinds read it as a decimal string at the current
+    precision instead, so the order carries about as many fractional bits
+    as the precision allows."""
     n = round(re)
+    dec = mpf(repr(frac))
     return {"integer": mpc(n), "real": mpc(n + frac),
-            "complex": mpc(n + frac, im)}[kind]
+            "complex": mpc(n + frac, im), "decimal real": mpc(n + dec),
+            "decimal complex": mpc(n + dec, im)}[kind]
 
 
 class TestQueryValidation:
@@ -596,16 +601,68 @@ class TestIntegerOrderHead:
         assert terminant_module._limit_head.cache_info().currsize > 0
 
 
+KINDS = ["integer", "real", "complex", "decimal real", "decimal complex"]
+
+
+class TestBinaryFraction:
+    """``_binary_fraction`` writes the order's fixed-point ints as
+    (pr + i pi) 2^(wp-e) with the least e, so the kernels' short forms
+    serve every order that is a short binary fraction."""
+
+    @staticmethod
+    def _split(alpha, wp):
+        pr, pi, e = terminant_module._binary_fraction(alpha, wp)
+        ar, ai = to_fixed(alpha.real._mpf_, wp), to_fixed(alpha.imag._mpf_, wp)
+        assert 0 <= e <= wp
+        assert (ar, ai) == (pr << (wp - e), pi << (wp - e))
+        # least: one bit fewer would not hold the ints
+        assert e == 0 or (pr | pi) & 1
+        return e
+
+    @pytest.mark.parametrize("wp", [300, 340, 380])
+    def test_integer_orders_have_no_fraction(self, wp):
+        for alpha in (mpc(0), mpc(-37), mpc(-168), mpc(5)):
+            assert self._split(alpha, wp) == 0
+
+    @pytest.mark.parametrize("wp", [300, 340, 380])
+    def test_grid_orders(self, ctx, wp):
+        # the remainder orders 1 - (2N + s) of the grid's s = 2+0.5i and
+        # s = 1.6: one fractional bit, against the 295 that a decimal
+        # order carries at working(HEADROOM)
+        with ctx.working(HEADROOM):
+            short = 1 - (2 * 37 + ctx.read(mpc(2, 0.5)))
+            decimal = 1 - (2 * 37 + ctx.read("1.6"))
+            assert mp.prec == 302
+        assert self._split(short, wp) == 1
+        assert self._split(decimal, wp) == 295
+
+    @pytest.mark.parametrize("alpha,bits", [
+        (mpc(-9.25, -0.5), 2), (mpc(0.75, -3), 2), (mpc(-3, 0.125), 3),
+        (mpc(0, -1.5), 1), (mpc(-2 ** -20), 20)])
+    def test_negative_parts(self, alpha, bits):
+        assert self._split(alpha, 200) == bits
+
+    @pytest.mark.parametrize("wp", [40, 64, 100])
+    def test_truncated_order(self, wp):
+        # an order with more than wp fractional bits: to_fixed truncates
+        # it, and the ints still factor exactly, with no short form left
+        with mp.workdps(100):
+            alpha = mpc(-mpf(1) / 3, mpf(2) / 7)
+        assert self._split(alpha, wp) > wp - 8
+
+
 class TestKernelBits:
     """Both fixed-point kernels return the ints of their general forms (the
     references above) bit for bit, whichever form of a step the order
-    selects: integer, other real, or complex."""
+    selects: integer, the few fractional bits of a float (the grid's
+    s = 2+0.5i orders have one) or the many of a decimal, real or
+    complex."""
 
     DPS = 50
 
     @given(mod=st.floats(min_value=1, max_value=200),
            arg=st.floats(min_value=-math.pi, max_value=math.pi),
-           kind=st.sampled_from(["integer", "real", "complex"]),
+           kind=st.sampled_from(KINDS),
            ratio=st.floats(min_value=-1.5, max_value=1.5),
            frac=st.floats(min_value=0.01, max_value=0.99),
            im=st.floats(min_value=-5, max_value=5))
@@ -617,6 +674,12 @@ class TestKernelBits:
              im=0.0)
     @example(mod=200.0, arg=0.1, kind="complex", ratio=-1.0, frac=0.5,
              im=3.0)
+    @example(mod=113.1, arg=0.9 * math.pi, kind="complex",
+             ratio=-111 / 113.1, frac=0.0, im=-0.5)  # a grid order
+    @example(mod=40.0, arg=2.5, kind="decimal real", ratio=-1.0, frac=0.6,
+             im=0.0)
+    @example(mod=40.0, arg=-1.0, kind="decimal complex", ratio=-0.5,
+             frac=0.6, im=-0.5)
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_series(self, mod, arg, kind, ratio, frac, im):
         with mp.workdps(self.DPS):
@@ -632,12 +695,19 @@ class TestKernelBits:
 
     @given(mod=st.floats(min_value=5, max_value=200),
            arg=st.floats(min_value=-1.4, max_value=1.4),
-           kind=st.sampled_from(["integer", "real", "complex"]),
+           kind=st.sampled_from(KINDS),
            ratio=st.floats(min_value=-1.5, max_value=-0.1),
            frac=st.floats(min_value=0.01, max_value=0.99),
            im=st.floats(min_value=-1, max_value=1))
     @example(mod=30.0, arg=0.4, kind="integer", ratio=-1.0, frac=0.5,
              im=0.0)
+    @example(mod=37.7, arg=-0.05 * math.pi, kind="complex",
+             ratio=-37 / 37.7, frac=0.0,
+             im=-0.5 / (37.7 * math.cos(-0.05 * math.pi)))  # a grid order
+    @example(mod=37.7, arg=0.3, kind="decimal real", ratio=-1.0, frac=0.6,
+             im=0.0)
+    @example(mod=37.7, arg=-0.3, kind="decimal complex", ratio=-1.0,
+             frac=0.6, im=-0.5)
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_fraction(self, mod, arg, kind, ratio, frac, im):
         # Re alpha < 0, |Im alpha| <= Re z: the fraction's own domain
@@ -653,7 +723,7 @@ class TestKernelBits:
         assert (value._mpc_, bits) == (ref._mpc_, ref_bits)
 
     @pytest.mark.parametrize("alpha", [mpc(-9), mpc("-9.5"),
-                                       mpc("-9.5", "7")])
+                                       mpc("-9.5", "7"), mpc("-9.6")])
     def test_fraction_that_shifts_often(self, alpha):
         # at |z| = 10 the fraction takes hundreds of steps, and A_n and B_n,
         # with parts of both signs, shift 30 times or so
