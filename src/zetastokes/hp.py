@@ -41,10 +41,13 @@ c_j = B_2j/(2j)! (s)_(2j-1), kept per (s, ctx) too, one list per precision
 offset, with their float logs beside them; the q-series reads the owned
 powers k^(s-1).
 
-Those powers follow the phase rule: x = (s-1) log k rounded at p bits is
-off by 2^-p |x|, which exp(x) turns into an error in its phase, so where
-|x| > 1 both take mag(x) extra bits.  (2 pi)^(+-s) and ``pow_ray`` do not
-follow it yet (ROADMAP item 14).
+Every power with a complex exponent follows one phase rule,
+``phase_bits``: the exponent x = e L of exp(x) rounded at p bits is off by
+2^-p |x|, which exp(x) turns into an error in its phase, so where
+|e| |L| > 1 the log and the exp take log2(|e| |L|) extra bits, sized in
+floats, and the value is rounded back.  The powers k^(s-1), (2 pi)^(+-s),
+a non-integer ``pow_ray``, the head of ``oracle.hurwitz_zeta_direct`` and
+``oracle.periodic_zeta_direct``'s polylogarithm all read it.
 
 The precision budget is decided here: every offset of ``ctx.working`` and
 every fixed precision is a named constant below, with its reason, and so
@@ -319,6 +322,29 @@ def gamma_complex(z, ctx: PrecisionContext) -> mpc:
         return mp.gamma(z)
 
 
+def float_log(x) -> float:
+    """ln x of a positive number in floats, at any size: from the mantissa
+    and binary exponent of mpf(x)."""
+    x = mpf(x)
+    return math.log(x.man) + x.exp * math.log(2)
+
+
+def phase_bits(e, log_size: float) -> int:
+    """The extra bits of a power exp(e L) with |L| <= log_size, a float:
+    0 where |e| log_size <= 1, else ceil(log2(|e| log_size)), the bits by
+    which the rounding of e L at the working precision moves the power's
+    phase.  Sized in floats, and by ``float_log`` where |e| passes the
+    float range."""
+    if not log_size:
+        return 0
+    size = math.hypot(float(e.real), float(e.imag)) * log_size
+    if size <= 1:
+        return 0
+    if size < math.inf:
+        return math.ceil(math.log2(size))
+    return math.ceil(float_log(abs(e)) / math.log(2) + math.log2(log_size))
+
+
 class SeriesTables:
     """Every theta-independent value of one (s, ctx), each computed once
     and kept; errors are not kept.
@@ -329,8 +355,9 @@ class SeriesTables:
     G_r = G_(r-1) (-(2r+s-1)(2r+s)) from Gamma(s+1) at
     ``working(FACTOR_EXTRA)``, in increasing r with no recursion, and is
     the one source of the block factors' Gammas; ``hurwitz_tail`` runs at
-    ``working(HEADROOM + extra)`` for the offset it is asked for,
-    ``k_power`` by the phase rule, and all else at ``working(HEADROOM)``.
+    ``working(HEADROOM + extra)`` for the offset it is asked for, and
+    all else at ``working(HEADROOM)``, where ``k_power`` and the powers of
+    2 pi are rounded after the extra bits of ``phase_bits``.
     """
 
     def __init__(self, s: mpc, ctx: PrecisionContext):
@@ -340,8 +367,10 @@ class SeriesTables:
         with ctx.working(HEADROOM):
             self.phase_half_s = mp.expjpi(s / 2)  # e^(i pi s/2)
             self.phase_minus_s = mp.expjpi(-s)  # e^(-i pi s)
-            self.two_pi_s = (2 * mp.pi) ** s
-            self.two_pi_minus_s = (2 * mp.pi) ** -s
+            with mp.extraprec(phase_bits(s, math.log(2 * math.pi))):
+                two_pi = 2 * mp.pi
+                two_pi_s, two_pi_minus_s = two_pi ** s, two_pi ** -s
+            self.two_pi_s, self.two_pi_minus_s = +two_pi_s, +two_pi_minus_s
 
     def signed_gamma(self, r: int) -> mpc:
         """(-1)^r Gamma(2r+s+1)."""
@@ -414,15 +443,13 @@ class SeriesTables:
         return logs
 
     def k_power(self, k: int) -> mpc:
-        """k^(s-1) = exp(x), x = (s-1) log k, for an integer k >= 1, by the
-        phase rule: x and exp(x) take mag(x) extra bits where |x| > 1 and
-        none elsewhere, and the value is rounded to ``working(HEADROOM)``.
-        So it is right to a few units at any |Im s|, and the plain exp(x)
-        bit for bit where |x| <= 1."""
+        """k^(s-1) = exp((s-1) log k), for an integer k >= 1, with the
+        ``phase_bits`` of (s-1, ln k), rounded to ``working(HEADROOM)``.
+        So it is right to a few units at any |Im s|, and the plain exp
+        bit for bit where |s-1| ln k <= 1."""
         if k not in self._k_powers:
             with self.ctx.working(HEADROOM):
-                x = (self.s - 1) * mp.log(k)
-                with mp.extraprec(mp.mag(x) if abs(x) > 1 else 0):
+                with mp.extraprec(phase_bits(self.s - 1, math.log(k))):
                     value = mp.exp((self.s - 1) * mp.log(k))
                 self._k_powers[k] = +value
         return self._k_powers[k]
@@ -445,8 +472,11 @@ def pow_ray(base: RayComplex, exponent, ctx: PrecisionContext,
     """base**exponent using the ray's carried argument, never a
     principal-value reduction: exp(e (log modulus + i argument)), or the
     single-valued modulus^n e^(i n argument) at an integer n, at
-    ``ctx.working(extra)``, where the exponent and the modulus are
-    converted (and so rounded).  Kept on the ray per (exponent, ctx, extra)."""
+    ``ctx.working(extra)``, where the exponent is converted (and so
+    rounded), and the modulus too at an integer n.  The exp form reads the
+    modulus and the argument as stored, takes its log and exp with the
+    ``phase_bits`` of (e, |ln modulus| + |argument|) and is rounded back.
+    Kept on the ray per (exponent, ctx, extra)."""
     key = (exponent, ctx, extra)
     memo = base._memo
     if key not in memo:
@@ -456,8 +486,12 @@ def pow_ray(base: RayComplex, exponent, ctx: PrecisionContext,
                 n = int(e.real)
                 memo[key] = mpf(base.modulus) ** n * mp.expj(n * base.argument)
             else:
-                logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
-                memo[key] = mp.exp(e * logz)
+                log_size = abs(float_log(base.modulus)) \
+                    + abs(float(base.argument))
+                with mp.extraprec(phase_bits(e, log_size)):
+                    logz = mp.log(base.modulus) + mpc(0, 1) * base.argument
+                    value = mp.exp(e * logz)
+                memo[key] = +value
     return memo[key]
 
 

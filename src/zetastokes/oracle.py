@@ -29,7 +29,8 @@ from mpmath import mp, mpf, mpc
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      PoleError)
 from .hp import (HEADROOM, HURWITZ_EXTRA, PrecisionContext, RayComplex,
-                 _fixed_horner, pow_ray, series_tables)
+                 _fixed_horner, float_log, phase_bits, pow_ray,
+                 series_tables)
 
 RE_S_MARGIN = mpf("1.1")
 # Largest k* = (Re s - 1)/(2 pi Im a) at which ``periodic_zeta_direct``
@@ -237,8 +238,9 @@ def _euler_maclaurin(s: mpc, a: RayComplex, ctx: PrecisionContext,
     extra)``, where extra is HURWITZ_EXTRA plus the digits by which the
     largest addend exceeds e^scale.
 
-    Each power z^(-s) is taken with the bits of |s| (|ln|z|| + pi) added,
-    which its exponent's rounding costs, and ``mp.fsum`` rounds the sum of
+    Each power z^(-s) is taken with the ``hp.phase_bits`` of (s, span
+    + pi), span the largest |ln|z|| of the head, which its exponent's
+    rounding costs, and ``mp.fsum`` rounds the sum of
     the addends once.  So each addend is off by a few units of the
     precision, and the truncated tail by about ten: the sum is off by less
     than (M + 20) units of its largest addend, and relative to its value by
@@ -260,9 +262,7 @@ def _euler_maclaurin(s: mpc, a: RayComplex, ctx: PrecisionContext,
         aval = a.value()
         span = max(abs(math.log(abs(complex(aval) + k)))
                    for k in range(m + 1))
-        # |s| > 1.1 and span + pi > 3, so these bits are at least 2
-        with mp.extraprec(math.ceil(math.log2(float(abs(s))
-                                              * (span + math.pi)))):
+        with mp.extraprec(phase_bits(s, span + math.pi)):
             z = a.value()
             powers = [(z + k) ** -s for k in range(m + 1)]
         w, w_s = aval + m, powers.pop()
@@ -302,7 +302,11 @@ def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
     before, so |F| >= |q|/2 and nothing cancels, and K is the first k at
     which the float log of the next term over q, (Re s - 1) ln(k+1)
     + k ln|q|, falls below -(D+2) ln 10, D the digits of the working
-    precision.  Elsewhere it is mpmath's ``polylog`` Li_{1-s}(q)."""
+    precision.  Elsewhere it is mpmath's ``polylog`` Li_{1-s}(q), run with
+    the ``hp.phase_bits`` of (1-s, ln K), K a float bound on the index past
+    which the series' terms fall below 10^-(D+2), and rounded back: its
+    terms q^k k^(s-1) would otherwise lose log10(|Im s| ln k) digits to
+    their phases."""
     with ctx.working(HEADROOM):
         aval = point.a.value()
         if aval.imag <= 0:
@@ -319,7 +323,21 @@ def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
         q = mp.exp(2 * mp.pi * mpc(0, 1) * aval)
         log_q = -2 * math.pi * im_a
         if not max(re_s1, 0) * math.log(2) + log_q <= -math.log(3):
-            return mp.polylog(1 - point.s, q)
+            # ln K, K past which the series' terms k^r e^(-ck) stay below
+            # e^-L, with r = max(Re s - 1, 0), c = 2 pi Im a and
+            # L = (D+2) ln 10: c K/2 >= L from K = 2L/c on, and
+            # r ln K <= c K/2 from K = (4r/c) ln(2r/c) on where 2r/c > e
+            # (so c > 0, by the term limit), and at every K elsewhere.
+            # Taken in logs, as Im a may fall below the float range.
+            log_k = math.log((mp.dps + 2) * math.log(10) / math.pi) \
+                - float_log(aval.imag)
+            if re_s1 > math.e * -log_q / 2:
+                ratio = 2 * re_s1 / -log_q
+                log_k = max(log_k, math.log(2 * ratio * math.log(ratio)))
+            order = 1 - point.s
+            with mp.extraprec(phase_bits(order, log_k)):
+                value = mp.polylog(order, q)
+            return +value
         floor, k = -(mp.dps + 2) * math.log(10), 1
         while re_s1 * math.log(k + 1) + k * log_q >= floor:
             k += 1

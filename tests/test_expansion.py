@@ -62,14 +62,20 @@ def _bench_workloads():
 
 def _power(base, exponent, ctx, extra=0):
     # one power of a ray on its own: |b|^n e^(i n arg b) at an integer n,
-    # else exp(e (log|b| + i arg b))
+    # else exp(e (log|b| + i arg b)) with ceil(log2(|e| |log b|)) extra
+    # bits where |e| |log b| > 1, |log b| taken as |ln|b|| + |arg b|, and
+    # rounded back
     with ctx.working(extra):
         e = mpc(exponent)
         if e.imag == 0 and e.real == int(e.real):
             n = int(e.real)
             return mpf(base.modulus) ** n * mp.expj(n * base.argument)
-        logz = mp.log(mpf(base.modulus)) + mpc(0, 1) * base.argument
-        return mp.exp(e * logz)
+        size = abs(complex(e)) * (abs(math.log(base.modulus))
+                                  + abs(float(base.argument)))
+        with mp.extraprec(math.ceil(math.log2(size)) if size > 1 else 0):
+            logz = mp.log(base.modulus) + mpc(0, 1) * base.argument
+            value = mp.exp(e * logz)
+        return +value
 
 
 REF_DPS = 130

@@ -12,8 +12,8 @@ from zetastokes.errors import DomainError, PoleError
 from zetastokes.expansion import TruncationPlan, z_improved
 from zetastokes.hp import (HEADROOM, TABLES_LIMIT, PrecisionContext,
                            RayComplex, SeriesTables, bernoulli_even,
-                           gamma_complex, hurwitz_zeta_integer, pow_ray,
-                           series_tables)
+                           gamma_complex, hurwitz_zeta_integer, phase_bits,
+                           pow_ray, series_tables)
 from zetastokes.terminant import _gamma_head, _limit_head, _prefactor
 from zetastokes.oracle import ZetaPoint
 from zetastokes.stokes import stokes_multiplier
@@ -479,31 +479,78 @@ class TestMemo:
         assert bits(cold) == bits(warm)
 
 
+# a ray whose argument has more bits than a 30-digit power keeps
+with mp.workdps(100):
+    PHASE_RAY = RayComplex(mpf(6), mpf("0.45") * mp.pi)
+SMALL_RAY = RayComplex(mpf(2), mpf("0.3"))
+
+
 class TestKPower:
-    """k^(s-1) by the phase rule of ``SeriesTables.k_power``."""
+    """Every owned power with a complex exponent by the phase rule
+    ``phase_bits``: k^(s-1), (2 pi)^(+-s) and a non-integer ``pow_ray``."""
+
+    # (name, offset of the working precision it is rounded to, the power
+    # at (s, ctx))
+    POWERS = [(f"k_power({k})", HEADROOM,
+               lambda s, ctx, k=k: SeriesTables(s, ctx).k_power(k))
+              for k in (2, 3, 10, 97)] + [
+        ("two_pi_s", HEADROOM, lambda s, ctx: SeriesTables(s, ctx).two_pi_s),
+        ("two_pi_minus_s", HEADROOM,
+         lambda s, ctx: SeriesTables(s, ctx).two_pi_minus_s),
+    ] + [(f"pow_ray extra={extra}", extra,
+          lambda s, ctx, extra=extra: pow_ray(PHASE_RAY, -s, ctx, extra))
+         for extra in (0, HEADROOM)]
 
     @pytest.mark.parametrize("e", [0, 40, 133, 1000, 3000])
     def test_matches_twenty_more_digits(self, e, ctx_fast):
-        # right to a few units of working(HEADROOM) at any |Im s|: without
-        # the rule the phase (Im s) ln k would lose log2(|s-1| ln k) bits
+        # right to a few units of its working precision at any |Im s|:
+        # without the rule the phase of exp(e L) would lose log2(|e| |L|)
+        # bits, 2^-p |e L| off at p bits
         s = mpc(3, mpf(2) ** e)
         fine = PrecisionContext(ctx_fast.digits + 20)
-        with ctx_fast.working(HEADROOM):
-            unit = mpf(2) ** -mp.prec
-        for k in (2, 3, 10, 97):
-            got = SeriesTables(s, ctx_fast).k_power(k)
-            want = SeriesTables(s, fine).k_power(k)
+        for name, extra, power in self.POWERS:
+            with ctx_fast.working(extra):
+                unit = mpf(2) ** -mp.prec
+            got, want = power(s, ctx_fast), power(s, fine)
             with fine.working(HEADROOM):
-                assert abs(got - want) <= 4 * unit * abs(want), k
+                assert abs(got - want) <= 4 * unit * abs(want), name
 
     @pytest.mark.parametrize("s, k", [
         (mpc(2, 0.5), 2), (mpc(1.5), 7), (mpc(1, 0.001), 1000), (mpc(3), 1),
+        (mpc(0.5, 0.1), "two_pi_s"), (mpc(0.5, 0.1), "two_pi_minus_s"),
+        (mpc(0.5, 0.5), "pow_ray"),
     ])
     def test_plain_exp_where_the_phase_is_small(self, s, k, ctx_fast):
-        # |s-1| ln k <= 1 (0.77 at the first, with mag 1): no extra bit
-        got = SeriesTables(s, ctx_fast).k_power(k)
+        # |e| log_size <= 1, so no extra bit: |s-1| ln k (0.77 at the
+        # first), |s| ln 2 pi = 0.94, and |s| (ln 2 + 0.3) = 0.70 on the
+        # ray 2 e^(0.3 i); each is the plain power of its own precision
+        if k == "pow_ray":
+            for extra in (0, HEADROOM):
+                got = pow_ray(SMALL_RAY, -s, ctx_fast, extra)
+                with ctx_fast.working(extra):
+                    log_b = mp.log(SMALL_RAY.modulus) \
+                        + mpc(0, 1) * SMALL_RAY.argument
+                    assert got._mpc_ == mp.exp(-s * log_b)._mpc_
+            return
+        tables = SeriesTables(s, ctx_fast)
         with ctx_fast.working(HEADROOM):
-            assert got._mpc_ == mp.exp((s - 1) * mp.log(k))._mpc_
+            if k == "two_pi_s":
+                plain, got = (2 * mp.pi) ** s, tables.two_pi_s
+            elif k == "two_pi_minus_s":
+                plain, got = (2 * mp.pi) ** -s, tables.two_pi_minus_s
+            else:
+                plain, got = mp.exp((s - 1) * mp.log(k)), tables.k_power(k)
+            assert got._mpc_ == plain._mpc_
+
+    @pytest.mark.parametrize("e, log_size, want", [
+        (mpc(2, 0.5), 0.0, 0), (mpc(0.5), 2.0, 0), (mpc(0, 4), 1.0, 2),
+        (mpc(0, 4), 1.01, 3), (3, 1.0, 2), (mpc(3, mpf(2) ** 60), 1.0, 60),
+        # |e| past the float range: log2(2^1330 1.5) = 1330.58
+        (mpc(3, mpf(2) ** 1330), 1.5, 1331),
+        (mpc(3, mpf(2) ** 1330), 0.0, 0),
+    ])
+    def test_phase_bits(self, e, log_size, want):
+        assert phase_bits(e, log_size) == want
 
 
 class TestPowRay:

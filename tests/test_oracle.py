@@ -220,6 +220,23 @@ class TestPeriodicZeta:
             rho = 2 ** max(float(s.real) - 1, 0) * abs(q)
         assert len(calls) == (rho > mpf(1) / 3)
 
+    @pytest.mark.parametrize("e", [60, 133])
+    @pytest.mark.parametrize("im_a", ["0.1", "0.02"])
+    def test_polylog_at_large_im_s_matches_sixty_digits(self, im_a, e):
+        # rho = 4 |q| > 1/3 at a = 0.3 + i im_a, so F is mp.polylog's,
+        # whose terms k^(s-1) q^k lose log10(|Im s| ln k) digits to their
+        # phases without the phase rule (8.8e-50 off at im_a = 0.1 and
+        # 2^60, 1.4e-27 at 2^133)
+        s = mpc(3, mpf(2) ** e)
+        with mp.workdps(100):
+            a = RayComplex.from_value(mpc("0.3", im_a))
+        coarse, fine = PrecisionContext(30), PrecisionContext(60)
+        got = periodic_zeta_direct(ZetaPoint.create(s, a, coarse), coarse)
+        want = periodic_zeta_direct(ZetaPoint.create(s, a, fine), fine)
+        digits = coarse.digits + coarse.guard + HEADROOM
+        with fine.working():
+            assert abs(got - want) <= mpf(10) ** (1 - digits) * abs(want)
+
     def test_sweep_points_take_no_polylog(self, ctx, monkeypatch):
         # the ends of the fig1b sweep, with its pinned plan, and a point at
         # |a| = 1 near the real axis, where rho = 0.67 > 1/3

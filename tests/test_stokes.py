@@ -278,9 +278,10 @@ class TestLargeImS:
     digits: the 30-digit value must hold its resolved_digits.  Here the
     algebraic parts fall below 1e-60, and S_1 is e^(-2 pi i a) F(a, 1-s),
     whose terms k^(s-1) lose log10(|Im s| ln k) digits to their phases
-    without the phase rule of ``SeriesTables.k_power`` (2.9e-43 off at
-    y = 2^133, 5e-16 at 2^332, while resolved_digits reads 50); S_2
-    divides by 2^(s-1) (3.5e-22 off at 2^133, against a claimed 1.5e-34)."""
+    without the phase rule ``hp.phase_bits``, which every owned power
+    reads (2.9e-43 off at y = 2^133, 5e-16 at 2^332, while resolved_digits
+    reads 50); S_2 divides by 2^(s-1) (3.5e-22 off at 2^133, against a
+    claimed 1.5e-34), and Ftilde's prefactor divides by (2 pi)^s."""
 
     @staticmethod
     def _pair(n, s, plan):
