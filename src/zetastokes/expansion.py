@@ -45,9 +45,8 @@ from itertools import accumulate
 from mpmath import mp, mpf, mpc
 
 from .errors import DomainError, TailBoundError
-from .hp import (FACTOR_EXTRA, HEADROOM, LOG_ESTIMATE_DIGITS, MIN_DIGITS,
-                 PrecisionContext, RayComplex, _fixed_horner,
-                 hurwitz_zeta_integer, pow_ray, series_tables)
+from .hp import (FACTOR_EXTRA, HEADROOM, MIN_DIGITS, PrecisionContext,
+                 RayComplex, _fixed_horner, float_log, pow_ray, series_tables)
 from .oracle import ZetaPoint, check_s_off_poles
 from .terminant import terminant
 
@@ -227,10 +226,10 @@ def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
     the dropped tail -- its first omitted term |A_prev| zeta(2 prev+2, k+1)/pi
     plus the exponential bound 2 (k+1)^max(Re s-1, 0) e^(-2 pi (k+1) |Im a|)
     -- falls below the budget, tol/100 times the leading block
-    |A_0| zeta(2)/pi, the rule taken in logs at ``hp.LOG_ESTIMATE_DIGITS``.
-    |Gamma(2r+s+1)| and zeta(2r+2, b) come from ``hp.series_tables`` and
-    ``hp.hurwitz_zeta_integer``, the values ``leading_blocks`` then sums;
-    only their logarithms are taken at the lower precision.
+    |A_0| zeta(2)/pi, the rule taken in float logs.  |A_r| zeta(2r+2, b)/pi
+    is ``hp.float_log`` of the owner's block factor (-1)^r Gamma(2r+s+1)
+    zeta(2r+2, b), the value ``leading_blocks`` then sums, plus the float
+    log of |(2 pi a)^-(2r+s+1)/pi|; no precision is set for it.
     The second item holds, for each added scale, log10(estimate/budget) of
     the tail estimate that added it, always >= 0: ``z_improved`` sizes that
     scale's remainder by it.  ``leading_blocks`` over the extended list
@@ -243,17 +242,15 @@ def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
         if im_abs <= ctx.tol():
             raise TailBoundError("remainder tail needs Im(a) != 0 to decay")
     im_abs, power = float(im_abs), max(float(s.real) - 1, 0.0)
+    tables = series_tables(s, ctx)
+    log_v = math.log(2 * math.pi) + float_log(a.modulus)  # ln |2 pi a|
+    re_s, im_arg = float(s.real), float(s.imag) * float(a.argument)
 
-    def log_alg(r, b):  # log(|A_r| zeta(2r+2, b) / pi)
-        gamma = series_tables(s, ctx).signed_gamma(r)
-        zeta = hurwitz_zeta_integer(2 * r + 2, b, ctx)
-        with mp.workdps(LOG_ESTIMATE_DIGITS):
-            e = 2 * r + s + 1
-            return float(mp.log(abs(gamma)) + e.imag * a.argument
-                         - e.real * mp.log(2 * mp.pi * a.modulus)
-                         + mp.log(zeta / mp.pi))
+    def log_alg(r, b):  # ln(|A_r| zeta(2r+2, b) / pi)
+        return float_log(tables.block_coefficients(b, r, r + 1)[0]) \
+            - (2 * r + 1 + re_s) * log_v + im_arg - math.log(math.pi)
 
-    log_budget = float(mp.log(ctx.tol() / 100)) + log_alg(0, 1)
+    log_budget = (8 - ctx.digits) * math.log(10) + log_alg(0, 1)  # tol/100
     out, excess = list(nlist), []
     for b in range(len(out) + 1, len(out) + 302):
         x = log_alg(out[-1], b)

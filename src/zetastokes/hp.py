@@ -44,10 +44,14 @@ powers k^(s-1).
 Every power with a complex exponent follows one phase rule,
 ``phase_bits``: the exponent x = e L of exp(x) rounded at p bits is off by
 2^-p |x|, which exp(x) turns into an error in its phase, so where
-|e| |L| > 1 the log and the exp take log2(|e| |L|) extra bits, sized in
-floats, and the value is rounded back.  The powers k^(s-1), (2 pi)^(+-s),
-a non-integer ``pow_ray``, the head of ``oracle.hurwitz_zeta_direct`` and
-``oracle.periodic_zeta_direct``'s polylogarithm all read it.
+|e| |L| > 1 the log and the exp take log2(|e| |L|) extra bits, and the
+value is rounded back.  The powers k^(s-1), (2 pi)^(+-s), a non-integer
+``pow_ray``, the head of ``oracle.hurwitz_zeta_direct`` and
+``oracle.periodic_zeta_direct``'s polylogarithm all read it.  Every size
+the package decides in floats is a log from ``float_log``, ln |x| read
+from the raw mantissas and binary exponents of an mpf or mpc, at any size
+and whatever the caller's precision: the phase rule's, the tail rule of
+``expansion.extend_plan`` and the rerun rule of ``stokes.sweep``.
 
 The precision budget is decided here: every offset of ``ctx.working`` and
 every fixed precision is a named constant below, with its reason, and so
@@ -93,7 +97,6 @@ CONNECTION_EXTRA = 20
 # digits it cancels and M its head terms, so a point that cancels no digit
 # and takes fewer than 80 head terms, every grid point, takes one pass.
 HURWITZ_EXTRA = 5
-LOG_ESTIMATE_DIGITS = 20  # extend_plan compares its logs to within a digit
 SMOOTHING_DIGITS = 30  # c_of_phi: its form is only good to O(|z|^(-1/2))
 RAY_VALUE_BITS = 10  # RayComplex.value: bits above the caller's precision
 # Bits the fixed-point kernels carry beyond the working precision: the
@@ -323,26 +326,31 @@ def gamma_complex(z, ctx: PrecisionContext) -> mpc:
 
 
 def float_log(x) -> float:
-    """ln x of a positive number in floats, at any size: from the mantissa
-    and binary exponent of mpf(x)."""
-    x = mpf(x)
-    return math.log(x.man) + x.exp * math.log(2)
+    """ln |x| of a finite int, float, mpf or mpc, in floats at any size:
+    read from the raw mantissas and binary exponents, each part scaled by
+    2^-top, with top the binary exponent of the larger part, so that
+    nothing leaves the float range until top * ln 2 does (then +-inf);
+    -inf at 0.  Off by a few units of 1e-16 max(1, |ln |x||)."""
+    parts = x._mpc_ if isinstance(x, mpc) else (_exact(x),)
+    top = max((exp + bc for _, man, exp, bc in parts if man), default=None)
+    if top is None:
+        return -math.inf
+    if top.bit_length() > 1000:
+        return math.inf if top > 0 else -math.inf
+    return math.log(math.hypot(*[
+        math.ldexp(man >> (cut := max(bc - 64, 0)), exp + cut - top)
+        for _, man, exp, bc in parts])) + top * math.log(2)
 
 
 def phase_bits(e, log_size: float) -> int:
     """The extra bits of a power exp(e L) with |L| <= log_size, a float:
-    0 where |e| log_size <= 1, else ceil(log2(|e| log_size)), the bits by
-    which the rounding of e L at the working precision moves the power's
-    phase.  Sized in floats, and by ``float_log`` where |e| passes the
-    float range."""
+    ceil(log2(|e| log_size)), the bits by which the rounding of e L at the
+    working precision moves the power's phase, where that is positive, else
+    0.  Taken in logs by ``float_log``, so at any |e|."""
     if not log_size:
         return 0
-    size = math.hypot(float(e.real), float(e.imag)) * log_size
-    if size <= 1:
-        return 0
-    if size < math.inf:
-        return math.ceil(math.log2(size))
-    return math.ceil(float_log(abs(e)) / math.log(2) + math.log2(log_size))
+    bits = (float_log(e) + math.log(log_size)) / math.log(2)
+    return math.ceil(bits) if bits > 0 else 0
 
 
 class SeriesTables:

@@ -9,7 +9,8 @@ factors c_j, which the S_1 cross-check's ``bernoulli_series`` reads and
 periodic zeta function F(a,1-s) = sum_k k^(s-1) q^k at q = e^(2 pi i a),
 summed in q by ``hp._fixed_horner`` over the owned powers k^(s-1) where
 its terms fall by a factor 3 or more, and by mpmath's polylogarithm
-Li_{1-s}(q) elsewhere; and the subtracted form Ftilde(a,s).  The Hurwitz
+Li_{1-s}(q) elsewhere, checked at a second precision near the real axis;
+and the subtracted form Ftilde(a,s).  The Hurwitz
 side is restricted to Re(s) > 1.1 and the periodic side to Im(a) > 0, where
 |q| < 1 and the defining sums converge, so these routines can serve as
 unconditional ground truth for the expansion machinery.
@@ -39,7 +40,10 @@ RE_S_MARGIN = mpf("1.1")
 # on mpmath's pure-Python backend, and 10^4 terms bound a call near 10 s.
 # The owned series runs only at k* < 1/ln 2 and never meets it.  The
 # package's own inputs stay below 500 (the oracle tests' near-axis
-# points), the benchmark's and the pinned sweeps' below 1.
+# points), the benchmark's and the pinned sweeps' below 1.  It also bounds
+# |Im s| where mp.polylog takes its general series (|q| >= 0.9), each of
+# whose terms is an mp.zeta at Im s, a sum of about |Im s| terms itself
+# (70 ms at 60 digits and Im s = 10^4).
 Q_TERM_LIMIT = 10 ** 4
 # Most head terms, and most tail terms, of the Euler-Maclaurin sum of
 # ``hurwitz_zeta_direct``: about 150 us per head term at 100 digits, and
@@ -306,7 +310,8 @@ def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
     the ``hp.phase_bits`` of (1-s, ln K), K a float bound on the index past
     which the series' terms fall below 10^-(D+2), and rounded back: its
     terms q^k k^(s-1) would otherwise lose log10(|Im s| ln k) digits to
-    their phases."""
+    their phases.  Where |q| >= 0.9 at a non-integer s, mpmath sums another
+    series, which ``_polylog_general`` bounds and checks."""
     with ctx.working(HEADROOM):
         aval = point.a.value()
         if aval.imag <= 0:
@@ -334,16 +339,65 @@ def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
             if re_s1 > math.e * -log_q / 2:
                 ratio = 2 * re_s1 / -log_q
                 log_k = max(log_k, math.log(2 * ratio * math.log(ratio)))
-            order = 1 - point.s
-            with mp.extraprec(phase_bits(order, log_k)):
-                value = mp.polylog(order, q)
-            return +value
+            if mp.isint(point.s) or abs(q) < 0.9:
+                return _polylog(point, log_k, ctx, 0)
+            return _polylog_general(point, log_k, ctx)
         floor, k = -(mp.dps + 2) * math.log(10), 1
         while re_s1 * math.log(k + 1) + k * log_q >= floor:
             k += 1
         tables = series_tables(point.s, ctx)
         return q * _fixed_horner([tables.k_power(j)
                                   for j in range(1, k + 1)], q)
+
+
+def _polylog(point: ZetaPoint, log_k: float, ctx: PrecisionContext,
+             extra: int) -> mpc:
+    """mp.polylog(1-s, q) at ``working(HEADROOM + extra)``, q formed there
+    too, run with the ``hp.phase_bits`` of (1-s, log_k) and rounded back."""
+    with ctx.working(HEADROOM + extra):
+        q = mp.exp(2 * mp.pi * mpc(0, 1) * point.a.value())
+        order = 1 - point.s
+        with mp.extraprec(phase_bits(order, log_k)):
+            value = mp.polylog(order, q)
+        return +value
+
+
+def _polylog_general(point: ZetaPoint, log_k: float,
+                     ctx: PrecisionContext) -> mpc:
+    """``_polylog`` where mpmath takes its general series, at a non-integer
+    s with |q| >= 0.9: the sum of zeta(1-s-k) u^k/k!, u = ln q, each term
+    an mp.zeta at Im s.  Term k is about |(s)_k| rho^k/k! times the first,
+    rho = |u|/(2 pi) the distance from a to the nearest integer, so the
+    terms grow by at most (1-rho)^-|s| and the sum cancels about as many
+    digits (at a = 0.3 + 0.01i, s = 3 + iy: 5.5 digits at y = 50, 12.3
+    at 100, 25.9 at 200).  DomainError where that passes HEADROOM digits,
+    the ones a step may lose, or where |Im s| > Q_TERM_LIMIT; otherwise
+    the value is checked against a second run at HEADROOM more digits and
+    returned where the two agree to 10^-(digits + guard), relative, and
+    ConvergenceError raised where they do not."""
+    s, aval = point.s, point.a.value()
+    if abs(s.imag) > Q_TERM_LIMIT:
+        raise DomainError(
+            f"F(a, 1-s) near the real axis (|q| >= 0.9) needs "
+            f"|Im s| <= {Q_TERM_LIMIT}, got s = {mp.nstr(s, 8)}")
+    ar = float(aval.real)
+    rho = math.hypot(ar - round(ar), float(aval.imag))
+    lost = -abs(complex(s)) * math.log10(1 - rho)
+    if lost > HEADROOM:
+        raise DomainError(
+            f"F(a, 1-s) at s = {mp.nstr(s, 8)}, a = {mp.nstr(aval, 8)} "
+            f"(|q| >= 0.9) is summed by terms that may grow by 10^{lost:.1f},"
+            f" more than the {HEADROOM} digits of headroom")
+    value = _polylog(point, log_k, ctx, 0)
+    check = _polylog(point, log_k, ctx, HEADROOM)
+    with ctx.working(HEADROOM + HEADROOM):
+        if abs(value - check) > mpf(10) ** -(ctx.digits + ctx.guard) \
+                * abs(check):
+            raise ConvergenceError(
+                f"F(a, 1-s) at s = {mp.nstr(s, 8)}, a = {mp.nstr(aval, 8)} "
+                f"(|q| >= 0.9) moves by {mp.nstr(abs(value / check - 1), 3)}"
+                f" at {HEADROOM} more digits")
+    return value
 
 
 def f_tilde_reference(point: ZetaPoint, ctx: PrecisionContext) -> mpc:

@@ -23,7 +23,7 @@ from .errors import (DomainError, IllConditionedError,
 from .expansion import (TruncationPlan, bernoulli_series, leading_blocks,
                         optimal_plan, script_r_k)
 from .hp import (HEADROOM, PRINT_MARGIN, PrecisionContext, RayComplex,
-                 series_tables)
+                 float_log, series_tables)
 from .oracle import ZetaPoint, f_tilde_reference
 
 GRID_POINTS = 400
@@ -288,9 +288,9 @@ def _raised_context(smp, digits: int, ctx: PrecisionContext):
     """
     if smp.error is not None:
         return None
-    parts = [abs(x) for x in (smp.exact.real, smp.exact.imag) if x]
+    parts = [x for x in (smp.exact.real, smp.exact.imag) if x]
     need = digits + PRINT_MARGIN - min(
-        (float(mp.log10(x)) for x in parts), default=0.0)
+        (float_log(x) / math.log(10) for x in parts), default=0.0)
     short = need - smp.diagnostics["resolved_digits"]
     if short <= 0:
         return None

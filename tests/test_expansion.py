@@ -624,6 +624,31 @@ class TestExtendPlan:
         for got, want in zip(excess, case["excess"]):
             assert got == pytest.approx(want, abs=1e-9)
 
+    def test_sizes_in_floats_at_the_callers_context(self, ctx, monkeypatch):
+        # the tail rule reads the owner's block factors and takes their
+        # logs in floats: with the memos warm, a grid point that adds five
+        # scales calls no mp.log or mp.log10 and sets no precision of its
+        # own, only ctx.working
+        case = EXTENSIONS[0]
+        with ctx.working(10):
+            s = mpc(*case["s"])
+            a = _ray(case["abs_a"], case["arg_pi"], ctx)
+        want = extend_plan(s, a, tuple(case["plan"]), ctx)
+        real = mp.workdps
+        monkeypatch.setattr(hp.PrecisionContext, "working",
+                            lambda self, extra=0: real(self.digits
+                                                       + self.guard + extra))
+
+        def fail(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"mp.{name} called")
+            return call
+
+        for name in ("log", "log10", "workdps"):
+            monkeypatch.setattr(mp, name, fail(name))
+        assert extend_plan(s, a, tuple(case["plan"]), ctx) == want
+        assert len(want[1]) == 5
+
     def test_z_improved_calls_neither_zeta_nor_loggamma(self, ctx,
                                                         monkeypatch,
                                                         clear_caches):

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 import weakref
 from fractions import Fraction
@@ -12,8 +13,8 @@ from zetastokes.errors import DomainError, PoleError
 from zetastokes.expansion import TruncationPlan, z_improved
 from zetastokes.hp import (HEADROOM, TABLES_LIMIT, PrecisionContext,
                            RayComplex, SeriesTables, bernoulli_even,
-                           gamma_complex, hurwitz_zeta_integer, phase_bits,
-                           pow_ray, series_tables)
+                           float_log, gamma_complex, hurwitz_zeta_integer,
+                           phase_bits, pow_ray, series_tables)
 from zetastokes.terminant import _gamma_head, _limit_head, _prefactor
 from zetastokes.oracle import ZetaPoint
 from zetastokes.stokes import stokes_multiplier
@@ -551,6 +552,47 @@ class TestKPower:
     ])
     def test_phase_bits(self, e, log_size, want):
         assert phase_bits(e, log_size) == want
+
+    def test_phase_bits_match_the_float_hypot(self):
+        # within the float range the rule is ceil(log2(|e| L)) of a float
+        # hypot, where that is positive, else 0: the same bits on a seeded
+        # sweep of exponents from 1e-3 to 1e100 and sizes from 1e-3 to 1e3
+        rng = random.Random(20)
+        for _ in range(20000):
+            e = mpc(*(rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 100)
+                      for _ in range(2)))
+            log_size = 10 ** rng.uniform(-3, 3)
+            size = math.hypot(float(e.real), float(e.imag)) * log_size
+            want = math.ceil(math.log2(size)) if size > 1 else 0
+            assert phase_bits(e, log_size) == want, (e, log_size)
+
+    @pytest.mark.parametrize("im", ["1e400", "1e-400"])
+    def test_phase_bits_past_the_float_range(self, im):
+        # ceil(log2(|e| L)) from a 50-digit log where |e| is no float
+        with mp.workdps(50):
+            e = mpc(3, mpf(im))
+            want = max(0, int(mp.ceil(mp.log(abs(e) * 1.5, 2))))
+        assert phase_bits(e, 1.5) == want
+
+
+class TestFloatLog:
+    @pytest.mark.parametrize("x", [
+        mpf("2.5"), mpf("-7e-12"), mpf("1e400"), mpf("-3e-400"),
+        mpc("3", "-4"), mpc("-1e-5", "2e-5"), mpc(0, "-0.125"),
+        mpc("1e5000", "-3e4999"), mpc("-2e-5000", "0"), 10 ** 400, -17,
+        0.3, mpc(FINE, -FINE)], ids=repr)
+    def test_matches_a_fifty_digit_log(self, x):
+        # mixed signs, a zero part, binary exponents past the float range,
+        # ints and floats: ln |x| to 1e-15 relative
+        with mp.workdps(50):
+            want = mp.log(abs(mpc(x) if isinstance(x, mpc) else mpf(x)))
+            assert abs(float_log(x) - want) <= 1e-15 * abs(want)
+
+    def test_zero_and_exponents_past_a_float(self):
+        huge = mp.make_mpf((0, 1, 2 ** 1100, 1))
+        assert float_log(mpf(0)) == float_log(mpc(0)) == -math.inf
+        assert float_log(huge) == math.inf
+        assert float_log(1 / huge) == -math.inf
 
 
 class TestPowRay:

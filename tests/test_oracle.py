@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from zetastokes.errors import DivergenceError, DomainError, PoleError
+from zetastokes.errors import (ConvergenceError, DivergenceError,
+                               DomainError, PoleError)
 from zetastokes.expansion import TruncationPlan, z_improved
 from zetastokes.hp import HEADROOM, PrecisionContext, RayComplex
 from zetastokes.oracle import (Q_TERM_LIMIT, ZetaPoint, f_tilde_reference,
@@ -239,7 +240,7 @@ class TestPeriodicZeta:
 
     def test_sweep_points_take_no_polylog(self, ctx, monkeypatch):
         # the ends of the fig1b sweep, with its pinned plan, and a point at
-        # |a| = 1 near the real axis, where rho = 0.67 > 1/3
+        # |a| = 1 near the real axis, where |q| = 0.674 and rho = 1.35 > 1/3
         def unreachable(*args):
             raise AssertionError("mp.polylog reached")
 
@@ -263,6 +264,66 @@ class TestPeriodicZeta:
         with pytest.raises(DomainError,
                            match=r"s = \(1\.0e\+300 \+ 0\.0j\), Im a = 5\.9"):
             stokes_multiplier(1, pt, ctx_fast)
+
+    # a = 0.3 + 0.01i has |q| = 0.939, so at a non-integer s mp.polylog
+    # sums zeta(1-s-k) u^k/k!, u = ln q, whose terms grow by up to
+    # (1 - rho)^-|s| = 10^(0.155 |s|), rho = |a - round(Re a)|
+    NEAR_AXIS = "0.3", "0.01"
+
+    def _near_axis(self, s, ctx):
+        with mp.workdps(100):
+            a = RayComplex.from_value(mpc(*self.NEAR_AXIS))
+        return ZetaPoint.create(s, a, ctx)
+
+    def test_near_the_axis_matches_the_direct_sum(self, ctx_fast):
+        # s = 3 + 30i, terms grown by up to 10^4.7: against 3,400 terms of
+        # sum k^(s-1) q^k at 80 digits, to 10^-(digits + guard)
+        pt = self._near_axis(mpc(3, 30), ctx_fast)
+        got = periodic_zeta_direct(pt, ctx_fast)
+        with mp.workdps(80):
+            q = mp.exp(2 * mp.pi * mpc(0, 1) * pt.a.value())
+            want, qk = mpc(0), mpc(1)
+            for k in range(1, 3400):
+                qk *= q
+                want += qk * mp.power(k, pt.s - 1)
+            assert abs(got - want) <= mpf(10) ** -(
+                ctx_fast.digits + ctx_fast.guard) * abs(want)
+
+    def test_near_the_axis_past_the_headroom_raises(self, ctx_fast):
+        # s = 3 + 1000i: terms grown by up to 10^155; this used to return
+        # -2.5e68 - 2.7e68i against the direct sum's -716.168 + 451.644i
+        pt = self._near_axis(mpc(3, 1000), ctx_fast)
+        with pytest.raises(DomainError, match=r"grow by 10\^155\.0"):
+            periodic_zeta_direct(pt, ctx_fast)
+
+    def test_near_the_axis_at_large_im_s_raises_at_once(self, ctx_fast,
+                                                        monkeypatch):
+        # Im s = 2^20 is past Q_TERM_LIMIT: each term of the general series
+        # is an mp.zeta at Im s; this call did not finish in 300 s
+        def unreachable(*args):
+            raise AssertionError("mp.polylog reached")
+
+        monkeypatch.setattr(mp, "polylog", unreachable)
+        pt = self._near_axis(mpc(3, 2 ** 20), ctx_fast)
+        with pytest.raises(DomainError, match=r"\|Im s\| <= 10000"):
+            periodic_zeta_direct(pt, ctx_fast)
+
+    @pytest.mark.parametrize("lost, raises", [(12, True), (8, False)])
+    def test_near_the_axis_checks_a_second_run(self, lost, raises, ctx_fast,
+                                               monkeypatch):
+        # a polylog off by 10^(lost - dps) at every precision, at |a| = 1,
+        # arg a = 0.0002 pi (|q| = 0.996): the run at HEADROOM more digits
+        # exposes it where it passes 10^-(digits + guard), 1e-50 here, and
+        # the first run's value is returned below that
+        real = mp.polylog
+        monkeypatch.setattr(mp, "polylog", lambda *args: real(*args) * (
+            1 + mpf(10) ** (lost - mp.dps)))
+        pt = _point(mpc(2, 0.5), 1, 0.0002, ctx_fast)
+        if raises:
+            with pytest.raises(ConvergenceError, match="more digits"):
+                periodic_zeta_direct(pt, ctx_fast)
+        else:
+            assert periodic_zeta_direct(pt, ctx_fast)
 
     @pytest.mark.parametrize("peak, reached", [(0.99, True), (1.01, False)])
     def test_term_limit(self, peak, reached, ctx_fast, monkeypatch):
