@@ -141,6 +141,10 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
 
     The terminant arguments 2 pi i k a and -2 pi i k a ride on the rays
     arg a + pi/2 and arg a - pi/2 respectively, never principal-reduced.
+    Their weight e^(2 pi i k a) is the ray's ``q_power(k)`` at
+    ``ctx.working(HEADROOM)``: q^k by binary powering from the ray's one
+    q at that precision, off by about k units, as the rounding of
+    2 pi k a offset the exp it replaces.
     """
     s = ctx.read(s)
     with ctx.working(HEADROOM):
@@ -149,7 +153,7 @@ def remainder_rk(k: int, s, a: RayComplex, nk: int,
         mod = 2 * mp.pi * k * a.modulus
         t_plus = terminant(nu, RayComplex(mod, a.argument + halfpi), ctx)
         t_minus = terminant(nu, RayComplex(mod, a.argument - halfpi), ctx)
-        e2 = mp.exp(2 * mp.pi * mpc(0, 1) * k * a.value())
+        e2 = a.q_power(k)
         tables = series_tables(s, ctx)
         half_is = tables.phase_half_s
         return tables.phase_minus_s * (e2 * half_is * t_plus
@@ -238,7 +242,7 @@ def extend_plan(s, a: RayComplex, nlist, ctx: PrecisionContext) -> tuple:
     """
     s = ctx.read(s)
     with ctx.working(HEADROOM):
-        im_abs = a.modulus * abs(mp.sin(a.argument))
+        im_abs = abs(a.value().imag)
         if im_abs <= ctx.tol():
             raise TailBoundError("remainder tail needs Im(a) != 0 to decay")
     im_abs, power = float(im_abs), max(float(s.real) - 1, 0.0)

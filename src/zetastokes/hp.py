@@ -24,8 +24,12 @@ relative.  (mpmath's ``zeta(m, base)`` is not used: it stops at an
 absolute tolerance, so at D = 90 it has zeta(46, 3) only to 5e-76,
 relative.)
 
-What does depend on theta is the power of the ray a.  ``pow_ray`` is the
-one place that takes a power of a ray, exp(e (log|base| + i arg base)), or
+What does depend on theta is the ray a, and with it a' = 1 - a, whose
+principal argument ``RayComplex.from_value`` takes by a kernel of its own,
+``_principal_argument``, from no atan or log table of mpmath's.  A ray keeps
+q = e^(2 pi i value()) per precision, and every e^(+-2 pi i k a) of a point
+is a power of it (``RayComplex.q_power``).  ``pow_ray`` is the one place
+that takes a power of a ray, exp(e (log|base| + i arg base)), or
 |base|^n e^(i n arg base) with no logarithm at an integer n, and a ray keeps
 each power, per exponent, context and offset, as it keeps its ``value()``
 per precision.  Every other algebraic power of a sweep point, a^(1-s),
@@ -70,7 +74,9 @@ from itertools import accumulate
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_float, from_int, from_man_exp, to_fixed
+from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_add,
+                          mpf_cos_sin, mpf_div, mpf_mul, mpf_sub,
+                          round_nearest, to_fixed)
 
 from .errors import DomainError, PoleError
 
@@ -99,6 +105,10 @@ CONNECTION_EXTRA = 20
 HURWITZ_EXTRA = 5
 SMOOTHING_DIGITS = 30  # c_of_phi: its form is only good to O(|z|^(-1/2))
 RAY_VALUE_BITS = 10  # RayComplex.value: bits above the caller's precision
+# Bits that RayComplex.from_value's argument kernel carries beyond the
+# caller's precision, before its one rounding: its few roundings stay 2^-7
+# of a unit below it.
+ARGUMENT_BITS = 10
 # Bits the fixed-point kernels carry beyond the working precision: the
 # incomplete-gamma series and continued fraction (``terminant``) and the
 # Horner sum ``_fixed_horner``.  Each kernel derives its error bound from
@@ -194,10 +204,14 @@ class RayComplex:
     construction raises DomainError otherwise, so no consumer of a ray
     checks it again.  Both are stored as given, unconverted.
 
-    A ray keeps what it computes of itself: ``value()`` per precision and
-    each ``pow_ray`` per (exponent, context, offset).  The memo lives and
-    dies with the ray, which lives as long as its point, and takes no part
-    in equality, hashing or repr.
+    A ray keeps what it computes of itself: ``value()`` and
+    ``q()`` = e^(2 pi i value()) per precision, and each ``pow_ray`` per
+    (exponent, context, offset).  Every e^(+-2 pi i k a) of a sweep point,
+    F's q, the peel's e^(-2 pi i n a) and each remainder's e^(2 pi i k a),
+    is ``q_power(+-k)`` of its ray, so a point takes one exponential per
+    ray and precision.
+    The memo lives and dies with the ray, which lives as long as its point,
+    and takes no part in equality, hashing or repr.
     """
 
     modulus: mpf
@@ -221,11 +235,82 @@ class RayComplex:
                     * mp.expj(self.argument)
         return self._memo[prec]
 
+    def q(self) -> mpc:
+        """q = e^(2 pi i value()) at the caller's precision; kept per
+        precision, beside ``value()``."""
+        key = ("q", mp.prec)
+        if key not in self._memo:
+            self._memo[key] = mp.exp(2 * mp.pi * mpc(0, 1) * self.value())
+        return self._memo[key]
+
+    def q_power(self, k: int) -> mpc:
+        """e^(2 pi i k value()) = q^k at the caller's precision, from the
+        kept ``q()``: by binary powering, and 1/q^-k for k < 0.  Each
+        product rounds once, so q^k is off by about |k| units, as the
+        rounding of 2 pi k value() offsets an exp(2 pi i k value())."""
+        power, value, m = self.q(), None, abs(k)
+        while m:
+            if m & 1:
+                value = power if value is None else value * power
+            m >>= 1
+            if m:
+                power *= power
+        if value is None:
+            return mpc(1)
+        return 1 / value if k < 0 else value
+
     @classmethod
     def from_value(cls, z) -> "RayComplex":
-        """Build a ray from a complex value with its principal argument."""
+        """Build a ray from a complex value with its principal argument in
+        (-pi, pi] by ``_principal_argument``: rounded once at the caller's
+        precision, and so correctly unless it lies within 2^-7 units of a
+        rounding boundary.  DomainError at 0 or a non-finite z."""
         z = mpc(z)
-        return cls(abs(z), mp.arg(z))
+        modulus = abs(z)
+        if not (modulus and mp.isfinite(modulus)):
+            return cls(modulus, mpf(0))  # the invariant raises
+        return cls(modulus, _principal_argument(z))
+
+
+def _principal_argument(z: mpc) -> mpf:
+    """arg z in (-pi, pi] of a finite nonzero z, rounded once to the
+    current precision p, from no atan or log table of mpmath's.
+
+    The seed t0 = atan2(y, x) is taken in floats from the parts scaled as
+    ``float_log`` scales them, so it is within about 2^-51 of arg z at any
+    |z|.  At wp = p + ARGUMENT_BITS bits, plus log2(1/|t0|) where |t0| < 1
+    so that the error stays relative, w = z e^(-i t0) (one cos and sin of
+    t0) has the argument r = arg z - t0 and Re w > 0, and
+    r = u (1 - u^2/3 + u^4/5 - ...) with u = Im w / Re w: an odd series
+    whose terms fall by |u|^2 < 2^-100 each, summed in fixed point at wp
+    bits relative to u.  t0 + r is rounded once to p bits.  Where t0 = 0
+    (a positive real z, or one whose imaginary part lies a float's range
+    below its real part), w = z and the series carries u's relative
+    precision.  r is off by a few units of 2^-wp, so a value is rounded
+    wrongly only where it lies within 2^-7 units of a rounding boundary.
+
+    mpmath's ``arg`` takes atan(y/x) from a table filled per 2^-7 of the
+    quotient and per precision, each entry a Newton solve, and the a' of
+    every sweep point lands in an entry of its own.  The cos and sin of t0
+    read mpmath's table of cos and sin per 2^-8 radian below 400 bits at
+    the entry of arg z, the one that the ray's ``value()`` reads too.
+    """
+    x, y = parts = z._mpc_
+    fx, fy = _scaled_floats(parts)
+    t0 = math.atan2(fy, fx)
+    wp = mp.prec + ARGUMENT_BITS
+    if t0:
+        wp += max(0, math.ceil(-math.log2(abs(t0))))
+        c, s = mpf_cos_sin(from_float(-t0), wp, round_nearest)
+        x, y = mpf_sub(mpf_mul(x, c), mpf_mul(y, s), wp, round_nearest), \
+            mpf_add(mpf_mul(y, c), mpf_mul(x, s), wp, round_nearest)
+    u = mpf_div(y, x, wp, round_nearest)
+    v, series, term, j = to_fixed(mpf_mul(u, u), wp), 1 << wp, 1 << wp, 1
+    while term:
+        term, j = -((term * v) >> wp), j + 2
+        series += term // j
+    r = mpf_mul(u, from_man_exp(series, -wp), wp, round_nearest)
+    return mp.make_mpf(mpf_add(from_float(t0), r, mp.prec, round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +410,36 @@ def gamma_complex(z, ctx: PrecisionContext) -> mpc:
         return mp.gamma(z)
 
 
+def _top(parts) -> int | None:
+    """The binary exponent of the larger nonzero part of raw mpf tuples,
+    None where all are zero (or not finite)."""
+    return max((exp + bc for _, man, exp, bc in parts if man), default=None)
+
+
+def _scaled_floats(parts, top: int | None = None) -> list:
+    """Each raw mpf part times 2^-top as a float, top by default ``_top``:
+    its 64 leading bits, with its sign, so nothing leaves the float range
+    but a part a float's range below the larger (then a signed 0.0)."""
+    top = _top(parts) if top is None else top
+    return [math.ldexp((-1) ** sign * (man >> (cut := max(bc - 64, 0))),
+                       exp + cut - top) for sign, man, exp, bc in parts]
+
+
 def float_log(x) -> float:
     """ln |x| of a finite int, float, mpf or mpc, in floats at any size:
     read from the raw mantissas and binary exponents, each part scaled by
-    2^-top, with top the binary exponent of the larger part, so that
-    nothing leaves the float range until top * ln 2 does (then +-inf);
-    -inf at 0.  Off by a few units of 1e-16 max(1, |ln |x||)."""
+    2^-top (``_scaled_floats``), with top the binary exponent of the larger
+    part, so that nothing leaves the float range until top * ln 2 does
+    (then +-inf); -inf at 0.  Off by a few units of 1e-16
+    max(1, |ln |x||)."""
     parts = x._mpc_ if isinstance(x, mpc) else (_exact(x),)
-    top = max((exp + bc for _, man, exp, bc in parts if man), default=None)
+    top = _top(parts)
     if top is None:
         return -math.inf
     if top.bit_length() > 1000:
         return math.inf if top > 0 else -math.inf
-    return math.log(math.hypot(*[
-        math.ldexp(man >> (cut := max(bc - 64, 0)), exp + cut - top)
-        for _, man, exp, bc in parts])) + top * math.log(2)
+    return math.log(math.hypot(*_scaled_floats(parts, top))) \
+        + top * math.log(2)
 
 
 def phase_bits(e, log_size: float) -> int:

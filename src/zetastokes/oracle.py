@@ -297,10 +297,11 @@ def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
 
 
 def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
-    """F(a, 1-s) = sum_{k>=1} k^(s-1) q^k with q = e^(2 pi i a), at
-    ``working(HEADROOM)``; DomainError where the terms peak beyond
-    Q_TERM_LIMIT.  Where rho = 2^max(Re s - 1, 0) |q| <= 1/3 (every pinned
-    sweep and benchmark point), it is q sum_{k<=K} k^(s-1) q^(k-1) by
+    """F(a, 1-s) = sum_{k>=1} k^(s-1) q^k with q = e^(2 pi i a) the ray's
+    kept ``q()``, at ``working(HEADROOM)``; DomainError where the terms
+    peak beyond Q_TERM_LIMIT.  Where rho = 2^max(Re s - 1, 0) |q| <= 1/3
+    (every pinned sweep and benchmark point), it is
+    q sum_{k<=K} k^(s-1) q^(k-1) by
     ``hp._fixed_horner`` over ``SeriesTables.k_power``, right at any
     |Im s| by its phase rule: each term is at most a third of the one
     before, so |F| >= |q|/2 and nothing cancels, and K is the first k at
@@ -325,7 +326,7 @@ def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
                 f"{Q_TERM_LIMIT} at s = {mp.nstr(point.s, 8)}, "
                 f"Im a = {mp.nstr(aval.imag, 8)}: its largest term is "
                 "near k = (Re s - 1)/(2 pi Im a)")
-        q = mp.exp(2 * mp.pi * mpc(0, 1) * aval)
+        q = point.a.q()
         log_q = -2 * math.pi * im_a
         if not max(re_s1, 0) * math.log(2) + log_q <= -math.log(3):
             # ln K, K past which the series' terms k^r e^(-ck) stay below
@@ -352,10 +353,11 @@ def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
 
 def _polylog(point: ZetaPoint, log_k: float, ctx: PrecisionContext,
              extra: int) -> mpc:
-    """mp.polylog(1-s, q) at ``working(HEADROOM + extra)``, q formed there
-    too, run with the ``hp.phase_bits`` of (1-s, log_k) and rounded back."""
+    """mp.polylog(1-s, q) at ``working(HEADROOM + extra)``, q the ray's
+    at that precision, run with the ``hp.phase_bits`` of (1-s, log_k) and
+    rounded back."""
     with ctx.working(HEADROOM + extra):
-        q = mp.exp(2 * mp.pi * mpc(0, 1) * point.a.value())
+        q = point.a.q()
         order = 1 - point.s
         with mp.extraprec(phase_bits(order, log_k)):
             value = mp.polylog(order, q)

@@ -137,9 +137,12 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
             - e^(-i pi s/2)/pi * [blocks k <= n of the a'-series]
             - sum_{k<n} k^(s-1) (combined remainder at scale k) }.
 
-    For n = 1 the extraction is repeated through the single-scale Bernoulli
-    series and the two values are required to agree.  ``resolved_digits``
-    in the diagnostics is digits + guard - log10(|Ftilde| / e^(-2 pi n Im a)),
+    The factor e^(-2 pi i n a) is the ray's ``q_power(-n)``, 1/q^n from the
+    one q = e^(2 pi i a) that F and the remainders read too.  For n = 1 the
+    extraction is repeated through the single-scale Bernoulli series and
+    the two values are required to agree.  ``resolved_digits`` in the
+    diagnostics is digits + guard - log10(|Ftilde| / e^(-2 pi n Im a)),
+    taken in floats from ``hp.float_log`` of Ftilde and Im a = Im value(),
     and ``digits`` is ctx.digits.
     """
     if n < 1:
@@ -151,12 +154,13 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
     tables = series_tables(s, ctx)
     with ctx.working(HEADROOM):
         ft = f_tilde_reference(point, ctx)
-        im_a = point.a.modulus * mp.sin(point.a.argument)
-        target = mp.exp(-2 * mp.pi * n * im_a)
+        turn = point.a.q_power(-n)  # e^(-2 pi i n a)
+        target = 1 / abs(turn)
         # log10(|Ftilde| / target); the floor is target < tol |Ftilde|
-        lost = mp.log10(abs(ft)) + 2 * mp.pi * n * im_a / mp.log(10)
+        lost = (float_log(ft) + 2 * math.pi * n
+                * float(point.a.value().imag)) / math.log(10)
         if lost > ctx.digits - 10:
-            required = int(mp.ceil(10 + lost)) + 3
+            required = math.ceil(10 + lost) + 3
             raise InsufficientPrecisionError(
                 f"the scale-{n} exponential {mp.nstr(target, 3)} is below "
                 f"the resolvable floor tol*|Ftilde| = "
@@ -173,13 +177,12 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
             rk_abs.append(float(abs(rk)))
             rsum += tables.k_power(k) * rk
         brace = ft - peeled - rsum
-        turn = mp.exp(-2 * mp.pi * mpc(0, 1) * n * point.a.value())
         exact = turn * brace / tables.k_power(n)
         if n == 1:
             alt = _bernoulli_form_s1(point, ft, turn, plan.nk[0],
                                      plan.nk_prime[0], ctx)
             bound = mpf(10) ** (-ctx.digits + EQUIV_EXTRA) \
-                * (abs(ft) + ctx.tol()) * mp.exp(2 * mp.pi * im_a)
+                * (abs(ft) + ctx.tol()) * abs(turn)
             if abs(exact - alt) > bound:
                 raise IllConditionedError(
                     "the two S_1 extraction paths disagree: "
@@ -192,7 +195,7 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
             "peeled_abs": float(abs(peeled)),
             "remainder_abs": rk_abs,
             "target_exponential": float(target),
-            "resolved_digits": float(ctx.digits + ctx.guard - lost),
+            "resolved_digits": ctx.digits + ctx.guard - lost,
             "digits": ctx.digits,
         }
         return MultiplierSample(theta=theta, exact=exact, approx=approx,

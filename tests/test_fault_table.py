@@ -64,6 +64,12 @@ def _attribute(name):
     return patch
 
 
+def _ray_q(monkeypatch):
+    # q = e^(2 pi i a) of each ray, as F, the peel and the remainders read it
+    real = RayComplex.q
+    monkeypatch.setattr(RayComplex, "q", lambda self: _off(real(self)))
+
+
 def _function(module, name, offset=None):
     # a function as the module reads it; pow_ray only at one offset
     def patch(monkeypatch):
@@ -88,6 +94,7 @@ FACTORS = {
     "two_pi_minus_s": _attribute("two_pi_minus_s"),
     "phase_half_s": _attribute("phase_half_s"),
     "phase_minus_s": _attribute("phase_minus_s"),
+    "q": _ray_q,
     "pow_ray-expansion-FACTOR_EXTRA": _function(expansion, "pow_ray",
                                                 FACTOR_EXTRA),
     "pow_ray-expansion-HEADROOM": _function(expansion, "pow_ray", HEADROOM),
@@ -105,6 +112,7 @@ FACTORS = {
 SILENT = {
     ("fig1b", "phase_half_s"): "5.3e-11",
     ("fig1b", "pow_ray-oracle-HEADROOM"): "3.0e-14",
+    ("fig1b", "q"): "4.9e-31",
     ("fig1b", "periodic_zeta_direct"): "1.5e-30",
     ("fig1c", "signed_gamma"): "4.6e-3",
     ("fig1c", "block_coefficients"): "4.6e-3",
@@ -114,6 +122,7 @@ SILENT = {
     ("fig1c", "two_pi_minus_s"): "4.6e-3",
     ("fig1c", "phase_half_s"): "4.0",
     ("fig1c", "phase_minus_s"): "1.3e-14",
+    ("fig1c", "q"): "1.3e-14",
     ("fig1c", "pow_ray-expansion-FACTOR_EXTRA"): "4.6e-3",
     ("fig1c", "pow_ray-oracle-HEADROOM"): "4.6e-3",
     ("fig1c", "pow_ray-terminant"): "6.5e-15",

@@ -145,6 +145,56 @@ class TestRayComplex:
             r = RayComplex.from_value(mpc(-1, -1))
             assert abs(r.argument + 3 * mp.pi / 4) < mpf(10) ** -38
 
+    def test_from_value_rejects_zero(self):
+        with pytest.raises(DomainError):
+            RayComplex.from_value(0)
+
+    # the signs of (Re z, Im z) of each quadrant and half-axis
+    SIGNS = {"I": (1, 1), "II": (-1, 1), "III": (-1, -1), "IV": (1, -1),
+             "+re": (1, 0), "-re": (-1, 0), "+im": (0, 1), "-im": (0, -1)}
+
+    @pytest.mark.parametrize("where", SIGNS)
+    def test_from_value_rounds_the_argument_once(self, where):
+        # seeded z of |z| from 2^-5000 to 2^5000 at 30 to 130 digits, half
+        # of them within 1e-40 to 1 radian of an axis: the argument equals
+        # mp.arg's at 60 more digits, rounded once to the caller's
+        # precision, in every case (mp.arg at that precision itself misses
+        # 6 of these 904)
+        rng, (sx, sy) = random.Random(where), self.SIGNS[where]
+        for _ in range(113):
+            with mp.workdps(rng.choice((30, 60, 90, 130))):
+                size = mpf(2) ** rng.randint(-5000, 5000) * (1 + rng.random())
+                if rng.random() < 0.5:
+                    phi = mp.pi / 2 * rng.random()
+                else:  # near the real axis, or near the imaginary one
+                    phi = mpf(10) ** -rng.uniform(0, 40)
+                    phi = phi if rng.random() < 0.5 else mp.pi / 2 - phi
+                z = mpc(sx * size * mp.cos(phi) if sx else 0,
+                        sy * size * mp.sin(phi) if sy else 0)
+                got = RayComplex.from_value(z).argument
+                with mp.workdps(mp.dps + 60):
+                    want = mp.arg(z)
+                assert got == +want, (mp.nstr(z, 10), mp.dps)
+
+    def test_q_power_is_q_to_the_k(self):
+        # q^k by binary powering from the kept q = e^(2 pi i a): off by
+        # about |k| (|2 pi a| + 1) units, as exp(2 pi i k a) taken at the
+        # same precision is by the rounding of its exponent
+        ray = RayComplex(mpf(8), mpf("0.45") * mp.pi)
+        with mp.workdps(60):
+            q = ray.q()
+            assert ray.q() is q and ray.q_power(1) is q
+            assert ray.q_power(0) == 1
+            v, unit = ray.value(), mpf(2) ** -mp.prec
+            for k in (-3, -2, -1, 2, 3, 5, 17, 40):
+                got = ray.q_power(k)
+                with mp.workdps(120):
+                    want = mp.exp(2 * mp.pi * mpc(0, 1) * k * v)
+                    move = abs(got / want - 1) / unit
+                assert move < abs(k) * (abs(2 * mp.pi * v) + 1) + 4, k
+        with mp.workdps(90):
+            assert ray.q() != q  # one q per precision
+
 
 class TestBernoulli:
     def test_known_values(self):

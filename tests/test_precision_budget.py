@@ -5,7 +5,9 @@ power with a complex exponent come from one rule, ``hp.phase_bits``: every
 ``extraprec`` outside ``hp`` takes its bits from a call to it.  Likewise
 every memo keyed on s or an order is bounded by a constant of ``hp``: only
 the memo keyed on integer indices and a context may grow without a
-bound."""
+bound.  Arguments and decimal sizes come from ``hp`` too: no other module
+reads mpmath's ``arg``, ``atan2`` or ``log10``, each of which fills a
+table entry at nearly every new value and precision."""
 import ast
 from pathlib import Path
 
@@ -155,3 +157,39 @@ def test_finder_flags_unbounded_memos(source, names):
 def test_no_unbounded_memo_keyed_on_s_or_an_order(module):
     found = _unbounded_memos((PACKAGE / module).read_text())
     assert set(found) <= UNBOUNDED_ALLOWED
+
+
+# mpmath functions that fill a table entry per new argument and precision,
+# and the names the package reaches mpmath by
+TABLE_FILLERS = {"arg", "atan2", "log10"}
+MPMATH_NAMES = {"mp", "mpmath"}
+
+
+def _table_fillers(source: str) -> list:
+    """Line numbers of the reads of mp.arg, mp.atan2 or mp.log10 in
+    source, called or not."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and node.attr in TABLE_FILLERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in MPMATH_NAMES]
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("mp.arg(z)", [1]),
+    ("mpmath.atan2(y, x)", [1]),
+    ("lost = mp.log10(abs(ft))", [1]),
+    ("with mp.workdps(30):\n    t = mp.arg(z)", [2]),
+    ("f = mp.arg\nf(z)", [1]),
+    ("math.atan2(y, x)\nmath.log10(x)", []),
+    ("mp.log(x)\ncmath.phase(z)", []),
+    ("ray.argument\nhp.float_log(ft)", []),
+])
+def test_finder_flags_table_filling_calls(source, lines):
+    assert _table_fillers(source) == lines
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py") if p.name != "hp.py"))
+def test_no_table_filling_call_outside_hp(module):
+    assert _table_fillers((PACKAGE / module).read_text()) == []

@@ -19,6 +19,22 @@ from zetastokes.stokes import (MinimumResult, MultiplierSample, erf_approx,
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def _counted(monkeypatch, names) -> list:
+    """The list to which each call of mp.<name>, for each of the names,
+    appends the name from now on."""
+    calls = []
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(mp, name, counting(name, getattr(mp, name)))
+    return calls
+
+
 def _point(s, modulus, arg_over_pi, ctx):
     with ctx.working(10):
         a = RayComplex(mpf(modulus), mpf(str(arg_over_pi)) * mp.pi)
@@ -401,21 +417,51 @@ class TestSweep:
         args = (cfg["n"], cfg["abs_a"], cfg["s"], theta_range)
         first = sweep_point(*args, 0, ctx, cfg["plan"])
         assert first.error is None
-        calls = []
-
-        def counting(name):
-            real = getattr(mp, name)
-
-            def counted(*a, **kw):
-                calls.append(name)
-                return real(*a, **kw)
-            return counted
-
-        for fn in ("gamma", "zeta", "expjpi"):
-            monkeypatch.setattr(mp, fn, counting(fn))
+        calls = _counted(monkeypatch, ("gamma", "zeta", "expjpi"))
         samples = [sweep_point(*args, j, ctx, cfg["plan"])
                    for j in (1, count // 2, count - 1)]
         assert all(smp.error is None for smp in samples)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["fig1b", "fig1c"])
+    def test_each_point_takes_one_q_per_ray_and_precision(self, name, ctx,
+                                                          monkeypatch):
+        # after its first point, a fixed-plan sweep calls none of mpmath's
+        # arg, atan2, log10 and sin, which fill a table entry at nearly
+        # every new point, and each ray takes q = e^(2 pi i a) once per
+        # precision: the ray a serves F, the peel and the n - 1 remainders
+        # from it, n + 1 reads of one fill
+        cfg = REPRODUCTIONS[name]
+        lo, hi, count = cfg["theta"]
+        args = (cfg["n"], cfg["abs_a"], cfg["s"],
+                (lo * math.pi, hi * math.pi, count))
+        assert sweep_point(*args, 0, ctx, cfg["plan"]).error is None
+        calls = _counted(monkeypatch, ("arg", "atan2", "log10", "sin"))
+        reads, fills, rays, inside = [], [], [], []
+        real_q, real_exp = RayComplex.q, mp.exp
+
+        def q(ray):
+            rays.append(ray)  # kept alive, so no id is reused
+            reads.append((id(ray), mp.prec))
+            inside.append(ray)
+            try:
+                return real_q(ray)
+            finally:
+                inside.pop()
+
+        def exp(*a, **kw):
+            if inside:
+                fills.append((id(inside[-1]), mp.prec))
+            return real_exp(*a, **kw)
+
+        monkeypatch.setattr(RayComplex, "q", q)
+        monkeypatch.setattr(mp, "exp", exp)
+        for j in (1, count // 2, count - 1):
+            reads.clear()
+            fills.clear()
+            assert sweep_point(*args, j, ctx, cfg["plan"]).error is None
+            assert sorted(fills) == sorted(set(reads))
+            assert max(reads.count(key) for key in reads) == cfg["n"] + 1
         assert calls == []
 
     def test_rejects_bad_range(self, ctx):
