@@ -50,12 +50,13 @@ Every power with a complex exponent follows one phase rule,
 2^-p |x|, which exp(x) turns into an error in its phase, so where
 |e| |L| > 1 the log and the exp take log2(|e| |L|) extra bits, and the
 value is rounded back.  The powers k^(s-1), (2 pi)^(+-s), a non-integer
-``pow_ray``, the head of ``oracle.hurwitz_zeta_direct`` and
-``oracle.periodic_zeta_direct``'s polylogarithm all read it.  Every size
-the package decides in floats is a log from ``float_log``, ln |x| read
-from the raw mantissas and binary exponents of an mpf or mpc, at any size
-and whatever the caller's precision: the phase rule's, the tail rule of
-``expansion.extend_plan`` and the rerun rule of ``stokes.sweep``.
+``pow_ray`` and the head of ``oracle.hurwitz_zeta_direct``, which
+``oracle.periodic_zeta_direct`` also sums near the real axis, all read it.
+Every size the package decides in floats is a log from ``float_log``,
+ln |x| read from the raw mantissas and binary exponents of an mpf or mpc,
+at any size and whatever the caller's precision: the phase rule's, the
+tail rule of ``expansion.extend_plan``, the rerun rule of ``stokes.sweep``
+and the digits that ``oracle.periodic_zeta_direct``'s reflection cancels.
 
 The precision budget is decided here: every offset of ``ctx.working`` and
 every fixed precision is a named constant below, with its reason, and so

@@ -8,17 +8,21 @@ factors c_j, which the S_1 cross-check's ``bernoulli_series`` reads and
 ``z_improved`` never does); its decomposed companion Z(s,a); the
 periodic zeta function F(a,1-s) = sum_k k^(s-1) q^k at q = e^(2 pi i a),
 summed in q by ``hp._fixed_horner`` over the owned powers k^(s-1) where
-its terms fall by a factor 3 or more, and by mpmath's polylogarithm
-Li_{1-s}(q) elsewhere, checked at a second precision near the real axis;
-and the subtracted form Ftilde(a,s).  The Hurwitz
-side is restricted to Re(s) > 1.1 and the periodic side to Im(a) > 0, where
-|q| < 1 and the defining sums converge, so these routines can serve as
-unconditional ground truth for the expansion machinery.
-
-``ZetaPoint.combine`` is the one place the two rays are weighted,
-e^(i pi s/2) x(a) + e^(-i pi s/2) x(a'): the form of the reflection
+its terms fall by a factor 3 or more, and elsewhere (near the real axis,
+at |a| near 1, at large Re s) by the reflection
 F = Gamma(s)/(2 pi)^s [e^(i pi s/2) zeta(s,a) + e^(-i pi s/2) zeta(s,a')]
-that every Ftilde identity inherits.
+through two of those Euler-Maclaurin sums, checked for the digits its two
+terms cancel; and the subtracted form Ftilde(a,s).  The Hurwitz side is
+restricted to Re(s) > 1.1 (the reflection reads its sum below that too)
+and the periodic side to Im(a) > 0, where |q| < 1 and the defining sums
+converge, so these routines can serve as unconditional ground truth for
+the expansion machinery.  No routine here calls mpmath's zeta or polylog.
+
+``ZetaPoint.combine`` is the one place the two rays are weighted at
+``working(HEADROOM)``, e^(i pi s/2) x(a) + e^(-i pi s/2) x(a'): the form
+of the reflection that every Ftilde identity inherits.  The reflection
+itself weighs its two sums in that form at HURWITZ_EXTRA more digits, the
+digits the sums carry, because they cancel.
 """
 from __future__ import annotations
 
@@ -34,17 +38,6 @@ from .hp import (HEADROOM, HURWITZ_EXTRA, PrecisionContext, RayComplex,
                  series_tables)
 
 RE_S_MARGIN = mpf("1.1")
-# Largest k* = (Re s - 1)/(2 pi Im a) at which ``periodic_zeta_direct``
-# sums: the terms k^(Re s - 1) |q|^k of the q-series peak near k*, so
-# mp.polylog's sum takes more than k* terms, about 1 ms each at 60 digits
-# on mpmath's pure-Python backend, and 10^4 terms bound a call near 10 s.
-# The owned series runs only at k* < 1/ln 2 and never meets it.  The
-# package's own inputs stay below 500 (the oracle tests' near-axis
-# points), the benchmark's and the pinned sweeps' below 1.  It also bounds
-# |Im s| where mp.polylog takes its general series (|q| >= 0.9), each of
-# whose terms is an mp.zeta at Im s, a sum of about |Im s| terms itself
-# (70 ms at 60 digits and Im s = 10^4).
-Q_TERM_LIMIT = 10 ** 4
 # Most head terms, and most tail terms, of the Euler-Maclaurin sum of
 # ``hurwitz_zeta_direct``: about 150 us per head term at 100 digits, and
 # the tail's exact Bernoulli numbers take about 1 s up to B_2000, once per
@@ -133,7 +126,15 @@ def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     value the first found and carries the digits its own addends are
     larger by.  ConvergenceError if that one falls short too.
     """
-    s = _check_re_s(s, ctx)
+    value = _hurwitz_zeta(_check_re_s(s, ctx), a, ctx)
+    with ctx.working(HEADROOM):
+        return +value
+
+
+def _hurwitz_zeta(s: mpc, a: RayComplex, ctx: PrecisionContext) -> mpc:
+    """``hurwitz_zeta_direct`` past its Re s check, for any s but 1: the
+    Euler-Maclaurin sum continues zeta(s, a) to Re s > 1 - 2J (DLMF
+    2.10.1), so ``_reflection`` reads it at Re s <= 1.1 too."""
     with ctx.working(HEADROOM):
         aval = a.value()
         if abs(aval.imag) < ctx.tol() and aval.real <= ctx.tol():
@@ -147,8 +148,7 @@ def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
             f"the Euler-Maclaurin sum of zeta(s, a) at s = {mp.nstr(s, 8)}, "
             f"a = {mp.nstr(aval, 8)} cancels {-spare:.1f} digits more than "
             "it carries")
-    with ctx.working(HEADROOM):
-        return +value
+    return value
 
 
 def _lengths(s: mpc, aval: mpc, tables, digits: int,
@@ -298,51 +298,26 @@ def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
 
 def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
     """F(a, 1-s) = sum_{k>=1} k^(s-1) q^k with q = e^(2 pi i a) the ray's
-    kept ``q()``, at ``working(HEADROOM)``; DomainError where the terms
-    peak beyond Q_TERM_LIMIT.  Where rho = 2^max(Re s - 1, 0) |q| <= 1/3
-    (every pinned sweep and benchmark point), it is
+    kept ``q()``, at ``working(HEADROOM)``.  Where rho = 2^max(Re s - 1, 0)
+    |q| <= 1/3 (every pinned sweep and benchmark point), it is
     q sum_{k<=K} k^(s-1) q^(k-1) by
     ``hp._fixed_horner`` over ``SeriesTables.k_power``, right at any
     |Im s| by its phase rule: each term is at most a third of the one
     before, so |F| >= |q|/2 and nothing cancels, and K is the first k at
     which the float log of the next term over q, (Re s - 1) ln(k+1)
     + k ln|q|, falls below -(D+2) ln 10, D the digits of the working
-    precision.  Elsewhere it is mpmath's ``polylog`` Li_{1-s}(q), run with
-    the ``hp.phase_bits`` of (1-s, ln K), K a float bound on the index past
-    which the series' terms fall below 10^-(D+2), and rounded back: its
-    terms q^k k^(s-1) would otherwise lose log10(|Im s| ln k) digits to
-    their phases.  Where |q| >= 0.9 at a non-integer s, mpmath sums another
-    series, which ``_polylog_general`` bounds and checks."""
+    precision.  Elsewhere it is the reflection of ``_reflection``, and
+    q/(1-q) at s = 1 exactly."""
     with ctx.working(HEADROOM):
         aval = point.a.value()
         if aval.imag <= 0:
             raise DivergenceError("periodic zeta sum needs Im(a) > 0")
-        # k* > limit, in floats and without a division: Re s may pass the
-        # float range and Im a fall below it
-        re_s1, im_a = float(point.s.real) - 1, float(aval.imag)
-        if re_s1 > Q_TERM_LIMIT * 2 * math.pi * im_a:
-            raise DomainError(
-                "the q-series of F(a, 1-s) peaks beyond term "
-                f"{Q_TERM_LIMIT} at s = {mp.nstr(point.s, 8)}, "
-                f"Im a = {mp.nstr(aval.imag, 8)}: its largest term is "
-                "near k = (Re s - 1)/(2 pi Im a)")
+        re_s1 = float(point.s.real) - 1
+        log_q = -2 * math.pi * float(aval.imag)
         q = point.a.q()
-        log_q = -2 * math.pi * im_a
         if not max(re_s1, 0) * math.log(2) + log_q <= -math.log(3):
-            # ln K, K past which the series' terms k^r e^(-ck) stay below
-            # e^-L, with r = max(Re s - 1, 0), c = 2 pi Im a and
-            # L = (D+2) ln 10: c K/2 >= L from K = 2L/c on, and
-            # r ln K <= c K/2 from K = (4r/c) ln(2r/c) on where 2r/c > e
-            # (so c > 0, by the term limit), and at every K elsewhere.
-            # Taken in logs, as Im a may fall below the float range.
-            log_k = math.log((mp.dps + 2) * math.log(10) / math.pi) \
-                - float_log(aval.imag)
-            if re_s1 > math.e * -log_q / 2:
-                ratio = 2 * re_s1 / -log_q
-                log_k = max(log_k, math.log(2 * ratio * math.log(ratio)))
-            if mp.isint(point.s) or abs(q) < 0.9:
-                return _polylog(point, log_k, ctx, 0)
-            return _polylog_general(point, log_k, ctx)
+            # both zeta values of the reflection have a pole at s = 1
+            return q / (1 - q) if point.s == 1 else _reflection(point, ctx)
         floor, k = -(mp.dps + 2) * math.log(10), 1
         while re_s1 * math.log(k + 1) + k * log_q >= floor:
             k += 1
@@ -351,55 +326,38 @@ def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
                                   for j in range(1, k + 1)], q)
 
 
-def _polylog(point: ZetaPoint, log_k: float, ctx: PrecisionContext,
-             extra: int) -> mpc:
-    """mp.polylog(1-s, q) at ``working(HEADROOM + extra)``, q the ray's
-    at that precision, run with the ``hp.phase_bits`` of (1-s, log_k) and
-    rounded back."""
-    with ctx.working(HEADROOM + extra):
-        q = point.a.q()
-        order = 1 - point.s
-        with mp.extraprec(phase_bits(order, log_k)):
-            value = mp.polylog(order, q)
-        return +value
-
-
-def _polylog_general(point: ZetaPoint, log_k: float,
-                     ctx: PrecisionContext) -> mpc:
-    """``_polylog`` where mpmath takes its general series, at a non-integer
-    s with |q| >= 0.9: the sum of zeta(1-s-k) u^k/k!, u = ln q, each term
-    an mp.zeta at Im s.  Term k is about |(s)_k| rho^k/k! times the first,
-    rho = |u|/(2 pi) the distance from a to the nearest integer, so the
-    terms grow by at most (1-rho)^-|s| and the sum cancels about as many
-    digits (at a = 0.3 + 0.01i, s = 3 + iy: 5.5 digits at y = 50, 12.3
-    at 100, 25.9 at 200).  DomainError where that passes HEADROOM digits,
-    the ones a step may lose, or where |Im s| > Q_TERM_LIMIT; otherwise
-    the value is checked against a second run at HEADROOM more digits and
-    returned where the two agree to 10^-(digits + guard), relative, and
-    ConvergenceError raised where they do not."""
-    s, aval = point.s, point.a.value()
-    if abs(s.imag) > Q_TERM_LIMIT:
-        raise DomainError(
-            f"F(a, 1-s) near the real axis (|q| >= 0.9) needs "
-            f"|Im s| <= {Q_TERM_LIMIT}, got s = {mp.nstr(s, 8)}")
-    ar = float(aval.real)
-    rho = math.hypot(ar - round(ar), float(aval.imag))
-    lost = -abs(complex(s)) * math.log10(1 - rho)
-    if lost > HEADROOM:
-        raise DomainError(
-            f"F(a, 1-s) at s = {mp.nstr(s, 8)}, a = {mp.nstr(aval, 8)} "
-            f"(|q| >= 0.9) is summed by terms that may grow by 10^{lost:.1f},"
-            f" more than the {HEADROOM} digits of headroom")
-    value = _polylog(point, log_k, ctx, 0)
-    check = _polylog(point, log_k, ctx, HEADROOM)
-    with ctx.working(HEADROOM + HEADROOM):
-        if abs(value - check) > mpf(10) ** -(ctx.digits + ctx.guard) \
-                * abs(check):
-            raise ConvergenceError(
-                f"F(a, 1-s) at s = {mp.nstr(s, 8)}, a = {mp.nstr(aval, 8)} "
-                f"(|q| >= 0.9) moves by {mp.nstr(abs(value / check - 1), 3)}"
-                f" at {HEADROOM} more digits")
-    return value
+def _reflection(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
+    """F(a, 1-s) = Gamma(s) (2 pi)^-s [e^(i pi s/2) zeta(s, a0)
+    + e^(-i pi s/2) zeta(s, a0')] (DLMF 25.13.2), at ``working(HEADROOM)``,
+    with a0 = a - floor(Re a) and a0' = 1 - a0.  F reads a only through q,
+    so the shift by a whole period moves only the Euler-Maclaurin sums,
+    whose heads then need no terms to reach Re w > 0 (unshifted, a' at
+    a = 1500.3 + 0.01i would need 1500).  The rays a0 and a0' are built at
+    ``working(HEADROOM + HURWITZ_EXTRA)``, the least precision at which the
+    ``_hurwitz_zeta`` sums read them, and the sums are weighted there, as
+    in ``ZetaPoint.combine``, before Gamma(s) and (2 pi)^-s at
+    ``working(HEADROOM)``.  The weighted terms cancel where F is small
+    beside them (near s = 1, where both zeta values have a pole, and at
+    large |s|): the digits lost, read from the ``hp.float_log`` of the
+    terms and of their sum, may take up HEADROOM, and ConvergenceError
+    beyond.  Not for s = 1 itself."""
+    s = point.s
+    with ctx.working(HEADROOM + HURWITZ_EXTRA):
+        aval = point.a.value()
+        a0 = aval - mp.floor(aval.real)
+        zeta, zeta_prime = (_hurwitz_zeta(s, RayComplex.from_value(x), ctx)
+                            for x in (a0, 1 - a0))
+        half_is = mp.expjpi(s / 2)
+        terms = half_is * zeta, zeta_prime / half_is
+        value = terms[0] + terms[1]
+    lost = (max(map(float_log, terms)) - float_log(value)) / math.log(10)
+    if not lost <= HEADROOM:
+        raise ConvergenceError(
+            f"the reflection of F(a, 1-s) at s = {mp.nstr(s, 8)}, "
+            f"a = {mp.nstr(aval, 8)} cancels {lost:.1f} digits, more than "
+            f"the {HEADROOM} of headroom")
+    with ctx.working(HEADROOM):
+        return mp.gamma(s) * series_tables(s, ctx).two_pi_minus_s * value
 
 
 def f_tilde_reference(point: ZetaPoint, ctx: PrecisionContext) -> mpc:

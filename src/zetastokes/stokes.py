@@ -142,8 +142,9 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
     extraction is repeated through the single-scale Bernoulli series and
     the two values are required to agree.  ``resolved_digits`` in the
     diagnostics is digits + guard - log10(|Ftilde| / e^(-2 pi n Im a)),
-    taken in floats from ``hp.float_log`` of Ftilde and Im a = Im value(),
-    and ``digits`` is ctx.digits.
+    taken in floats from ``hp.float_log`` of Ftilde and Im a = Im value()
+    (DomainError where that leaves the float range, as at s = 1e300), and
+    ``digits`` is ctx.digits.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -159,6 +160,11 @@ def stokes_multiplier(n: int, point: ZetaPoint, ctx: PrecisionContext,
         # log10(|Ftilde| / target); the floor is target < tol |Ftilde|
         lost = (float_log(ft) + 2 * math.pi * n
                 * float(point.a.value().imag)) / math.log(10)
+        if not math.isfinite(lost):
+            raise DomainError(
+                f"|Ftilde| at s = {mp.nstr(s, 8)}, Im a = "
+                f"{mp.nstr(point.a.value().imag, 3)} passes the float range "
+                "that sizes the digits it loses")
         if lost > ctx.digits - 10:
             required = math.ceil(10 + lost) + 3
             raise InsufficientPrecisionError(

@@ -10,6 +10,7 @@ import random
 import pytest
 from mpmath import mp, mpf, mpc
 
+from zetastokes import oracle
 from zetastokes.cli import EXIT_OK, main
 from zetastokes.errors import InsufficientPrecisionError
 from zetastokes.expansion import TruncationPlan, optimal_truncation
@@ -72,8 +73,14 @@ def test_criterion_2_exactness_grid(actx, capsys):
                 worst <= actx.tol())
 
 
-def test_criterion_3_reflection_identities(actx, capsys):
-    # residuals < tol*(1+|value|) on 20 random points, Re(s) in (1.5, 4)
+def test_criterion_3_reflection_identities(actx, capsys, monkeypatch):
+    # residuals < tol*(1+|value|) on 20 random points, Re(s) in (1.5, 4);
+    # F must come from the q-series there, not from the reflection the
+    # residual compares it with
+    def unreachable(*args):
+        raise AssertionError("F took the reflection")
+
+    monkeypatch.setattr(oracle, "_reflection", unreachable)
     rng = random.Random(7)
     worst = mpf(0)
     with actx.working(10):

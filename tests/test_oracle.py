@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -8,17 +9,39 @@ from zetastokes.errors import (ConvergenceError, DivergenceError,
                                DomainError, PoleError)
 from zetastokes.expansion import TruncationPlan, z_improved
 from zetastokes.hp import HEADROOM, PrecisionContext, RayComplex
-from zetastokes.oracle import (Q_TERM_LIMIT, ZetaPoint, f_tilde_reference,
+from zetastokes import oracle
+from zetastokes.oracle import (ZetaPoint, f_tilde_reference,
                                hurwitz_zeta_direct, periodic_zeta_direct,
                                z_reference)
 from zetastokes.stokes import stokes_multiplier
-from zetastokes.validate import reflection_residuals
+from zetastokes.validate import reflection_residuals, run_validation
 
 
 def _point(s, modulus, arg_over_pi, ctx):
     with ctx.working(10):
         a = RayComplex(mpf(modulus), mpf(str(arg_over_pi)) * mp.pi)
     return ZetaPoint.create(mpc(s), a, ctx)
+
+
+def _direct_sum(pt):
+    """sum_k k^(s-1) q^k at the caller's precision, up to the first term
+    below 2^-prec of the sum past which the terms fall: there the ratio
+    |q| ((k+1)/k)^(Re s - 1) of the next two is below 1 and decreasing.
+    k^(s-1) is d^(s-1) (k/d)^(s-1) at the least factor d of a composite k."""
+    q = mp.exp(2 * mp.pi * mpc(0, 1) * pt.a.value())
+    total, qk, k = mpc(0), mpc(1), 0
+    re_s1, powers = float(pt.s.real) - 1, [None]
+    while True:
+        k += 1
+        qk *= q
+        d = next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), 0)
+        powers.append(powers[d] * powers[k // d] if d
+                      else mp.exp((pt.s - 1) * mp.log(k)))
+        term = qk * powers[k]
+        total += term
+        if mp.mag(term) < mp.mag(total) - mp.prec \
+                and float(abs(q)) * ((k + 1) / k) ** re_s1 < 1:
+            return total
 
 
 class TestZetaPoint:
@@ -149,6 +172,24 @@ class TestHurwitzZetaDirect:
         with pytest.raises(DomainError, match=match):
             hurwitz_zeta_direct(s, a, ctx)
 
+    @pytest.mark.parametrize("s, a", [
+        (mpc(0.5, 3), ("0.3", "0.01")), (mpc(0.5, 3), ("0.7", "-0.01")),
+        (mpc("0.9"), ("0.25", "0.1")), (mpc(1.05, 20), ("0.3", "0.01")),
+        (mpc(-1.5, 0.5), ("0.3", "0.01"))],
+        ids=["0.5+3i", "0.5+3i-a'", "0.9", "1.05+20i", "-1.5+0.5i"])
+    def test_sum_below_the_margin(self, s, a, ctx_fast):
+        # the Euler-Maclaurin sum continues zeta(s, a) to Re s > 1 - 2J,
+        # and the reflection of F reads it past the public Re s > 1.1:
+        # against mp.zeta at twice the digits D of working(HEADROOM), to
+        # 10 units of 10^-D (-1.5 + 0.5i takes the second pass)
+        with mp.workdps(100):
+            ray = RayComplex.from_value(mpc(*a))
+        got = oracle._hurwitz_zeta(s, ray, ctx_fast)
+        digits = ctx_fast.digits + ctx_fast.guard + HEADROOM
+        with mp.workdps(2 * digits):
+            want = mp.zeta(s, ray.value())
+            assert abs(got - want) <= mpf(10) ** (1 - digits) * abs(want)
+
     def test_rejects_small_re_s(self, ctx):
         with ctx.working():
             a = RayComplex(mpf(6), mpf("0.5") * mp.pi)
@@ -190,13 +231,17 @@ class TestPeriodicZeta:
     @pytest.mark.parametrize("s", [mpc(2, 0.5), mpc("1.6"), mpc(2, 30)],
                              ids=["2+0.5i", "1.6", "2+30i"])
     def test_reflection_at_scan_edge(self, s, argpi, ctx):
-        # F against the two Hurwitz values, a reference that reads no
-        # polylog; at |a| = 1 and these angles rho > 1/3, so F itself is
-        # polylog's, which at s = 2 takes the closed form q/(1-q)^2
+        # at |a| = 1 and these angles rho > 1/3, so F is the reflection
+        # through the two Hurwitz sums itself: it is checked against
+        # mp.polylog at D + 10 digits, D those of working(HEADROOM), and
+        # Ftilde against the two-Z combination
         pt = _point(s, 1, argpi, ctx)
-        res_f, res_ft = reflection_residuals(pt, ctx)
-        assert res_f <= ctx.tol()
-        assert res_ft <= ctx.tol()
+        got = periodic_zeta_direct(pt, ctx)
+        with mp.workdps(ctx.digits + ctx.guard + 2 * HEADROOM):
+            q = mp.exp(2 * mp.pi * mpc(0, 1) * pt.a.value())
+            want = mp.polylog(1 - pt.s, q)
+            assert abs(got - want) <= ctx.tol() * abs(want)
+        assert reflection_residuals(pt, ctx)[1] <= ctx.tol()
 
     @pytest.mark.parametrize("s", [mpc(2), mpc(0.5, 3), mpc(2, 30), mpc(3)],
                              ids=["2", "0.5+3i", "2+30i", "3"])
@@ -205,18 +250,18 @@ class TestPeriodicZeta:
     def test_matches_polylog_at_twice_the_digits(self, argpi, mod, s, ctx,
                                                  monkeypatch):
         # the owned q-series where rho = 2^max(Re s - 1, 0) |q| <= 1/3 and
-        # mp.polylog beyond, each against mp.polylog at twice the digits
+        # the reflection beyond, each against mp.polylog at twice the digits
         # D of working(HEADROOM): within 10 units of 10^-D, about q's own
         # error at |a| = 9 (3.1 measured); the cases fall on both sides
-        calls, real = [], mp.polylog
-        monkeypatch.setattr(mp, "polylog",
+        calls, real = [], oracle._reflection
+        monkeypatch.setattr(oracle, "_reflection",
                             lambda *args: calls.append(1) or real(*args))
         pt = _point(s, mod, argpi, ctx)
         got = periodic_zeta_direct(pt, ctx)
         digits = ctx.digits + ctx.guard + HEADROOM
         with mp.workdps(2 * digits):
             q = mp.exp(2 * mp.pi * mpc(0, 1) * pt.a.value())
-            want = real(1 - pt.s, q)
+            want = mp.polylog(1 - pt.s, q)
             assert abs(got - want) <= mpf(10) ** (1 - digits) * abs(want)
             rho = 2 ** max(float(s.real) - 1, 0) * abs(q)
         assert len(calls) == (rho > mpf(1) / 3)
@@ -224,120 +269,126 @@ class TestPeriodicZeta:
     @pytest.mark.parametrize("e", [60, 133])
     @pytest.mark.parametrize("im_a", ["0.1", "0.02"])
     def test_polylog_at_large_im_s_matches_sixty_digits(self, im_a, e):
-        # rho = 4 |q| > 1/3 at a = 0.3 + i im_a, so F is mp.polylog's,
-        # whose terms k^(s-1) q^k lose log10(|Im s| ln k) digits to their
-        # phases without the phase rule (8.8e-50 off at im_a = 0.1 and
-        # 2^60, 1.4e-27 at 2^133)
+        # rho = 4 |q| > 1/3 at a = 0.3 + i im_a, so F is the reflection,
+        # whose Euler-Maclaurin sums need |w| near |Im s|/(2 pi): the run
+        # at 30 digits and the one at 60 raise the sums' own DomainError,
+        # at once
         s = mpc(3, mpf(2) ** e)
         with mp.workdps(100):
             a = RayComplex.from_value(mpc("0.3", im_a))
-        coarse, fine = PrecisionContext(30), PrecisionContext(60)
-        got = periodic_zeta_direct(ZetaPoint.create(s, a, coarse), coarse)
-        want = periodic_zeta_direct(ZetaPoint.create(s, a, fine), fine)
-        digits = coarse.digits + coarse.guard + HEADROOM
-        with fine.working():
-            assert abs(got - want) <= mpf(10) ** (1 - digits) * abs(want)
+        for ctx in PrecisionContext(30), PrecisionContext(60):
+            start = time.perf_counter()
+            with pytest.raises(DomainError,
+                               match="needs more than 1000 head terms"):
+                periodic_zeta_direct(ZetaPoint.create(s, a, ctx), ctx)
+            assert time.perf_counter() - start < 0.5
 
-    def test_sweep_points_take_no_polylog(self, ctx, monkeypatch):
+    def test_sweep_points_take_the_q_series(self, ctx, monkeypatch):
         # the ends of the fig1b sweep, with its pinned plan, and a point at
         # |a| = 1 near the real axis, where |q| = 0.674 and rho = 1.35 > 1/3
         def unreachable(*args):
-            raise AssertionError("mp.polylog reached")
+            raise AssertionError("reflection reached")
 
-        monkeypatch.setattr(mp, "polylog", unreachable)
+        monkeypatch.setattr(oracle, "_reflection", unreachable)
         plan = TruncationPlan((25,), (24,), 1)
         for argpi in (0.3, 0.7):
             pt = _point(mpc(2, 0.5), 8, argpi, ctx)
             assert stokes_multiplier(1, pt, ctx, plan=plan).error is None
-        with pytest.raises(AssertionError, match="polylog reached"):
+        with pytest.raises(AssertionError, match="reflection reached"):
             periodic_zeta_direct(_point(mpc(2, 0.5), 1, 0.02, ctx), ctx)
 
-    def test_real_s_of_1e300_stops_before_polylog(self, ctx_fast,
-                                                   monkeypatch):
-        # the q-series' terms k^(Re s - 1) |q|^k peak near k = 2.7e298
-        # here; the call used to hang inside mp.polylog
+    def test_validate_points_take_the_q_series(self, ctx_fast, monkeypatch):
+        # validate's reflection entries compare F with the reflection
+        # through hurwitz_zeta_direct, so F must not be that reflection at
+        # their points (acceptance criterion 3 checks its own points the
+        # same way); a reached reflection fails the run, a ZetaError would
+        # fail an entry
         def unreachable(*args):
-            raise AssertionError("mp.polylog reached")
+            raise AssertionError("reflection reached")
 
-        monkeypatch.setattr(mp, "polylog", unreachable)
+        monkeypatch.setattr(oracle, "_reflection", unreachable)
+        report = run_validation(ctx_fast)
+        passed = {e.name for e in report.entries if e.passed}
+        assert {"periodic-zeta reflection", "subtracted reflection"} <= passed
+
+    def test_real_s_of_1e300_stops_before_polylog(self, ctx_fast):
+        # the q-series' terms k^(Re s - 1) |q|^k peak near k = 2.7e298
+        # here, and the call used to hang inside mp.polylog; the reflection
+        # returns an F whose lost digits pass the float range, and
+        # stokes_multiplier raises before it reads them
         pt = _point(mpf(1e300), 6, 0.45, ctx_fast)
         with pytest.raises(DomainError,
-                           match=r"s = \(1\.0e\+300 \+ 0\.0j\), Im a = 5\.9"):
+                           match=r"s = \(1\.0e\+300 \+ 0\.0j\), Im a = 5\.9"
+                           r".* passes the float range"):
             stokes_multiplier(1, pt, ctx_fast)
 
-    # a = 0.3 + 0.01i has |q| = 0.939, so at a non-integer s mp.polylog
-    # sums zeta(1-s-k) u^k/k!, u = ln q, whose terms grow by up to
-    # (1 - rho)^-|s| = 10^(0.155 |s|), rho = |a - round(Re a)|
+    # a = 0.3 + 0.01i has |q| = 0.939 and rho > 1/3 at every s
     NEAR_AXIS = "0.3", "0.01"
 
-    def _near_axis(self, s, ctx):
+    def _near_axis(self, s, ctx, a=NEAR_AXIS):
         with mp.workdps(100):
-            a = RayComplex.from_value(mpc(*self.NEAR_AXIS))
-        return ZetaPoint.create(s, a, ctx)
+            ray = RayComplex.from_value(mpc(*a))
+        return ZetaPoint.create(s, ray, ctx)
 
     def test_near_the_axis_matches_the_direct_sum(self, ctx_fast):
-        # s = 3 + 30i, terms grown by up to 10^4.7: against 3,400 terms of
-        # sum k^(s-1) q^k at 80 digits, to 10^-(digits + guard)
-        pt = self._near_axis(mpc(3, 30), ctx_fast)
+        # the reflection against the direct sum at 150 digits, to 10 units
+        # of 10^-D, D the digits of working(HEADROOM).  mp.polylog returned
+        # 1.37e-82 for 1.92e-74 at s = 300 (its series stops at an absolute
+        # tolerance) and was off by 1.1e-32 and 1.6e-43 at s = 30.5 and
+        # 40 + i; a = 1500.3 + 0.01i needs the shift by a period (a' would
+        # need 1500 head terms); 0.5 + 3i and -1.5 + 0.5i lie below the
+        # Hurwitz oracle's Re s > 1.1; s = 3 + 100i, 200i and 1000i raised
+        # DomainError, and 1000i once returned about 1e68
+        digits = ctx_fast.digits + ctx_fast.guard + HEADROOM
+        for s, a in [(mpc(300), ("0", "30")), (mpc("30.5"), ("0.3", "0.02")),
+                     (mpc(40, 1), ("0.4", "0.1")),
+                     (mpc(2, 0.5), ("1500.3", "0.01")),
+                     (mpc(0.5, 3), self.NEAR_AXIS),
+                     (mpc(-1.5, 0.5), self.NEAR_AXIS),
+                     (mpc(3, 30), self.NEAR_AXIS),
+                     (mpc(3, 100), self.NEAR_AXIS),
+                     (mpc(3, 200), self.NEAR_AXIS),
+                     (mpc(3, 1000), self.NEAR_AXIS)]:
+            pt = self._near_axis(s, ctx_fast, a)
+            got = periodic_zeta_direct(pt, ctx_fast)
+            with mp.workdps(150):
+                want = _direct_sum(pt)
+                assert abs(got - want) <= mpf(10) ** (1 - digits) \
+                    * abs(want), (s, a)
+
+    def test_near_the_axis_at_s_1(self, ctx_fast):
+        # both zeta values have a pole at s = 1: exactly there F is
+        # q/(1-q), and at s = 1 + 1e-8 the reflection cancels 7.4 digits,
+        # within the headroom, and is right to 10^-(digits + guard)
+        pt = self._near_axis(mpc(1), ctx_fast)
+        with ctx_fast.working(HEADROOM):
+            q = pt.a.q()
+            assert periodic_zeta_direct(pt, ctx_fast) == q / (1 - q)
+        pt = self._near_axis(1 + mpf("1e-8"), ctx_fast)
         got = periodic_zeta_direct(pt, ctx_fast)
         with mp.workdps(80):
-            q = mp.exp(2 * mp.pi * mpc(0, 1) * pt.a.value())
-            want, qk = mpc(0), mpc(1)
-            for k in range(1, 3400):
-                qk *= q
-                want += qk * mp.power(k, pt.s - 1)
+            want = _direct_sum(pt)
             assert abs(got - want) <= mpf(10) ** -(
                 ctx_fast.digits + ctx_fast.guard) * abs(want)
 
     def test_near_the_axis_past_the_headroom_raises(self, ctx_fast):
-        # s = 3 + 1000i: terms grown by up to 10^155; this used to return
-        # -2.5e68 - 2.7e68i against the direct sum's -716.168 + 451.644i
-        pt = self._near_axis(mpc(3, 1000), ctx_fast)
-        with pytest.raises(DomainError, match=r"grow by 10\^155\.0"):
-            periodic_zeta_direct(pt, ctx_fast)
+        # at s = 1 + 1e-12 the two weighted zeta values cancel 11.4 digits,
+        # more than the headroom, and at s = 1e-15, where Gamma(s) has a
+        # pole and the bracket vanishes, 14.4
+        for s, lost in [(1 + mpf("1e-12"), r"11\.4"),
+                        (mpf("1e-15"), r"14\.4")]:
+            pt = self._near_axis(s, ctx_fast)
+            with pytest.raises(ConvergenceError, match=f"cancels {lost} dig"):
+                periodic_zeta_direct(pt, ctx_fast)
 
-    def test_near_the_axis_at_large_im_s_raises_at_once(self, ctx_fast,
-                                                        monkeypatch):
-        # Im s = 2^20 is past Q_TERM_LIMIT: each term of the general series
-        # is an mp.zeta at Im s; this call did not finish in 300 s
-        def unreachable(*args):
-            raise AssertionError("mp.polylog reached")
-
-        monkeypatch.setattr(mp, "polylog", unreachable)
+    def test_near_the_axis_at_large_im_s_raises_at_once(self, ctx_fast):
+        # Im s = 2^20 is past the Euler-Maclaurin sums' sizing (about 5,500
+        # at a = 0.3 + 0.1i); this call once did not finish in 300 s
         pt = self._near_axis(mpc(3, 2 ** 20), ctx_fast)
-        with pytest.raises(DomainError, match=r"\|Im s\| <= 10000"):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="more than 1000 head terms"):
             periodic_zeta_direct(pt, ctx_fast)
-
-    @pytest.mark.parametrize("lost, raises", [(12, True), (8, False)])
-    def test_near_the_axis_checks_a_second_run(self, lost, raises, ctx_fast,
-                                               monkeypatch):
-        # a polylog off by 10^(lost - dps) at every precision, at |a| = 1,
-        # arg a = 0.0002 pi (|q| = 0.996): the run at HEADROOM more digits
-        # exposes it where it passes 10^-(digits + guard), 1e-50 here, and
-        # the first run's value is returned below that
-        real = mp.polylog
-        monkeypatch.setattr(mp, "polylog", lambda *args: real(*args) * (
-            1 + mpf(10) ** (lost - mp.dps)))
-        pt = _point(mpc(2, 0.5), 1, 0.0002, ctx_fast)
-        if raises:
-            with pytest.raises(ConvergenceError, match="more digits"):
-                periodic_zeta_direct(pt, ctx_fast)
-        else:
-            assert periodic_zeta_direct(pt, ctx_fast)
-
-    @pytest.mark.parametrize("peak, reached", [(0.99, True), (1.01, False)])
-    def test_term_limit(self, peak, reached, ctx_fast, monkeypatch):
-        # Re s placed so that the largest term lies at peak * Q_TERM_LIMIT
-        monkeypatch.setattr(mp, "polylog", lambda *args: mpc(0))
-        with ctx_fast.working(10):
-            a = RayComplex(mpf(6), mpf("0.45") * mp.pi)
-            s = 1 + peak * Q_TERM_LIMIT * 2 * mp.pi * a.value().imag
-        pt = ZetaPoint.create(s, a, ctx_fast)
-        if reached:
-            assert periodic_zeta_direct(pt, ctx_fast) == 0
-        else:
-            with pytest.raises(DomainError, match="peaks beyond term"):
-                periodic_zeta_direct(pt, ctx_fast)
+        assert time.perf_counter() - start < 0.5
 
     def test_rejects_lower_halfplane_a(self, ctx):
         # create() admits only arg a in (0, pi); a point built around it

@@ -7,7 +7,8 @@ every memo keyed on s or an order is bounded by a constant of ``hp``: only
 the memo keyed on integer indices and a context may grow without a
 bound.  Arguments and decimal sizes come from ``hp`` too: no other module
 reads mpmath's ``arg``, ``atan2`` or ``log10``, each of which fills a
-table entry at nearly every new value and precision."""
+table entry at nearly every new value and precision.  And no module reads
+mpmath's ``polylog`` or ``zeta``: ``oracle`` sums both functions itself."""
 import ast
 from pathlib import Path
 
@@ -165,12 +166,12 @@ TABLE_FILLERS = {"arg", "atan2", "log10"}
 MPMATH_NAMES = {"mp", "mpmath"}
 
 
-def _table_fillers(source: str) -> list:
-    """Line numbers of the reads of mp.arg, mp.atan2 or mp.log10 in
-    source, called or not."""
+def _mpmath_reads(source: str, names) -> list:
+    """Line numbers of the reads of mp.<name> or mpmath.<name> in source,
+    for each of names, called or not."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute)
-            and node.attr in TABLE_FILLERS
+            and node.attr in names
             and isinstance(node.value, ast.Name)
             and node.value.id in MPMATH_NAMES]
 
@@ -186,10 +187,35 @@ def _table_fillers(source: str) -> list:
     ("ray.argument\nhp.float_log(ft)", []),
 ])
 def test_finder_flags_table_filling_calls(source, lines):
-    assert _table_fillers(source) == lines
+    assert _mpmath_reads(source, TABLE_FILLERS) == lines
 
 
 @pytest.mark.parametrize("module", sorted(
     p.name for p in PACKAGE.glob("*.py") if p.name != "hp.py"))
 def test_no_table_filling_call_outside_hp(module):
-    assert _table_fillers((PACKAGE / module).read_text()) == []
+    assert _mpmath_reads((PACKAGE / module).read_text(),
+                         TABLE_FILLERS) == []
+
+
+# mpmath functions whose values the package sums itself: zeta(s, a) by
+# ``oracle.hurwitz_zeta_direct`` and F(a, 1-s) = Li_(1-s)(q) by
+# ``oracle.periodic_zeta_direct``, each checked against them in the tests
+OWNED = {"polylog", "zeta"}
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("mp.polylog(1 - s, q)", [1]),
+    ("mpmath.zeta(s, a)", [1]),
+    ("with mp.workdps(30):\n    f = mp.polylog(order, q)", [2]),
+    ("li = mp.polylog\nli(order, q)", [1]),
+    ("hurwitz_zeta_direct(s, a, ctx)\nperiodic_zeta_direct(pt, ctx)", []),
+    ("oracle.zeta(s)\nmp.polyexp(s, z)", []),
+])
+def test_finder_flags_owned_functions(source, lines):
+    assert _mpmath_reads(source, OWNED) == lines
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_no_library_module_reads_polylog_or_zeta(module):
+    assert _mpmath_reads((PACKAGE / module).read_text(), OWNED) == []
