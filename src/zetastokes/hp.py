@@ -42,8 +42,8 @@ the Euler-Maclaurin tail of ``oracle.hurwitz_zeta_direct`` and the q-series
 of ``oracle.periodic_zeta_direct``.  That tail and
 ``expansion.bernoulli_series`` share one table of the Poincare factors
 c_j = B_2j/(2j)! (s)_(2j-1), kept per (s, ctx) too, one list per precision
-offset, with their float logs beside them; the q-series reads the owned
-powers k^(s-1).
+offset, with the float logs of the list that the tail's first pass sums
+beside them; the q-series reads the owned powers k^(s-1).
 
 Every power with a complex exponent follows one phase rule,
 ``phase_bits``: the exponent x = e L of exp(x) rounded at p bits is off by
@@ -56,7 +56,12 @@ Every size the package decides in floats is a log from ``float_log``,
 ln |x| read from the raw mantissas and binary exponents of an mpf or mpc,
 at any size and whatever the caller's precision: the phase rule's, the
 tail rule of ``expansion.extend_plan``, the rerun rule of ``stokes.sweep``
-and the digits that ``oracle.periodic_zeta_direct``'s reflection cancels.
+and the Euler-Maclaurin sizing of ``oracle.hurwitz_zeta_direct``, which
+reads the float logs of the owned c_j.  Every count of the digits that a
+sum cancels is ``digits_lost``, log10(max |term| / |value|) from
+``float_log``, with its three readers: the series check of
+``terminant.upper_gamma``, the spare of the Euler-Maclaurin sum and the
+reflection of ``oracle.periodic_zeta_direct``.
 
 The precision budget is decided here: every offset of ``ctx.working`` and
 every fixed precision is a named constant below, with its reason, and so
@@ -77,7 +82,7 @@ from fractions import Fraction
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_add,
                           mpf_cos_sin, mpf_div, mpf_mul, mpf_sub,
-                          round_nearest, to_fixed)
+                          round_nearest, to_fixed, to_int)
 
 from .errors import DomainError, PoleError
 
@@ -399,7 +404,8 @@ def gamma_complex(z, ctx: PrecisionContext) -> mpc:
     with ctx.working(FACTOR_EXTRA):
         z = mpc(z)
         if z.real < 0.5:
-            nearest = round(z.real)
+            # read exactly: past 2^53 a float would move it off the pole
+            nearest = to_int(z.real._mpf_, round_nearest)
             if nearest <= 0:
                 dist = abs(z - nearest)
                 if dist < ctx.tol():
@@ -441,6 +447,21 @@ def float_log(x) -> float:
         return math.inf if top > 0 else -math.inf
     return math.log(math.hypot(*_scaled_floats(parts, top))) \
         + top * math.log(2)
+
+
+def digits_lost(value, terms, log_peak: float = -math.inf) -> float:
+    """log10(max |t| / |value|) over the terms, numbers as ``float_log``
+    reads them, and e^log_peak, a peak already known as a log: the digits
+    that a sum of value cancels, from ``float_log``; inf at a zero value.
+    Only a term whose ``_top`` lies within 1 of the largest can be the
+    largest (|t| lies in [2^(top-1), 2^(top+1/2))), so only those take a
+    log."""
+    tops = [(_top(t._mpc_ if isinstance(t, mpc) else (_exact(t),)), t)
+            for t in terms if t]
+    high = max((top for top, _ in tops), default=0)
+    peak = max([log_peak] + [float_log(t) for top, t in tops
+                             if top >= high - 1])
+    return (peak - float_log(value)) / math.log(10) if value else math.inf
 
 
 def phase_bits(e, log_size: float) -> int:
@@ -528,28 +549,13 @@ class SeriesTables:
         return table[:n]
 
     def hurwitz_tail_logs(self, n: int) -> list:
-        """[ln |c_j| for 1 <= j <= n], the sizes of ``hurwitz_tail``, in
-        floats by the same recurrence, with ln |q_j| = ln zeta(2j)
-        - ln zeta(2j-2) - 2 ln(2 pi) and zeta(2j) summed to 5^-2j, the rest
-        in closed form (to within 1e-3 nats).  inf where |s| passes the
-        float range."""
-        def log_zeta(j):  # ln zeta(2j)
-            return math.log(1 + sum(k ** (-2.0 * j) for k in range(2, 6))
-                            + 5.5 ** (1 - 2.0 * j) / (2 * j - 1))
-
-        logs = self._tail_logs
-        if len(logs) >= n:
-            return logs
-        s = complex(self.s)
-        if not logs:
-            logs.append(math.log(abs(s) / 12))
-        while len(logs) < n:
-            j = len(logs) + 1
-            logs.append(logs[-1] + math.log(abs(s + (2 * j - 3)))
-                        + math.log(abs(s + (2 * j - 2)))
-                        + log_zeta(j) - log_zeta(j - 1)
-                        - 2 * math.log(2 * math.pi))
-        return logs
+        """[ln |c_j| for 1 <= j <= n], the ``float_log`` of the
+        ``hurwitz_tail(n, HURWITZ_EXTRA)`` that a first pass of
+        ``oracle.hurwitz_zeta_direct`` sums, kept beside it."""
+        if len(self._tail_logs) < n:
+            tail = self.hurwitz_tail(n, HURWITZ_EXTRA)
+            self._tail_logs += map(float_log, tail[len(self._tail_logs):])
+        return self._tail_logs
 
     def k_power(self, k: int) -> mpc:
         """k^(s-1) = exp((s-1) log k), for an integer k >= 1, with the

@@ -34,8 +34,8 @@ from mpmath import mp, mpf, mpc
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      PoleError)
 from .hp import (HEADROOM, HURWITZ_EXTRA, PrecisionContext, RayComplex,
-                 _fixed_horner, float_log, phase_bits, pow_ray,
-                 series_tables)
+                 _fixed_horner, digits_lost, float_log, phase_bits,
+                 pow_ray, series_tables)
 
 RE_S_MARGIN = mpf("1.1")
 # Most head terms, and most tail terms, of the Euler-Maclaurin sum of
@@ -123,8 +123,9 @@ def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     A first pass truncates at 10^-(D + HURWITZ_EXTRA) of its largest addend,
     D the digits of ``working(HEADROOM)``; where it cancels more digits
     than it carries, a second truncates at 10^-(D + HURWITZ_EXTRA) of the
-    value the first found and carries the digits its own addends are
-    larger by.  ConvergenceError if that one falls short too.
+    value the first found, read by ``hp.float_log``, and carries the digits
+    its own addends are larger by.  ConvergenceError if that one falls
+    short too.
     """
     value = _hurwitz_zeta(_check_re_s(s, ctx), a, ctx)
     with ctx.working(HEADROOM):
@@ -141,8 +142,7 @@ def _hurwitz_zeta(s: mpc, a: RayComplex, ctx: PrecisionContext) -> mpc:
             raise DomainError("a must not be a nonpositive real/integer")
     value, spare = _euler_maclaurin(s, a, ctx, None)
     if spare < 0 and value:
-        value, spare = _euler_maclaurin(s, a, ctx,
-                                        float(mp.mag(value)) * math.log(2))
+        value, spare = _euler_maclaurin(s, a, ctx, float_log(value))
     if spare < 0:
         raise ConvergenceError(
             f"the Euler-Maclaurin sum of zeta(s, a) at s = {mp.nstr(s, 8)}, "
@@ -160,16 +160,21 @@ def _lengths(s: mpc, aval: mpc, tables, digits: int,
     Sizes are natural logs: the head terms h_k = ln |(a+k)^(-s)| =
     -Re s ln|a+k| + Im s arg(a+k), through k = M (w^(-s) is the head's
     next term), the lead ln |w^(1-s)/(s-1)|, and the tail terms t_j =
-    ln |c_j| + ln |w^(1-s)| - 2j ln|w| from ``tables.hurwitz_tail_logs``.
+    ln |c_j| + ln |w^(1-s)| - 2j ln|w|, with ln |c_j| the ``hp.float_log``
+    of the owned factor that a first pass sums
+    (``tables.hurwitz_tail_logs``).
     At a head length M, J is the first j with t_j below the budget; there
     is none if the terms turn upward first, because the tail's floor,
     about e^(-2 pi |w|) of the lead while |s| is small, lies above the
     budget.  M is at least -Re a, so that the half-line w + [0, oo) of the
     remainder stays in the right half-plane.  The search starts at the
     least |w| at which a t_j reaches the budget relative to the lead, which
-    is the least M unless a head term is larger than the lead; from there
-    it steps up until there is a J, and bisects down if one head term
-    fewer has one too.  DomainError beyond EM_TERM_LIMIT head terms.
+    is the least M unless a head term is larger than the lead.  That |w|
+    lies beyond |Im s|/(2 pi), so where |Im s|/(2 pi) is at least
+    |a + EM_TERM_LIMIT|, the search starts at the limit without scanning
+    the c_j for it.  From its start it steps up until there is a J, and
+    bisects down if one head term fewer has one too.  DomainError beyond
+    EM_TERM_LIMIT head terms.
     """
     sr, si = float(s.real), float(s.imag)
     ar, ai = float(aval.real), float(aval.imag)
@@ -206,9 +211,12 @@ def _lengths(s: mpc, aval: mpc, tables, digits: int,
 
     # ln of the least |w| at which some t_j reaches the budget relative to
     # the lead: the least (ln |c_j| + ln|s-1| - unit)/2j, where it turns
-    # upward
+    # upward.  Each lies above ln(|Im s|/(2 pi)), as |s-1| >= |Im s| and
+    # |c_j| >= 2 |Im s|^(2j-1) (2 pi)^-2j, so where |Im s|/(2 pi) is at least
+    # |a + EM_TERM_LIMIT|, M starts at the limit and the scan reads no c_j
     log_radius, j = math.inf, 1
-    while j <= EM_TERM_LIMIT:
+    far = 2 * math.pi * math.hypot(ar + EM_TERM_LIMIT, ai)
+    while j <= EM_TERM_LIMIT and abs(si) < far:
         g = (tables.hurwitz_tail_logs(j)[j - 1] + log_s1 - unit) / (2 * j)
         if not g < log_radius:
             break
@@ -248,9 +256,10 @@ def _euler_maclaurin(s: mpc, a: RayComplex, ctx: PrecisionContext,
     the addends once.  So each addend is off by a few units of the
     precision, and the truncated tail by about ten: the sum is off by less
     than (M + 20) units of its largest addend, and relative to its value by
-    10^lost times that, where lost is read from binary exponents as in
-    ``terminant._digits_lost``.  The spare, extra - lost - log10(M + 20),
-    is the digits by which that error stays below 10^-D.
+    10^lost times that, with lost the ``hp.digits_lost`` of the addends (and
+    of the tail's first term) against the value.  The spare,
+    extra - lost - log10(M + 20), is the digits by which that error stays
+    below 10^-D.
     """
     tables = series_tables(s, ctx)
     with ctx.working(HEADROOM):
@@ -274,8 +283,7 @@ def _euler_maclaurin(s: mpc, a: RayComplex, ctx: PrecisionContext,
         addends = powers + [w_s / 2, w_s * w / (s - 1),
                             _fixed_horner(coeffs, w ** -2) * w_s / w]
         value = mp.fsum(addends)
-        peak = max(mp.mag(x) for x in addends + [coeffs[0] * w_s / w])
-        lost = float(peak - mp.mag(value)) * math.log10(2)
+        lost = digits_lost(value, addends + [coeffs[0] * w_s / w])
     return value, extra - lost - math.log10(m + 20)
 
 
@@ -338,9 +346,9 @@ def _reflection(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
     in ``ZetaPoint.combine``, before Gamma(s) and (2 pi)^-s at
     ``working(HEADROOM)``.  The weighted terms cancel where F is small
     beside them (near s = 1, where both zeta values have a pole, and at
-    large |s|): the digits lost, read from the ``hp.float_log`` of the
-    terms and of their sum, may take up HEADROOM, and ConvergenceError
-    beyond.  Not for s = 1 itself."""
+    large |s|): the digits lost, the ``hp.digits_lost`` of the terms
+    against their sum, may take up HEADROOM, and ConvergenceError beyond.
+    Not for s = 1 itself."""
     s = point.s
     with ctx.working(HEADROOM + HURWITZ_EXTRA):
         aval = point.a.value()
@@ -350,7 +358,7 @@ def _reflection(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
         half_is = mp.expjpi(s / 2)
         terms = half_is * zeta, zeta_prime / half_is
         value = terms[0] + terms[1]
-    lost = (max(map(float_log, terms)) - float_log(value)) / math.log(10)
+    lost = digits_lost(value, terms)
     if not lost <= HEADROOM:
         raise ConvergenceError(
             f"the reflection of F(a, 1-s) at s = {mp.nstr(s, 8)}, "

@@ -6,9 +6,10 @@ the order and the ray directly and reads the order exactly, through
 ``PrecisionContext.read``, so no value depends on the caller's mpmath
 precision.  Each input is checked once: the ray on construction
 (``RayComplex``), the order and |z| by ``upper_gamma`` (both within the
-double range; the order not within 10^(-digits/2) of an integer unless on
-it), and |arg z| <= 2 pi by ``terminant``; in floats and ints, and in
-mpmath only near the band's edge.
+double range; the order not within 10^(-digits/2) of its nearest integer,
+read exactly from its mantissa, unless on it), and |arg z| <= 2 pi by
+``terminant``; in floats and ints, and in mpmath only near the band's
+edge.
 
 The incomplete gamma function has exactly one method per input, chosen by
 geometry.  Legendre's continued fraction (DLMF 8.9.2) serves the principal
@@ -26,13 +27,14 @@ digits, plus log10(1/d) within d of a pole of Gamma(alpha), and raises
 DomainError when that inflation would exceed SERIES_INFLATION_LIMIT.  The
 inflation is checked after the fact: ``upper_gamma`` takes the digits
 actually lost, log10(max(|head|, |z^alpha| peak) / |value|) with head
-Gamma(alpha) or its finite limit and peak the largest addend, from binary
-exponents.  Both checks raise in ``_checked``, from the digits each left
-spare, so every value ``upper_gamma`` returns carries digits + guard
-digits.  The series is summed in fixed point (``_fixed_series``): real and
-imaginary parts are Python ints scaled by 2^wp, with wp the bits of the
-inflated digits plus guard bits sized by an a-priori error bound, so its
-hundreds of terms cost integer products rather than mpmath number objects.
+Gamma(alpha) or its finite limit and peak the largest addend, from
+``hp.digits_lost``, the peak passed as a log.  Both checks raise in
+``_checked``, from the digits each left spare, so every value
+``upper_gamma`` returns carries digits + guard digits.  The series is
+summed in fixed point (``_fixed_series``): real and imaginary parts are
+Python ints scaled by 2^wp, with wp the bits of the inflated digits plus
+guard bits sized by an a-priori error bound, so its hundreds of terms cost
+integer products rather than mpmath number objects.
 Both kernels read the order once as a binary fraction
 (``_binary_fraction``), so s = 2+0.5i's remainder orders run on small ints.
 At a nonpositive integer order -n the finite limit's head takes n! and
@@ -47,12 +49,13 @@ import math
 from functools import lru_cache
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
+from mpmath.libmp import (dps_to_prec, from_man_exp, round_nearest, to_fixed,
+                          to_int)
 
 from .errors import (ConvergenceError, DomainError, IllConditionedError)
 from .hp import (FIXED_GUARD_BITS, HEADROOM, ORDER_LIMIT, SMOOTHING_DIGITS,
-                 PrecisionContext, RayComplex, bernoulli_even, gamma_complex,
-                 pow_ray)
+                 PrecisionContext, RayComplex, bernoulli_even, digits_lost,
+                 float_log, gamma_complex, pow_ray)
 
 ARG_LIMIT_SLACK = 0.1
 REGIME_EPSILON = 0.05
@@ -265,16 +268,6 @@ def _fixed_cf(alpha: mpc, zval: mpc, wp: int, stop_bits: int):
     return value, _bits(*diff) - _bits(*cross) + 2
 
 
-def _digits_lost(head, zpow, peak2: int, wp: int, value) -> float:
-    """log10(max(|head|, |zpow| peak) / |value|), the digits that
-    head - zpow sum lost to cancellation, from binary exponents alone (to
-    within about two bits); peak2 is the squared peak addend of the sum in
-    units of 2^(-2 wp).  A zero value has lost them all (inf)."""
-    peak_mag = (peak2.bit_length() + 1) // 2 - wp
-    bits = max(mp.mag(head), mp.mag(zpow) + peak_mag) - mp.mag(value)
-    return float(bits) * math.log10(2)
-
-
 def _checked(value: mpc, spare: float, method: str, alpha: mpc,
              z: RayComplex) -> mpc:
     """value, whose method's check left spare digits: IllConditionedError if
@@ -355,8 +348,10 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
             "upper_gamma needs a finite order and |z| within the double "
             f"range, got alpha = {mp.nstr(alpha, 8)}, "
             f"|z| = {mp.nstr(z.modulus, 8)}")
-    # d = |alpha - nearest| < 2^dmag; d counts as 1 at integer alpha
-    nearest = round(fr)
+    # d = |alpha - nearest| < 2^dmag; d counts as 1 at integer alpha.  The
+    # nearest integer is read exactly: past 2^53 a float would move it
+    # (-(2^53 + 1) rounds to -2^53, and the order would look one unit off)
+    nearest = to_int(alpha.real._mpf_, round_nearest)
     integer = not alpha.imag and alpha.real == nearest
     dmag = 0
     if not integer:
@@ -421,7 +416,9 @@ def upper_gamma(alpha, z: RayComplex, ctx: PrecisionContext) -> mpc:
             logz = mp.log(mpf(z.modulus)) + mpc(0, 1) * z.argument
             head = sign * (psi - logz)
         value = head - zpow * total
-    spare = extra - _digits_lost(head, zpow, peak2, wp, value)
+    # the peak addend is sqrt(peak2) 2^-wp, times |z^alpha|
+    log_peak = float_log(peak2) / 2 - wp * math.log(2) + float_log(zpow)
+    spare = extra - digits_lost(value, [head], log_peak)
     return _checked(value, spare, "series", alpha, z)
 
 

@@ -13,8 +13,9 @@ from zetastokes.errors import DomainError, PoleError
 from zetastokes.expansion import TruncationPlan, z_improved
 from zetastokes.hp import (HEADROOM, TABLES_LIMIT, PrecisionContext,
                            RayComplex, SeriesTables, bernoulli_even,
-                           float_log, gamma_complex, hurwitz_zeta_integer,
-                           phase_bits, pow_ray, series_tables)
+                           digits_lost, float_log, gamma_complex,
+                           hurwitz_zeta_integer, phase_bits, pow_ray,
+                           series_tables)
 from zetastokes.terminant import _gamma_head, _limit_head, _prefactor
 from zetastokes.oracle import ZetaPoint
 from zetastokes.stokes import stokes_multiplier
@@ -643,6 +644,63 @@ class TestFloatLog:
         assert float_log(mpf(0)) == float_log(mpc(0)) == -math.inf
         assert float_log(huge) == math.inf
         assert float_log(1 / huge) == -math.inf
+
+
+def _random_number(rng, e):
+    """A random mpf, mpc or int (an int only for e >= 0) of size about 2^e,
+    with random signs and, for an mpc, a smaller part 0 to 3 bits below."""
+    kind = rng.choice(["mpf", "mpc", "int"] if e >= 0 else ["mpf", "mpc"])
+    if kind == "int":
+        return rng.choice([-1, 1]) * rng.randrange(1 << e, 2 << e)
+    x = mp.ldexp(mpf(rng.uniform(0.5, 1)) * rng.choice([-1, 1]), e)
+    if kind == "mpf":
+        return x
+    y = mp.ldexp(mpf(rng.uniform(-1, 1)), e - rng.randint(0, 3))
+    return mpc(x, y) if rng.random() < 0.5 else mpc(y, x)
+
+
+class TestDigitsLost:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_200_digit_count(self, seed):
+        # mpf, mpc and int terms and values between 2^-5000 and 2^5000,
+        # past the float range, the terms within a few bits of each other
+        # so that several share the largest binary exponent
+        rng = random.Random(seed)
+        with mp.workdps(200):
+            top = rng.randint(-5000, 4990)
+            terms = [_random_number(rng, top - rng.randint(0, 4))
+                     for _ in range(rng.randint(1, 8))]
+            value = _random_number(rng, rng.randint(-5000, 5000))
+            want = mp.log10(max(abs(mpc(t)) for t in terms) / abs(mpc(value)))
+            assert abs(digits_lost(value, terms) - want) <= 1e-12
+
+    def test_the_peak_below_the_largest_binary_exponent(self):
+        # 0.52 2^1000 has binary exponent 1000 and (0.99 + 0.99i) 2^999 has
+        # 999, yet the second is larger: 0.70 2^1000
+        small = mp.ldexp(mpf("0.52"), 1000)
+        large = mpc(1, 1) * mp.ldexp(mpf("0.99"), 999)
+        with mp.workdps(50):
+            want = mp.log10(abs(large))
+        assert abs(digits_lost(1, [small, large]) - want) <= 1e-13
+
+    def test_a_peak_given_as_a_log(self):
+        # e^log_peak counts as one more term, beside the numbers or alone
+        value, term = mpf("1e-30"), mpc(3, 4)
+        for log_peak, want in [(math.log(50), math.log10(50) + 30),
+                               (math.log(2), math.log10(5) + 30)]:
+            assert abs(digits_lost(value, [term], log_peak) - want) <= 1e-13
+        assert abs(digits_lost(value, [], math.log(50))
+                   - (math.log10(50) + 30)) <= 1e-13
+
+    def test_zero_terms_and_values(self):
+        # a zero term is ignored, and a zero value has lost every digit
+        value, term = mpf(2) ** -3000, 10 ** 400
+        assert digits_lost(value, [0, mpc(0), term, mpf(0)]) \
+            == digits_lost(value, [term])
+        assert digits_lost(value, [mpc(0)]) == -math.inf
+        for zero in (0, mpf(0), mpc(0)):
+            assert digits_lost(zero, [term]) == math.inf
+            assert digits_lost(zero, [zero]) == math.inf
 
 
 class TestPowRay:

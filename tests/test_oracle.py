@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
+import zetastokes
+from test_expansion import _bench_workloads
 from zetastokes.errors import (ConvergenceError, DivergenceError,
                                DomainError, PoleError)
 from zetastokes.expansion import TruncationPlan, z_improved
@@ -189,6 +191,30 @@ class TestHurwitzZetaDirect:
         with mp.workdps(2 * digits):
             want = mp.zeta(s, ray.value())
             assert abs(got - want) <= mpf(10) ** (1 - digits) * abs(want)
+
+    def test_one_pass_on_the_exactness_grid(self, ctx, monkeypatch):
+        # HURWITZ_EXTRA carries every grid point in one pass: on the 27
+        # points of the benchmark's exactness grid at seed 0 (acceptance
+        # criterion 2's), each z_reference sums once, with 2 digits or more
+        # to spare (3.3 at the least over seeds 0-10)
+        passes = []
+        euler_maclaurin = oracle._euler_maclaurin
+
+        def recorded(s, a, ctx, scale):
+            value, spare = euler_maclaurin(s, a, ctx, scale)
+            passes.append((scale, spare))
+            return value, spare
+
+        monkeypatch.setattr(oracle, "_euler_maclaurin", recorded)
+        wl = _bench_workloads()
+        grid = wl.Evaluator(zetastokes, "exactness_grid")
+        assert grid.ctx == ctx
+        with ctx.working(10):
+            for point in wl.points("exactness_grid", 0):
+                z_reference(*grid._grid_point(point), ctx)
+        assert len(passes) == 27
+        assert all(scale is None for scale, _ in passes)
+        assert min(spare for _, spare in passes) >= 2
 
     def test_rejects_small_re_s(self, ctx):
         with ctx.working():

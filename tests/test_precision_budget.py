@@ -8,7 +8,10 @@ the memo keyed on integer indices and a context may grow without a
 bound.  Arguments and decimal sizes come from ``hp`` too: no other module
 reads mpmath's ``arg``, ``atan2`` or ``log10``, each of which fills a
 table entry at nearly every new value and precision.  And no module reads
-mpmath's ``polylog`` or ``zeta``: ``oracle`` sums both functions itself."""
+mpmath's ``polylog`` or ``zeta``: ``oracle`` sums both functions itself.
+The digits a sum cancels are counted by one rule, ``hp.digits_lost``, from
+``hp.float_log``: ``oracle``, ``expansion`` and ``stokes`` read no mpmath
+``mag``."""
 import ast
 from pathlib import Path
 
@@ -219,3 +222,25 @@ def test_finder_flags_owned_functions(source, lines):
     p.name for p in PACKAGE.glob("*.py")))
 def test_no_library_module_reads_polylog_or_zeta(module):
     assert _mpmath_reads((PACKAGE / module).read_text(), OWNED) == []
+
+
+# the binary exponent that ``hp.float_log`` reads in full, and the modules
+# whose sizes and cancellation counts come from it alone
+MAG = {"mag"}
+MAG_FREE = ("expansion.py", "oracle.py", "stokes.py")
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("lost = mp.mag(peak) - mp.mag(value)", [1, 1]),
+    ("peak = max(map(mpmath.mag, addends))", [1]),
+    ("with mp.workdps(30):\n    e = mp.mag(x)", [2]),
+    ("digits_lost(value, terms)\nfloat_log(value)", []),
+    ("ctx.mag(x)\nhp.mag(x)", []),
+])
+def test_finder_flags_mag(source, lines):
+    assert _mpmath_reads(source, MAG) == lines
+
+
+@pytest.mark.parametrize("module", MAG_FREE)
+def test_no_mag_where_digits_are_counted(module):
+    assert _mpmath_reads((PACKAGE / module).read_text(), MAG) == []

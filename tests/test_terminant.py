@@ -12,7 +12,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 import zetastokes
 from test_expansion import _bench_workloads
 from zetastokes.errors import (ConvergenceError, DomainError,
-                               IllConditionedError)
+                               IllConditionedError, PoleError)
 from zetastokes.expansion import TruncationPlan, optimal_truncation, z_improved
 from zetastokes.hp import HEADROOM, PrecisionContext, RayComplex, pow_ray
 from zetastokes.terminant import (c_of_phi, terminant,
@@ -287,6 +287,49 @@ class TestUpperGamma:
             assert abs(lhs - rhs) <= \
                 mpf(10) ** -(ctx.digits + ctx.guard - 10) * abs(lhs)
 
+    def test_order_past_the_float_mantissa_is_classified_exactly(
+            self, ctx_fast):
+        # -(2^53 + 1) rounds to the even float -2^53, so a float nearest
+        # integer would call it a non-integer order one unit from it, and
+        # Gamma(alpha) raises at its pole.  Read exactly, it is an integer
+        # order, and DLMF 8.8.2, Gamma(alpha+1, z) = alpha Gamma(alpha, z)
+        # + z^alpha e^(-z), holds.  The two terms on the right are each
+        # 1.5e15 times the left, so they are combined at 100 digits, and
+        # arg z is the float 0.3, so that alpha arg z is exact
+        ctx = ctx_fast
+        alpha = -(2 ** 53 + 1)
+        with mp.workdps(2 * (ctx.digits + ctx.guard)):
+            z = RayComplex(mpf(6), mpf(0.3))
+            lhs = upper_gamma(alpha + 1, z, ctx)
+            rhs = alpha * upper_gamma(alpha, z, ctx) \
+                + pow_ray(z, alpha, ctx, extra=ctx.digits) \
+                * mp.exp(-z.value())
+            assert abs(lhs - rhs) <= mpf("1e-40") * abs(lhs)
+
+    def test_near_a_huge_integer_order_raises(self, ctx_fast):
+        # 1e-40 from -(2^60 + 1), where the float nearest integer is -2^60
+        # and the offset would look like 1; built at 100 digits, as 50 would
+        # round it onto the integer
+        with mp.workdps(2 * (ctx_fast.digits + ctx_fast.guard)):
+            alpha = mpf(-(2 ** 60 + 1)) - mpf(10) ** -40
+            with pytest.raises(IllConditionedError):
+                upper_gamma(alpha, RayComplex(mpf(6), mpf("0.3")), ctx_fast)
+
+    @pytest.mark.parametrize("nu", [10 ** 16 + 1, 10 ** 30, 2 ** 60])
+    def test_terminant_at_a_huge_integer_order(self, nu, ctx_fast):
+        # 1 - nu is an integer order beyond a float's mantissa: no untyped
+        # pole error from Gamma(alpha), and a finite value
+        assert mp.isfinite(terminant(nu, RayComplex(mpf(6), mpf("1e-20")),
+                                     ctx_fast))
+
+    def test_terminant_at_a_huge_pole_of_its_prefactor(self, ctx_fast):
+        # nu = -(2^53 + 1) is a pole of Gamma(nu), which a float nearest
+        # integer (-2^53) would miss by one unit, leaving mp.gamma to raise
+        # an untyped ValueError
+        with pytest.raises(PoleError, match="-9007199254740993"):
+            terminant(-(2 ** 53 + 1), RayComplex(mpf(6), mpf("0.3")),
+                      ctx_fast)
+
     @pytest.mark.parametrize("n", [0, 3, 37])
     @pytest.mark.parametrize("turns", [-1, 1])
     def test_integer_order_monodromy(self, n, turns, ctx):
@@ -416,8 +459,8 @@ class TestPrecisionCheck:
         # acceptance criterion 2, extension scales included, would pass its
         # check with 5 more digits lost by the series, or with a final
         # convergent difference 5 digits larger in the continued fraction
-        lost = terminant_module._digits_lost
-        monkeypatch.setattr(terminant_module, "_digits_lost",
+        lost = terminant_module.digits_lost
+        monkeypatch.setattr(terminant_module, "digits_lost",
                             lambda *args: lost(*args) + 5)
         cf = terminant_module._fixed_cf
 
