@@ -168,13 +168,17 @@ def _lengths(s: mpc, aval: mpc, tables, digits: int,
     about e^(-2 pi |w|) of the lead while |s| is small, lies above the
     budget.  M is at least -Re a, so that the half-line w + [0, oo) of the
     remainder stays in the right half-plane.  The search starts at the
-    least |w| at which a t_j reaches the budget relative to the lead, which
-    is the least M unless a head term is larger than the lead.  That |w|
-    lies beyond |Im s|/(2 pi), so where |Im s|/(2 pi) is at least
-    |a + EM_TERM_LIMIT|, the search starts at the limit without scanning
-    the c_j for it.  From its start it steps up until there is a J, and
-    bisects down if one head term fewer has one too.  DomainError beyond
-    EM_TERM_LIMIT head terms.
+    least such M with |w| >= max(|Im s|, digits ln 10)/(2 pi), steps up
+    until there is a J, and bisects down if one head term fewer has one
+    too.  The |Im s|/(2 pi) floor is required: no t_j reaches the budget
+    relative to the lead below it (|s-1| >= |Im s| and |c_j| >=
+    2 |Im s|^(2j-1) (2 pi)^-2j), and there "a J exists at M" is not
+    monotone in M, so a search from M = -Re a can stop at a wrong M.  The
+    digits ln 10/(2 pi) term, where e^(-2 pi |w|) reaches the budget, only
+    saves probes: wherever the predicate is monotone, the start sets which
+    M are probed and not the M found.  So the sizing reads the c_j only
+    through ``sizes``, up to the J it returns or the first upturn.
+    DomainError beyond EM_TERM_LIMIT head terms.
     """
     sr, si = float(s.real), float(s.imag)
     ar, ai = float(aval.real), float(aval.imag)
@@ -209,25 +213,12 @@ def _lengths(s: mpc, aval: mpc, tables, digits: int,
             prev = t
         return None, top
 
-    # ln of the least |w| at which some t_j reaches the budget relative to
-    # the lead: the least (ln |c_j| + ln|s-1| - unit)/2j, where it turns
-    # upward.  Each lies above ln(|Im s|/(2 pi)), as |s-1| >= |Im s| and
-    # |c_j| >= 2 |Im s|^(2j-1) (2 pi)^-2j, so where |Im s|/(2 pi) is at least
-    # |a + EM_TERM_LIMIT|, M starts at the limit and the scan reads no c_j
-    log_radius, j = math.inf, 1
-    far = 2 * math.pi * math.hypot(ar + EM_TERM_LIMIT, ai)
-    while j <= EM_TERM_LIMIT and abs(si) < far:
-        g = (tables.hurwitz_tail_logs(j)[j - 1] + log_s1 - unit) / (2 * j)
-        if not g < log_radius:
-            break
-        log_radius, j = g, j + 1
-    # the least real M with |a + M| at that radius (e^300: past any head
-    # length, and its square a float)
-    radius = math.exp(min(log_radius, 300.0))
+    # the least real M with |a + M| at the start's radius
+    radius = max(abs(si), -unit) / (2 * math.pi)
     reach = math.sqrt(max(0.0, radius * radius - ai * ai)) - ar
     lo, hi = low - 1, max(low, math.ceil(min(reach, EM_TERM_LIMIT)))
     step = 1
-    while hi > EM_TERM_LIMIT or sizes(hi)[0] is None:
+    while sizes(hi)[0] is None:
         if hi >= EM_TERM_LIMIT:
             raise DomainError(
                 f"the Euler-Maclaurin sum of zeta(s, a) at "

@@ -10,7 +10,8 @@ from test_expansion import _bench_workloads
 from zetastokes.errors import (ConvergenceError, DivergenceError,
                                DomainError, PoleError)
 from zetastokes.expansion import TruncationPlan, z_improved
-from zetastokes.hp import HEADROOM, PrecisionContext, RayComplex
+from zetastokes.hp import (HEADROOM, PrecisionContext, RayComplex,
+                           series_tables)
 from zetastokes import oracle
 from zetastokes.oracle import (ZetaPoint, f_tilde_reference,
                                hurwitz_zeta_direct, periodic_zeta_direct,
@@ -192,20 +193,37 @@ class TestHurwitzZetaDirect:
             want = mp.zeta(s, ray.value())
             assert abs(got - want) <= mpf(10) ** (1 - digits) * abs(want)
 
+    # (M, J) of the 27 Euler-Maclaurin sums of the seed-0 exactness grid,
+    # in the grid's order
+    GRID_SIZES = [
+        (35, 96), (34, 99), (33, 95), (36, 95), (36, 95), (36, 91),
+        (37, 94), (38, 94), (38, 105), (35, 90), (34, 90), (32, 99),
+        (36, 89), (35, 103), (35, 94), (36, 106), (37, 100), (38, 92),
+        (35, 89), (33, 99), (32, 91), (35, 106), (35, 95), (34, 104),
+        (36, 103), (37, 94), (37, 100)]
+
     def test_one_pass_on_the_exactness_grid(self, ctx, monkeypatch):
         # HURWITZ_EXTRA carries every grid point in one pass: on the 27
         # points of the benchmark's exactness grid at seed 0 (acceptance
         # criterion 2's), each z_reference sums once, with 2 digits or more
-        # to spare (3.3 at the least over seeds 0-10)
-        passes = []
-        euler_maclaurin = oracle._euler_maclaurin
+        # to spare (3.3 at the least over seeds 0-10).  The sizes are
+        # pinned too: a change of the sizing's search can move them
+        # without moving one output bit
+        passes, sizes = [], []
+        euler_maclaurin, lengths = oracle._euler_maclaurin, oracle._lengths
 
         def recorded(s, a, ctx, scale):
             value, spare = euler_maclaurin(s, a, ctx, scale)
             passes.append((scale, spare))
             return value, spare
 
+        def sized(*args):
+            m, j, top = lengths(*args)
+            sizes.append((m, j))
+            return m, j, top
+
         monkeypatch.setattr(oracle, "_euler_maclaurin", recorded)
+        monkeypatch.setattr(oracle, "_lengths", sized)
         wl = _bench_workloads()
         grid = wl.Evaluator(zetastokes, "exactness_grid")
         assert grid.ctx == ctx
@@ -215,6 +233,23 @@ class TestHurwitzZetaDirect:
         assert len(passes) == 27
         assert all(scale is None for scale, _ in passes)
         assert min(spare for _, spare in passes) >= 2
+        assert sizes == self.GRID_SIZES
+
+    @pytest.mark.parametrize("im_s", [1000, 5000])
+    def test_sizing_reads_only_the_factors_it_sums(self, im_s, ctx_fast):
+        # on the a ray at |a| = 6, arg a = 0.45 pi the first head term
+        # outweighs the rest by far, and the sum takes one tail term: with
+        # fresh tables the sizing reads 2 of the owned c_j and the call
+        # takes about 2 ms, where a scan of the c_j for the search's start
+        # read 431 and 1,000.  hurwitz_tail_logs returns the whole kept list
+        series_tables.cache_clear()
+        s = ctx_fast.read(mpc(3, im_s))
+        with ctx_fast.working(10):
+            a = RayComplex(mpf(6), mpf("0.45") * mp.pi)
+        start = time.perf_counter()
+        hurwitz_zeta_direct(s, a, ctx_fast)
+        assert time.perf_counter() - start < 0.05
+        assert len(series_tables(s, ctx_fast).hurwitz_tail_logs(1)) <= 10
 
     def test_rejects_small_re_s(self, ctx):
         with ctx.working():
@@ -294,7 +329,7 @@ class TestPeriodicZeta:
 
     @pytest.mark.parametrize("e", [60, 133])
     @pytest.mark.parametrize("im_a", ["0.1", "0.02"])
-    def test_polylog_at_large_im_s_matches_sixty_digits(self, im_a, e):
+    def test_reflection_past_the_head_limit_raises_at_once(self, im_a, e):
         # rho = 4 |q| > 1/3 at a = 0.3 + i im_a, so F is the reflection,
         # whose Euler-Maclaurin sums need |w| near |Im s|/(2 pi): the run
         # at 30 digits and the one at 60 raise the sums' own DomainError,
@@ -337,16 +372,19 @@ class TestPeriodicZeta:
         passed = {e.name for e in report.entries if e.passed}
         assert {"periodic-zeta reflection", "subtracted reflection"} <= passed
 
-    def test_real_s_of_1e300_stops_before_polylog(self, ctx_fast):
+    def test_real_s_of_1e300_raises_past_the_float_range_at_once(
+            self, ctx_fast):
         # the q-series' terms k^(Re s - 1) |q|^k peak near k = 2.7e298
-        # here, and the call used to hang inside mp.polylog; the reflection
-        # returns an F whose lost digits pass the float range, and
-        # stokes_multiplier raises before it reads them
+        # here, so F is the reflection, which returns an F whose lost
+        # digits pass the float range, and stokes_multiplier raises before
+        # it reads them, at once
         pt = _point(mpf(1e300), 6, 0.45, ctx_fast)
+        start = time.perf_counter()
         with pytest.raises(DomainError,
                            match=r"s = \(1\.0e\+300 \+ 0\.0j\), Im a = 5\.9"
                            r".* passes the float range"):
             stokes_multiplier(1, pt, ctx_fast)
+        assert time.perf_counter() - start < 0.5
 
     # a = 0.3 + 0.01i has |q| = 0.939 and rho > 1/3 at every s
     NEAR_AXIS = "0.3", "0.01"
