@@ -12,11 +12,12 @@ its terms fall by a factor 3 or more, and elsewhere (near the real axis,
 at |a| near 1, at large Re s) by the reflection
 F = Gamma(s)/(2 pi)^s [e^(i pi s/2) zeta(s,a) + e^(-i pi s/2) zeta(s,a')]
 through two of those Euler-Maclaurin sums, checked for the digits its two
-terms cancel; and the subtracted form Ftilde(a,s).  The Hurwitz side is
-restricted to Re(s) > 1.1 (the reflection reads its sum below that too)
-and the periodic side to Im(a) > 0, where |q| < 1 and the defining sums
-converge, so these routines can serve as unconditional ground truth for
-the expansion machinery.  No routine here calls mpmath's zeta or polylog.
+terms cancel; and the subtracted form Ftilde(a,s).  The Hurwitz side
+admits s by the rule that ``ZetaPoint.create`` and ``z_improved`` use,
+``check_s_off_poles``, off 1, 0, -1, ..., and the periodic side Im(a) > 0,
+where |q| < 1 and the defining sums converge, so these routines can serve
+as unconditional ground truth for the expansion machinery wherever the
+expansion holds.  No routine here calls mpmath's zeta or polylog.
 
 ``ZetaPoint.combine`` is the one place the two rays are weighted at
 ``working(HEADROOM)``, e^(i pi s/2) x(a) + e^(-i pi s/2) x(a'): the form
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpc
 
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      PoleError)
@@ -37,7 +38,6 @@ from .hp import (HEADROOM, HURWITZ_EXTRA, PrecisionContext, RayComplex,
                  _fixed_horner, digits_lost, float_log, phase_bits,
                  pow_ray, series_tables)
 
-RE_S_MARGIN = mpf("1.1")
 # Most head terms, and most tail terms, of the Euler-Maclaurin sum of
 # ``hurwitz_zeta_direct``: about 150 us per head term at 100 digits, and
 # the tail's exact Bernoulli numbers take about 1 s up to B_2000, once per
@@ -82,16 +82,14 @@ class ZetaPoint:
             return half_is * x + x_prime / half_is
 
 
-def _check_finite(s: mpc) -> None:
-    if not mp.isfinite(s):
-        raise DomainError(f"s must be finite, got {s}")
-
-
 def check_s_off_poles(s: mpc, highest: int, ctx: PrecisionContext) -> None:
     """DomainError if s is not finite or lies within tol of an integer
-    <= highest: a pole of Gamma(s) (highest = 0, ``ZetaPoint``) or of
-    Gamma(s + 1), the A_0 of the expansion (highest = -1, ``z_improved``)."""
-    _check_finite(s)
+    <= highest: a pole of Gamma(s) (highest = 0, ``ZetaPoint``), of
+    Gamma(s + 1), the A_0 of the expansion (highest = -1, ``z_improved``),
+    or of Gamma(s) and of zeta(s, a) (highest = 1, ``hurwitz_zeta_direct``
+    and ``z_reference``)."""
+    if not mp.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     with ctx.working():
         nearest = int(mp.nint(s.real))
         if nearest <= highest and abs(s - nearest) < ctx.tol():
@@ -100,18 +98,9 @@ def check_s_off_poles(s: mpc, highest: int, ctx: PrecisionContext) -> None:
                 f", got {mp.nstr(s, 8)}")
 
 
-def _check_re_s(s, ctx: PrecisionContext) -> mpc:
-    s = ctx.read(s)
-    _check_finite(s)
-    if s.real <= RE_S_MARGIN:
-        raise DomainError(
-            f"oracle requires Re(s) > {RE_S_MARGIN}, got Re(s) = {s.real}; "
-            "analytic continuation lives in the expansion module")
-    return s
-
-
 def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
-    """zeta(s, a) = sum_{k>=0} (a+k)^(-s), in principal powers, rounded to
+    """zeta(s, a) = sum_{k>=0} (a+k)^(-s), continued to every s off
+    ``check_s_off_poles(s, 1)``, in principal powers, rounded to
     ``working(HEADROOM)``: the Euler-Maclaurin sum (DLMF 2.10.1)
 
         sum_{k<M} (a+k)^(-s) + w^(-s)/2 + w^(1-s)/(s-1)
@@ -127,15 +116,16 @@ def hurwitz_zeta_direct(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
     its own addends are larger by.  ConvergenceError if that one falls
     short too.
     """
-    value = _hurwitz_zeta(_check_re_s(s, ctx), a, ctx)
+    s = ctx.read(s)
+    check_s_off_poles(s, 1, ctx)
+    value = _hurwitz_zeta(s, a, ctx)
     with ctx.working(HEADROOM):
         return +value
 
 
 def _hurwitz_zeta(s: mpc, a: RayComplex, ctx: PrecisionContext) -> mpc:
-    """``hurwitz_zeta_direct`` past its Re s check, for any s but 1: the
-    Euler-Maclaurin sum continues zeta(s, a) to Re s > 1 - 2J (DLMF
-    2.10.1), so ``_reflection`` reads it at Re s <= 1.1 too."""
+    """The sum of ``hurwitz_zeta_direct``, unrounded, for any s but 1:
+    ``_reflection`` reads it at the HURWITZ_EXTRA digits it carries."""
     with ctx.working(HEADROOM):
         aval = a.value()
         if abs(aval.imag) < ctx.tol() and aval.real <= ctx.tol():
@@ -169,23 +159,26 @@ def _lengths(s: mpc, aval: mpc, tables, digits: int,
     budget.  M is at least -Re a, so that the half-line w + [0, oo) of the
     remainder stays in the right half-plane.  The search starts at the
     least such M with |w| >= max(|Im s|, digits ln 10)/(2 pi), steps up
-    until there is a J, and bisects down if one head term fewer has one
-    too.  The |Im s|/(2 pi) floor is required: no t_j reaches the budget
-    relative to the lead below it (|s-1| >= |Im s| and |c_j| >=
-    2 |Im s|^(2j-1) (2 pi)^-2j), and there "a J exists at M" is not
-    monotone in M, so a search from M = -Re a can stop at a wrong M.  The
-    digits ln 10/(2 pi) term, where e^(-2 pi |w|) reaches the budget, only
-    saves probes: wherever the predicate is monotone, the start sets which
-    M are probed and not the M found.  So the sizing reads the c_j only
-    through ``sizes``, up to the J it returns or the first upturn.
-    DomainError beyond EM_TERM_LIMIT head terms.
+    until there is a J, and bisects down, as far as -Re a, while one head
+    term fewer has one too.  The |Im s|/(2 pi) radius sets only where the
+    search starts, and is no floor on the M found.  Below it no t_j
+    reaches the budget relative to the lead (|s-1| >= |Im s| and |c_j| >=
+    2 |Im s|^(2j-1) (2 pi)^-2j), and "a J exists at M" need not be
+    monotone in M, so a search started at M = -Re a can stop at a wrong M;
+    but where a head term outweighs the lead by far, the bisection may
+    still end below it (s = 3.3 + 1000i, a = 45.5 e^(0.49 pi i): M = 11,
+    |w| = 47 against 159), and only measured agreement guards such an M.
+    The digits ln 10/(2 pi) term, where e^(-2 pi |w|) reaches the budget,
+    only saves probes.  So the sizing reads the c_j only through
+    ``sizes``, up to the J it returns or the first upturn.  DomainError
+    beyond EM_TERM_LIMIT head terms.
     """
     sr, si = float(s.real), float(s.imag)
     ar, ai = float(aval.real), float(aval.imag)
     if not math.isfinite(math.hypot(ar, ai)):
         raise DomainError(f"|a| = {mp.nstr(abs(aval), 8)} passes the float "
                           "range that sizes the Euler-Maclaurin sum")
-    log_s1 = math.log(abs(complex(s) - 1))
+    log_s1 = float_log(s - 1)
     unit = -digits * math.log(10)
     low = max(0, math.ceil(-ar))
     if low >= EM_TERM_LIMIT:
@@ -278,21 +271,42 @@ def _euler_maclaurin(s: mpc, a: RayComplex, ctx: PrecisionContext,
     return value, extra - lost - math.log10(m + 20)
 
 
-def _subtracted_terms(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
-    """a^(-s)/2 + a^(1-s)/(s-1) on the ray a: the two leading algebraic
+def _subtracted_terms(s, a: RayComplex, ctx: PrecisionContext) -> tuple:
+    """(a^(-s)/2, a^(1-s)/(s-1)) on the ray a: the two leading algebraic
     terms of zeta(s, a) that Z(s, a) strips, with a^(1-s) = a^(-s) a."""
     with ctx.working(HEADROOM):
         a_s = pow_ray(a, -s, ctx, extra=HEADROOM)
-        return a_s / 2 + a_s * a.value() / (s - 1)
+        return a_s / 2, a_s * a.value() / (s - 1)
+
+
+def _check_cancellation(value, terms, what: str, s, aval) -> None:
+    """ConvergenceError if value, the sum of terms, cancels more than
+    HEADROOM digits (the ``hp.digits_lost`` of the terms against it): the
+    quantity named what, at s and a = aval, would then be off by more than
+    10^-(digits + guard)."""
+    lost = digits_lost(value, terms)
+    if not lost <= HEADROOM:
+        raise ConvergenceError(
+            f"{what} at s = {mp.nstr(s, 8)}, a = {mp.nstr(aval, 8)} cancels "
+            f"{lost:.1f} digits, more than the {HEADROOM} of headroom")
 
 
 def z_reference(s, a: RayComplex, ctx: PrecisionContext) -> mpc:
-    """Z(s,a) = Gamma(s) (zeta(s,a) - a^(-s)/2 - a^(1-s)/(s-1))."""
-    s = _check_re_s(s, ctx)
+    """Z(s,a) = Gamma(s) (zeta(s,a) - a^(-s)/2 - a^(1-s)/(s-1)), for s off
+    ``check_s_off_poles(s, 1)``, at ``working(HEADROOM)``.  The
+    subtraction cancels about 2 log10|a| digits at large |a|, and more near
+    s = 1 and s = 0, where the bracket is small beside its terms: the
+    ``hp.digits_lost`` of zeta and the two terms against their difference
+    may take up HEADROOM, and ConvergenceError beyond."""
+    s = ctx.read(s)
+    check_s_off_poles(s, 1, ctx)
     with ctx.working(HEADROOM):
         zeta = hurwitz_zeta_direct(s, a, ctx)
-        return series_tables(s, ctx).gamma \
-            * (zeta - _subtracted_terms(s, a, ctx))
+        half, lead = _subtracted_terms(s, a, ctx)
+        value = zeta - (half + lead)
+        _check_cancellation(value, (zeta, half, lead), "Z(s, a)", s,
+                            a.value())
+        return series_tables(s, ctx).gamma * value
 
 
 def periodic_zeta_direct(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
@@ -349,12 +363,7 @@ def _reflection(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
         half_is = mp.expjpi(s / 2)
         terms = half_is * zeta, zeta_prime / half_is
         value = terms[0] + terms[1]
-    lost = digits_lost(value, terms)
-    if not lost <= HEADROOM:
-        raise ConvergenceError(
-            f"the reflection of F(a, 1-s) at s = {mp.nstr(s, 8)}, "
-            f"a = {mp.nstr(aval, 8)} cancels {lost:.1f} digits, more than "
-            f"the {HEADROOM} of headroom")
+    _check_cancellation(value, terms, "the reflection of F(a, 1-s)", s, aval)
     with ctx.working(HEADROOM):
         return mp.gamma(s) * series_tables(s, ctx).two_pi_minus_s * value
 
@@ -368,6 +377,6 @@ def f_tilde_reference(point: ZetaPoint, ctx: PrecisionContext) -> mpc:
         f = periodic_zeta_direct(point, ctx)
         tables = series_tables(s, ctx)
         pref = tables.gamma / tables.two_pi_s
-        ga = _subtracted_terms(s, point.a, ctx)
-        gap = _subtracted_terms(s, point.a_prime, ctx)
+        ga = sum(_subtracted_terms(s, point.a, ctx))
+        gap = sum(_subtracted_terms(s, point.a_prime, ctx))
         return f - pref * point.combine(ga, gap, ctx)

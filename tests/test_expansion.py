@@ -577,6 +577,24 @@ class TestExactness:
             assert abs(got - ref) <= ctx.tol() * abs(ref)
 
 
+    @pytest.mark.parametrize("s", [
+        mpc(0.5), mpc(0.5, 3), mpc(-0.5, 0.5), mpc(1.05), mpc(-2.5, 1),
+        mpc(0.999)], ids=["0.5", "0.5+3i", "-0.5+0.5i", "1.05", "-2.5+i",
+                          "0.999"])
+    def test_exact_below_re_s_1_1(self, s, ctx):
+        # the expansion holds for every s off the poles, and so does the
+        # reference: at |a|, arg a/pi = (3, 0.6), (6, 0.45), (9, 0.4) under
+        # acceptance criterion 2's three plans (worst 1.1e-52, at 0.5 + 3i)
+        plans = [TruncationPlan.constant(2, 2), TruncationPlan.constant(7, 2),
+                 TruncationPlan((3, 9), (3, 9), 2)]
+        for mod, arg_over_pi in (3, 0.6), (6, 0.45), (9, 0.4):
+            a = _ray(mod, arg_over_pi, ctx)
+            with ctx.working(10):
+                ref = z_reference(s, a, ctx)
+                for plan in plans:
+                    got = z_improved(s, a, plan, ctx)
+                    assert abs(got - ref) <= ctx.tol() * abs(ref)
+
     @pytest.mark.parametrize("s", [-1, -2, mpc(-3, 1e-70)])
     def test_rejects_nonpositive_integer_s(self, s, ctx):
         # without the check, extend_plan's loggamma(2r + s + 1) at r = 0

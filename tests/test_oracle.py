@@ -2,7 +2,7 @@ import math
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 import zetastokes
@@ -11,7 +11,7 @@ from zetastokes.errors import (ConvergenceError, DivergenceError,
                                DomainError, PoleError)
 from zetastokes.expansion import TruncationPlan, z_improved
 from zetastokes.hp import (HEADROOM, PrecisionContext, RayComplex,
-                           series_tables)
+                           pow_ray, series_tables)
 from zetastokes import oracle
 from zetastokes.oracle import (ZetaPoint, f_tilde_reference,
                                hurwitz_zeta_direct, periodic_zeta_direct,
@@ -80,8 +80,9 @@ def _shift_residual(s, a, ctx):
         return abs(diff - want) / abs(want)
 
 
-# the entry points that read s: ZetaPoint.create and z_improved through
-# check_s_off_poles, hurwitz_zeta_direct and z_reference through _check_re_s
+# the entry points that read s, each through check_s_off_poles: highest 0
+# for ZetaPoint.create, -1 for z_improved and 1 for hurwitz_zeta_direct and
+# z_reference
 S_ENTRIES = {
     "ZetaPoint.create": ZetaPoint.create,
     "z_improved": lambda s, a, ctx: z_improved(
@@ -102,6 +103,17 @@ def test_non_finite_s_is_domain_error(entry, s, ctx_fast):
         a = RayComplex(mpf(6), mpf("0.45") * mp.pi)
     with pytest.raises(DomainError, match="s must be finite"):
         S_ENTRIES[entry](s, a, ctx_fast)
+
+
+@pytest.mark.parametrize("entry", ["hurwitz_zeta_direct", "z_reference"])
+@pytest.mark.parametrize("s", [1, 0, -1])
+def test_references_refuse_the_poles(entry, s, ctx_fast):
+    # one rule admits s for the references too: the pole of zeta(s, a) at
+    # 1 and those of Gamma(s) at 0, -1, ...; nothing else is refused
+    with ctx_fast.working():
+        a = RayComplex(mpf(6), mpf("0.45") * mp.pi)
+    with pytest.raises(DomainError, match=r"s must not be 1, 0, -1, \.\.\."):
+        S_ENTRIES[entry](mpc(s), a, ctx_fast)
 
 
 class TestHurwitzZetaDirect:
@@ -139,18 +151,27 @@ class TestHurwitzZetaDirect:
     @given(ray=st.sampled_from(["a", "a'"]),
            mod=st.floats(min_value=1, max_value=50),
            arg_over_pi=st.floats(min_value=0.3, max_value=0.7),
-           re_s=st.floats(min_value=1.1, max_value=60, exclude_min=True),
+           re_s=st.floats(min_value=-12, max_value=60),
            im_s=st.floats(min_value=-1e3, max_value=1e3))
     @example(ray="a'", mod=6.0, arg_over_pi=0.45, re_s=2.0, im_s=1e3)
+    @example(ray="a", mod=45.5, arg_over_pi=0.49, re_s=3.3, im_s=1e3)
+    @example(ray="a", mod=33.9, arg_over_pi=0.33, re_s=4.1, im_s=700.0)
+    @example(ray="a'", mod=25.9, arg_over_pi=0.45, re_s=2.5, im_s=-500.0)
+    @example(ray="a", mod=4.1, arg_over_pi=0.64, re_s=5.0, im_s=700.0)
     @settings(max_examples=10, deadline=None, derandomize=True)
     def test_matches_mpmath_at_twice_the_digits(self, ray, mod, arg_over_pi,
                                                 re_s, im_s, ctx):
-        # both rays over the pinned sweeps' scan of arg a, within a second.
+        # both rays over the pinned sweeps' scan of arg a, within a second,
+        # on both sides of Re s = 1.1, off the poles the oracle refuses.
         # mp.zeta stops at an absolute tolerance, so the reference runs at
         # twice the digits of working(HEADROOM) plus the digits the value
-        # lies below 1 (a value off in size fails either way).  The example
-        # took 5.6 s when the oracle ran mp.zeta itself, at the 740 digits
-        # that |a'^-s| lies below 1
+        # lies below 1 (a value off in size fails either way).  The first
+        # example took 5.6 s when the oracle ran mp.zeta itself, at the 740
+        # digits that |a'^-s| lies below 1; the other four size their sums
+        # at a head length M with |a + M| below |Im s|/(2 pi), where the
+        # search for M starts (at 3.3 + 1000i, M = 11 and |w| = 47 against
+        # 159): a head term outweighs the tail's lead there by far
+        assume(im_s or re_s > 1 or re_s != int(re_s))
         s = mpc(re_s, im_s)
         pt = _point(s, mod, arg_over_pi, ctx)
         a = pt.a if ray == "a" else pt.a_prime
@@ -178,16 +199,21 @@ class TestHurwitzZetaDirect:
     @pytest.mark.parametrize("s, a", [
         (mpc(0.5, 3), ("0.3", "0.01")), (mpc(0.5, 3), ("0.7", "-0.01")),
         (mpc("0.9"), ("0.25", "0.1")), (mpc(1.05, 20), ("0.3", "0.01")),
-        (mpc(-1.5, 0.5), ("0.3", "0.01"))],
-        ids=["0.5+3i", "0.5+3i-a'", "0.9", "1.05+20i", "-1.5+0.5i"])
+        (mpc(-1.5, 0.5), ("0.3", "0.01")),
+        ("1.00000000000000001", ("0.3", "0.01"))],
+        ids=["0.5+3i", "0.5+3i-a'", "0.9", "1.05+20i", "-1.5+0.5i",
+             "1+1e-17"])
     def test_sum_below_the_margin(self, s, a, ctx_fast):
         # the Euler-Maclaurin sum continues zeta(s, a) to Re s > 1 - 2J,
-        # and the reflection of F reads it past the public Re s > 1.1:
-        # against mp.zeta at twice the digits D of working(HEADROOM), to
-        # 10 units of 10^-D (-1.5 + 0.5i takes the second pass)
+        # and the oracle admits it there, below the Re s > 1.1 it once
+        # refused: against mp.zeta at twice the digits D of
+        # working(HEADROOM), to 10 units of 10^-D (-1.5 + 0.5i takes the
+        # second pass).  1 + 1e-17 rounds to 1 as a double, where the
+        # sizing's math.log of |s - 1| raised an untyped ValueError
+        s = ctx_fast.read(s)
         with mp.workdps(100):
             ray = RayComplex.from_value(mpc(*a))
-        got = oracle._hurwitz_zeta(s, ray, ctx_fast)
+        got = hurwitz_zeta_direct(s, ray, ctx_fast)
         digits = ctx_fast.digits + ctx_fast.guard + HEADROOM
         with mp.workdps(2 * digits):
             want = mp.zeta(s, ray.value())
@@ -272,6 +298,36 @@ class TestZReference:
             a = RayComplex(mpf(20), mpf("0.5") * mp.pi)
             z = z_reference(mpc(3), a, ctx)
             assert abs(z) < mpf(20) ** -4 * 10
+
+    def test_counted_subtraction_keeps_its_bits(self, ctx):
+        # at |a| = 20 the subtraction cancels about 3 digits, within the
+        # headroom: the count moves no bit of Gamma(s) (zeta - a^-s/2
+        # - a^(1-s)/(s-1)), each term as the oracle forms it
+        s = mpc(3)
+        with ctx.working(10):
+            a = RayComplex(mpf(20), mpf("0.45") * mp.pi)
+        got = z_reference(s, a, ctx)
+        with ctx.working(HEADROOM):
+            a_s = pow_ray(a, -s, ctx, extra=HEADROOM)
+            want = series_tables(s, ctx).gamma * (
+                hurwitz_zeta_direct(s, a, ctx)
+                - (a_s / 2 + a_s * a.value() / (s - 1)))
+        assert got._mpc_ == want._mpc_
+
+    @pytest.mark.parametrize("s, mod, lost", [
+        ("3", "1e25", r"50\.3"), ("1.00000000000000000001", "6", r"22\.6")],
+        ids=["abs_a_1e25", "s_1+1e-20"])
+    def test_cancellation_past_the_headroom_raises(self, s, mod, lost, ctx):
+        # zeta(s, a) ~ a^(1-s)/(s-1) lies 2 log10|a| digits above Z(s, a)
+        # / Gamma(s) at s = 3, and 1/|s - 1| above it near s = 1: the
+        # subtraction's lost digits are counted, and past the headroom it
+        # raises where a 60-digit run was off from a 120-digit one by
+        # 3.3e-41 relative at |a| = 1e25 (the bound is 1e-50)
+        with mp.workdps(80):
+            a = RayComplex(mpf(mod), mpf("0.45") * mp.pi)
+        with pytest.raises(ConvergenceError,
+                           match=f"Z\\(s, a\\) .* cancels {lost} digits"):
+            z_reference(s, a, ctx)
 
 
 class TestPeriodicZeta:
@@ -438,9 +494,12 @@ class TestPeriodicZeta:
     def test_near_the_axis_past_the_headroom_raises(self, ctx_fast):
         # at s = 1 + 1e-12 the two weighted zeta values cancel 11.4 digits,
         # more than the headroom, and at s = 1e-15, where Gamma(s) has a
-        # pole and the bracket vanishes, 14.4
+        # pole and the bracket vanishes, 14.4.  At 1 + 1e-17, which rounds
+        # to 1 as a double, they cancel 16.4, a typed error where the
+        # sums' sizing raised an untyped ValueError
         for s, lost in [(1 + mpf("1e-12"), r"11\.4"),
-                        (mpf("1e-15"), r"14\.4")]:
+                        (mpf("1e-15"), r"14\.4"),
+                        (ctx_fast.read("1.00000000000000001"), r"16\.4")]:
             pt = self._near_axis(s, ctx_fast)
             with pytest.raises(ConvergenceError, match=f"cancels {lost} dig"):
                 periodic_zeta_direct(pt, ctx_fast)

@@ -11,7 +11,8 @@ table entry at nearly every new value and precision.  And no module reads
 mpmath's ``polylog`` or ``zeta``: ``oracle`` sums both functions itself.
 The digits a sum cancels are counted by one rule, ``hp.digits_lost``, from
 ``hp.float_log``: ``oracle``, ``expansion`` and ``stokes`` read no mpmath
-``mag``."""
+``mag``.  And s is admitted by one rule, ``oracle.check_s_off_poles``: no
+module compares Re s with a bound."""
 import ast
 from pathlib import Path
 
@@ -244,3 +245,40 @@ def test_finder_flags_mag(source, lines):
 @pytest.mark.parametrize("module", MAG_FREE)
 def test_no_mag_where_digits_are_counted(module):
     assert _mpmath_reads((PACKAGE / module).read_text(), MAG) == []
+
+
+def _reads_re_s(node) -> bool:
+    """Whether the expression node reads s.real, or the .real of an
+    attribute s (point.s.real), anywhere inside it."""
+    return any(isinstance(sub, ast.Attribute) and sub.attr == "real"
+               and _name(sub.value) == "s" for sub in ast.walk(node))
+
+
+def _re_s_bounds(source: str) -> list:
+    """Line numbers of the comparisons in source with an operand that
+    reads Re s: a bound on Re s, a second admission rule beside
+    ``oracle.check_s_off_poles``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(map(_reads_re_s, [node.left] + node.comparators))]
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("if s.real <= RE_S_MARGIN:\n    raise DomainError", [1]),
+    ("ok = 1.1 < point.s.real", [1]),
+    ("if float(s.real) > 1.1:\n    pass", [1]),
+    ("x = 0 < s.real - 1 < 2", [1]),
+    ("nearest = int(mp.nint(s.real))\nif nearest <= highest:\n    pass",
+     []),
+    ("re_s1 = float(point.s.real) - 1", []),
+    ("if z.real < 0.5:\n    pass", []),
+    ("if alpha.real < 0 and s.imag > 0:\n    pass", []),
+])
+def test_finder_flags_bounds_on_re_s(source, lines):
+    assert _re_s_bounds(source) == lines
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_no_second_admission_rule_for_s(module):
+    assert _re_s_bounds((PACKAGE / module).read_text()) == []
